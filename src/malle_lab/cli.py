@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__
@@ -45,6 +46,21 @@ def _emit_csv(args, header, rows, config: dict):
             fh.write(buf.getvalue())
     else:
         sys.stdout.write(buf.getvalue())
+
+
+def _exact_int(text: str) -> int:
+    """An integer written in decimal or scientific notation, without rounding.
+
+    "1e15" and "9007199254740993" are accepted as written; "1.5" and "1e-3"
+    are not integers and raise ValueError (exit code EXIT_INPUT).
+    """
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ValueError(f"not an exact integer: {text!r}")
+    return int(value)
 
 
 def _cmd_invariants(args) -> int:
@@ -149,7 +165,7 @@ def _cmd_convolve(args) -> int:
     s1 = _parse_sequence(args.s1)
     s2 = _parse_sequence(args.s2)
     a, b = Fraction(args.a), Fraction(args.b)
-    x = int(float(args.x))
+    x = _exact_int(args.x)
     count = product_count_exact(s1, s2, a, b, x)
     payload = {"count": count, "x": x, "a": str(a), "b": str(b)}
     if args.predicted is not None:
@@ -162,7 +178,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_enumerate_cyclic(args) -> int:
     from .fields.cyclic import enumerate_cyclic
 
-    fl = enumerate_cyclic(args.l, int(float(args.x)))
+    fl = enumerate_cyclic(args.l, _exact_int(args.x))
     if args.out:
         with open(args.out, "w") as fh:
             fl.write_jsonl(fh)
@@ -174,7 +190,7 @@ def _cmd_enumerate_cyclic(args) -> int:
 def _cmd_enumerate_cubic(args) -> int:
     from .fields.cubic import enumerate_cubic
 
-    fl = enumerate_cubic(int(float(args.x)), workers=worker_count(args.workers))
+    fl = enumerate_cubic(_exact_int(args.x), workers=worker_count(args.workers))
     if args.out:
         with open(args.out, "w") as fh:
             fl.write_jsonl(fh)
@@ -187,7 +203,7 @@ def _cmd_abelian_uniformity(args) -> int:
     from .fields.uniformity import abelian_uniformity_check
 
     qs = [int(t) for t in args.q.split(",")]
-    rep = abelian_uniformity_check(args.l, qs, int(float(args.x)))
+    rep = abelian_uniformity_check(args.l, qs, _exact_int(args.x))
     payload = {
         "a": rep.a,
         "b": rep.b,
@@ -215,7 +231,7 @@ def _cmd_count_pairs(args) -> int:
     if args.wild:
         with open(args.wild) as fh:
             wild = WildTable.from_json(json.load(fh))
-    x = int(float(args.x))
+    x = _exact_int(args.x)
     y_ladder = tuple(int(t) for t in args.y_ladder.split(",")) if args.y_ladder else ()
     rep = count_pairs(
         sn_list,
@@ -245,7 +261,7 @@ def _cmd_count_pairs(args) -> int:
 def _cmd_euler_constant(args) -> int:
     from .counting import euler_constant
 
-    rep = euler_constant(int(float(args.pmax)), c3=args.c3)
+    rep = euler_constant(_exact_int(args.pmax), c3=args.c3)
     payload = {
         "p_max": rep.p_max,
         "value": rep.value,

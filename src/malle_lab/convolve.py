@@ -22,6 +22,7 @@ computed by `csum`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +101,7 @@ class CountingSequence:
             if len({v for v, _ in entries}) != len(entries):
                 raise ValueError("duplicate values; merge multiplicities first")
             self.entries = entries
+            self._values = [v for v, _ in entries]  # bisected by count_upto
             self.complete_to = complete_to if complete_to is not None else (
                 entries[-1][0] if entries else 0
             )
@@ -144,9 +146,7 @@ class CountingSequence:
             raise InsufficientRange(
                 f"sequence complete to {self.complete_to}, asked for {v}"
             )
-        import bisect
-
-        idx = bisect.bisect_right([e[0] for e in self.entries], v)
+        idx = bisect.bisect_right(self._values, v)
         return self._prefix[idx - 1] if idx else 0
 
     def count_pow_le(self, exp: int, bound: Fraction) -> int:

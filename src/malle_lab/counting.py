@@ -17,17 +17,27 @@ counts bracket N(X) by testing the pessimistic and optimistic ends).
 Disc_Y replaces the local factor by the product bound above the cutoff Y,
 so Disc_Y >= Disc and the truncated counts N_Y(X) increase to N(X) with Y.
 d_Sigma is the exact ratio product-bound / Disc_Y over the primes <= Y.
+
+Pair counts split on shared ramification.  When Disc(K) and Disc(L) share
+no ramified prime, every prime is ramified on one side only, so every local
+factor is the product rule and Disc(KL) = Disc(K)^degL * Disc(L)^degK in
+both modes and on every Y rung (d_Sigma = 1).  count_pairs counts those
+pairs with the hyperbola engine of `convolve.product_count_exact` and
+composes locally only the pairs that share a prime; `count_pairs_brute` is
+the double-loop oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .convolve import FitResult, empirical_fit
+from .convolve import CountingSequence, FitResult, empirical_fit, product_count_exact
 from .errors import (
     InadmissiblePair,
     IncompleteList,
@@ -158,7 +168,7 @@ def compose_disc(
         raise ValueError("mode must be exact or interval")
     _check_admissible(k_rec, l_rec)
     lo = hi = 1
-    for p in sorted(set(k_rec.ramified_primes) | set(l_rec.ramified_primes)):
+    for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
         elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode)
         lo *= p**elo
         hi *= p**ehi
@@ -185,7 +195,7 @@ def disc_truncated(
     _check_admissible(k_rec, l_rec)
     lo = hi = 1
     m, n = k_rec.degree, l_rec.degree
-    for p in sorted(set(k_rec.ramified_primes) | set(l_rec.ramified_primes)):
+    for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
         if p <= y:
             elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode)
         else:
@@ -294,6 +304,13 @@ def default_grid(x_max: int, points: int = 16) -> list[int]:
     return sorted(g for g in grid if g >= 1)
 
 
+def _uniform_degree(field_list: FieldList, side: str) -> int:
+    degrees = {r.degree for r in field_list.records}
+    if len(degrees) != 1:
+        raise InadmissiblePair(f"{side} list mixes degrees {sorted(degrees)}")
+    return degrees.pop()
+
+
 def count_pairs(
     sn_list: FieldList,
     ab_list: FieldList,
@@ -312,6 +329,18 @@ def count_pairs(
     slack 1; wild primes can only push a pair's disc *up* from the lower
     end, which is monotone in both marginals, so slack 1 stays sound for
     the lower end used in windowing).
+
+    The windowed pairs are counted by coprime split.  A pair whose
+    discriminants share no ramified prime has every local factor given by
+    the product rule, so its lower end, upper end, exact value and every
+    Disc_Y all equal the product bound Disc(K)^degL * Disc(L)^degK.  Each
+    count at g therefore starts from the number of windowed pairs with
+    product bound <= g, a hyperbola count (`product_count_exact`) shared by
+    n_lo, n_hi and every rung.  Only the pairs sharing a prime, found
+    through an index from each prime to the L records ramified at it, go
+    through compose_disc and disc_truncated; each adds
+    [value <= g] - [product bound <= g] to the count it belongs to.  Both
+    lists must have a single degree each (InadmissiblePair otherwise).
     """
     if not sn_list.records or not ab_list.records:
         grid = grid or [x]
@@ -322,8 +351,8 @@ def count_pairs(
             fit_exponent=Fraction(1, 1), predicted_constant=predicted_constant,
             mode=mode,
         )
-    deg_l = ab_list.records[0].degree
-    deg_k = sn_list.records[0].degree
+    deg_k = _uniform_degree(sn_list, "S_n")
+    deg_l = _uniform_degree(ab_list, "abelian")
     k_window = int(_iroot(x, deg_l) * window_slack)
     l_window = int(_iroot(x, deg_k) * window_slack)
     if sn_list.x_max < k_window:
@@ -336,11 +365,27 @@ def count_pairs(
         )
     ks = sn_list.upto(k_window)
     ls = ab_list.upto(l_window)
-    discs_lo, discs_hi = [], []
+    if ks and ls:
+        # with one degree per list, admissibility is a property of each
+        # record; checking (K_0, L) then (K, L_0) raises what the first
+        # inadmissible pair in K-major order would
+        for l_rec in ls:
+            _check_admissible(ks[0], l_rec)
+        for k_rec in ks:
+            _check_admissible(k_rec, ls[0])
+    l_by_prime = defaultdict(list)
+    for j, l_rec in enumerate(ls):
+        for loc in l_rec.ramification:
+            l_by_prime[loc.p].append(j)
+    discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}
     below_marginal = False
     for k_rec in ks:
-        for l_rec in ls:
+        shared = set()
+        for loc in k_rec.ramification:
+            shared.update(l_by_prime.get(loc.p, ()))
+        for j in sorted(shared):
+            l_rec = ls[j]
             if mode == "exact":
                 d = compose_disc(k_rec, l_rec, wild, "exact")
                 lo_heur, _ = compose_disc(k_rec, l_rec, wild, "interval")
@@ -350,9 +395,10 @@ def count_pairs(
             else:
                 lo, hi = compose_disc(k_rec, l_rec, wild, "interval")
             if lo > x:
-                continue
+                continue  # every value of the pair, bound included, is > x >= g
             discs_lo.append(lo)
             discs_hi.append(hi)
+            bounds.append(disc_product_bound(k_rec, l_rec))
             for y in y_ladder:
                 if mode == "exact":
                     trunc[y].append(disc_truncated(k_rec, l_rec, wild, y, "exact"))
@@ -369,18 +415,27 @@ def count_pairs(
     if grid is None:
         grid = default_grid(x)
     grid = tuple(sorted(g for g in grid if g <= x))
-    discs_lo.sort()
-    discs_hi.sort()
-    import bisect
+    # the windowed lists are the whole population counted, so they are
+    # complete as far as any count at g <= x can ask
+    k_seq = CountingSequence.from_values([r.abs_disc for r in ks], complete_to=x)
+    l_seq = CountingSequence.from_values([r.abs_disc for r in ls], complete_to=x)
+    bounds.sort()
+    # pairs with product bound <= g, less the sharing pairs among them
+    coprime = [
+        product_count_exact(k_seq, l_seq, deg_l, deg_k, math.floor(g))
+        - bisect.bisect_right(bounds, g)
+        for g in grid
+    ]
+
+    def plus_shared(values):
+        values.sort()
+        return tuple(c + bisect.bisect_right(values, g) for c, g in zip(coprime, grid))
 
     # N_hi counts pairs that may satisfy disc <= X (optimistic: lower ends);
     # N_lo counts pairs that surely do (upper ends)
-    n_hi = tuple(bisect.bisect_right(discs_lo, g) for g in grid)
-    n_lo = tuple(bisect.bisect_right(discs_hi, g) for g in grid)
-    n_y = {}
-    for y in y_ladder:
-        tr = sorted(trunc[y])
-        n_y[y] = tuple(bisect.bisect_right(tr, g) for g in grid)
+    n_hi = plus_shared(discs_lo)
+    n_lo = plus_shared(discs_hi)
+    n_y = {y: plus_shared(trunc[y]) for y in y_ladder}
     exponent = Fraction(1, deg_l)
     fit = None
     if len(grid) >= 8 and grid[-1] / grid[0] >= 10**3:
@@ -406,7 +461,7 @@ def count_pairs_brute(
     wild: WildTable = EMPTY_WILD,
     mode: str = "exact",
 ) -> int:
-    """Unwindowed reference double loop over the full lists (test oracle).
+    """Oracle: unwindowed double loop over the full lists, for tests only.
 
     Counts by the same end of the interval as count_pairs' n_lo.
     """

@@ -14,9 +14,10 @@ ramification index.
 
 from __future__ import annotations
 
+import bisect
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from ..errors import InvariantViolation, MalformedLine
@@ -121,6 +122,7 @@ class FieldList:
         discs = [r.abs_disc for r in self.records]
         if discs != sorted(discs):
             raise InvariantViolation("records must be sorted by |disc|")
+        object.__setattr__(self, "_discs", discs)  # bisected by upto / count_upto
 
     def __len__(self):
         return len(self.records)
@@ -129,15 +131,10 @@ class FieldList:
         return iter(self.records)
 
     def upto(self, x: int) -> list[FieldRecord]:
-        import bisect
-
-        idx = bisect.bisect_right([r.abs_disc for r in self.records], x)
-        return list(self.records[:idx])
+        return list(self.records[: self.count_upto(x)])
 
     def count_upto(self, x: int) -> int:
-        import bisect
-
-        return bisect.bisect_right([r.abs_disc for r in self.records], x)
+        return bisect.bisect_right(self._discs, x)
 
     def write_jsonl(self, stream):
         for r in self.records:

@@ -148,3 +148,37 @@ def test_enumerate_cyclic_cli(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.splitlines() if l.strip()]
     assert [rec["disc"] for rec in lines] == [49, 81]
+
+
+def test_count_pairs_cli_parses_x_exactly(capsys, tmp_path, monkeypatch):
+    import malle_lab.counting as counting
+
+    seen = []
+    real = counting.count_pairs
+
+    def spy(sn_list, ab_list, x, **kwargs):
+        seen.append(x)
+        return real(sn_list, ab_list, x, **kwargs)
+
+    monkeypatch.setattr(counting, "count_pairs", spy)
+    sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
+    sn.write_text(json.dumps(
+        {"degree": 3, "group": "S3", "disc": -23,
+         "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}]}) + "\n")
+    ab.write_text(json.dumps(
+        {"degree": 3, "group": "C3", "disc": 49,
+         "ram": [{"p": 7, "kind": "tame", "cycle_type": [3]}]}) + "\n")
+    files = ["--sn-fields", str(sn), "--abelians", str(ab),
+             "--sn-xmax", str(10**6), "--ab-xmax", str(10**6)]
+    # 2^53 + 1 has no float; 1e15 is an exact integer in scientific notation
+    for text, value in [("9007199254740993", 2**53 + 1), ("1e15", 10**15)]:
+        code, out = run(["count-pairs", "--x", text] + files, capsys)
+        assert code == 0
+        assert seen[-1] == value
+        assert json.loads(out)["report"]["grid"][-1] == value
+    for text in ["1.5", "1e-3", "nan", "ten"]:
+        code, _ = run(["count-pairs", "--x", text] + files, capsys)
+        assert code == 2
+    assert len(seen) == 2
+    code, _ = run(["euler-constant", "--pmax", "1e2.5"], capsys)
+    assert code == 2

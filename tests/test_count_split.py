@@ -1,0 +1,208 @@
+"""count_pairs (coprime split) against a double loop over every windowed pair.
+
+The oracle below composes each windowed pair with compose_disc and
+disc_truncated and counts it at every grid point; the full report of
+count_pairs must agree with it on random sublists, bounds, grids, Y ladders,
+window slacks and wild tables.
+"""
+
+import warnings
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from malle_lab.counting import (  # noqa: E402
+    WildTable,
+    compose_disc,
+    count_pairs,
+    default_grid,
+    disc_truncated,
+)
+from malle_lab.errors import IncompleteList  # noqa: E402
+from malle_lab.fields.cubic import enumerate_cubic  # noqa: E402
+from malle_lab.fields.cyclic import enumerate_cyclic  # noqa: E402
+from malle_lab.fields.records import FieldList  # noqa: E402
+
+
+@lru_cache(maxsize=None)
+def cubics():
+    return enumerate_cubic(10**4)
+
+
+@lru_cache(maxsize=None)
+def abelians(name):
+    if name == "C3":
+        return enumerate_cyclic(3, 10**4)
+    ab = enumerate_cyclic(5, 10**10)
+    tame = tuple(r for r in ab if all(loc.kind == "tame" for loc in r.ramification))
+    return FieldList(records=tame, provenance="enumerated", x_max=ab.x_max)
+
+
+# X is mostly drawn from about where pairs start to count (the smallest
+# product bound is 1.4e9 for C3 and 2e19 for tame C5) to a little past where
+# the K window X^(1/degL) outgrows the cubic list, complete to 10^4
+X_RANGE = {"C3": (10**9, 11 * 10**11), "C5": (2 * 10**19, 11 * 10**19)}
+
+
+def iroot(n, k):
+    r = int(round(n ** (1.0 / k)))
+    while r > 0 and r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def local_key(loc):
+    if loc.kind == "tame":
+        return "tame-" + ",".join(map(str, loc.tame_cycle_type.parts))
+    return loc.wild_label
+
+
+def local_exponents(field_list):
+    return {local_key(loc): loc.disc_exponent for r in field_list for loc in r.ramification}
+
+
+def oracle(ks, ls, x, wild, mode, y_ladder, grid, slack):
+    """Counts over every windowed pair, and whether any exact value fell
+    below the interval's lower end."""
+    deg_k, deg_l = ks.records[0].degree, ls.records[0].degree
+    k_window = int(iroot(x, deg_l) * slack)
+    l_window = int(iroot(x, deg_k) * slack)
+    n_lo, n_hi = [0] * len(grid), [0] * len(grid)
+    n_y = {y: [0] * len(grid) for y in y_ladder}
+    below = False
+    for k in ks:
+        for l in ls:
+            if k.abs_disc > k_window or l.abs_disc > l_window:
+                continue
+            if mode == "exact":
+                lo = hi = compose_disc(k, l, wild, "exact")
+                below |= lo < compose_disc(k, l, wild, "interval")[0]
+                trunc = {y: disc_truncated(k, l, wild, y, "exact") for y in y_ladder}
+            else:
+                lo, hi = compose_disc(k, l, wild, "interval")
+                trunc = {y: disc_truncated(k, l, wild, y, "interval")[1] for y in y_ladder}
+            for i, g in enumerate(grid):
+                n_lo[i] += hi <= g
+                n_hi[i] += lo <= g
+                for y in y_ladder:
+                    n_y[y][i] += trunc[y] <= g
+    counts = (tuple(n_lo), tuple(n_hi), {y: tuple(v) for y, v in n_y.items()})
+    return counts, below
+
+
+@st.composite
+def sublist(draw, field_list):
+    """A random share of the first records, where the pairs under X are,
+    and a few from anywhere in the list."""
+    n = len(field_list)
+    head_max = min(n, 300)
+    head = field_list.records[: head_max - draw(st.integers(0, head_max - 1))]
+    rng = draw(st.randoms(use_true_random=False))
+    share = draw(st.sampled_from([1.0, 0.6, 0.2]))
+    picked = {i for i in range(len(head)) if rng.random() < share}
+    picked |= draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=5))
+    return FieldList(
+        records=tuple(field_list.records[i] for i in sorted(picked)),
+        provenance="enumerated",
+        x_max=field_list.x_max,
+    )
+
+
+@st.composite
+def count_inputs(draw):
+    side = draw(st.sampled_from(["C3", "C5"]))
+    ks = draw(sublist(cubics()))
+    ls = draw(sublist(abelians(side)))
+    x_low, x_high = X_RANGE[side]
+    x = draw(st.one_of(st.integers(1, x_high), st.integers(x_low, x_high)))
+    grid = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(x // 1000, 2 * x), min_size=1, max_size=6),
+    ))
+    y_ladder = tuple(draw(st.lists(st.integers(1, 2000), max_size=3, unique=True)))
+    slack = draw(st.sampled_from([1.0, 0.9, 1.3, 0.5]))
+    return ks, ls, x, grid, y_ladder, slack
+
+
+def check_against_oracle(ks, ls, x, wild, mode, grid, y_ladder, slack):
+    kwargs = dict(wild=wild, mode=mode, y_ladder=y_ladder, grid=grid, window_slack=slack)
+    deg_k, deg_l = ks.records[0].degree, ls.records[0].degree
+    if (int(iroot(x, deg_l) * slack) > ks.x_max or int(iroot(x, deg_k) * slack) > ls.x_max):
+        with pytest.raises(IncompleteList):
+            count_pairs(ks, ls, x, **kwargs)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = count_pairs(ks, ls, x, **kwargs)
+    grid = tuple(sorted(g for g in (default_grid(x) if grid is None else grid) if g <= x))
+    (n_lo, n_hi, n_y), below = oracle(ks, ls, x, wild, mode, y_ladder, grid, slack)
+    assert rep.grid == grid
+    assert (rep.n_lo, rep.n_hi, rep.n_y) == (n_lo, n_hi, n_y)
+    warned = any("marginal" in str(w.message) for w in caught)
+    assert warned == (below and slack <= 1.0)
+    return below
+
+
+@settings(max_examples=60)
+@given(count_inputs())
+def test_interval_split_matches_double_loop(inputs):
+    ks, ls, x, grid, y_ladder, slack = inputs
+    check_against_oracle(ks, ls, x, WildTable(), "interval", grid, y_ladder, slack)
+
+
+@settings(max_examples=60)
+@given(count_inputs(), st.data())
+def test_exact_split_matches_double_loop(inputs, data):
+    ks, ls, x, grid, y_ladder, slack = inputs
+    # every label pair gets an exponent up to the product bound 3 vK + 3 vL,
+    # often below the marginal lower end max(3 vK, 3 vL)
+    entries = {}
+    for (kl, vk), (ll, vl) in product(
+        sorted(local_exponents(cubics()).items()),
+        sorted(local_exponents(abelians("C3")).items()),
+    ):
+        entries[(kl, ll)] = data.draw(st.integers(1, 3 * vk + 3 * vl))
+    check_against_oracle(ks, ls, x, WildTable(entries), "exact", grid, y_ladder, slack)
+
+
+@pytest.mark.parametrize("side, x", [("C3", 10**12), ("C5", 10**20)])
+@pytest.mark.parametrize("mode", ["interval", "exact"])
+def test_full_lists_match_double_loop(side, x, mode):
+    """Every pair of the full lists, where a few sharing pairs have their
+    product bound under X; exact mode with a table at the marginal lower end,
+    or below it (the warning fires) at Y = 10^4."""
+    ks, ls = cubics(), abelians(side)
+    table = WildTable({
+        (kl, ll): max(3 * vk, 3 * vl)
+        for (kl, vk), (ll, vl) in product(local_exponents(ks).items(), local_exponents(ls).items())
+    })
+    check_against_oracle(ks, ls, x, table, mode, None, (10, 100, 1000), 1.0)
+    if mode == "exact" and side == "C3":
+        low = WildTable({key: 1 for key in table.entries})
+        assert check_against_oracle(ks, ls, x // 10, low, mode, [x // 100], (10**4,), 1.0)
+
+
+def test_acceptance_08_report_is_pinned():
+    """Full interval report of acceptance criterion 08 (X = 10^12)."""
+    x = 10**12
+    rep = count_pairs(cubics(), abelians("C3"), x, mode="interval",
+                      grid=default_grid(x, 16), y_ladder=(10, 100, 1000))
+    assert rep.grid == tuple(x >> k for k in range(15, -1, -1))
+    assert rep.n_hi == (1, 3, 4, 6, 9, 14, 18, 22, 29, 38, 53, 73, 92, 122, 155, 204)
+    assert rep.n_lo == (0, 0, 0, 1, 2, 4, 7, 9, 12, 16, 27, 36, 43, 58, 76, 100)
+    assert rep.n_y == {
+        10: (0, 0, 0, 1, 1, 3, 5, 7, 10, 13, 22, 29, 34, 46, 59, 79),
+        100: rep.n_lo,
+        1000: rep.n_lo,
+    }
+    assert rep.fit_exponent == Fraction(1, 3)
+    assert (rep.fit.coefficient, rep.fit.residual, rep.fit.points_used) == (
+        0.009345581520154154, 0.07977903981108829, 4)

@@ -213,6 +213,25 @@ def test_count_pairs_s3_c5_exact_no_table():
     assert rep.n_exact[-1] > 0
 
 
+def test_count_pairs_rejects_mixed_degrees(monkeypatch):
+    import malle_lab.counting as counting
+
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a pair was formed")
+
+    monkeypatch.setattr(counting, "compose_disc", no_pairs)
+    k4 = rec(4, "S4", 1, [tame(5, [2, 1, 1])])  # |disc| = 5
+    l5 = rec(5, "C5", 1, [tame(11, [5])])  # |disc| = 11^4
+    s3_s4 = FieldList(records=(k4, K23), provenance="ingested", x_max=10**6)
+    c3_c5 = FieldList(records=(L7, l5), provenance="ingested", x_max=10**6)
+    s3 = FieldList(records=(K23,), provenance="ingested", x_max=10**6)
+    c3 = FieldList(records=(L7,), provenance="ingested", x_max=10**6)
+    with pytest.raises(InadmissiblePair, match="S_n list mixes degrees"):
+        count_pairs(s3_s4, c3, 10**12, mode="interval")
+    with pytest.raises(InadmissiblePair, match="abelian list mixes degrees"):
+        count_pairs(s3, c3_c5, 10**12, mode="interval")
+
+
 def test_default_grid():
     g = default_grid(1024, 5)
     assert g == [64, 128, 256, 512, 1024]
