@@ -342,13 +342,18 @@ def count_pairs(
     [value <= g] - [product bound <= g] to the count it belongs to.  Both
     lists must have a single degree each (InadmissiblePair otherwise).
     """
+    if grid is None:
+        grid = default_grid(x)
+    grid = tuple(sorted(g for g in grid if g <= x))
     if not sn_list.records or not ab_list.records:
-        grid = grid or [x]
         zeros = tuple(0 for _ in grid)
+        exponent = (
+            Fraction(1, _uniform_degree(ab_list, "abelian")) if ab_list.records else Fraction(1)
+        )
         return CountReport(
-            grid=tuple(grid), n_lo=zeros, n_hi=zeros,
+            grid=grid, n_lo=zeros, n_hi=zeros,
             n_y={y: zeros for y in y_ladder}, fit=None,
-            fit_exponent=Fraction(1, 1), predicted_constant=predicted_constant,
+            fit_exponent=exponent, predicted_constant=predicted_constant,
             mode=mode,
         )
     deg_k = _uniform_degree(sn_list, "S_n")
@@ -412,9 +417,6 @@ def count_pairs(
             "window_slack to guarantee completeness of the window",
             stacklevel=2,
         )
-    if grid is None:
-        grid = default_grid(x)
-    grid = tuple(sorted(g for g in grid if g <= x))
     # the windowed lists are the whole population counted, so they are
     # complete as far as any count at g <= x can ask
     k_seq = CountingSequence.from_values([r.abs_disc for r in ks], complete_to=x)

@@ -44,10 +44,31 @@ Maximality.  R(F) is non-maximal at p iff p divides the content of F, or F
 mod p has a multiple root [x0:y0] in P^1(F_p) with p^2 | F(x0, y0) (the value
 at a lift is well defined mod p^2 because the gradient vanishes at a multiple
 root).  Only primes with p^2 | D can fail.
+
+Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
+in the class of F and keeps disc.  It maps each reduced set to itself: for
+disc > 0 the Hessian goes from (P, Q, R) to (P, -Q, R); for disc < 0 the roots
+are negated, so phi goes to -conj(phi), which stays in the fundamental domain.
+The b, c and d windows below are symmetric under (b, d) -> (-b, -d).  So the
+search loops take b >= 0 only, and d >= 1 when b = 0 (d = 0 is reducible):
+one form of each mirror pair, half the forms to test for the same fields.
+
+Factoring.  Every |disc| <= x is factored from one smallest-prime-factor
+table over [0, x] (an array('i'), 4 bytes an entry), built once per
+enumerate_cubic call; forked workers inherit it, spawned workers build their
+own once.
+
+Local data.  For a maximal form, p ramifies exactly when p | disc, and p is
+totally ramified (e = 3) exactly when F mod p is a cube.  For p >= 5 that is
+p | P, Q, R: if a is a unit mod p, P = Q = R = 0 forces F = a (x + b y/(3a))^3,
+and if p | a then P = b^2 and R = c^2 force F = d y^3; conversely the Hessian
+of a cube vanishes.  At p = 2, 3 the multiplicity of the multiple root mod p
+decides.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import gcd, isqrt
 
 from ..errors import InvariantViolation
@@ -58,6 +79,9 @@ from .records import FieldList, FieldRecord, LocalRamification
 __all__ = ["disc_form", "hessian", "enumerate_cubic", "canonical_form"]
 
 Form = tuple[int, int, int, int]
+
+_TAME_2_1 = CycleType.from_parts((2, 1))
+_TAME_3 = CycleType.from_parts((3,))
 
 
 def disc_form(f: Form) -> int:
@@ -287,9 +311,7 @@ def is_irreducible(f: Form) -> bool:
         return False  # root [0:1]
     # quick modular screens
     for p in (5, 7, 11):
-        if a % p and not any(
-            (_eval_form(f, r, 1)) % p == 0 for r in range(p)
-        ):
+        if a % p and all((((a * r + b) * r + c) * r + d) % p for r in range(p)):
             return True
     # exact rational root test: roots p/q with q | a, p | d
     for q in _divisors_abs(a):
@@ -359,41 +381,55 @@ def _roots_mod_p(f: Form, p: int) -> list[tuple[int, int]]:
     return out
 
 
-def _square_primes(n: int) -> list[int]:
-    """Primes p with p^2 | n.
+def _spf_table(n: int) -> array:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n."""
+    spf = array("i", range(n + 1))
+    r = isqrt(n)
+    small = bytearray([1]) * (r + 1)  # primality of 0..r
+    for p in range(2, isqrt(r) + 1):
+        if small[p]:
+            small[p * p :: p] = bytes(len(range(p * p, r + 1, p)))
+    # descending, so that the smallest prime of each m is written last
+    for p in range(r, 1, -1):
+        if small[p]:
+            spf[p * p :: p] = array("i", [p]) * len(range(p * p, n + 1, p))
+    return spf
 
-    Trial-divide up to n^(1/3); the remaining cofactor has all prime factors
-    above the cube root, so it contains a square only when it is p^2 exactly.
-    """
-    out = []
-    m = n
+
+def _factor(n: int, spf: array | None = None) -> dict[int, int]:
+    """{p: v_p(n)} in ascending p; read off `spf` when it covers n, else trial division."""
+    fac: dict[int, int] = {}
+    if spf is not None and n < len(spf):
+        while n > 1:
+            p = spf[n]
+            fac[p] = fac.get(p, 0) + 1
+            n //= p
+        return fac
     p = 2
-    while p * p * p <= n:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if k >= 2:
-                out.append(p)
+    while p * p <= n:
+        while n % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            n //= p
         p += 1 if p == 2 else 2
-    if m > 1:
-        r = isqrt(m)
-        if r * r == m:
-            out.append(r)
-    return out
+    if n > 1:
+        fac[n] = 1
+    return fac
 
 
-def is_maximal(f: Form, d: int | None = None) -> bool:
-    """True when the cubic ring of F is maximal (p-maximal at every p)."""
+def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
+    """True when the cubic ring of F is maximal (p-maximal at every p).
+
+    `d` is disc(F) when already known; `spf` is a smallest-prime-factor
+    table used to factor |d| when it covers it.
+    """
     a, b, c, dd = f
     if gcd(gcd(a, b), gcd(c, dd)) != 1:
         return False
     if d is None:
         d = disc_form(f)
-    for p in _square_primes(abs(d)):
-        if a % p == 0 and b % p == 0 and c % p == 0 and dd % p == 0:
-            return False
+    for p, v in _factor(abs(d), spf).items():
+        if v < 2:
+            continue
         for x0, y0 in _roots_mod_p(f, p):
             if _eval_form(f, x0, y0) % (p * p) == 0:
                 return False
@@ -403,13 +439,13 @@ def is_maximal(f: Form, d: int | None = None) -> bool:
 # -- enumeration -------------------------------------------------------------
 
 def _pos_candidates(x: int, a_range):
-    """Hessian-reduced candidates with 0 < disc <= x, a in a_range."""
+    """Hessian-reduced candidates with 0 < disc <= x, a in a_range, one per mirror pair."""
     out = []
     pmax = isqrt(x) + 1
     x4 = int(x**0.25) + 2
     for a in a_range:
         bmax = 3 * a + x4
-        for b in range(-bmax, bmax + 1):
+        for b in range(bmax + 1):
             # c window from 0 < P <= sqrt(X)
             c_lo = -(-(b * b - pmax) // (3 * a))  # ceil
             c_hi = (b * b - 1) // (3 * a)
@@ -417,7 +453,7 @@ def _pos_candidates(x: int, a_range):
                 p = b * b - 3 * a * c
                 if p <= 0 or p > pmax:
                     continue
-                d_lo = -(-(b * c - p) // (9 * a))
+                d_lo = -(-(b * c - p) // (9 * a)) if b else 1
                 d_hi = (b * c + p) // (9 * a)
                 for d in range(d_lo, d_hi + 1):
                     f = (a, b, c, d)
@@ -432,14 +468,14 @@ def _pos_candidates(x: int, a_range):
 
 
 def _neg_candidates(x: int, a_range):
-    """Fundamental-domain-reduced candidates with -x <= disc < 0, a in a_range."""
+    """Fundamental-domain-reduced candidates with -x <= disc < 0, a in a_range, one per mirror pair."""
     out = []
     x4 = (x / 3.0) ** 0.25
     for a in a_range:
         bmax = int(1.5 * a + x4) + 2
         cmax = int(0.75 * a + x4 + (x / 3.0) ** 0.5 / a) + 2
         a2 = 27 * a * a
-        for b in range(-bmax, bmax + 1):
+        for b in range(bmax + 1):
             for c in range(-cmax, cmax + 1):
                 # disc(d) = -a2 d^2 + a1 d + a0; live window where -x <= disc,
                 # minus the middle where disc >= 0
@@ -449,7 +485,7 @@ def _neg_candidates(x: int, a_range):
                 if disc_quad < 0:
                     continue
                 sq = isqrt(disc_quad)
-                d_lo = -(-(a1 - sq) // (2 * a2))
+                d_lo = -(-(a1 - sq) // (2 * a2)) if b else 1
                 d_hi = (a1 + sq) // (2 * a2)
                 zero_quad = a1 * a1 + 4 * a2 * a0
                 if zero_quad >= 0:
@@ -493,20 +529,20 @@ def _splitting_data(f: Form, p: int) -> int:
     return 3 if triple else 2
 
 
-def _local_data(f: Form, dsc: int) -> tuple[LocalRamification, ...]:
-    n = abs(dsc)
-    fac = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
+def _local_data(f: Form, dsc: int, spf: array) -> tuple[LocalRamification, ...]:
+    """Local ramification of the field of the maximal form F with disc(F) = dsc.
+
+    Every p | dsc ramifies, with e = 3 exactly when F mod p is a cube: for
+    p >= 5 that is p | P, Q, R (the Hessian), for p = 2, 3 it is read off
+    the multiple root.
+    """
+    hp, hq, hr = hessian(f)
     ram = []
-    for p, v in sorted(fac.items()):
-        e = _splitting_data(f, p)
+    for p, v in _factor(abs(dsc), spf).items():
+        if p <= 3:
+            e = _splitting_data(f, p)
+        else:
+            e = 3 if hp % p == 0 and hq % p == 0 and hr % p == 0 else 2
         if e == 2:
             if p == 2:
                 ram.append(
@@ -516,10 +552,7 @@ def _local_data(f: Form, dsc: int) -> tuple[LocalRamification, ...]:
                 if v != 1:
                     raise InvariantViolation(f"tame e=2 at p={p} but v_p(disc)={v}")
                 ram.append(
-                    LocalRamification(
-                        p=p, kind="tame", disc_exponent=1,
-                        tame_cycle_type=CycleType.from_parts([2, 1]),
-                    )
+                    LocalRamification(p=p, kind="tame", disc_exponent=1, tame_cycle_type=_TAME_2_1)
                 )
         else:
             if p == 3:
@@ -530,16 +563,24 @@ def _local_data(f: Form, dsc: int) -> tuple[LocalRamification, ...]:
                 if v != 2:
                     raise InvariantViolation(f"tame e=3 at p={p} but v_p(disc)={v}")
                 ram.append(
-                    LocalRamification(
-                        p=p, kind="tame", disc_exponent=2,
-                        tame_cycle_type=CycleType.from_parts([3]),
-                    )
+                    LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
                 )
     return tuple(ram)
 
 
+# The smallest-prime-factor table of the running enumerate_cubic.  pmap has no
+# per-worker set-up, and a table passed with each task would be pickled once
+# per task: forked workers inherit this one, spawned workers build their own
+# once.  It only saves work; _collect_chunk checks that it covers x.
+_spf: array | None = None
+
+
 def _collect_chunk(args):
+    global _spf
     x, sign, a_values = args
+    if _spf is None or len(_spf) <= x:
+        _spf = _spf_table(x)
+    spf = _spf
     cands = _pos_candidates(x, a_values) if sign > 0 else _neg_candidates(x, a_values)
     found = {}
     for f, dsc in cands:
@@ -547,7 +588,7 @@ def _collect_chunk(args):
             continue  # cyclic cubic (Galois <=> square disc)
         if not is_irreducible(f):
             continue
-        if not is_maximal(f, dsc):
+        if not is_maximal(f, dsc, spf):
             continue
         canon = canonical_form(f)
         found[canon] = dsc
@@ -555,24 +596,30 @@ def _collect_chunk(args):
 
 
 def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
-    """All S_3 cubic fields over Q with |disc| <= x, both signatures."""
+    """All S_3 cubic fields over Q with |disc| <= x, both signatures.
+
+    Fields of equal discriminant are ordered by canonical form.
+    """
+    global _spf
     if x < 1:
         raise ValueError("x must be >= 1")
     tasks = [(x, +1, [a]) for a in range(1, _amax_pos(x) + 1)]
     tasks += [(x, -1, [a]) for a in range(1, _amax_neg(x) + 1)]
     found: dict[Form, int] = {}
-    for chunk in pmap(_collect_chunk, tasks, workers):
-        found.update(chunk)
-    records = []
-    for f, dsc in found.items():
-        records.append(
-            FieldRecord(
-                degree=3,
-                group_label="S3",
-                abs_disc=abs(dsc),
-                ramification=_local_data(f, dsc),
-                disc_sign=1 if dsc > 0 else -1,
-            )
+    spf = _spf = _spf_table(x)
+    try:
+        for chunk in pmap(_collect_chunk, tasks, workers):
+            found.update(chunk)
+    finally:
+        _spf = None
+    records = [
+        FieldRecord(
+            degree=3,
+            group_label="S3",
+            abs_disc=abs(dsc),
+            ramification=_local_data(f, dsc, spf),
+            disc_sign=1 if dsc > 0 else -1,
         )
-    records.sort(key=lambda r: (r.abs_disc, r.disc_sign))
+        for f, dsc in sorted(found.items(), key=lambda item: (abs(item[1]), item[1] > 0, item[0]))
+    ]
     return FieldList(records=tuple(records), provenance="enumerated", x_max=x)

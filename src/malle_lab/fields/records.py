@@ -141,7 +141,8 @@ class FieldList:
             stream.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
 
 
-def _record_from_obj(obj: dict, lineno: int) -> FieldRecord:
+def _record_from_obj(obj: dict, lineno: int, cycle_types: dict) -> FieldRecord:
+    """One validated record; `cycle_types` holds one shared CycleType per parts tuple."""
     try:
         degree = int(obj["degree"])
         group = str(obj["group"])
@@ -161,7 +162,14 @@ def _record_from_obj(obj: dict, lineno: int) -> FieldRecord:
         if kind == "tame":
             if "cycle_type" not in r:
                 raise MalformedLine(lineno, "tame entry needs cycle_type")
-            ct = CycleType.from_parts(r["cycle_type"])
+            parts = r["cycle_type"]
+            # int parts only: 1.0 and True compare equal to 1 but do not validate alike
+            key = tuple(parts) if all(type(k) is int for k in parts) else None
+            ct = cycle_types.get(key)
+            if ct is None:
+                ct = CycleType.from_parts(parts)
+                if key is not None:
+                    cycle_types[key] = ct
             exp = int(r.get("exp", index_of(ct)))
             ram.append(
                 LocalRamification(p=p, kind="tame", disc_exponent=exp, tame_cycle_type=ct)
@@ -192,6 +200,7 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     invariant violations raise with the 1-based line number.
     """
     records = []
+    cycle_types: dict[tuple[int, ...], CycleType] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -201,7 +210,7 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
         except json.JSONDecodeError as exc:
             raise MalformedLine(lineno, f"invalid JSON: {exc}")
         try:
-            records.append(_record_from_obj(obj, lineno))
+            records.append(_record_from_obj(obj, lineno, cycle_types))
         except InvariantViolation as exc:
             raise InvariantViolation(f"line {lineno}: {exc}")
     discs = [r.abs_disc for r in records]

@@ -232,6 +232,19 @@ def test_count_pairs_rejects_mixed_degrees(monkeypatch):
         count_pairs(s3, c3_c5, 10**12, mode="interval")
 
 
+def test_count_pairs_empty_list_reports_like_nonempty(lists_1e4):
+    cubics, abelians = lists_1e4
+    empty = FieldList(records=(), provenance="ingested", x_max=10)
+    rep = count_pairs(empty, abelians, 100, grid=[50, 1000])
+    full = count_pairs(cubics, abelians, 100, grid=[50, 1000])
+    assert rep.grid == full.grid == (50,)
+    assert rep.fit_exponent == full.fit_exponent == Fraction(1, 3)
+    assert rep.n_lo == rep.n_hi == full.n_lo == (0,)
+    assert count_pairs(empty, abelians, 100).grid == tuple(default_grid(100))
+    # no abelian record to take a degree from
+    assert count_pairs(cubics, empty, 100).fit_exponent == 1
+
+
 def test_default_grid():
     g = default_grid(1024, 5)
     assert g == [64, 128, 256, 512, 1024]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -90,6 +91,9 @@ def test_roundtrip_jsonl():
     buf.seek(0)
     again = parse_field_file(buf)
     assert [r.abs_disc for r in again] == [r.abs_disc for r in fl]
+    # one shared CycleType per parts tuple: (2, 1) and (3,)
+    shared = {id(loc.tame_cycle_type) for r in again for loc in r.ramification if loc.kind == "tame"}
+    assert len(shared) == 2
 
 
 # -- cyclic ------------------------------------------------------------------
@@ -201,12 +205,69 @@ def test_maximality_rejects_index_forms():
     assert is_maximal((1, 0, -1, -1))
 
 
+def _jsonl(field_list) -> str:
+    buf = io.StringIO()
+    field_list.write_jsonl(buf)
+    return buf.getvalue()
+
+
 def test_enumerate_cubic_workers_deterministic():
-    one = enumerate_cubic(3000, workers=1)
-    two = enumerate_cubic(3000, workers=2)
-    assert [(r.abs_disc, r.disc_sign) for r in one] == [
-        (r.abs_disc, r.disc_sign) for r in two
-    ]
+    assert _jsonl(enumerate_cubic(3000, workers=1)) == _jsonl(enumerate_cubic(3000, workers=2))
+
+
+def test_enumerate_cubic_bytes_pinned():
+    text = _jsonl(enumerate_cubic(10**4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a83c319ca4accbd75819ee3db5d77dbe5ae66a960ab20b39af80d4f20dd822e2"
+    )
+
+
+def test_local_data_matches_sympy(monkeypatch):
+    """Field discriminant and ramification indices against sympy's round two.
+
+    A ramified p has one prime of degree 1 above it with index e, so the
+    p-radical of Z_K / p Z_K has dimension e - 1.  (sympy's prime_decomp
+    would give e too, but its two-element search runs for minutes on
+    x^3 - 10x^2 - 2x - 48 at p = 2.)
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.basis import nilradical_mod_p, round_two
+
+    from malle_lab.fields import cubic
+
+    monkeypatch.setattr(cubic, "_spf", None)  # drops the table _collect_chunk leaves
+    x = 10**5
+    found = {}
+    for sign, a in ((1, 1), (-1, 1), (-1, 2)):
+        found.update(cubic._collect_chunk((x, sign, [a])))
+    spf = cubic._spf_table(x)
+    kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
+    for f, dsc in sorted(found.items()):
+        ram = cubic._local_data(f, dsc, spf)
+        if any(loc.kind == "tame" and loc.p >= 5 and loc.disc_exponent == 2 for loc in ram):
+            kinds["e3 at p >= 5"].append((f, dsc, ram))
+        if any(loc.kind == "wild" for loc in ram):
+            kinds["wild"].append((f, dsc, ram))
+        if any(loc.kind == "tame" and loc.p <= 3 for loc in ram):
+            kinds["tame at 2 or 3"].append((f, dsc, ram))
+        if all(loc.kind == "tame" and loc.disc_exponent == 1 for loc in ram):
+            kinds["tame e2 only"].append((f, dsc, ram))
+    rng = random.Random(5)
+    t = sympy.Symbol("t")
+    for kind, forms in kinds.items():
+        for f, dsc, ram in rng.sample(forms, 12):
+            a, b, c, d = f
+            # F(t, a) = a * T(t): T generates the field of F
+            poly = sympy.Poly(t**3 + b * t**2 + a * c * t + a * a * d, t)
+            zk, dk = round_two(poly)
+            assert dk == dsc, (kind, f)
+            assert {loc.p: loc.disc_exponent for loc in ram} == sympy.factorint(abs(dk)), f
+            for loc in ram:
+                if loc.kind == "tame":
+                    e = loc.tame_cycle_type.ramification_index
+                else:
+                    e = int(loc.wild_label.split("-")[1][1:])
+                assert e == 1 + nilradical_mod_p(zk, loc.p).n, (kind, f, loc)
 
 
 # -- uniformity ----------------------------------------------------------------
