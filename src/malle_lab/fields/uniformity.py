@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log
 
+from ..arith import is_squarefree, prime_factors
 from ..errors import IncompleteList
 from ..invariants import a_invariant, b_invariant_Q, close_group
 from ..permgroup import Permutation
@@ -44,18 +45,6 @@ class UniformityReport:
         return self.max_ratio <= const
 
 
-def _is_squarefree(q: int) -> bool:
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1
-    return True
-
-
 def abelian_uniformity_check(
     l: int, qs, x: int, field_list: FieldList | None = None
 ) -> UniformityReport:
@@ -70,9 +59,9 @@ def abelian_uniformity_check(
     b = b_invariant_Q(group)
     per_q = []
     for q in qs:
-        if q < 1 or not _is_squarefree(q):
+        if q < 1 or not is_squarefree(q):
             raise ValueError(f"q must be squarefree positive, got {q}")
-        primes = _prime_factors(q)
+        primes = prime_factors(q)
         count = 0
         for rec in field_list.upto(x):
             ram = set(rec.ramified_primes)
@@ -81,17 +70,3 @@ def abelian_uniformity_check(
         shape = (x / q) ** (1.0 / a) * log(x) ** (b - 1)
         per_q.append(QRatio(q=q, count=count, shape=shape, ratio=count / shape))
     return UniformityReport(l=l, x=x, a=a, b=b, per_q=tuple(per_q))
-
-
-def _prime_factors(q: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            out.append(p)
-            while q % p == 0:
-                q //= p
-        p += 1
-    if q > 1:
-        out.append(q)
-    return out

@@ -5,9 +5,13 @@ Counts #{a in m r B cap Z^n : a mod q in Y(Z/qZ)} two ways:
   * brute: enumerate the integer points of the sheared box exactly (the
     shear is lower-triangular unipotent, so coordinates resolve front to
     back with rational interval endpoints) and test every polynomial mod q;
-  * residue: solve the system mod each prime of the squarefree q on a
-    vectorized grid, combine by CRT, and count the lattice points of each
-    residue class by slicing the box with stride q.
+  * residue: solve the system mod each prime p of the squarefree q, combine
+    by CRT, and count the lattice points of each residue class by slicing
+    the box with stride q.  Each polynomial is read as a polynomial in x_1
+    whose coefficients are vectors over the grid (Z/p)^(n-1), built once
+    from per-monomial power tables; the loop over x_1 only scales and adds
+    them.  A prime with p^n above the solution cap raises CapExceeded
+    before any grid is allocated.
 
 Both paths agree exactly and feed the scaling/shearing experiments, whose
 log-log slopes are compared against the codimension-k envelope
@@ -25,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import is_squarefree, prime_factors
 from .errors import CapExceeded, InsufficientGrid, NotSquarefree
 
 __all__ = [
@@ -214,33 +219,16 @@ def _count_brute(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
     return sum(1 for pt in iter_lattice_points(box) if scheme.eval_point_mod(pt, q))
 
 
-def _is_squarefree(q: int) -> bool:
-    n, p = q, 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1
-    return True
-
-
-def _prime_factors(q: int) -> list[int]:
-    out, p = [], 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
-    """(k, n) array of solutions over (Z/p)^n; first coordinate looped.
+    """(k, n) int64 array of the solutions over (Z/p)^n.
+
+    Each polynomial is written as sum_e c_e x_1^e, with c_e an int64 vector
+    over the p^(n-1) residues of coordinates 2..n.  Every monomial is
+    evaluated once per call, by indexing the digit arrays into power tables
+    r^e mod p, and the monomials with the same x_1-exponent are summed into
+    c_e.  The loop over x_1 then only scales and adds these vectors, so no
+    working array has more than p^(n-1) entries.  Rows come ordered by x_1,
+    then by x_2 + p x_3 + ... + p^(n-2) x_n.
 
     Pure evaluation, so it works for any modulus; the CRT path feeds it
     primes, the multiplicativity oracle composites.
@@ -248,29 +236,36 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     n = scheme.n_vars
     rest = p ** (n - 1)
     # digit arrays for coordinates 2..n
-    idx = np.arange(rest, dtype=np.int64)
     digits = []
-    t = idx.copy()
+    t = np.arange(rest, dtype=np.int64)
     for _ in range(n - 1):
         digits.append(t % p)
         t //= p
+    powers = {}  # e -> r^e mod p for r in 0..p-1
+    polys = []  # per polynomial, [(e, c_e)]
+    for poly in scheme.polynomials:
+        by_e1 = {}
+        for coef, exps in poly:
+            term = np.full(rest, coef % p, dtype=np.int64)
+            for d, e in zip(digits, exps[1:]):
+                if e:
+                    if e not in powers:
+                        powers[e] = np.array([pow(r, e, p) for r in range(p)], dtype=np.int64)
+                    term = term * powers[e][d] % p
+            by_e1[exps[0]] = (by_e1.get(exps[0], 0) + term) % p
+        polys.append(list(by_e1.items()))
     sols = []
     for x0 in range(p):
         ok = np.ones(rest, dtype=bool)
-        for poly in scheme.polynomials:
-            acc = np.zeros(rest, dtype=np.int64)
-            for coef, exps in poly:
-                term = np.full(rest, coef % p, dtype=np.int64)
-                if exps[0]:
-                    term = term * pow(x0, exps[0], p) % p
-                for d, e in zip(digits, exps[1:]):
-                    for _ in range(e):
-                        term = term * d % p
-                acc = (acc + term) % p
-            ok &= acc == 0
+        # every c_e and x0^e mod p is below p, so acc < (terms) p^2 fits int64
+        for (e, c), *others in polys:
+            acc = c * pow(x0, e, p)
+            for e, c in others:
+                acc += c * pow(x0, e, p)
+            ok &= acc % p == 0
             if not ok.any():
                 break
-        hits = np.nonzero(ok)[0]
+        hits = np.flatnonzero(ok)
         if hits.size:
             pts = np.empty((hits.size, n), dtype=np.int64)
             pts[:, 0] = x0
@@ -285,14 +280,21 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
 def solutions_mod_q(
     scheme: AffineScheme, q: int, cap: int = DEFAULT_SOLUTION_CAP
 ) -> np.ndarray:
-    """Solutions over (Z/q)^n for squarefree q, by CRT over its primes."""
+    """Solutions over (Z/q)^n for squarefree q >= 1, by CRT over its primes.
+
+    Raises CapExceeded before any array is allocated when the residue grid
+    p^n of some prime p of q exceeds cap, and later when the solutions do.
+    """
+    if q < 1 or not is_squarefree(q):
+        raise NotSquarefree(f"q = {q}")
     if q == 1:
         return np.zeros((1, scheme.n_vars), dtype=np.int64)
-    if not _is_squarefree(q):
-        raise NotSquarefree(f"q = {q}")
+    primes = prime_factors(q)
+    if primes[-1] ** scheme.n_vars > cap:
+        raise CapExceeded(f"residue grid {primes[-1]}^{scheme.n_vars} exceeds cap {cap}")
     sols = None
     mod = 1
-    for p in _prime_factors(q):
+    for p in primes:
         sp = _solutions_mod_p(scheme, p)
         if sols is None:
             sols, mod = sp, p
@@ -376,7 +378,7 @@ def count_points_mod_q(
     """#{a in the sheared box cap Z^n : a mod q in Y(Z/qZ)}."""
     if scheme.n_vars != box.n_vars:
         raise ValueError("scheme and box dimension mismatch")
-    if q < 1 or not _is_squarefree(q):
+    if q < 1 or not is_squarefree(q):
         raise NotSquarefree(f"q = {q}")
     if method == "auto":
         method = "residue" if box.volume_bound() > 2 * 10**5 else "brute"

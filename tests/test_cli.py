@@ -143,6 +143,20 @@ def test_sieve_exp_cli(capsys, tmp_path):
     assert "fitted_q_exponent" in out
 
 
+def test_sieve_exp_cli_large_prime_exit_2(capsys, tmp_path):
+    # 100003^4 residues exceed the grid cap, which is checked before any
+    # array is allocated
+    from malle_lab.sieve import binary_cubic_disc_scheme
+
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps(binary_cubic_disc_scheme().to_json()))
+    code, _ = run(
+        ["sieve-exp", "--scheme", str(path), "--r", "2,5,20", "--q", "3,5,7,100003"],
+        capsys,
+    )
+    assert code == 2
+
+
 def test_enumerate_cyclic_cli(capsys):
     code, out = run(["enumerate-cyclic", "--l", "3", "--x", "100"], capsys)
     assert code == 0

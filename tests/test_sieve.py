@@ -1,6 +1,10 @@
+import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from malle_lab.errors import CapExceeded, InsufficientGrid, NotSquarefree
@@ -96,6 +100,9 @@ def test_not_squarefree():
         count_points_mod_q(line_scheme(), BoxSpec(2, scaling=(5,)), 4)
     with pytest.raises(NotSquarefree):
         solutions_mod_q(line_scheme(), 12)
+    for q in (0, -5):
+        with pytest.raises(NotSquarefree):
+            solutions_mod_q(binary_cubic_disc_scheme(), q)
 
 
 def test_cap_exceeded():
@@ -103,6 +110,75 @@ def test_cap_exceeded():
         count_points_mod_q(
             line_scheme(), BoxSpec(2, scaling=(10**6,)), 5, method="brute", point_cap=10**4
         )
+
+
+def test_residue_grid_cap():
+    # 37^4 = 1,874,161 residues exceed the cap before any array exists
+    with pytest.raises(CapExceeded):
+        solutions_mod_q(binary_cubic_disc_scheme(), 37, cap=10**6)
+
+
+def _random_scheme(rng, n, m):
+    """1-3 polynomials in n variables with negative coefficients, coefficients
+    divisible by m, constant terms and repeated monomials."""
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        poly = []
+        for _ in range(rng.randint(1, 5)):
+            coef = rng.choice([rng.randint(-30, 30), m * rng.randint(-3, 3), 1, -1])
+            exps = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n))
+            poly.append((coef, exps))
+        if rng.random() < 0.5:
+            poly.append((rng.randint(-20, 20), (0,) * n))
+        if rng.random() < 0.3:
+            poly.append(poly[0])
+        polys.append(tuple(poly))
+    return AffineScheme(n_vars=n, polynomials=tuple(polys), declared_codim=1)
+
+
+def test_solutions_mod_p_matches_pointwise_oracle():
+    from malle_lab.sieve import _solutions_mod_p
+
+    rng = random.Random(20260418)
+    for n in range(1, 5):
+        for m in range(1, 13):
+            for _ in range(2 if n < 4 else 1):
+                scheme = _random_scheme(rng, n, m)
+                sols = _solutions_mod_p(scheme, m)
+                assert sols.dtype == np.int64 and sols.shape[1] == n
+                rows = [tuple(int(v) for v in row) for row in sols]
+                want = {
+                    pt for pt in itertools.product(range(m), repeat=n)
+                    if scheme.eval_point_mod(pt, m)
+                }
+                assert set(rows) == want, (scheme, m)
+                # rows ordered by x_1, then by x_2 + m x_3 + ... + m^(n-2) x_n
+                keys = [(r[0], r[:0:-1]) for r in rows]
+                assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize(
+    "q, rows, digest",
+    [
+        (30, 47850, "6a3a5d6aae5be2d8e6f9d484352724cea5b0b7513436f4c1afa0299b33052719"),
+        (37, 51985, "f9fd92e52e1f81b813ddd554e5af4059967b1a9bb061a0a62854907ea7d1db83"),
+        (53, 151633, "546ecec8c33787dd9bf57a9decbdd3abcdb4f5a675dce796b2755138d03bf758"),
+    ],
+)
+def test_disc_solutions_bytes_pinned(q, rows, digest):
+    sols = solutions_mod_q(binary_cubic_disc_scheme(), q)
+    assert sols.shape == (rows, 4) and sols.dtype == np.int64
+    assert hashlib.sha256(sols.tobytes()).hexdigest() == digest
+
+
+def test_disc_solutions_composite_modulus_bytes_pinned():
+    from malle_lab.sieve import _solutions_mod_p
+
+    sols = _solutions_mod_p(binary_cubic_disc_scheme(), 39)
+    assert sols.shape == (77649, 4)
+    assert hashlib.sha256(sols.tobytes()).hexdigest() == (
+        "4bedccfc3405d02edfa591d27edffae0d3fead6a08a0d11b22710507819c63d3"
+    )
 
 
 def test_monotone_in_q_linear():
