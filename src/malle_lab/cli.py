@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-ladder", default=None, help="comma-separated Y cutoffs")
     p.add_argument("--grid-points", type=int, default=16)
     p.add_argument("--window-slack", type=float, default=1.0)
-    p.add_argument("--sn-xmax", type=int, default=None)
-    p.add_argument("--ab-xmax", type=int, default=None)
+    p.add_argument("--sn-xmax", type=_exact_int, default=None)
+    p.add_argument("--ab-xmax", type=_exact_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_count_pairs)
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
+from .arith import iroot
 from .errors import (
     DivergenceSuspected,
     InsufficientData,
@@ -50,31 +51,13 @@ __all__ = [
 ]
 
 
-def _iroot(n: int, k: int) -> int:
-    """Largest r >= 0 with r^k <= n (n >= 0)."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def _max_value_with_pow_le(exp: int, bound: Fraction) -> int:
     """Largest integer v >= 0 with v^exp <= bound."""
     if bound < 1:
         return 0
     num, den = bound.numerator, bound.denominator
     # v^exp <= num/den  <=>  v^exp * den <= num
-    v = _iroot(num // den, exp)
+    v = iroot(num // den, exp)
     while (v + 1) ** exp * den <= num:
         v += 1
     while v > 0 and v**exp * den > num:

@@ -25,6 +25,16 @@ both modes and on every Y rung (d_Sigma = 1).  count_pairs counts those
 pairs with the hyperbola engine of `convolve.product_count_exact` and
 composes locally only the pairs that share a prime; `count_pairs_brute` is
 the double-loop oracle.
+
+Sharing pairs are first screened by a lower bound.  At every prime the lower
+end of the local exponent is at least max(degL * vK, degK * vL): for a tame
+pair this is the index inequality ind(s x t) >= max(n ind s, m ind t), with
+one side unramified it is the product rule, and at a wild prime it is the
+interval's lower end.  Hence disc_lo(K, L) >= lcm(Disc(K)^degL,
+Disc(L)^degK), and a pair whose lcm exceeds X is skipped before it is
+composed.  In exact mode a wild-table entry may lie below that lower end, so
+the screen applies only to pairs that share no prime wild on either side,
+where the exact value is the interval's lower end.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .arith import iroot
 from .convolve import CountingSequence, FitResult, empirical_fit, product_count_exact
 from .errors import (
     InadmissiblePair,
@@ -286,22 +297,19 @@ class CountReport:
         return self.n_lo
 
 
-def _iroot(n: int, k: int) -> int:
-    """Largest r with r^k <= n."""
-    if n < 1:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def default_grid(x_max: int, points: int = 16) -> list[int]:
     """Powers of 2 descending from x_max: x_max, x_max/2, ..."""
     grid = [x_max >> k for k in range(points)]
     return sorted(g for g in grid if g >= 1)
+
+
+def _shares_wild_prime(k_rec: FieldRecord, l_rec: FieldRecord) -> bool:
+    """Some prime is ramified in both fields and wild in one of them."""
+    for k_loc in k_rec.ramification:
+        l_loc = l_rec.local_at(k_loc.p)
+        if l_loc is not None and "wild" in (k_loc.kind, l_loc.kind):
+            return True
+    return False
 
 
 def _uniform_degree(field_list: FieldList, side: str) -> int:
@@ -325,7 +333,8 @@ def count_pairs(
     """Count pairs (K, L) with Disc(KL) <= X over a grid, plus N_Y ladders.
 
     The K window needs Disc(K) <= X^(1/degL) * slack and symmetrically for
-    L (at tame primes Disc(KL) >= max(Disc(K)^degL, Disc(L)^degK) forces
+    L, the integer root times the exact value of slack, rounded down (at
+    tame primes Disc(KL) >= max(Disc(K)^degL, Disc(L)^degK) forces
     slack 1; wild primes can only push a pair's disc *up* from the lower
     end, which is monotone in both marginals, so slack 1 stays sound for
     the lower end used in windowing).
@@ -339,8 +348,12 @@ def count_pairs(
     n_lo, n_hi and every rung.  Only the pairs sharing a prime, found
     through an index from each prime to the L records ramified at it, go
     through compose_disc and disc_truncated; each adds
-    [value <= g] - [product bound <= g] to the count it belongs to.  Both
-    lists must have a single degree each (InadmissiblePair otherwise).
+    [value <= g] - [product bound <= g] to the count it belongs to.  A
+    sharing pair with lcm(Disc(K)^degL, Disc(L)^degK) > X is skipped before
+    composing, since its lower end is at least that lcm; in exact mode only
+    when no shared prime is wild on either side, so a wild-table entry below
+    the marginal lower end is still composed and still raises the warning.
+    Both lists must have a single degree each (InadmissiblePair otherwise).
     """
     if grid is None:
         grid = default_grid(x)
@@ -358,8 +371,9 @@ def count_pairs(
         )
     deg_k = _uniform_degree(sn_list, "S_n")
     deg_l = _uniform_degree(ab_list, "abelian")
-    k_window = int(_iroot(x, deg_l) * window_slack)
-    l_window = int(_iroot(x, deg_k) * window_slack)
+    # exact: slack 1 keeps the integer root as it is; X < 0 windows nothing
+    slack = Fraction(window_slack)
+    k_window, l_window = (math.floor(iroot(max(x, 0), d) * slack) for d in (deg_l, deg_k))
     if sn_list.x_max < k_window:
         raise IncompleteList(
             f"S_n list complete to {sn_list.x_max}, window needs {k_window}"
@@ -382,20 +396,29 @@ def count_pairs(
     for j, l_rec in enumerate(ls):
         for loc in l_rec.ramification:
             l_by_prime[loc.p].append(j)
+    l_powers = [l_rec.abs_disc**deg_k for l_rec in ls]
+    exact = mode == "exact"
     discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}
     below_marginal = False
     for k_rec in ks:
-        shared = set()
-        for loc in k_rec.ramification:
-            shared.update(l_by_prime.get(loc.p, ()))
-        for j in sorted(shared):
+        k_power = k_rec.abs_disc**deg_l
+        # the L sharing a prime with K; a pair's lower end is at least the lcm
+        # of the two powers, so a pair with lcm > x counts nowhere, but an
+        # exact value at a shared wild prime may lie below the lower end
+        kept = {
+            j
+            for loc in k_rec.ramification
+            for j in l_by_prime.get(loc.p, ())
+            if math.lcm(k_power, l_powers[j]) <= x or exact and _shares_wild_prime(k_rec, ls[j])
+        }
+        for j in sorted(kept):
             l_rec = ls[j]
-            if mode == "exact":
+            if exact:
                 d = compose_disc(k_rec, l_rec, wild, "exact")
-                lo_heur, _ = compose_disc(k_rec, l_rec, wild, "interval")
-                if d < lo_heur:
-                    below_marginal = True
+                # elsewhere the exact value is the lower end
+                if not below_marginal and _shares_wild_prime(k_rec, l_rec):
+                    below_marginal = d < compose_disc(k_rec, l_rec, wild, "interval")[0]
                 lo = hi = d
             else:
                 lo, hi = compose_disc(k_rec, l_rec, wild, "interval")
@@ -403,9 +426,9 @@ def count_pairs(
                 continue  # every value of the pair, bound included, is > x >= g
             discs_lo.append(lo)
             discs_hi.append(hi)
-            bounds.append(disc_product_bound(k_rec, l_rec))
+            bounds.append(k_power * l_powers[j])  # the product bound
             for y in y_ladder:
-                if mode == "exact":
+                if exact:
                     trunc[y].append(disc_truncated(k_rec, l_rec, wild, y, "exact"))
                 else:
                     trunc[y].append(disc_truncated(k_rec, l_rec, wild, y, "interval")[1])

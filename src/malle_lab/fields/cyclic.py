@@ -16,36 +16,11 @@ Möbius inversion over divisors.
 
 from __future__ import annotations
 
+from ..arith import iroot, is_prime
 from ..permgroup import CycleType
 from .records import FieldList, FieldRecord, LocalRamification
 
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _iroot(n: int, k: int) -> int:
-    if n < 1:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -89,11 +64,11 @@ def _record_for_conductor(l: int, f: int, tame_primes: tuple[int, ...], wild: bo
 
 def enumerate_cyclic(l: int, x: int) -> FieldList:
     """All degree-l cyclic fields over Q with disc = f^(l-1) <= x."""
-    if l < 3 or not _is_prime(l) or l % 2 == 0:
+    if l < 3 or not is_prime(l) or l % 2 == 0:
         raise ValueError("l must be an odd prime")
     if x < 1:
         raise ValueError("x must be >= 1")
-    fmax = _iroot(x, l - 1)
+    fmax = iroot(x, l - 1)
     tame_pool = [p for p in _primes_upto(fmax) if p % l == 1]
     records: list[FieldRecord] = []
 
@@ -167,7 +142,7 @@ def cyclic_count_oracle(l: int, x: int) -> int:
     order-l subgroups of the dual of (Z/fZ)*; the answer is
     sum_{f^(l-1) <= x} P(f).
     """
-    fmax = _iroot(x, l - 1)
+    fmax = iroot(x, l - 1)
     # smallest prime factor sieve for divisor enumeration
     spf = list(range(fmax + 1))
     for p in range(2, int(fmax**0.5) + 1):

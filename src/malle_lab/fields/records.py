@@ -8,7 +8,8 @@ One JSONL line per field:
 Wild entries carry {"p": 3, "kind": "wild", "label": "3-e3-v4", "exp": 4}.
 The disc sign is preserved on the record; counting uses the absolute value.
 Every record must satisfy |disc| = prod p^e over its ramification entries,
-and tame entries must have exponent = ind(cycle_type) with p coprime to the
+every p must be prime, and tame entries must have a cycle type of the
+record's degree and exponent = ind(cycle_type) with p coprime to the
 ramification index.
 """
 
@@ -20,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from math import gcd
 
+from ..arith import is_prime
 from ..errors import InvariantViolation, MalformedLine
 from ..permgroup import CycleType, index_of
 
@@ -141,8 +143,12 @@ class FieldList:
             stream.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
 
 
-def _record_from_obj(obj: dict, lineno: int, cycle_types: dict) -> FieldRecord:
-    """One validated record; `cycle_types` holds one shared CycleType per parts tuple."""
+def _record_from_obj(obj: dict, lineno: int, cycle_types: dict, primes: set) -> FieldRecord:
+    """One validated record.
+
+    `cycle_types` holds one shared CycleType per parts tuple and `primes` the
+    ramified p already found prime, so each is checked once per file.
+    """
     try:
         degree = int(obj["degree"])
         group = str(obj["group"])
@@ -159,6 +165,10 @@ def _record_from_obj(obj: dict, lineno: int, cycle_types: dict) -> FieldRecord:
             kind = str(r["kind"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedLine(lineno, f"bad ramification entry: {exc}")
+        if p not in primes:
+            if not is_prime(p):
+                raise MalformedLine(lineno, f"ramified p = {p} is not prime")
+            primes.add(p)
         if kind == "tame":
             if "cycle_type" not in r:
                 raise MalformedLine(lineno, "tame entry needs cycle_type")
@@ -170,6 +180,10 @@ def _record_from_obj(obj: dict, lineno: int, cycle_types: dict) -> FieldRecord:
                 ct = CycleType.from_parts(parts)
                 if key is not None:
                     cycle_types[key] = ct
+            if ct.degree != degree:
+                raise MalformedLine(
+                    lineno, f"cycle type {list(ct.parts)} on a degree-{degree} record"
+                )
             exp = int(r.get("exp", index_of(ct)))
             ram.append(
                 LocalRamification(p=p, kind="tame", disc_exponent=exp, tame_cycle_type=ct)
@@ -197,10 +211,12 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     """Parse a JSONL stream into a validated, sorted FieldList.
 
     Unsorted input is auto-sorted with a warning; malformed lines and
-    invariant violations raise with the 1-based line number.
+    invariant violations raise with the 1-based line number.  An x_max below
+    the largest |disc| in the file raises InvariantViolation.
     """
     records = []
     cycle_types: dict[tuple[int, ...], CycleType] = {}
+    primes: set[int] = set()
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -210,7 +226,7 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
         except json.JSONDecodeError as exc:
             raise MalformedLine(lineno, f"invalid JSON: {exc}")
         try:
-            records.append(_record_from_obj(obj, lineno, cycle_types))
+            records.append(_record_from_obj(obj, lineno, cycle_types, primes))
         except InvariantViolation as exc:
             raise InvariantViolation(f"line {lineno}: {exc}")
     discs = [r.abs_disc for r in records]
@@ -219,4 +235,8 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
         records.sort(key=lambda r: r.abs_disc)
     if x_max is None:
         x_max = records[-1].abs_disc if records else 0
+    elif records and x_max < records[-1].abs_disc:
+        raise InvariantViolation(
+            f"x_max {x_max} is below the largest |disc| {records[-1].abs_disc} in the file"
+        )
     return FieldList(records=tuple(records), provenance="ingested", x_max=x_max)

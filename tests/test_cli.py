@@ -196,3 +196,23 @@ def test_count_pairs_cli_parses_x_exactly(capsys, tmp_path, monkeypatch):
     assert len(seen) == 2
     code, _ = run(["euler-constant", "--pmax", "1e2.5"], capsys)
     assert code == 2
+
+
+def test_count_pairs_cli_input_errors_exit_2(capsys, tmp_path):
+    sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
+    sn.write_text(json.dumps(
+        {"degree": 3, "group": "S3", "disc": -23,
+         "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}]}) + "\n")
+    ab.write_text(json.dumps(
+        {"degree": 3, "group": "C3", "disc": 49,
+         "ram": [{"p": 7, "kind": "tame", "cycle_type": [3]}]}) + "\n")
+    files = ["--sn-fields", str(sn), "--abelians", str(ab)]
+    code, out = run(["count-pairs", "--x", "1e6", "--sn-xmax", "1e3", "--ab-xmax", "1000"]
+                    + files, capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["sn_xmax"] == 1000
+    # X = 1e400 needs the lists to 1e133 (its cube root has no float)
+    assert run(["count-pairs", "--x", "1e400"] + files, capsys)[0] == 2
+    # x_max must be an exact integer, and no smaller than the last |disc|
+    for flag, text in [("--sn-xmax", "1.5"), ("--ab-xmax", "1e-3"), ("--ab-xmax", "48")]:
+        assert run(["count-pairs", "--x", "1e6", flag, text] + files, capsys)[0] == 2

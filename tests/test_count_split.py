@@ -3,9 +3,11 @@
 The oracle below composes each windowed pair with compose_disc and
 disc_truncated and counts it at every grid point; the full report of
 count_pairs must agree with it on random sublists, bounds, grids, Y ladders,
-window slacks and wild tables.
+window slacks and wild tables.  The lcm lower bound that lets count_pairs
+skip a sharing pair is checked against compose_disc on every sharing pair.
 """
 
+import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -206,3 +208,66 @@ def test_acceptance_08_report_is_pinned():
     assert rep.fit_exponent == Fraction(1, 3)
     assert (rep.fit.coefficient, rep.fit.residual, rep.fit.points_used) == (
         0.009345581520154154, 0.07977903981108829, 4)
+
+
+def sharing_pairs(ks, ls):
+    """(K, L, shared primes) for every pair whose discriminants share a prime."""
+    for k in ks:
+        k_primes = set(k.ramified_primes)
+        for l in ls:
+            shared = k_primes.intersection(l.ramified_primes)
+            if shared:
+                yield k, l, shared
+
+
+def lcm_bound(k, l):
+    return math.lcm(k.abs_disc**l.degree, l.abs_disc**k.degree)
+
+
+@pytest.mark.parametrize("side", ["C3", "C5"])
+def test_lcm_bound_is_below_every_sharing_pair(side):
+    """lcm(Disc(K)^degL, Disc(L)^degK) <= the interval lower end of every
+    sharing pair, and <= its exact value when no shared prime is wild."""
+    tame_pairs = wild_pairs = 0
+    for k, l, shared in sharing_pairs(cubics(), abelians(side)):
+        bound = lcm_bound(k, l)
+        assert bound <= compose_disc(k, l, mode="interval")[0]
+        if any("wild" in (k.local_at(p).kind, l.local_at(p).kind) for p in shared):
+            wild_pairs += 1
+        else:
+            assert bound <= compose_disc(k, l, mode="exact")
+            tame_pairs += 1
+    assert tame_pairs > 100
+    assert (wild_pairs > 100) == (side == "C3")
+
+
+def test_interval_count_composes_only_pairs_within_the_lcm_bound(monkeypatch):
+    import malle_lab.counting as counting
+
+    x = 10**12  # both windows cover the full 10^4 lists
+    ks, ls = cubics(), abelians("C3")
+    composed = []
+    real = counting.compose_disc
+
+    def spy(k, l, *args, **kwargs):
+        composed.append((id(k), id(l)))
+        return real(k, l, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "compose_disc", spy)
+    count_pairs(ks, ls, x, mode="interval", y_ladder=(10, 100))
+    within = [(id(k), id(l)) for k, l, _ in sharing_pairs(ks, ls) if lcm_bound(k, l) <= x]
+    assert len(composed) == len(set(composed)) == len(within) > 0
+    assert set(composed) == set(within)
+
+
+def test_pair_at_its_lcm_bound_is_counted():
+    """A pair sharing only the wild prime 3 has interval lower end equal to
+    the lcm, so at X = lcm it counts in n_hi and at X = lcm - 1 it does not."""
+    l81 = next(l for l in abelians("C3") if l.abs_disc == 81)
+    k = next(k for k in cubics() if k.local_at(3) is not None and k.local_at(3).kind == "wild")
+    bound = lcm_bound(k, l81)
+    assert compose_disc(k, l81, mode="interval")[0] == bound
+    ks = FieldList(records=(k,), provenance="enumerated", x_max=10**6)
+    ls = FieldList(records=(l81,), provenance="enumerated", x_max=10**6)
+    for x, n_hi in [(bound, (1,)), (bound - 1, (0,))]:
+        assert count_pairs(ks, ls, x, mode="interval", grid=[x]).n_hi == n_hi

@@ -194,6 +194,21 @@ def test_count_pairs_incomplete_window(lists_1e4):
         count_pairs(cubics, abelians, 10**13, mode="interval")
 
 
+def test_count_pairs_windows_are_exact_integer_roots(lists_1e4):
+    cubics, abelians = lists_1e4
+    # the cube root of 10^400 has no float; the windows need lists to 10^133
+    with pytest.raises(IncompleteList, match="window needs 2154434690031883721"):
+        count_pairs(cubics, abelians, 10**400, mode="interval")
+    # slack 1 keeps the root 2^53 + 1, which the K list does not reach
+    big = 2**53 + 1
+    ks = FieldList(records=(K23,), provenance="ingested", x_max=big - 1)
+    ls = FieldList(records=(L7,), provenance="ingested", x_max=big)
+    with pytest.raises(IncompleteList, match=f"window needs {big}"):
+        count_pairs(ks, ls, big**3, mode="interval")
+    ks = FieldList(records=(K23,), provenance="ingested", x_max=big)
+    assert count_pairs(ks, ls, big**3, mode="interval", grid=[big**3]).n_lo == (1,)
+
+
 def test_count_pairs_s3_c5_exact_no_table():
     # restrict C_5 to tame conductors (25 excluded): every shared prime is
     # then tame in both fields, so exact mode needs no wild table

@@ -74,6 +74,34 @@ def test_parse_tame_exponent_must_match_index():
         parse_field_file(io.StringIO(bad))
 
 
+def test_parse_rejects_composite_ramified_prime():
+    # 9^ind(2,1) = 9 matches the disc, but 9 is not a prime
+    bad = json.dumps(
+        {"degree": 3, "group": "S3", "disc": -9,
+         "ram": [{"p": 9, "kind": "tame", "cycle_type": [2, 1]}]}
+    )
+    with pytest.raises(MalformedLine, match="not prime") as exc:
+        parse_field_file(io.StringIO(GOOD_LINE + "\n" + bad))
+    assert exc.value.lineno == 2
+
+
+def test_parse_rejects_cycle_type_of_another_degree():
+    # ind(2,1,1) = 1 matches the disc, but (2,1,1) is a cycle type in S_4
+    bad = json.dumps(
+        {"degree": 3, "group": "S3", "disc": -23,
+         "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1, 1]}]}
+    )
+    with pytest.raises(MalformedLine, match="degree-3") as exc:
+        parse_field_file(io.StringIO(GOOD_LINE + "\n\n" + bad))
+    assert exc.value.lineno == 3
+
+
+def test_parse_rejects_x_max_below_last_record():
+    assert parse_field_file(io.StringIO(GOOD_LINE), x_max=23).x_max == 23
+    with pytest.raises(InvariantViolation, match="x_max 22"):
+        parse_field_file(io.StringIO(GOOD_LINE), x_max=22)
+
+
 def test_parse_unsorted_warns_and_sorts():
     two = (
         '{"degree":3,"group":"S3","disc":-31,"ram":[{"p":31,"kind":"tame","cycle_type":[2,1]}]}\n'
