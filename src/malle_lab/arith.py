@@ -1,12 +1,36 @@
 """Integer arithmetic shared across the package, without floats.
 
-`is_squarefree` and `prime_factors` work by trial division and take q >= 1;
-callers check that first.
+- `iroot(n, k)`: the integer k-th root, by Newton steps;
+- `is_prime(n)`: division by small primes, then Miller-Rabin;
+- `primes_upto(n)`: the primes <= n, from a bytearray sieve;
+- `spf_table(n)`: smallest prime factors of 0..n, for factoring many n;
+- `factor(n, spf=None)`: {p: v_p(n)}, off an spf table when it covers n,
+  else by trial division;
+- `divisors(n)`: the divisors of n, ascending, by trial division to sqrt(n);
+- `is_squarefree(q)`, `prime_factors(q)`: read off `factor`.
+
+`factor`, `divisors`, `is_squarefree` and `prime_factors` take n >= 1;
+callers check that first.  `fields.polysearch` keeps its own divisor and
+valuation helpers: it is the independent oracle for the cubic enumerator,
+which factors through this module, so the two must not share code.
 """
 
 from __future__ import annotations
 
-__all__ = ["iroot", "is_prime", "is_squarefree", "prime_factors"]
+from array import array
+from itertools import compress
+from math import isqrt
+
+__all__ = [
+    "iroot",
+    "is_prime",
+    "primes_upto",
+    "spf_table",
+    "factor",
+    "divisors",
+    "is_squarefree",
+    "prime_factors",
+]
 
 # Miller-Rabin with these bases decides primality of every n < 3.18e23
 # (Sorenson and Webster); larger n only pass as strong probable primes
@@ -55,28 +79,58 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_squarefree(q: int) -> bool:
-    """No prime square divides q (q >= 1)."""
-    n, p = q, 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
+def primes_upto(n: int) -> list[int]:
+    """The primes <= n, ascending."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def spf_table(n: int) -> array:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n (4 bytes an entry)."""
+    spf = array("i", range(n + 1))
+    # descending, so that the smallest prime of each m is written last
+    for p in reversed(primes_upto(isqrt(n))):
+        spf[p * p :: p] = array("i", [p]) * len(range(p * p, n + 1, p))
+    return spf
+
+
+def factor(n: int, spf: array | None = None) -> dict[int, int]:
+    """{p: v_p(n)} in ascending p; read off `spf` when it covers n, else trial division."""
+    fac: dict[int, int] = {}
+    if spf is not None and n < len(spf):
+        while n > 1:
+            p = spf[n]
+            fac[p] = fac.get(p, 0) + 1
             n //= p
-        p += 1
-    return True
+        return fac
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        fac[n] = 1
+    return fac
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def is_squarefree(q: int) -> bool:
+    """No prime square divides q."""
+    return all(v == 1 for v in factor(q).values())
 
 
 def prime_factors(q: int) -> list[int]:
-    """The distinct primes dividing q (q >= 1), ascending."""
-    out, p = [], 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """The distinct primes dividing q, ascending."""
+    return list(factor(q))

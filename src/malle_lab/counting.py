@@ -47,8 +47,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import iroot
-from .convolve import CountingSequence, FitResult, empirical_fit, product_count_exact
+from . import convolve
+from .arith import iroot, primes_upto
+from .convolve import CountingSequence, FitResult, empirical_fit
 from .errors import (
     InadmissiblePair,
     IncompleteList,
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .fields.records import FieldList, FieldRecord, LocalRamification
 from .permgroup import CycleType, index_of, product_index_general
-from .tamecomp import AbelianGroupSpec, RkTable, nonidentity_classes, verify_unin
+from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, nonidentity_classes, verify_unin
 
 __all__ = [
     "WildTable",
@@ -71,9 +72,6 @@ __all__ = [
     "euler_constant",
     "tail_bound_report",
 ]
-
-_COPRIMALITY = {3: 2, 4: 6, 5: 30}
-
 
 def _tame_key(loc: LocalRamification) -> str:
     if loc.kind == "tame":
@@ -125,9 +123,9 @@ def _check_admissible(k_rec: FieldRecord, l_rec: FieldRecord):
         raise InadmissiblePair(f"{label} field with degree {k_rec.degree}")
     if not l_rec.group_label.startswith("C"):
         raise InadmissiblePair(f"right field must be abelian (C...), got {l_rec.group_label}")
-    if gcd(l_rec.degree, _COPRIMALITY[n]) != 1:
+    if gcd(l_rec.degree, COPRIMALITY[n]) != 1:
         raise InadmissiblePair(
-            f"|A| = {l_rec.degree} not coprime to {_COPRIMALITY[n]} for n = {n}"
+            f"|A| = {l_rec.degree} not coprime to {COPRIMALITY[n]} for n = {n}"
         )
 
 
@@ -137,15 +135,19 @@ def _local_exponent(
     p: int,
     wild: WildTable,
     mode: str,
+    y: int | None = None,
 ) -> tuple[int, int]:
-    """(lo, hi) exponent of p in Disc(KL); lo == hi when exact."""
+    """(lo, hi) exponent of p in Disc(KL); lo == hi when exact.
+
+    Above the cutoff y (when given) the exponent is the product rule.
+    """
     m, n = k_rec.degree, l_rec.degree  # degK, degL
     k_loc = k_rec.local_at(p)
     l_loc = l_rec.local_at(p)
     vk = k_loc.disc_exponent if k_loc else 0
     vl = l_loc.disc_exponent if l_loc else 0
-    if k_loc is None or l_loc is None:
-        # one inertia trivial: exact product rule
+    if k_loc is None or l_loc is None or y is not None and p > y:
+        # one inertia trivial (exact product rule), or truncated above y
         e = n * vk + m * vl
         return e, e
     if k_loc.kind == "tame" and l_loc.kind == "tame":
@@ -168,6 +170,26 @@ def _local_exponent(
     return e, e
 
 
+def _compose(
+    k_rec: FieldRecord, l_rec: FieldRecord, wild: WildTable, mode: str, y: int | None = None
+):
+    """The product of the local factors of Disc(KL), cut off above y when given."""
+    if mode not in ("exact", "interval"):
+        raise ValueError("mode must be exact or interval")
+    _check_admissible(k_rec, l_rec)
+    lo = hi = 1
+    for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
+        elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode, y)
+        lo *= p**elo
+        hi *= p**ehi
+    return lo if mode == "exact" else (lo, hi)
+
+
+def _ends(d) -> tuple[int, int]:
+    """(lo, hi) of a composed value: an exact integer or an interval."""
+    return (d, d) if isinstance(d, int) else d
+
+
 def compose_disc(
     k_rec: FieldRecord,
     l_rec: FieldRecord,
@@ -175,18 +197,7 @@ def compose_disc(
     mode: str = "exact",
 ):
     """Disc(KL): an integer in exact mode, else (lo, hi) interval."""
-    if mode not in ("exact", "interval"):
-        raise ValueError("mode must be exact or interval")
-    _check_admissible(k_rec, l_rec)
-    lo = hi = 1
-    for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
-        elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode)
-        lo *= p**elo
-        hi *= p**ehi
-    if mode == "exact":
-        assert lo == hi
-        return lo
-    return lo, hi
+    return _compose(k_rec, l_rec, wild, mode)
 
 
 def disc_product_bound(k_rec: FieldRecord, l_rec: FieldRecord) -> int:
@@ -201,25 +212,7 @@ def disc_truncated(
     mode: str = "exact",
 ):
     """Hybrid disc: exact local factors for p <= y, product bound above."""
-    if mode not in ("exact", "interval"):
-        raise ValueError("mode must be exact or interval")
-    _check_admissible(k_rec, l_rec)
-    lo = hi = 1
-    m, n = k_rec.degree, l_rec.degree
-    for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
-        if p <= y:
-            elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode)
-        else:
-            k_loc = k_rec.local_at(p)
-            l_loc = l_rec.local_at(p)
-            vk = k_loc.disc_exponent if k_loc else 0
-            vl = l_loc.disc_exponent if l_loc else 0
-            elo = ehi = n * vk + m * vl
-        lo *= p**elo
-        hi *= p**ehi
-    if mode == "exact":
-        return lo
-    return lo, hi
+    return _compose(k_rec, l_rec, wild, mode, y)
 
 
 def dsigma(k_rec: FieldRecord, l_rec: FieldRecord, wild: WildTable, y: int) -> Fraction:
@@ -255,23 +248,13 @@ def pair_record(
     y_ladder=(),
 ) -> PairRecord:
     """Assemble the full per-pair record (exact or interval disc, truncations)."""
-    if mode == "exact":
-        d = compose_disc(k_rec, l_rec, wild, "exact")
-        lo = hi = d
-        exact = d
-    else:
-        lo, hi = compose_disc(k_rec, l_rec, wild, "interval")
-        exact = None
-    trunc = {}
-    for y in y_ladder:
-        if mode == "exact":
-            trunc[y] = disc_truncated(k_rec, l_rec, wild, y, "exact")
-        else:
-            trunc[y] = disc_truncated(k_rec, l_rec, wild, y, "interval")
+    d = compose_disc(k_rec, l_rec, wild, mode)
+    lo, hi = _ends(d)
+    trunc = {y: disc_truncated(k_rec, l_rec, wild, y, mode) for y in y_ladder}
     return PairRecord(
         k=k_rec,
         l=l_rec,
-        disc_exact=exact,
+        disc_exact=d if mode == "exact" else None,
         disc_lo=lo,
         disc_hi=hi,
         disc_product_bound=disc_product_bound(k_rec, l_rec),
@@ -310,6 +293,14 @@ def _shares_wild_prime(k_rec: FieldRecord, l_rec: FieldRecord) -> bool:
         if l_loc is not None and "wild" in (k_loc.kind, l_loc.kind):
             return True
     return False
+
+
+def _first_of_each_label(records):
+    """The first record of each group label, in order of first occurrence."""
+    first = {}
+    for r in records:
+        first.setdefault(r.group_label, r)
+    return first.values()
 
 
 def _uniform_degree(field_list: FieldList, side: str) -> int:
@@ -355,6 +346,8 @@ def count_pairs(
     the marginal lower end is still composed and still raises the warning.
     Both lists must have a single degree each (InadmissiblePair otherwise).
     """
+    if mode not in ("exact", "interval"):
+        raise ValueError("mode must be exact or interval")
     if grid is None:
         grid = default_grid(x)
     grid = tuple(sorted(g for g in grid if g <= x))
@@ -385,12 +378,13 @@ def count_pairs(
     ks = sn_list.upto(k_window)
     ls = ab_list.upto(l_window)
     if ks and ls:
-        # with one degree per list, admissibility is a property of each
-        # record; checking (K_0, L) then (K, L_0) raises what the first
-        # inadmissible pair in K-major order would
-        for l_rec in ls:
+        # with one degree per list, admissibility depends only on each
+        # record's group label; checking (K_0, L) then (K, L_0) over the first
+        # record of each label raises what the first inadmissible pair in
+        # K-major order would
+        for l_rec in _first_of_each_label(ls):
             _check_admissible(ks[0], l_rec)
-        for k_rec in ks:
+        for k_rec in _first_of_each_label(ks):
             _check_admissible(k_rec, ls[0])
     l_by_prime = defaultdict(list)
     for j, l_rec in enumerate(ls):
@@ -414,24 +408,17 @@ def count_pairs(
         }
         for j in sorted(kept):
             l_rec = ls[j]
-            if exact:
-                d = compose_disc(k_rec, l_rec, wild, "exact")
-                # elsewhere the exact value is the lower end
-                if not below_marginal and _shares_wild_prime(k_rec, l_rec):
-                    below_marginal = d < compose_disc(k_rec, l_rec, wild, "interval")[0]
-                lo = hi = d
-            else:
-                lo, hi = compose_disc(k_rec, l_rec, wild, "interval")
+            lo, hi = _ends(compose_disc(k_rec, l_rec, wild, mode))
+            # elsewhere an exact value is the lower end
+            if exact and not below_marginal and _shares_wild_prime(k_rec, l_rec):
+                below_marginal = lo < compose_disc(k_rec, l_rec, wild, "interval")[0]
             if lo > x:
                 continue  # every value of the pair, bound included, is > x >= g
             discs_lo.append(lo)
             discs_hi.append(hi)
             bounds.append(k_power * l_powers[j])  # the product bound
             for y in y_ladder:
-                if exact:
-                    trunc[y].append(disc_truncated(k_rec, l_rec, wild, y, "exact"))
-                else:
-                    trunc[y].append(disc_truncated(k_rec, l_rec, wild, y, "interval")[1])
+                trunc[y].append(_ends(disc_truncated(k_rec, l_rec, wild, y, mode))[1])
     if below_marginal and window_slack <= 1.0:
         import warnings
 
@@ -447,7 +434,7 @@ def count_pairs(
     bounds.sort()
     # pairs with product bound <= g, less the sharing pairs among them
     coprime = [
-        product_count_exact(k_seq, l_seq, deg_l, deg_k, math.floor(g))
+        convolve.product_count_exact(k_seq, l_seq, deg_l, deg_k, math.floor(g))
         - bisect.bisect_right(bounds, g)
         for g in grid
     ]
@@ -493,11 +480,7 @@ def count_pairs_brute(
     total = 0
     for k_rec in sn_list:
         for l_rec in ab_list:
-            if mode == "exact":
-                d = compose_disc(k_rec, l_rec, wild, "exact")
-            else:
-                d = compose_disc(k_rec, l_rec, wild, "interval")[1]
-            if d <= x:
+            if _ends(compose_disc(k_rec, l_rec, wild, mode))[1] <= x:
                 total += 1
     return total
 
@@ -508,15 +491,6 @@ def count_pairs_brute(
 def c3_exact() -> float:
     """3058 * 3^-5 + 4 * 3^(4/3)."""
     return 3058.0 / 243.0 + 4.0 * 3.0 ** (4.0 / 3.0)
-
-
-def _sieve(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, v in enumerate(sieve) if v]
 
 
 @dataclass(frozen=True)
@@ -539,7 +513,7 @@ def euler_constant(p_max: int, c3: float | None = None) -> EulerReport:
         c3 = c3_exact()
     log_sum = 0.0
     log_tail = 0.0
-    for p in _sieve(p_max):
+    for p in primes_upto(p_max):
         if p < 5:
             continue
         if p % 3 == 1:

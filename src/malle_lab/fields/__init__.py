@@ -2,7 +2,6 @@
 
 from .cubic import enumerate_cubic
 from .cyclic import cyclic_count_oracle, enumerate_cyclic
-from .polysearch import cubic_fields_by_polynomials
 from .records import FieldList, FieldRecord, LocalRamification, parse_field_file
 from .uniformity import abelian_uniformity_check
 
@@ -14,6 +13,5 @@ __all__ = [
     "enumerate_cyclic",
     "cyclic_count_oracle",
     "enumerate_cubic",
-    "cubic_fields_by_polynomials",
     "abelian_uniformity_check",
 ]

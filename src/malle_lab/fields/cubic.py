@@ -71,6 +71,7 @@ from __future__ import annotations
 from array import array
 from math import gcd, isqrt
 
+from ..arith import divisors, factor, spf_table
 from ..errors import InvariantViolation
 from ..permgroup import CycleType
 from ..util import pmap
@@ -290,18 +291,6 @@ def _reduce_neg(f: Form) -> Form:
 
 # -- irreducibility ----------------------------------------------------------
 
-def _divisors_abs(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return out
-
-
 def is_irreducible(f: Form) -> bool:
     """No rational linear factor (and a != 0)."""
     a, b, c, d = f
@@ -314,8 +303,9 @@ def is_irreducible(f: Form) -> bool:
         if a % p and all((((a * r + b) * r + c) * r + d) % p for r in range(p)):
             return True
     # exact rational root test: roots p/q with q | a, p | d
-    for q in _divisors_abs(a):
-        for p in _divisors_abs(d):
+    d_divisors = divisors(abs(d))
+    for q in divisors(abs(a)):
+        for p in d_divisors:
             if gcd(p, q) != 1:
                 continue
             if _eval_form(f, p, q) == 0 or _eval_form(f, -p, q) == 0:
@@ -381,41 +371,6 @@ def _roots_mod_p(f: Form, p: int) -> list[tuple[int, int]]:
     return out
 
 
-def _spf_table(n: int) -> array:
-    """spf[m] = the smallest prime factor of m for 2 <= m <= n."""
-    spf = array("i", range(n + 1))
-    r = isqrt(n)
-    small = bytearray([1]) * (r + 1)  # primality of 0..r
-    for p in range(2, isqrt(r) + 1):
-        if small[p]:
-            small[p * p :: p] = bytes(len(range(p * p, r + 1, p)))
-    # descending, so that the smallest prime of each m is written last
-    for p in range(r, 1, -1):
-        if small[p]:
-            spf[p * p :: p] = array("i", [p]) * len(range(p * p, n + 1, p))
-    return spf
-
-
-def _factor(n: int, spf: array | None = None) -> dict[int, int]:
-    """{p: v_p(n)} in ascending p; read off `spf` when it covers n, else trial division."""
-    fac: dict[int, int] = {}
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        return fac
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        fac[n] = 1
-    return fac
-
-
 def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
     """True when the cubic ring of F is maximal (p-maximal at every p).
 
@@ -427,7 +382,7 @@ def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
         return False
     if d is None:
         d = disc_form(f)
-    for p, v in _factor(abs(d), spf).items():
+    for p, v in factor(abs(d), spf).items():
         if v < 2:
             continue
         for x0, y0 in _roots_mod_p(f, p):
@@ -538,7 +493,7 @@ def _local_data(f: Form, dsc: int, spf: array) -> tuple[LocalRamification, ...]:
     """
     hp, hq, hr = hessian(f)
     ram = []
-    for p, v in _factor(abs(dsc), spf).items():
+    for p, v in factor(abs(dsc), spf).items():
         if p <= 3:
             e = _splitting_data(f, p)
         else:
@@ -579,7 +534,7 @@ def _collect_chunk(args):
     global _spf
     x, sign, a_values = args
     if _spf is None or len(_spf) <= x:
-        _spf = _spf_table(x)
+        _spf = spf_table(x)
     spf = _spf
     cands = _pos_candidates(x, a_values) if sign > 0 else _neg_candidates(x, a_values)
     found = {}
@@ -606,7 +561,7 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
     tasks = [(x, +1, [a]) for a in range(1, _amax_pos(x) + 1)]
     tasks += [(x, -1, [a]) for a in range(1, _amax_neg(x) + 1)]
     found: dict[Form, int] = {}
-    spf = _spf = _spf_table(x)
+    spf = _spf = spf_table(x)
     try:
         for chunk in pmap(_collect_chunk, tasks, workers):
             found.update(chunk)

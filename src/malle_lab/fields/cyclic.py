@@ -16,22 +16,11 @@ Möbius inversion over divisors.
 
 from __future__ import annotations
 
-from ..arith import iroot, is_prime
+from ..arith import divisors, factor, iroot, is_prime, primes_upto
 from ..permgroup import CycleType
 from .records import FieldList, FieldRecord, LocalRamification
 
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, v in enumerate(sieve) if v]
 
 
 def _record_for_conductor(l: int, f: int, tame_primes: tuple[int, ...], wild: bool) -> FieldRecord:
@@ -69,7 +58,7 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
     if x < 1:
         raise ValueError("x must be >= 1")
     fmax = iroot(x, l - 1)
-    tame_pool = [p for p in _primes_upto(fmax) if p % l == 1]
+    tame_pool = [p for p in primes_upto(fmax) if p % l == 1]
     records: list[FieldRecord] = []
 
     def emit(f: int, tame: tuple[int, ...], wild: bool):
@@ -97,23 +86,10 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
 # ---------------------------------------------------------------------------
 # Character-subgroup oracle
 
-def _factorize(n: int) -> dict[int, int]:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _unit_group_cyclic_orders(f: int) -> list[int]:
     """Cyclic decomposition orders of (Z/fZ)* (CRT over prime powers)."""
     orders = []
-    for p, e in _factorize(f).items():
+    for p, e in factor(f).items():
         if p == 2:
             if e == 1:
                 continue
@@ -143,26 +119,8 @@ def cyclic_count_oracle(l: int, x: int) -> int:
     sum_{f^(l-1) <= x} P(f).
     """
     fmax = iroot(x, l - 1)
-    # smallest prime factor sieve for divisor enumeration
-    spf = list(range(fmax + 1))
-    for p in range(2, int(fmax**0.5) + 1):
-        if spf[p] == p:
-            for k in range(p * p, fmax + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
     primitive = [0] * (fmax + 1)
-    total = 0
     for f in range(1, fmax + 1):
-        # divisors of f via its factorization
-        n, fac = f, {}
-        while n > 1:
-            p = spf[n]
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        divs = [1]
-        for p, e in fac.items():
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        s = _subgroup_count(f, l)
-        primitive[f] = s - sum(primitive[d] for d in divs if d < f)
-        total += primitive[f]
-    return total
+        proper = divisors(f)[:-1]
+        primitive[f] = _subgroup_count(f, l) - sum(primitive[d] for d in proper)
+    return sum(primitive)

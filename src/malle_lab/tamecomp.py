@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
+from .arith import divisors, factor, is_prime
 from .errors import HypothesisViolated, IncompleteRkTable, TrivialGroup
 from .permgroup import CycleType, index_of, product_index_general
 
@@ -36,30 +37,11 @@ __all__ = [
     "verify_delta",
     "verify_unin",
     "DEFAULT_RK",
+    "COPRIMALITY",
 ]
 
-# coprimality hypotheses on |A| per n
-_HYPOTHESIS = {3: 2, 4: 6, 5: 30}
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+# coprimality hypothesis per n: |A| must be coprime to COPRIMALITY[n]
+COPRIMALITY = {3: 2, 4: 6, 5: 30}
 
 
 @dataclass(frozen=True)
@@ -121,10 +103,10 @@ class AbelianGroupSpec:
         counts = {1: 1}
         for f in self.cyclic_factors:
             fac_counts = {}
-            for d in _divisors(f):
+            for d in divisors(f):
                 # number of elements of order d in Z/f: phi(d)
                 phi = d
-                for p in _factorize(d):
+                for p in factor(d):
                     phi = phi // p * (p - 1)
                 fac_counts[d] = phi
             merged = {}
@@ -156,7 +138,7 @@ def min_index_abelian(a: AbelianGroupSpec) -> int:
     m = a.order
     if m < 2:
         raise TrivialGroup("need |A| >= 2")
-    p = min(_factorize(m))
+    p = min(factor(m))
     return m - m // p
 
 
@@ -184,7 +166,7 @@ def disc_table(l: int, k: int) -> list[ExponentTableRow]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if l < 3 or l % 2 == 0 or any(l % d == 0 for d in range(3, int(l**0.5) + 1, 2)):
+    if l == 2 or not is_prime(l):
         raise ValueError("l must be an odd prime")
     a = AbelianGroupSpec((l**k,))
     rows = []
@@ -317,10 +299,10 @@ DEFAULT_RK = {
 # Lemma verifiers
 
 def _check_hypothesis(n: int, a: AbelianGroupSpec):
-    if n not in _HYPOTHESIS:
+    if n not in COPRIMALITY:
         raise ValueError("n must be 3, 4 or 5")
     m = a.order
-    if gcd(m, _HYPOTHESIS[n]) != 1 or m < 2:
+    if gcd(m, COPRIMALITY[n]) != 1 or m < 2:
         raise HypothesisViolated(n, m)
 
 

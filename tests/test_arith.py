@@ -1,14 +1,46 @@
 import pytest
 
-from malle_lab.arith import iroot, is_prime, is_squarefree, prime_factors
+from malle_lab.arith import (
+    divisors,
+    factor,
+    iroot,
+    is_prime,
+    is_squarefree,
+    prime_factors,
+    primes_upto,
+    spf_table,
+)
+
+
+def _valuation(q, p):
+    v = 0
+    while q % p == 0:
+        q, v = q // p, v + 1
+    return v
 
 
 def test_squarefree_and_prime_factors_match_definitions():
+    """The sieve, spf table, factoring and divisor helpers too, for n <= 3000."""
     primes = [p for p in range(2, 3001) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    for n in range(0, 3001):
+        assert primes_upto(n) == [p for p in primes if p <= n]
+    spf = spf_table(3000)
+    assert len(spf) == 3001
+    small = spf_table(100)
     for q in range(1, 3001):
-        divisors = [p for p in primes if q % p == 0]
-        assert prime_factors(q) == divisors
-        assert is_squarefree(q) == all(q % (p * p) for p in divisors)
+        prime_divisors = [p for p in primes if q % p == 0]
+        assert prime_factors(q) == prime_divisors
+        assert is_squarefree(q) == all(q % (p * p) for p in prime_divisors)
+        if q >= 2:
+            assert spf[q] == prime_divisors[0]
+        fac = {p: _valuation(q, p) for p in prime_divisors}
+        # with a table, without one, and beyond the table (trial division)
+        for table in (spf, None, small):
+            got = factor(q, table)
+            assert got == fac and list(got) == prime_divisors
+        assert divisors(q) == [d for d in range(1, q + 1) if q % d == 0]
+    assert factor(1) == factor(1, spf) == {} and divisors(1) == [1]
+    assert spf_table(1).tolist() == [0, 1] and primes_upto(1) == []
 
 
 def test_iroot_matches_definition():

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -245,6 +247,69 @@ def test_count_pairs_rejects_mixed_degrees(monkeypatch):
         count_pairs(s3_s4, c3, 10**12, mode="interval")
     with pytest.raises(InadmissiblePair, match="abelian list mixes degrees"):
         count_pairs(s3, c3_c5, 10**12, mode="interval")
+
+
+def _relabelled(field_list, labels):
+    records = list(field_list.records)
+    for i, label in labels.items():
+        records[i] = replace(records[i], group_label=label)
+    return FieldList(records=tuple(records), provenance="ingested", x_max=field_list.x_max)
+
+
+def test_count_pairs_inadmissible_label_late_in_a_list(lists_1e4):
+    cubics, abelians = lists_1e4
+    x = 10**12  # both windows reach 10^4, the end of both lists
+
+    def error(ks, ls):
+        with pytest.raises(InadmissiblePair) as excinfo:
+            count_pairs(ks, ls, x, mode="interval")
+        return str(excinfo.value)
+
+    late_k = _relabelled(cubics, {-1: "C3"})
+    late_l = _relabelled(abelians, {-1: "S3"})
+    assert error(late_k, abelians) == "left field must be S3/S4/S5, got C3"
+    assert error(cubics, late_l) == "right field must be abelian (C...), got S3"
+    # in K-major order (K_0, L_last) comes before (K_last, L_0)
+    assert error(late_k, late_l) == "right field must be abelian (C...), got S3"
+    # the first bad label of a list wins, and a label's degree is checked
+    assert error(_relabelled(cubics, {-9: "S4", -1: "C3"}), abelians) == "S4 field with degree 3"
+    assert error(cubics, _relabelled(abelians, {-2: "C3xC3", -1: "S5"})) == (
+        "right field must be abelian (C...), got S5"
+    )
+
+
+def test_count_pairs_checks_admissibility_once_per_label(lists_1e4, monkeypatch):
+    import malle_lab.counting as counting
+
+    cubics, abelians = lists_1e4
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_check_admissible", "compose_disc", "disc_truncated"):
+        monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
+    count_pairs(cubics, abelians, 10**12, mode="interval", y_ladder=(10, 100))
+    assert calls["compose_disc"] > 0 and calls["disc_truncated"] > 0
+    # one label on each side, then one check in every composition
+    assert calls["_check_admissible"] == 2 + calls["compose_disc"] + calls["disc_truncated"]
+
+
+def test_count_pairs_calls_the_hyperbola_count_through_convolve(lists_1e4, monkeypatch):
+    # a tracer that swaps convolve.product_count_exact must see these calls
+    import malle_lab.convolve as convolve
+
+    cubics, abelians = lists_1e4
+    calls = []
+    original = convolve.product_count_exact
+    monkeypatch.setattr(convolve, "product_count_exact",
+                        lambda *args: calls.append(args) or original(*args))
+    count_pairs(cubics, abelians, 10**12, mode="interval", grid=[10**11, 10**12])
+    assert len(calls) == 2
 
 
 def test_count_pairs_empty_list_reports_like_nonempty(lists_1e4):

@@ -261,6 +261,7 @@ def test_local_data_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.numberfields.basis import nilradical_mod_p, round_two
 
+    from malle_lab import arith
     from malle_lab.fields import cubic
 
     monkeypatch.setattr(cubic, "_spf", None)  # drops the table _collect_chunk leaves
@@ -268,7 +269,7 @@ def test_local_data_matches_sympy(monkeypatch):
     found = {}
     for sign, a in ((1, 1), (-1, 1), (-1, 2)):
         found.update(cubic._collect_chunk((x, sign, [a])))
-    spf = cubic._spf_table(x)
+    spf = arith.spf_table(x)
     kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
     for f, dsc in sorted(found.items()):
         ram = cubic._local_data(f, dsc, spf)
