@@ -55,14 +55,8 @@ def _max_value_with_pow_le(exp: int, bound: Fraction) -> int:
     """Largest integer v >= 0 with v^exp <= bound."""
     if bound < 1:
         return 0
-    num, den = bound.numerator, bound.denominator
-    # v^exp <= num/den  <=>  v^exp * den <= num
-    v = iroot(num // den, exp)
-    while (v + 1) ** exp * den <= num:
-        v += 1
-    while v > 0 and v**exp * den > num:
-        v -= 1
-    return v
+    # v^exp is an integer, so v^exp <= bound exactly when v^exp <= floor(bound)
+    return iroot(bound.numerator // bound.denominator, exp)
 
 
 class CountingSequence:

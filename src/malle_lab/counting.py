@@ -58,8 +58,8 @@ from .errors import (
     MissingWildEntry,
 )
 from .fields.records import FieldList, FieldRecord, LocalRamification
-from .permgroup import CycleType, index_of, product_index_general
-from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, nonidentity_classes, verify_unin
+from .permgroup import product_index_general
+from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, verify_unin
 
 __all__ = [
     "WildTable",
@@ -270,7 +270,6 @@ class CountReport:
     n_y: dict  # y -> tuple of counts (lower ends)
     fit: FitResult | None
     fit_exponent: Fraction
-    predicted_constant: float | None
     mode: str
 
     @property
@@ -319,7 +318,6 @@ def count_pairs(
     y_ladder=(),
     grid=None,
     window_slack: float = 1.0,
-    predicted_constant: float | None = None,
 ) -> CountReport:
     """Count pairs (K, L) with Disc(KL) <= X over a grid, plus N_Y ladders.
 
@@ -359,8 +357,7 @@ def count_pairs(
         return CountReport(
             grid=grid, n_lo=zeros, n_hi=zeros,
             n_y={y: zeros for y in y_ladder}, fit=None,
-            fit_exponent=exponent, predicted_constant=predicted_constant,
-            mode=mode,
+            fit_exponent=exponent, mode=mode,
         )
     deg_k = _uniform_degree(sn_list, "S_n")
     deg_l = _uniform_degree(ab_list, "abelian")
@@ -461,7 +458,6 @@ def count_pairs(
         n_y=n_y,
         fit=fit,
         fit_exponent=exponent,
-        predicted_constant=predicted_constant,
         mode=mode,
     )
 
@@ -545,6 +541,8 @@ class TailReport:
 def tail_bound_report(rk: RkTable, n: int, a: AbelianGroupSpec, y: int) -> TailReport:
     """delta = max over classes k, c != e of (-r_k + ind(k) - ind(k,c)/m).
 
+    That is minus the least class margin `verify_unin` reports.
+
     Requires the uniformity inequality to hold (delta <= -1 then, with
     strict inequality on the verified grids); the numeric tail is a partial
     sum plus an integral bound.
@@ -552,22 +550,7 @@ def tail_bound_report(rk: RkTable, n: int, a: AbelianGroupSpec, y: int) -> TailR
     rep = verify_unin(n, a, rk)
     if not rep.passed:
         raise LemmaFails(f"uniformity inequality fails at witness {rep.witness}")
-    m = a.order
-    delta = None
-    for ct in nonidentity_classes(n):
-        r_val = rk.value(ct)
-        best = None
-        for order in a.order_counts():
-            if order == 1:
-                continue
-            ratio = Fraction(
-                product_index_general(ct, a.regular_cycle_type(order)), m
-            )
-            val = -r_val + index_of(ct) - ratio
-            if best is None or val > best:
-                best = val
-        if delta is None or best > delta:
-            delta = best
+    delta = -min(c.min_margin for c in rep.classes)
     if delta >= -1:
         raise LemmaFails(f"delta = {delta} is not < -1")
     d = float(delta)

@@ -12,11 +12,13 @@ independent polynomial-search route):
 
 disc > 0.  The Hessian H = (P, Q, R) with P = b^2 - 3ac, Q = bc - 9ad,
 R = c^2 - 3bd is positive definite with 4PR - Q^2 = 3D.  Call F reduced when
-|Q| <= P <= R.  Then P <= sqrt(D) (from Q^2 <= PR), and eliminating c, d from
-the Hessian entries yields the identity P(P - b^2)/(3a) + bQ = 3aR, whose
-b-discriminant gives 4P^3 >= 27 a^2 D, hence
+|Q| <= P <= R.  Then P <= sqrt(D) (from 3D = 4PR - Q^2 >= 3P^2), and
+eliminating c, d from the Hessian entries yields the identity
+P b^2 - 3aQ b + 9a^2 R - P^2 = 0, a quadratic in b with discriminant
+4P^3 - 27 a^2 D.  Hence 4P^3 >= 27 a^2 D and
+b = (3aQ +- sqrt(4P^3 - 27 a^2 D)) / (2P), so
 
-    a <= (4/27)^(1/2) D^(1/4),      |b| <= 3a/2 + sqrt(9a^2 + 4P)/2 <= 3a + D^(1/4),
+    729 a^4 <= 16 D,      |b| <= 3a/2 + sqrt(P) <= 3a/2 + D^(1/4),
 
 with c determined by P in (0, sqrt(D)] and d confined to |Q| <= P.
 
@@ -30,7 +32,7 @@ up to the mirror (a, -b, c, -d) (the det = -1 identification).  Writing
 u = Re phi, v = Im phi, w = |theta - u|, one has
 |D| = 4 a^4 v^2 (w^2 + v^2)^2, v^2 >= 3/4, giving
 
-    a <= (16|D|/27)^(1/4),  w^2 + v^2 <= sqrt(|D|/3)/a^2,  w <= |D|^(1/4)/(3^(1/4) a),
+    27 a^4 <= 16|D|,  w^2 + v^2 <= sqrt(|D|/3)/a^2,  w <= |D|^(1/4)/(3^(1/4) a),
 
 and the coefficient bounds used by the search loops:
 
@@ -40,10 +42,34 @@ and the coefficient bounds used by the search loops:
 d then runs over the integer window where |D(a,b,c,d)| <= X (a downward
 parabola in d).
 
+Search bounds.  The loops take these bounds at |D| <= X in integers.  An
+integer n >= 0 has n^k <= t for a real t exactly when n <= iroot(floor(t), k),
+so no root is ever rounded the wrong way.  With s = iroot(16X // 3, 4), the
+floor of 2 (X/3)^(1/4), and m = isqrt(16X // 3), the floor of 4 sqrt(X/3):
+
+    disc > 0:  a <= iroot(16X // 729, 4),  2b - 3a <= iroot(16X, 4),
+               0 < P <= isqrt(X),  |Q| <= P <= R;
+    disc < 0:  a <= iroot(16X // 27, 4),   2b - 3a <= s,
+               4a|c| <= 3a^2 + 2a(s + 1) + m,
+
+the last because 4a|c| <= 3a^2 + 4a (X/3)^(1/4) + 4 sqrt(X/3), which is
+below 3a^2 + 2a(s + 1) + m + 1.
+
 Maximality.  R(F) is non-maximal at p iff p divides the content of F, or F
 mod p has a multiple root [x0:y0] in P^1(F_p) with p^2 | F(x0, y0) (the value
 at a lift is well defined mod p^2 because the gradient vanishes at a multiple
-root).  Only primes with p^2 | D can fail.
+root, and scaling by a unit keeps p^2 | F).  Only primes with p^2 | D can
+fail.  When p | D and p does not divide the content, F mod p has exactly one
+multiple root, double or triple, and `_multiple_root` finds it:
+
+- p >= 5: the Hessian decides.  If p | P, Q, R then F mod p is a cube: if a
+  is a unit mod p, P = Q = R = 0 forces F = a (x + b y/(3a))^3, the root
+  [-b:3a], and if p | a then P = b^2 and R = c^2 force F = d y^3, the root
+  [1:0].  Otherwise the root is double, and H = P (x - r y)^2 mod p when it
+  is [r:1], so it is [-Q:2P], or [1:0] when p | P.
+- p = 2, 3: scan the residues; a finite root x0 is triple when the x^2
+  coefficient 3a x0 + b of F(x + x0, 1) vanishes, and [1:0] is triple when
+  p | c as well as a and b.
 
 Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
 in the class of F and keeps disc.  It maps each reduced set to itself: for
@@ -59,11 +85,9 @@ enumerate_cubic call; forked workers inherit it, spawned workers build their
 own once.
 
 Local data.  For a maximal form, p ramifies exactly when p | disc, and p is
-totally ramified (e = 3) exactly when F mod p is a cube.  For p >= 5 that is
-p | P, Q, R: if a is a unit mod p, P = Q = R = 0 forces F = a (x + b y/(3a))^3,
-and if p | a then P = b^2 and R = c^2 force F = d y^3; conversely the Hessian
-of a cube vanishes.  At p = 2, 3 the multiplicity of the multiple root mod p
-decides.
+totally ramified (e = 3) exactly when F mod p is a cube, that is when the
+multiple root of F mod p is triple: the same rule as for maximality, at
+every p.
 """
 
 from __future__ import annotations
@@ -71,7 +95,7 @@ from __future__ import annotations
 from array import array
 from math import gcd, isqrt
 
-from ..arith import divisors, factor, spf_table
+from ..arith import divisors, factor, iroot, spf_table
 from ..errors import InvariantViolation
 from ..permgroup import CycleType
 from ..util import pmap
@@ -315,60 +339,25 @@ def is_irreducible(f: Form) -> bool:
 
 # -- maximality (non-membership in the non-maximal locus at each p) ----------
 
-def _poly_gcd_mod(u: list[int], v: list[int], p: int) -> list[int]:
-    """Monic gcd in F_p[x]; coefficients ascending, zero poly = []."""
+def _multiple_root(f: Form, p: int) -> tuple[int, int, bool]:
+    """(x0, y0, triple): the multiple root [x0:y0] of F mod p, and whether it is triple.
 
-    def trim(w):
-        while w and w[-1] % p == 0:
-            w.pop()
-        return w
-
-    u, v = trim([x % p for x in u]), trim([x % p for x in v])
-    while v:
-        inv = pow(v[-1], p - 2, p)
-        r = u[:]
-        for shift in range(len(r) - len(v), -1, -1):
-            if len(r) < len(v) + shift:
-                continue
-            coef = r[len(v) + shift - 1] * inv % p
-            if coef:
-                for i, vc in enumerate(v):
-                    r[i + shift] = (r[i + shift] - coef * vc) % p
-            trim(r)
-        u, v = v, trim(r)
-    if u:
-        inv = pow(u[-1], p - 2, p)
-        u = [x * inv % p for x in u]
-    return u
-
-
-def _roots_mod_p(f: Form, p: int) -> list[tuple[int, int]]:
-    """Multiple roots of F mod p in P^1(F_p), as integer lifts (x0, y0)."""
+    Assumes p | disc(F) and p does not divide the content of F.
+    """
     a, b, c, d = f
-    out = []
-    if p <= 50:
-        for r in range(p):
-            if _eval_form(f, r, 1) % p == 0 and (3 * a * r * r + 2 * b * r + c) % p == 0:
-                out.append((r, 1))
-        if a % p == 0 and b % p == 0:
-            out.append((1, 0))
-        return out
-    # p >= 53: no residue scan.  Infinite root first.
-    if a % p == 0:
-        if b % p == 0:
-            out.append((1, 0))
-        elif (c * c - 4 * b * d) % p == 0:
-            # F = y*(b x^2 + c x y + d y^2) with a double finite root
-            r = -c * pow(2 * b, p - 2, p) % p
-            out.append((r, 1))
-        return out
-    # a invertible: multiple roots are roots of gcd(fbar, fbar') (p > 3)
-    g = _poly_gcd_mod([d, c, b, a], [c, 2 * b, 3 * a], p)
-    if len(g) == 2:  # x - r
-        out.append((-g[0] % p, 1))
-    elif len(g) == 3:  # (x - r)^2, a triple root of F
-        out.append((-g[1] * pow(2, p - 2, p) % p, 1))
-    return out
+    if p >= 5:
+        hp, hq, hr = hessian(f)
+        if hp % p:
+            return -hq % p, 2 * hp % p, False
+        if hq % p or hr % p:
+            return 1, 0, False
+        if a % p:
+            return -b % p, 3 * a % p, True
+        return 1, 0, True
+    for r in range(p):
+        if _eval_form(f, r, 1) % p == 0 and (3 * a * r * r + 2 * b * r + c) % p == 0:
+            return r, 1, (3 * a * r + b) % p == 0
+    return 1, 0, c % p == 0
 
 
 def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
@@ -385,9 +374,9 @@ def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
     for p, v in factor(abs(d), spf).items():
         if v < 2:
             continue
-        for x0, y0 in _roots_mod_p(f, p):
-            if _eval_form(f, x0, y0) % (p * p) == 0:
-                return False
+        x0, y0, _ = _multiple_root(f, p)
+        if _eval_form(f, x0, y0) % (p * p) == 0:
+            return False
     return True
 
 
@@ -396,26 +385,22 @@ def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
 def _pos_candidates(x: int, a_range):
     """Hessian-reduced candidates with 0 < disc <= x, a in a_range, one per mirror pair."""
     out = []
-    pmax = isqrt(x) + 1
-    x4 = int(x**0.25) + 2
+    pmax = isqrt(x)
+    x4 = iroot(16 * x, 4)
     for a in a_range:
-        bmax = 3 * a + x4
-        for b in range(bmax + 1):
+        for b in range((3 * a + x4) // 2 + 1):
             # c window from 0 < P <= sqrt(X)
             c_lo = -(-(b * b - pmax) // (3 * a))  # ceil
             c_hi = (b * b - 1) // (3 * a)
             for c in range(c_lo, c_hi + 1):
                 p = b * b - 3 * a * c
-                if p <= 0 or p > pmax:
-                    continue
+                # d window from |Q| <= P
                 d_lo = -(-(b * c - p) // (9 * a)) if b else 1
                 d_hi = (b * c + p) // (9 * a)
                 for d in range(d_lo, d_hi + 1):
-                    f = (a, b, c, d)
-                    q = b * c - 9 * a * d
-                    r = c * c - 3 * b * d
-                    if abs(q) > p or r < p:
+                    if c * c - 3 * b * d < p:
                         continue
+                    f = (a, b, c, d)
                     dsc = disc_form(f)
                     if 0 < dsc <= x:
                         out.append((f, dsc))
@@ -425,12 +410,12 @@ def _pos_candidates(x: int, a_range):
 def _neg_candidates(x: int, a_range):
     """Fundamental-domain-reduced candidates with -x <= disc < 0, a in a_range, one per mirror pair."""
     out = []
-    x4 = (x / 3.0) ** 0.25
+    m = isqrt(16 * x // 3)
+    s = iroot(16 * x // 3, 4)
     for a in a_range:
-        bmax = int(1.5 * a + x4) + 2
-        cmax = int(0.75 * a + x4 + (x / 3.0) ** 0.5 / a) + 2
+        cmax = (3 * a * a + 2 * a * (s + 1) + m) // (4 * a)
         a2 = 27 * a * a
-        for b in range(bmax + 1):
+        for b in range((3 * a + s) // 2 + 1):
             for c in range(-cmax, cmax + 1):
                 # disc(d) = -a2 d^2 + a1 d + a0; live window where -x <= disc,
                 # minus the middle where disc >= 0
@@ -461,44 +446,23 @@ def _neg_candidates(x: int, a_range):
 
 
 def _amax_pos(x: int) -> int:
-    return int((4.0 / 27.0) ** 0.5 * x**0.25) + 1
+    return iroot(16 * x // 729, 4)
 
 
 def _amax_neg(x: int) -> int:
-    return int((16.0 * x / 27.0) ** 0.25) + 1
-
-
-def _splitting_data(f: Form, p: int) -> int:
-    """Multiplicity (2 or 3) of the multiple root of F mod p."""
-    mults = _roots_mod_p(f, p)
-    if not mults:
-        raise InvariantViolation(f"p={p} divides disc but no multiple root mod p")
-    x0, y0 = mults[0]
-    a, b, c, d = f
-    if y0 == 1:
-        # F(x + x0, 1) has x^2-coefficient 3 a x0 + b; zero means a triple root
-        triple = (3 * a * x0 + b) % p == 0
-    else:
-        # [1:0]: F(1, y) = a + b y + c y^2 + d y^3, triple iff p | a, b, c
-        triple = c % p == 0
-    return 3 if triple else 2
+    return iroot(16 * x // 27, 4)
 
 
 def _local_data(f: Form, dsc: int, spf: array) -> tuple[LocalRamification, ...]:
     """Local ramification of the field of the maximal form F with disc(F) = dsc.
 
-    Every p | dsc ramifies, with e = 3 exactly when F mod p is a cube: for
-    p >= 5 that is p | P, Q, R (the Hessian), for p = 2, 3 it is read off
-    the multiple root.
+    Every p | dsc ramifies, with e = 3 exactly when the multiple root of F
+    mod p is triple.
     """
-    hp, hq, hr = hessian(f)
     ram = []
     for p, v in factor(abs(dsc), spf).items():
-        if p <= 3:
-            e = _splitting_data(f, p)
-        else:
-            e = 3 if hp % p == 0 and hq % p == 0 and hr % p == 0 else 2
-        if e == 2:
+        _, _, triple = _multiple_root(f, p)
+        if not triple:
             if p == 2:
                 ram.append(
                     LocalRamification(p=2, kind="wild", disc_exponent=v, wild_label=f"2-e2-v{v}")

@@ -5,6 +5,7 @@ import pytest
 
 from malle_lab.convolve import (
     AsymptoticForm,
+    _max_value_with_pow_le,
     CountingSequence,
     csum,
     empirical_fit,
@@ -62,6 +63,16 @@ def test_product_count_rational_weights_threshold_exact():
     one = CountingSequence(entries=[(1, 1)])
     assert product_count_exact(seq, one, Fraction(1, 2), 1, 3) == 1
     assert product_count_exact(seq, one, Fraction(1, 2), 1, Fraction(29999, 10000)) == 0
+    # the root helper under it, against its definition, just off each k^exp
+    for exp in (1, 2, 3, 5):
+        for k in range(12):
+            for den in (2, 3, 10):
+                for shift in (-1, 1):
+                    bound = Fraction(k**exp * den + shift, den)  # denominator den
+                    if bound < 0:
+                        continue
+                    v = _max_value_with_pow_le(exp, bound)
+                    assert v**exp <= bound < (v + 1) ** exp, (exp, bound)
 
 
 def test_insufficient_range():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import random
 from collections import Counter
@@ -231,6 +232,82 @@ def test_maximality_rejects_index_forms():
     # (1, 0, -4, 8) ~ x^3 - 4x + 8 has index 8 in the -23 field
     assert not is_maximal((1, 0, -4, 8))
     assert is_maximal((1, 0, -1, -1))
+
+
+def _multiple_roots_by_scan(f, p):
+    """Every multiple root of F mod p in P^1(F_p) as (x0, y0, triple), by residues."""
+    a, b, c, d = f
+    roots = []
+    for r in range(p):
+        # F(x + r y, y) = a x^3 + (3ar + b) x^2 y + F_x(r, 1) x y^2 + F(r, 1) y^3
+        if (((a * r + b) * r + c) * r + d) % p == 0 and ((3 * a * r + 2 * b) * r + c) % p == 0:
+            roots.append((r, 1, (3 * a * r + b) % p == 0))
+    if a % p == 0 and b % p == 0:
+        roots.append((1, 0, c % p == 0))
+    return roots
+
+
+def test_multiple_root_matches_residue_scan():
+    from malle_lab.fields.cubic import _multiple_root
+
+    def root(f, p):
+        """The point _multiple_root finds, written as [r:1] or [1:0]."""
+        x0, y0, triple = _multiple_root(f, p)
+        if y0 % p == 0:
+            assert x0 % p
+            return 1, 0, triple
+        return x0 * pow(y0, -1, p) % p, 1, triple
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for f in itertools.product(range(p), repeat=4):
+            if any(f) and disc_form(f) % p == 0:
+                assert [root(f, p)] == _multiple_roots_by_scan(f, p), (f, p)
+    # integer forms congruent mod p^2 to one with a double or triple root at
+    # [r:1] or [1:0], so that p^2 | disc, at the primes from 53 to 101
+    rng = random.Random(8)
+    for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101):
+        for _ in range(60):
+            r, u, w = (rng.randrange(-p * p, p * p) for _ in range(3))
+            u = u if u % p else u + 1
+            shapes = (
+                (u, w - 2 * r * u, r * r * u - 2 * r * w, r * r * w),  # (x - ry)^2 (ux + wy)
+                (u, -3 * r * u, 3 * r * r * u, -(r**3) * u),  # u (x - ry)^3
+                (0, 0, u, w),  # y^2 (ux + wy)
+                (0, 0, 0, u),  # u y^3
+            )
+            for g in shapes:
+                f = tuple(gi + p * p * rng.randrange(-5, 6) for gi in g)
+                assert disc_form(f) % (p * p) == 0
+                assert [root(f, p)] == _multiple_roots_by_scan(f, p), (f, p)
+
+
+def test_search_bounds_cover_a_brute_force_box():
+    """The candidate loops find every reduced irreducible form with |disc| <= 400.
+
+    At X = 400 the module docstring bounds give a <= 1 for disc > 0 and a <= 3
+    for disc < 0, b <= 7 and |c| <= 15; |d| <= 6 for disc > 0 (from |Q| <= P)
+    and |d| <= 19 for disc < 0 (from |d| = a |theta| |phi|^2 with |theta| <=
+    1/2 + w and |phi|^2 <= 1/4 + v^2).  The box is at least twice each bound.
+    """
+    from malle_lab.fields import cubic
+
+    x = 400
+    box = {1: set(), -1: set()}
+    for a in range(1, 9):
+        for b in range(17):
+            for c in range(-32, 33):
+                for d in range(1 if b == 0 else -40, 41):
+                    f = (a, b, c, d)
+                    dsc = disc_form(f)
+                    if dsc == 0 or abs(dsc) > x or not is_irreducible(f):
+                        continue
+                    if cubic._hessian_reduced(f) if dsc > 0 else cubic._neg_reduced(f):
+                        box[1 if dsc > 0 else -1].add((f, dsc))
+    pos = cubic._pos_candidates(x, range(1, cubic._amax_pos(x) + 1))
+    neg = cubic._neg_candidates(x, range(1, cubic._amax_neg(x) + 1))
+    assert box[1] == {(f, dsc) for f, dsc in pos if is_irreducible(f)}
+    assert box[-1] == {(f, dsc) for f, dsc in neg if is_irreducible(f)}
+    assert len(box[1]) > 10 and len(box[-1]) > 40
 
 
 def _jsonl(field_list) -> str:
