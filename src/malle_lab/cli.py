@@ -63,6 +63,18 @@ def _exact_int(text: str) -> int:
     return int(value)
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """A positive rational as written, without rounding: "1.15" is 23/20, not the
+    float nearest it; nan, inf and values <= 0 raise ValueError (EXIT_INPUT)."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational: {text!r}") from None
+    if value <= 0:
+        raise ValueError(f"not positive: {text!r}")
+    return value
+
+
 def _cmd_invariants(args) -> int:
     from .invariants import a_invariant, b_invariant_Q, close_group, minimal_index_classes
     from .permgroup import Permutation, cycle_type, embed_product
@@ -289,9 +301,10 @@ def _cmd_sieve_exp(args) -> int:
 
 def _config(args) -> dict:
     # the output path is not part of the computation, so reports written to
-    # different files from the same run configuration stay byte-identical
+    # different files from the same run configuration stay byte-identical;
+    # an exact rational is written in lowest terms, as a JSON string
     return {
-        k: v
+        k: str(v) if isinstance(v, Fraction) else v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None
     }
@@ -365,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wild", default=None, help="wild table JSON (exact mode)")
     p.add_argument("--y-ladder", default=None, help="comma-separated Y cutoffs")
     p.add_argument("--grid-points", type=int, default=16)
-    p.add_argument("--window-slack", type=float, default=1.0)
+    p.add_argument("--window-slack", type=_positive_fraction, default=Fraction(1))
     p.add_argument("--sn-xmax", type=_exact_int, default=None)
     p.add_argument("--ab-xmax", type=_exact_int, default=None)
     p.add_argument("--out", default=None)

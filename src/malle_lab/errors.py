@@ -92,3 +92,7 @@ class NotSquarefree(MalleLabError):
 
 class InsufficientGrid(MalleLabError):
     """Experiment grids must span at least a decade."""
+
+
+class EnvelopeExceeded(MalleLabError):
+    """A lattice count exceeded the allowed multiple of its envelope."""

@@ -1,21 +1,18 @@
 """Lattice points of affine schemes in expanding (sheared) boxes mod q.
 
-Counts #{a in m r B cap Z^n : a mod q in Y(Z/qZ)} two ways:
+Counts #{a in m r B cap Z^n : a mod q in Y(Z/qZ)} by residue classes: solve
+the system mod each prime p of the squarefree q, combine by CRT, and count
+the lattice points of each residue class.  Each polynomial is read as a
+polynomial in x_1 whose coefficients are vectors over the grid (Z/p)^(n-1),
+built once from per-monomial power tables; the loop over x_1 only scales and
+adds them.  The shear is lower-triangular unipotent, so coordinates resolve
+front to back with rational window endpoints: a class steps through the
+windows with stride q.  The oracle `count_points_brute` tests every lattice
+point of the box instead.
 
-  * brute: enumerate the integer points of the sheared box exactly (the
-    shear is lower-triangular unipotent, so coordinates resolve front to
-    back with rational interval endpoints) and test every polynomial mod q;
-  * residue: solve the system mod each prime p of the squarefree q, combine
-    by CRT, and count the lattice points of each residue class by slicing
-    the box with stride q.  Each polynomial is read as a polynomial in x_1
-    whose coefficients are vectors over the grid (Z/p)^(n-1), built once
-    from per-monomial power tables; the loop over x_1 only scales and adds
-    them.  A prime with p^n above the solution cap raises CapExceeded
-    before any grid is allocated.
-
-Both paths agree exactly and feed the scaling/shearing experiments, whose
-log-log slopes are compared against the codimension-k envelope
-r^(n-k) * max(1, (r/q)^k) and its anisotropic analogue
+The counts feed the scaling/shearing experiments, whose log-log slopes are
+compared against the codimension-k envelope r^(n-k) * max(1, (r/q)^k) and its
+anisotropic analogue
 (prod r_i / q^k) * max over index subsets of q^j / (r_{i_1} ... r_{i_j}).
 """
 
@@ -30,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import is_squarefree, prime_factors
-from .errors import CapExceeded, InsufficientGrid, NotSquarefree
+from .errors import CapExceeded, EnvelopeExceeded, InsufficientGrid, NotSquarefree
 
 __all__ = [
     "AffineScheme",
@@ -43,7 +40,6 @@ __all__ = [
     "binary_cubic_disc_scheme",
 ]
 
-DEFAULT_POINT_CAP = 10**7
 DEFAULT_SOLUTION_CAP = 10**7
 
 
@@ -173,50 +169,25 @@ class BoxSpec:
     def with_scaling(self, r) -> "BoxSpec":
         return BoxSpec(self.n_vars, self.intervals, r if isinstance(r, tuple) else (r,), self.shear)
 
-    def volume_bound(self) -> float:
-        out = 1.0
-        for (lo, hi), s in zip(self.intervals, self.scaling):
-            out *= float((hi - lo) * s) + 1
-        return out
 
-    def coordinate_range(self, i: int, y_prefix) -> tuple[Fraction, Fraction]:
-        """Interval of x_i given the unsheared values y_1..y_{i-1}."""
-        lo, hi = self.intervals[i]
-        base = sum(
-            (self.shear[i][j] * y_prefix[j] for j in range(i)), Fraction(0)
-        )
-        return base + lo * self.scaling[i], base + hi * self.scaling[i]
+def _window(box: BoxSpec, i: int, y_prefix) -> tuple[Fraction, int, int]:
+    """Shear offset of x_i given the unsheared y_1..y_{i-1} (0 for an empty
+    prefix), and the integer window [lo, hi] of x_i, with lo <= hi + 1."""
+    lo, hi = box.intervals[i]
+    base = sum((m * y for m, y in zip(box.shear[i], y_prefix)), Fraction(0))
+    return base, math.ceil(base + lo * box.scaling[i]), math.floor(base + hi * box.scaling[i])
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def count_points_brute(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
+    """Oracle for `count_points_mod_q`: test every lattice point of the box mod q."""
 
+    def rec(point, y_prefix):
+        if len(point) == box.n_vars:
+            return scheme.eval_point_mod(point, q)
+        base, lo, hi = _window(box, len(point), y_prefix)
+        return sum(rec(point + (x,), y_prefix + (x - base,)) for x in range(lo, hi + 1))
 
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def iter_lattice_points(box: BoxSpec):
-    """All integer points of the sheared box, exact interval arithmetic."""
-
-    n = box.n_vars
-
-    def rec(i, y_prefix):
-        if i == n:
-            yield ()
-            return
-        lo, hi = box.coordinate_range(i, y_prefix)
-        base = sum((box.shear[i][j] * y_prefix[j] for j in range(i)), Fraction(0))
-        for x in range(_ceil_frac(lo), _floor_frac(hi) + 1):
-            y_i = Fraction(x) - base
-            for rest in rec(i + 1, y_prefix + (y_i,)):
-                yield (x,) + rest
-
-    return rec(0, ())
-
-
-def _count_brute(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
-    return sum(1 for pt in iter_lattice_points(box) if scheme.eval_point_mod(pt, q))
+    return rec((), ())
 
 
 def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
@@ -319,81 +290,50 @@ def _count_residue_class(box: BoxSpec, residue, q: int) -> int:
     n = box.n_vars
 
     def rec(i, y_prefix):
-        if i == n:
-            return 1
-        lo, hi = box.coordinate_range(i, y_prefix)
-        base = sum((box.shear[i][j] * y_prefix[j] for j in range(i)), Fraction(0))
-        start = _ceil_frac(lo)
-        start += (residue[i] - start) % q
-        total = 0
-        x = start
-        hi_int = _floor_frac(hi)
+        base, lo, hi = _window(box, i, y_prefix)
+        xs = range(lo + (residue[i] - lo) % q, hi + 1, q)
         if i == n - 1:
-            if x > hi_int:
-                return 0
-            return (hi_int - x) // q + 1
-        while x <= hi_int:
-            total += rec(i + 1, y_prefix + (Fraction(x) - base,))
-            x += q
-        return total
+            return len(xs)
+        return sum(rec(i + 1, y_prefix + (x - base,)) for x in xs)
 
     return rec(0, ())
 
 
 def _count_residue_axis_aligned(box: BoxSpec, sols: np.ndarray, q: int) -> int:
-    """Vectorized residue counting when the shear is the identity."""
-    total = 0
-    counts_per_coord = []
-    for i in range(box.n_vars):
-        lo = box.intervals[i][0] * box.scaling[i]
-        hi = box.intervals[i][1] * box.scaling[i]
-        lo_i, hi_i = _ceil_frac(lo), _floor_frac(hi)
-        cnt = np.zeros(q, dtype=np.int64)
-        for r in range(q):
-            start = lo_i + (r - lo_i) % q
-            cnt[r] = 0 if start > hi_i else (hi_i - start) // q + 1
-        counts_per_coord.append(cnt)
-    prod = np.ones(sols.shape[0], dtype=np.int64)
-    for i in range(box.n_vars):
-        prod *= counts_per_coord[i][sols[:, i] % q]
-    total = int(prod.sum())
-    return total
+    """Vectorized residue counting when the shear is the identity: a class
+    counts the product of its progressions, each of length >= 0 as lo <= hi + 1."""
+    r = np.arange(q, dtype=object)
+    counts = [
+        (hi - lo - (r - lo) % q) // q + 1
+        for _, lo, hi in (_window(box, i, ()) for i in range(box.n_vars))
+    ]
+    # int64 would wrap silently past 2^63; Python integers take over there
+    dtype = np.int64 if sols.shape[0] * math.prod(c.max() for c in counts) < 2**63 else object
+    prod = np.ones(sols.shape[0], dtype=dtype)
+    for c, col in zip(counts, sols.T):
+        prod *= c.astype(dtype)[col]
+    return int(prod.sum())
 
 
 def _is_identity_shear(box: BoxSpec) -> bool:
-    return all(
-        box.shear[i][j] == (1 if i == j else 0)
-        for i in range(box.n_vars)
-        for j in range(i + 1)
-    )
+    # BoxSpec keeps the shear unipotent, so only the entries below the
+    # diagonal can differ from the identity
+    return all(e == 0 for i, row in enumerate(box.shear) for e in row[:i])
 
 
-def count_points_mod_q(
-    scheme: AffineScheme,
-    box: BoxSpec,
-    q: int,
-    method: str = "auto",
-    point_cap: float = DEFAULT_POINT_CAP,
-) -> int:
-    """#{a in the sheared box cap Z^n : a mod q in Y(Z/qZ)}."""
+def count_points_mod_q(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
+    """#{a in the sheared box cap Z^n : a mod q in Y(Z/qZ)}, by residue classes.
+
+    Raises NotSquarefree unless q >= 1 is squarefree, and CapExceeded when a
+    prime p of q has p^n above the solution cap 10^7, however small the box
+    (for n = 4, every p >= 59).
+    """
     if scheme.n_vars != box.n_vars:
         raise ValueError("scheme and box dimension mismatch")
-    if q < 1 or not is_squarefree(q):
-        raise NotSquarefree(f"q = {q}")
-    if method == "auto":
-        method = "residue" if box.volume_bound() > 2 * 10**5 else "brute"
-    if method == "brute":
-        if box.volume_bound() > point_cap:
-            raise CapExceeded(
-                f"box holds ~{box.volume_bound():.2g} points, cap {point_cap:.2g}"
-            )
-        return _count_brute(scheme, box, q)
-    if method != "residue":
-        raise ValueError("method must be auto, brute or residue")
     sols = solutions_mod_q(scheme, q)
     if _is_identity_shear(box):
         return _count_residue_axis_aligned(box, sols, q)
-    return sum(_count_residue_class(box, tuple(int(v) for v in s), q) for s in sols)
+    return sum(_count_residue_class(box, s, q) for s in sols.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +380,7 @@ def scaling_experiment(scheme: AffineScheme, r_grid, q_grid, box: BoxSpec | None
     counts = {}
     for r in r_grid:
         for q in q_grid:
-            c = count_points_mod_q(scheme, box.with_scaling(r), q, method="residue")
+            c = count_points_mod_q(scheme, box.with_scaling(r), q)
             counts[(r, q)] = c
             entries.append((r, q, c))
     r_top = max(r_grid)
@@ -479,12 +419,10 @@ def scaling_experiment(scheme: AffineScheme, r_grid, q_grid, box: BoxSpec | None
 def _crt_residuals(scheme, box, r, q_grid) -> tuple:
     """Exact multiplicativity check: counts of solutions mod coprime parts."""
     out = []
-    from math import gcd
-
     qs = sorted(set(q_grid))
     for i, q1 in enumerate(qs):
         for q2 in qs[i + 1 :]:
-            if gcd(q1, q2) != 1 or (q1 * q2) ** scheme.n_vars > 10**7:
+            if math.gcd(q1, q2) != 1 or (q1 * q2) ** scheme.n_vars > 10**7:
                 continue
             s12 = _brute_solution_count(scheme, q1 * q2)
             s1 = _brute_solution_count(scheme, q1)
@@ -534,7 +472,7 @@ def sheared_experiment(
         for q in q_grid:
             for shear in shears:
                 b = BoxSpec(n, box.intervals, rv, shear)
-                c = count_points_mod_q(scheme, b, q, method="brute")
+                c = count_points_mod_q(scheme, b, q)
                 entries.append((tuple(float(r) for r in rv), q, c))
                 env = float(np.prod([float(r) for r in rv])) / q**k
                 sorted_r = sorted(float(r) for r in rv)
@@ -545,7 +483,7 @@ def sheared_experiment(
                 ratios.append((tuple(float(r) for r in rv), q, c / (env * worst)))
     max_ratio = max(r[2] for r in ratios)
     if max_ratio > envelope_factor:
-        raise AssertionError(
+        raise EnvelopeExceeded(
             f"count exceeded {envelope_factor} x the anisotropic envelope: {max_ratio:.2f}"
         )
     return ExperimentReport(

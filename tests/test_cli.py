@@ -216,3 +216,33 @@ def test_count_pairs_cli_input_errors_exit_2(capsys, tmp_path):
     # x_max must be an exact integer, and no smaller than the last |disc|
     for flag, text in [("--sn-xmax", "1.5"), ("--ab-xmax", "1e-3"), ("--ab-xmax", "48")]:
         assert run(["count-pairs", "--x", "1e6", flag, text] + files, capsys)[0] == 2
+
+
+def test_count_pairs_cli_parses_window_slack_exactly(capsys, tmp_path):
+    from malle_lab.fields.cubic import enumerate_cubic
+    from malle_lab.fields.cyclic import enumerate_cyclic
+
+    ab = tmp_path / "c3.jsonl"
+    with open(ab, "w") as fh:
+        enumerate_cyclic(3, 1000).write_jsonl(fh)
+    files = {}
+    for x_max in (139, 140):
+        files[x_max] = tmp_path / f"cubics{x_max}.jsonl"
+        with open(files[x_max], "w") as fh:
+            enumerate_cubic(x_max).write_jsonl(fh)
+
+    def argv(slack, x_max):
+        return ["count-pairs", "--x", "8e6", "--window-slack", slack,
+                "--sn-fields", str(files[x_max]), "--sn-xmax", str(x_max),
+                "--abelians", str(ab), "--ab-xmax", "1000"]
+
+    # X = 8e6 windows K to floor(200 * 7/10) = 140, so a list complete to
+    # 139 is refused; the binary float nearest 0.7 would window K to 139
+    assert main(argv("0.7", 139)) == 2
+    assert "window needs 140" in capsys.readouterr().err
+    code, out = run(argv("0.7", 140), capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["window_slack"] == "7/10"
+    assert run(argv("7/10", 140), capsys) == (0, out)
+    for text in ["nan", "inf", "0", "-0.5", "1/0", "ten"]:
+        assert run(argv(text, 140), capsys)[0] == 2

@@ -16,6 +16,7 @@ import malle_lab
 ORACLES = {
     "count_pairs_brute",
     "product_count_brute",
+    "count_points_brute",
     "cyclic_count_oracle",
     "cubic_fields_by_polynomials",
 }
@@ -42,8 +43,8 @@ def _imports_polysearch(node) -> bool:
 
 def test_oracles_are_listed_in_the_package_docstring():
     doc = malle_lab.__doc__
-    for name in ("count_pairs_brute", "product_count_brute", "cyclic_count_oracle",
-                 "fields.polysearch"):
+    for name in ("count_pairs_brute", "product_count_brute", "count_points_brute",
+                 "cyclic_count_oracle", "fields.polysearch"):
         assert name in doc.split("Oracles", 1)[1]
 
 

@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from malle_lab.errors import CapExceeded, InsufficientGrid, NotSquarefree
+from malle_lab.errors import CapExceeded, EnvelopeExceeded, InsufficientGrid, NotSquarefree
 from malle_lab.sieve import (
     AffineScheme,
     BoxSpec,
     binary_cubic_disc_scheme,
+    count_points_brute,
     count_points_mod_q,
     scaling_experiment,
     sheared_experiment,
@@ -30,8 +31,8 @@ def plane_codim2(n=3):
 def test_linear_closed_form():
     # {x1 = 0} in A^2, r = 10, q = 5: (2*floor(10/5)+1) * (2*10+1) = 105
     box = BoxSpec(2, scaling=(10,))
-    assert count_points_mod_q(line_scheme(), box, 5, method="brute") == 105
-    assert count_points_mod_q(line_scheme(), box, 5, method="residue") == 105
+    assert count_points_brute(line_scheme(), box, 5) == 105
+    assert count_points_mod_q(line_scheme(), box, 5) == 105
     # codim 2, r = 10, q = 5: 5 * 5 * 21 in A^3... {x1=x2=0} in A^2: 25
     box2 = BoxSpec(2, scaling=(10,))
     scheme2 = AffineScheme.coordinate_subspace(2, 2)
@@ -50,8 +51,8 @@ def test_dual_path_agreement_nonlinear():
     scheme = binary_cubic_disc_scheme()
     for r, q in [(4, 5), (5, 6), (6, 7)]:
         box = BoxSpec(4, scaling=(r,))
-        brute = count_points_mod_q(scheme, box, q, method="brute")
-        res = count_points_mod_q(scheme, box, q, method="residue")
+        brute = count_points_brute(scheme, box, q)
+        res = count_points_mod_q(scheme, box, q)
         assert brute == res
 
 
@@ -59,8 +60,8 @@ def test_dual_path_agreement_sheared():
     scheme = line_scheme(2)
     shear = ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(1)))
     box = BoxSpec(2, scaling=(9,), shear=shear)
-    brute = count_points_mod_q(scheme, box, 5, method="brute")
-    res = count_points_mod_q(scheme, box, 5, method="residue")
+    brute = count_points_brute(scheme, box, 5)
+    res = count_points_mod_q(scheme, box, 5)
     assert brute == res
 
 
@@ -70,9 +71,7 @@ def test_shear_preserves_symmetric_counts():
     for r in (6, 10, 15):
         plain = count_points_mod_q(scheme, BoxSpec(2, scaling=(r,)), 5)
         shear = ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(1)))
-        sheared = count_points_mod_q(
-            scheme, BoxSpec(2, scaling=(r,), shear=shear), 5, method="brute"
-        )
+        sheared = count_points_brute(scheme, BoxSpec(2, scaling=(r,), shear=shear), 5)
         assert plain == sheared
 
 
@@ -81,6 +80,15 @@ def test_anisotropic_closed_form():
     scheme = line_scheme(2)
     box = BoxSpec(2, scaling=(100, 10))
     assert count_points_mod_q(scheme, box, 30) == (2 * 3 + 1) * 21
+
+
+def test_count_past_int64_is_exact():
+    # (2 * 10^5 + 1)^4 > 2^63: the identity-shear counter must not wrap
+    scheme = AffineScheme.coordinate_subspace(4, 1)
+    box = BoxSpec(4, scaling=(10**5,))
+    for q in (1, 7):
+        want = (2 * (10**5 // q) + 1) * (2 * 10**5 + 1) ** 3
+        assert count_points_mod_q(scheme, box, q) == want
 
 
 def test_crt_multiplicativity_exact():
@@ -106,10 +114,17 @@ def test_not_squarefree():
 
 
 def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        count_points_mod_q(
-            line_scheme(), BoxSpec(2, scaling=(10**6,)), 5, method="brute", point_cap=10**4
-        )
+    # 59^4 residues exceed the solution cap: a box of 7^4 points is still
+    # counted by residue classes, and the grid is refused before it exists
+    from malle_lab import sieve
+
+    def no_grid(*args):
+        raise AssertionError("residue grid allocated")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_solutions_mod_p", no_grid)
+        with pytest.raises(CapExceeded):
+            count_points_mod_q(binary_cubic_disc_scheme(), BoxSpec(4, scaling=(3,)), 59)
 
 
 def test_residue_grid_cap():
@@ -242,3 +257,52 @@ def test_sheared_experiment_envelope_and_identity():
         seed=7,
     )
     assert rep.entries == rep2.entries
+
+
+def _random_shear(rng, n):
+    """Lower-triangular unipotent, with non-integer entries below the diagonal."""
+    return tuple(
+        tuple(
+            Fraction(1) if j == i
+            else Fraction(rng.randint(-9, 9), rng.randint(2, 4)) if j < i
+            else Fraction(0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def test_residue_count_matches_point_walk():
+    rng = random.Random(20261018)
+    # at most 2 * side + 1 lattice values per coordinate keeps each walk small
+    side = {1: 60, 2: 14, 3: 6, 4: 3}
+    nonzero = 0
+    for case in range(100):
+        n = case % 4 + 1
+        q = rng.choice([1, 2, 3, 5, 6, 7, 10, 15, 21, 30])
+        scheme = _random_scheme(rng, n, q)
+        while not solutions_mod_q(scheme, q).size:
+            scheme = _random_scheme(rng, n, q)
+        intervals = []
+        for _ in range(n):
+            lo = Fraction(rng.randint(-8, 4), rng.randint(1, 4))
+            intervals.append((lo, lo + Fraction(rng.randint(0, 8), 4)))
+        scaling = tuple(Fraction(rng.randint(1, side[n]), rng.randint(1, 3)) for _ in range(n))
+        # one case in five takes the identity-shear counter
+        shear = None if case % 5 == 0 else _random_shear(rng, n)
+        box = BoxSpec(n, tuple(intervals), scaling, shear)
+        got = count_points_mod_q(scheme, box, q)
+        assert got == count_points_brute(scheme, box, q), (scheme, box, q)
+        nonzero += got > 0
+    assert nonzero >= 40
+
+
+def test_sheared_experiment_envelope_exceeded():
+    with pytest.raises(EnvelopeExceeded):
+        sheared_experiment(
+            line_scheme(2),
+            r_vector_grid=[(8, 8), (20, 20), (90, 30)],
+            q_grid=[2, 5, 23],
+            shear_samples=1,
+            envelope_factor=1e-3,
+        )
