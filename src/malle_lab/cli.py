@@ -2,14 +2,18 @@
 
 Reports embed the resolved configuration and the package version; identical
 configurations produce byte-identical reports regardless of worker count.
-Exit codes: 0 success, 1 verification failure, 2 input/usage error.
+Every report goes to stdout, or to the file named by `--out`.
+
+Exit codes: 0 success, 1 verification failure, 2 input or usage error: a bad
+flag value, a missing file, or a malformed input file (JSONL field list, wild
+table, r_k table or scheme), reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 from decimal import Decimal, InvalidOperation
@@ -17,35 +21,42 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import MalleLabError
-from .util import worker_count
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
+def _output(args):
+    """The `--out` file, or stdout when there is none, as a context manager."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(args, payload: dict, config: dict):
     report = {"version": __version__, "config": config, "report": payload}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(args, header, rows, config: dict):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["# version", __version__])
-    writer.writerow(["# config", json.dumps(config, sort_keys=True)])
-    writer.writerow(header)
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    with _output(args) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["# version", __version__])
+        writer.writerow(["# config", json.dumps(config, sort_keys=True)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path: str, from_json):
+    """What `from_json` builds from the JSON file at `path`; a file of the wrong
+    shape (a missing key, a value of the wrong type, a zero denominator) raises
+    ValueError (EXIT_INPUT)."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    try:
+        return from_json(obj)
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {path}: {exc!r}") from None
 
 
 def _exact_int(text: str) -> int:
@@ -75,18 +86,23 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _parse_generators(text: str, degree: int | None) -> list:
+    """A ';'-separated generator list, each lifted to the largest degree among them."""
+    from .permgroup import Permutation
+
+    tokens = text.split(";")
+    top = max(Permutation.parse(tok, degree=degree).degree for tok in tokens)
+    return [Permutation.parse(tok, degree=top) for tok in tokens]
+
+
 def _cmd_invariants(args) -> int:
     from .invariants import a_invariant, b_invariant_Q, close_group, minimal_index_classes
     from .permgroup import Permutation, cycle_type, embed_product
 
-    gens = [Permutation.parse(tok, degree=args.degree) for tok in args.generators.split(";")]
-    degree = max(g.degree for g in gens)
-    gens = [Permutation.parse(tok, degree=degree) for tok in args.generators.split(";")]
+    gens = _parse_generators(args.generators, args.degree)
     if args.product:
-        gens2 = [Permutation.parse(tok, degree=args.product_degree) for tok in args.product.split(";")]
-        d2 = max(g.degree for g in gens2)
-        gens2 = [Permutation.parse(tok, degree=d2) for tok in args.product.split(";")]
-        e1, e2 = Permutation.identity(degree), Permutation.identity(d2)
+        gens2 = _parse_generators(args.product, args.product_degree)
+        e1, e2 = Permutation.identity(gens[0].degree), Permutation.identity(gens2[0].degree)
         gens = [embed_product(g, e2) for g in gens] + [embed_product(e1, g) for g in gens2]
     group = close_group(gens, order_cap=args.order_cap)
     payload = {
@@ -119,11 +135,7 @@ def _cmd_verify_lemmas(args) -> int:
 
     a = AbelianGroupSpec.parse(args.group)
     delta = verify_delta(args.n, a)
-    if args.rk == "default":
-        rk = RkTable.default(args.n)
-    else:
-        with open(args.rk) as fh:
-            rk = RkTable.from_json(json.load(fh))
+    rk = RkTable.default(args.n) if args.rk == "default" else _read_json(args.rk, RkTable.from_json)
     unin = verify_unin(args.n, a, rk)
     payload = {
         "delta": {
@@ -176,7 +188,7 @@ def _cmd_convolve(args) -> int:
 
     s1 = _parse_sequence(args.s1)
     s2 = _parse_sequence(args.s2)
-    a, b = Fraction(args.a), Fraction(args.b)
+    a, b = _positive_fraction(args.a), _positive_fraction(args.b)
     x = _exact_int(args.x)
     count = product_count_exact(s1, s2, a, b, x)
     payload = {"count": count, "x": x, "a": str(a), "b": str(b)}
@@ -191,23 +203,19 @@ def _cmd_enumerate_cyclic(args) -> int:
     from .fields.cyclic import enumerate_cyclic
 
     fl = enumerate_cyclic(args.l, _exact_int(args.x))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fl.write_jsonl(fh)
-    else:
-        fl.write_jsonl(sys.stdout)
+    with _output(args) as fh:
+        fl.write_jsonl(fh)
     return EXIT_OK
 
 
 def _cmd_enumerate_cubic(args) -> int:
     from .fields.cubic import enumerate_cubic
 
-    fl = enumerate_cubic(_exact_int(args.x), workers=worker_count(args.workers))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fl.write_jsonl(fh)
-    else:
-        fl.write_jsonl(sys.stdout)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    fl = enumerate_cubic(_exact_int(args.x), workers=args.workers)
+    with _output(args) as fh:
+        fl.write_jsonl(fh)
     return EXIT_OK
 
 
@@ -239,10 +247,7 @@ def _cmd_count_pairs(args) -> int:
         sn_list = parse_field_file(fh, x_max=args.sn_xmax)
     with open(args.abelians) as fh:
         ab_list = parse_field_file(fh, x_max=args.ab_xmax)
-    wild = WildTable()
-    if args.wild:
-        with open(args.wild) as fh:
-            wild = WildTable.from_json(json.load(fh))
+    wild = _read_json(args.wild, WildTable.from_json) if args.wild else WildTable()
     x = _exact_int(args.x)
     y_ladder = tuple(int(t) for t in args.y_ladder.split(",")) if args.y_ladder else ()
     rep = count_pairs(
@@ -287,8 +292,7 @@ def _cmd_euler_constant(args) -> int:
 def _cmd_sieve_exp(args) -> int:
     from .sieve import AffineScheme, scaling_experiment
 
-    with open(args.scheme) as fh:
-        scheme = AffineScheme.from_json(json.load(fh))
+    scheme = _read_json(args.scheme, AffineScheme.from_json)
     r_grid = [int(t) for t in args.r.split(",")]
     q_grid = [int(t) for t in args.q.split(",")]
     rep = scaling_experiment(scheme, r_grid, q_grid)
@@ -324,20 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", default=None, help="generators of a second factor")
     p.add_argument("--product-degree", type=int, default=None)
     p.add_argument("--order-cap", type=int, default=10**6)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("tame-table", help="compositum exponent table for S_3 x C_{l^k}")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tame_table)
 
     p = sub.add_parser("verify-lemmas", help="ratio and uniformity inequalities for S_n x A")
     p.add_argument("--n", type=int, required=True, choices=(3, 4, 5))
     p.add_argument("--group", required=True, help="abelian spec, e.g. '5' or '3x3'")
     p.add_argument("--rk", default="default", help="'default' or a JSON path")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("convolve", help="exact product-distribution count")
@@ -347,19 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--predicted", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_convolve)
 
     p = sub.add_parser("enumerate-cyclic", help="cyclic degree-l fields by conductor")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate_cyclic)
 
     p = sub.add_parser("enumerate-cubic", help="S_3 cubic fields by reduced forms")
     p.add_argument("--x", required=True)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
     p.set_defaults(func=_cmd_enumerate_cubic)
 
     p = sub.add_parser("abelian-uniformity", help="forced-ramification count ratios")
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="comma-separated squarefree q grid")
     p.add_argument("--x", required=True)
     p.add_argument("--bound", type=float, default=None, help="fail (exit 1) above this ratio")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_abelian_uniformity)
 
     p = sub.add_parser("count-pairs", help="pair counting with truncations")
@@ -381,22 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-slack", type=_positive_fraction, default=Fraction(1))
     p.add_argument("--sn-xmax", type=_exact_int, default=None)
     p.add_argument("--ab-xmax", type=_exact_int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_count_pairs)
 
     p = sub.add_parser("euler-constant", help="partial Euler product of the pair constant")
     p.add_argument("--pmax", required=True)
     p.add_argument("--c3", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_euler_constant)
 
     p = sub.add_parser("sieve-exp", help="lattice-point scaling experiment")
     p.add_argument("--scheme", required=True, help="scheme JSON path")
     p.add_argument("--r", required=True, help="comma-separated r grid")
     p.add_argument("--q", required=True, help="comma-separated squarefree q grid")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sieve_exp)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write the report here, not to stdout")
     return parser
 
 
@@ -408,13 +404,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MalleLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (FileNotFoundError, MalleLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

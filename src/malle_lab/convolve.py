@@ -150,19 +150,25 @@ class CountingSequence:
             yield val, m
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+def _exact_fraction(x) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, a float included, is
+    refused with TypeError, since an exact count must not round its input."""
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
+    raise TypeError(f"an exact count needs an int or Fraction, got {x!r}")
+
+
+def _as_fraction(x) -> Fraction:
+    """As `_exact_fraction`, but a float is taken to 9 digits: for estimates only."""
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**9)
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    return _exact_fraction(x)
 
 
 def product_count_exact(s1: CountingSequence, s2: CountingSequence, a, b, x) -> int:
-    """Exact #{(s1, s2) : s1^a s2^b <= x} via the hyperbola split."""
-    a, b, x = _as_fraction(a), _as_fraction(b), _as_fraction(x)
+    """Exact #{(s1, s2) : s1^a s2^b <= x} via the hyperbola split; a, b and x
+    must be ints or Fractions (TypeError for a float)."""
+    a, b, x = _exact_fraction(a), _exact_fraction(b), _exact_fraction(x)
     if a <= 0 or b <= 0:
         raise ValueError("weights must be positive")
     if x < 1:
@@ -186,7 +192,7 @@ def product_count_exact(s1: CountingSequence, s2: CountingSequence, a, b, x) -> 
 
 def product_count_brute(s1: CountingSequence, s2: CountingSequence, a, b, x) -> int:
     """O(|S1|*|S2|) reference double loop (test oracle)."""
-    a, b, x = _as_fraction(a), _as_fraction(b), _as_fraction(x)
+    a, b, x = _exact_fraction(a), _exact_fraction(b), _exact_fraction(x)
     lcm_den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
     alpha, beta, xp = int(a * lcm_den), int(b * lcm_den), x**lcm_den
     v1max = _max_value_with_pow_le(alpha, xp)

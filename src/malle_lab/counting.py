@@ -40,7 +40,6 @@ where the exact value is the interval's lower end.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ from .errors import (
     LemmaFails,
     MissingWildEntry,
 )
-from .fields.records import FieldList, FieldRecord, LocalRamification
+from .fields.records import FieldList, FieldRecord, LocalRamification, json_typed
 from .permgroup import product_index_general
 from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, verify_unin
 
@@ -92,20 +91,14 @@ class WildTable:
 
     @classmethod
     def from_json(cls, obj) -> "WildTable":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        """{"pairs": [{"k_label": "3-e3-v4", "l_label": "3-C3-cond-9", "exp": 14}]}:
+        string labels and an integer exp, else TypeError."""
         entries = {}
         for row in obj.get("pairs", []):
-            entries[(str(row["k_label"]), str(row["l_label"]))] = int(row["exp"])
+            k_label = json_typed(row["k_label"], str, "k_label")
+            l_label = json_typed(row["l_label"], str, "l_label")
+            entries[(k_label, l_label)] = json_typed(row["exp"], int, "exp")
         return cls(entries)
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [
-                {"k_label": k, "l_label": l, "exp": e}
-                for (k, l), e in sorted(self.entries.items())
-            ]
-        }
 
     def lookup(self, k_label: str, l_label: str) -> int | None:
         return self.entries.get((k_label, l_label))
@@ -302,11 +295,12 @@ def _first_of_each_label(records):
     return first.values()
 
 
-def _uniform_degree(field_list: FieldList, side: str) -> int:
+def _uniform_degree(field_list: FieldList, side: str) -> int | None:
+    """The one degree of the list's records, None for an empty list."""
     degrees = {r.degree for r in field_list.records}
-    if len(degrees) != 1:
+    if len(degrees) > 1:
         raise InadmissiblePair(f"{side} list mixes degrees {sorted(degrees)}")
-    return degrees.pop()
+    return degrees.pop() if degrees else None
 
 
 def count_pairs(
@@ -343,27 +337,22 @@ def count_pairs(
     when no shared prime is wild on either side, so a wild-table entry below
     the marginal lower end is still composed and still raises the warning.
     Both lists must have a single degree each (InadmissiblePair otherwise).
+    An empty list must still be complete over the window that the other
+    list's degree fixes.
     """
     if mode not in ("exact", "interval"):
         raise ValueError("mode must be exact or interval")
     if grid is None:
         grid = default_grid(x)
     grid = tuple(sorted(g for g in grid if g <= x))
-    if not sn_list.records or not ab_list.records:
-        zeros = tuple(0 for _ in grid)
-        exponent = (
-            Fraction(1, _uniform_degree(ab_list, "abelian")) if ab_list.records else Fraction(1)
-        )
-        return CountReport(
-            grid=grid, n_lo=zeros, n_hi=zeros,
-            n_y={y: zeros for y in y_ladder}, fit=None,
-            fit_exponent=exponent, mode=mode,
-        )
     deg_k = _uniform_degree(sn_list, "S_n")
     deg_l = _uniform_degree(ab_list, "abelian")
-    # exact: slack 1 keeps the integer root as it is; X < 0 windows nothing
+    # exact: slack 1 keeps the integer root as it is; X < 0 windows nothing,
+    # and neither does an empty list on the other side: it fixes no degree
     slack = Fraction(window_slack)
-    k_window, l_window = (math.floor(iroot(max(x, 0), d) * slack) for d in (deg_l, deg_k))
+    k_window, l_window = (
+        math.floor(iroot(max(x, 0), d) * slack) if d else 0 for d in (deg_l, deg_k)
+    )
     if sn_list.x_max < k_window:
         raise IncompleteList(
             f"S_n list complete to {sn_list.x_max}, window needs {k_window}"
@@ -374,15 +363,20 @@ def count_pairs(
         )
     ks = sn_list.upto(k_window)
     ls = ab_list.upto(l_window)
-    if ks and ls:
-        # with one degree per list, admissibility depends only on each
-        # record's group label; checking (K_0, L) then (K, L_0) over the first
-        # record of each label raises what the first inadmissible pair in
-        # K-major order would
-        for l_rec in _first_of_each_label(ls):
-            _check_admissible(ks[0], l_rec)
-        for k_rec in _first_of_each_label(ks):
-            _check_admissible(k_rec, ls[0])
+    if not ks or not ls:
+        zeros = tuple(0 for _ in grid)
+        return CountReport(
+            grid=grid, n_lo=zeros, n_hi=zeros,
+            n_y={y: zeros for y in y_ladder}, fit=None,
+            fit_exponent=Fraction(1, deg_l or 1), mode=mode,
+        )
+    # with one degree per list, admissibility depends only on each record's
+    # group label; checking (K_0, L) then (K, L_0) over the first record of
+    # each label raises what the first inadmissible pair in K-major order would
+    for l_rec in _first_of_each_label(ls):
+        _check_admissible(ks[0], l_rec)
+    for k_rec in _first_of_each_label(ks):
+        _check_admissible(k_rec, ls[0])
     l_by_prime = defaultdict(list)
     for j, l_rec in enumerate(ls):
         for loc in l_rec.ramification:

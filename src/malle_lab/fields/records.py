@@ -10,7 +10,8 @@ The disc sign is preserved on the record; counting uses the absolute value.
 Every record must satisfy |disc| = prod p^e over its ramification entries,
 every p must be prime, and tame entries must have a cycle type of the
 record's degree and exponent = ind(cycle_type) with p coprime to the
-ramification index.
+ramification index.  Nothing is coerced: degree, disc, p, exp and every
+cycle-type part must be JSON integers, and group, kind and label JSON strings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..arith import is_prime
 from ..errors import InvariantViolation, MalformedLine
 from ..permgroup import CycleType, index_of
 
-__all__ = ["LocalRamification", "FieldRecord", "FieldList", "parse_field_file"]
+__all__ = ["LocalRamification", "FieldRecord", "FieldList", "json_typed", "parse_field_file"]
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,18 @@ class FieldList:
             stream.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
 
 
+def json_typed(value, kind: type, what: str):
+    """`value` if its type is exactly `kind`, else TypeError.
+
+    Outside values are never coerced: int admits neither 1.0 nor True (both
+    compare equal to 1), and str admits no number.
+    """
+    if type(value) is not kind:
+        name = "integer" if kind is int else "string"
+        raise TypeError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _record_from_obj(obj: dict, lineno: int, cycle_types: dict, primes: set) -> FieldRecord:
     """One validated record.
 
@@ -150,54 +163,44 @@ def _record_from_obj(obj: dict, lineno: int, cycle_types: dict, primes: set) -> 
     ramified p already found prime, so each is checked once per file.
     """
     try:
-        degree = int(obj["degree"])
-        group = str(obj["group"])
-        disc = int(obj["disc"])
+        degree = json_typed(obj["degree"], int, "degree")
+        group = json_typed(obj["group"], str, "group")
+        disc = json_typed(obj["disc"], int, "disc")
         ram_objs = obj.get("ram", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedLine(lineno, f"bad record fields: {exc}")
     if disc == 0:
         raise MalformedLine(lineno, "disc must be nonzero")
     ram = []
-    for r in ram_objs:
-        try:
-            p = int(r["p"])
-            kind = str(r["kind"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedLine(lineno, f"bad ramification entry: {exc}")
-        if p not in primes:
-            if not is_prime(p):
-                raise MalformedLine(lineno, f"ramified p = {p} is not prime")
-            primes.add(p)
-        if kind == "tame":
-            if "cycle_type" not in r:
-                raise MalformedLine(lineno, "tame entry needs cycle_type")
-            parts = r["cycle_type"]
-            # int parts only: 1.0 and True compare equal to 1 but do not validate alike
-            key = tuple(parts) if all(type(k) is int for k in parts) else None
-            ct = cycle_types.get(key)
-            if ct is None:
-                ct = CycleType.from_parts(parts)
-                if key is not None:
-                    cycle_types[key] = ct
-            if ct.degree != degree:
-                raise MalformedLine(
-                    lineno, f"cycle type {list(ct.parts)} on a degree-{degree} record"
+    try:
+        for r in ram_objs:
+            p = json_typed(r["p"], int, "p")
+            kind = json_typed(r["kind"], str, "kind")
+            if p not in primes:
+                if not is_prime(p):
+                    raise MalformedLine(lineno, f"ramified p = {p} is not prime")
+                primes.add(p)
+            if kind == "tame":
+                parts = tuple(json_typed(k, int, "cycle type part") for k in r["cycle_type"])
+                ct = cycle_types.get(parts)
+                if ct is None:
+                    ct = cycle_types[parts] = CycleType.from_parts(parts)
+                if ct.degree != degree:
+                    raise MalformedLine(
+                        lineno, f"cycle type {list(ct.parts)} on a degree-{degree} record"
+                    )
+                exp = json_typed(r.get("exp", index_of(ct)), int, "exp")
+                ram.append(
+                    LocalRamification(p=p, kind="tame", disc_exponent=exp, tame_cycle_type=ct)
                 )
-            exp = int(r.get("exp", index_of(ct)))
-            ram.append(
-                LocalRamification(p=p, kind="tame", disc_exponent=exp, tame_cycle_type=ct)
-            )
-        elif kind == "wild":
-            if "label" not in r or "exp" not in r:
-                raise MalformedLine(lineno, "wild entry needs label and exp")
-            ram.append(
-                LocalRamification(
-                    p=p, kind="wild", disc_exponent=int(r["exp"]), wild_label=str(r["label"])
-                )
-            )
-        else:
-            raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
+            elif kind == "wild":
+                exp = json_typed(r["exp"], int, "exp")
+                label = json_typed(r["label"], str, "label")
+                ram.append(LocalRamification(p=p, kind="wild", disc_exponent=exp, wild_label=label))
+            else:
+                raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedLine(lineno, f"bad ramification entry: {exc}")
     return FieldRecord(
         degree=degree,
         group_label=group,

@@ -165,23 +165,14 @@ def b_invariant_Q(group: PermutationGroup) -> int:
     a_val = min(c.index for c in classes if c.index > 0)
     minimal = [ci for ci, c in enumerate(classes) if c.index == a_val]
     exp = group.exponent()
-    parent = {ci: ci for ci in minimal}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(1, exp):
-        if gcd(a, exp) != 1:
-            continue
-        for ci in minimal:
-            img = class_of[_power(classes[ci].representative, a).images]
-            ra, rb = find(ci), find(img)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(ci) for ci in minimal})
+    units = [a for a in range(1, exp) if gcd(a, exp) == 1]
+    # the power maps form a group action, so two orbits are equal or disjoint
+    # and b is the number of distinct orbits {class(rep^a) : a a unit}
+    orbits = {
+        frozenset(class_of[_power(classes[ci].representative, a).images] for a in units)
+        for ci in minimal
+    }
+    return len(orbits)
 
 
 def minimal_index_classes(group: PermutationGroup) -> list[ConjugacyClass]:

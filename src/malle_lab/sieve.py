@@ -18,7 +18,6 @@ anisotropic analogue
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -65,8 +64,6 @@ class AffineScheme:
 
     @classmethod
     def from_json(cls, obj) -> "AffineScheme":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         polys = tuple(
             tuple((int(c), tuple(int(e) for e in exps)) for c, exps in poly)
             for poly in obj["polys"]

@@ -18,7 +18,6 @@ separate sub-case, never folded into the main verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
@@ -239,8 +238,6 @@ class RkTable:
     @classmethod
     def from_json(cls, obj) -> "RkTable":
         """{"n": 3, "rk": [{"cycle_type": [2,1], "r": "1"}, ...]}"""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         n = int(obj["n"])
         rk = {}
         for entry in obj["rk"]:

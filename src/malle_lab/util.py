@@ -1,21 +1,12 @@
-"""Shared plumbing: deterministic chunked parallel map."""
+"""Shared plumbing: an order-preserving parallel map.
+
+The caller passes the worker count (the CLI's `--workers`); nothing here reads
+the environment.
+"""
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["pmap", "worker_count"]
-
-
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the worker count: explicit arg, else MALLE_LAB_WORKERS, else 1."""
-    if explicit is not None and explicit >= 1:
-        return explicit
-    env = os.environ.get("MALLE_LAB_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+__all__ = ["pmap"]
 
 
 def pmap(fn, items, workers: int = 1):

@@ -1,8 +1,12 @@
+import argparse
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from malle_lab.cli import main
+import malle_lab
+from malle_lab.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -246,3 +250,102 @@ def test_count_pairs_cli_parses_window_slack_exactly(capsys, tmp_path):
     assert run(argv("7/10", 140), capsys) == (0, out)
     for text in ["nan", "inf", "0", "-0.5", "1/0", "ten"]:
         assert run(argv(text, 140), capsys)[0] == 2
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    from malle_lab.fields.cubic import enumerate_cubic
+    from malle_lab.fields.cyclic import enumerate_cyclic
+    from malle_lab.sieve import binary_cubic_disc_scheme
+
+    with open(tmp_path / "k.jsonl", "w") as fh:
+        enumerate_cubic(1000).write_jsonl(fh)
+    with open(tmp_path / "l.jsonl", "w") as fh:
+        enumerate_cyclic(3, 1000).write_jsonl(fh)
+    (tmp_path / "scheme.json").write_text(json.dumps(binary_cubic_disc_scheme().to_json()))
+    return tmp_path
+
+
+EVERY_SUBCOMMAND = {
+    "invariants": ["--generators", "(12);(123)", "--product", "(123)"],
+    "tame-table": ["--l", "5", "--k", "2"],
+    "verify-lemmas": ["--n", "4", "--group", "5"],
+    "convolve": ["--s1", "integers", "--s2", "squares", "--a", "1", "--b", "1/2", "--x", "1e4"],
+    "enumerate-cyclic": ["--l", "3", "--x", "1e4"],
+    "enumerate-cubic": ["--x", "1e3"],
+    "abelian-uniformity": ["--l", "3", "--q", "7,13", "--x", "1e5"],
+    "count-pairs": ["--sn-fields", "{dir}/k.jsonl", "--abelians", "{dir}/l.jsonl",
+                    "--x", "1e6", "--y-ladder", "10,100"],
+    "euler-constant": ["--pmax", "1e3"],
+    "sieve-exp": ["--scheme", "{dir}/scheme.json", "--r", "5,10,50", "--q", "3,5,7,31"],
+}
+
+
+def test_every_subcommand_is_checked_for_out():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(EVERY_SUBCOMMAND)
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_SUBCOMMAND))
+def test_out_file_equals_stdout(command, input_files, capsys):
+    argv = [command] + [a.format(dir=input_files) for a in EVERY_SUBCOMMAND[command]]
+    code, out = run(argv, capsys)
+    assert code == 0 and out
+    path = input_files / "report.out"
+    assert run(argv + ["--out", str(path)], capsys) == (0, "")
+    assert path.read_text() == out
+
+
+def _bad_inputs(tmp_path):
+    files = {
+        "wild.json": {"pairs": [{"k_label": "a"}]},
+        "wild_exp.json": {"pairs": [{"k_label": "a", "l_label": "b", "exp": 14.7}]},
+        "wild_list.json": [1],
+        "rk.json": {"n": 3},
+        "rk_zero.json": {"n": 3, "rk": [{"cycle_type": [2, 1], "r": "1/0"}]},
+        "scheme.json": {"n_vars": 2},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    (tmp_path / "float_part.jsonl").write_text(json.dumps(
+        {"degree": 3, "group": "S3", "disc": -23,
+         "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1.0]}]}) + "\n")
+    pairs = ["count-pairs", "--sn-fields", "{dir}/k.jsonl", "--abelians", "{dir}/l.jsonl",
+             "--x", "1e6", "--mode", "exact"]
+    return [
+        pairs + ["--wild", "{dir}/wild.json"],
+        pairs + ["--wild", "{dir}/wild_exp.json"],
+        pairs + ["--wild", "{dir}/wild_list.json"],
+        ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk.json"],
+        ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk_zero.json"],
+        ["sieve-exp", "--scheme", "{dir}/scheme.json", "--r", "5,10,50", "--q", "3,5"],
+        ["count-pairs", "--sn-fields", "{dir}/float_part.jsonl", "--abelians", "{dir}/l.jsonl",
+         "--x", "1e6"],
+        ["enumerate-cubic", "--x", "100", "--workers", "0"],
+        ["convolve", "--s1", "integers", "--s2", "integers", "--a", "1/0", "--b", "1",
+         "--x", "10"],
+    ]
+
+
+def test_malformed_inputs_exit_2_with_one_error_line(input_files, capsys):
+    for argv in _bad_inputs(input_files):
+        code = main([a.format(dir=input_files) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, captured.err)
+
+
+def test_no_module_reads_the_environment():
+    # every setting, the worker count included, comes from a flag
+    names = {"environ", "environb", "getenv"}
+    offenders = []
+    for path in sorted(Path(malle_lab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                offenders.append(f"{path.name}:{node.lineno} reads {node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
+                              for alias in node.names if alias.name in names]
+    assert offenders == []

@@ -33,6 +33,16 @@ def test_product_count_small_examples():
     assert product_count_exact(INTS, INTS, 1, 2, 100) == 153
 
 
+def test_product_count_refuses_floats():
+    # 10.999999999999 is not 11: an exact count must not round its input
+    for a, b, x in [(1, 1, 10.999999999999), (1.0, 1, 10), (1, 0.5, 10)]:
+        with pytest.raises(TypeError):
+            product_count_exact(INTS, INTS, a, b, x)
+        with pytest.raises(TypeError):
+            product_count_brute(INTS, INTS, a, b, x)
+    assert product_count_exact(INTS, INTS, 1, 1, Fraction(109999, 10000)) == 27
+
+
 def test_product_count_empty():
     empty = CountingSequence(entries=[])
     assert product_count_exact(empty, INTS, 1, 1, 100) == 0

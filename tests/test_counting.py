@@ -104,6 +104,15 @@ def test_compose_wild_needs_table():
     assert compose_disc(kw, lw, wild=table) == 3**14 * 23**3
 
 
+def test_wild_table_from_json_refuses_other_json_types():
+    row = {"k_label": "3-e3-v4", "l_label": "3-C3-cond-9", "exp": 14}
+    assert WildTable.from_json({"pairs": [row]}).entries == {("3-e3-v4", "3-C3-cond-9"): 14}
+    # outside values are not coerced: 14.7 is not read as 14, nor 3 as "3"
+    for bad in ({"exp": 14.7}, {"exp": True}, {"k_label": 3}):
+        with pytest.raises(TypeError):
+            WildTable.from_json({"pairs": [{**row, **bad}]})
+
+
 def test_compose_wild_one_sided_is_exact():
     kw = rec(3, "S3", -1, [wild(3, "3-e3-v4", 4)])
     l5 = rec(5, "C5", 1, [tame(11, [5])])
@@ -323,6 +332,11 @@ def test_count_pairs_empty_list_reports_like_nonempty(lists_1e4):
     assert count_pairs(empty, abelians, 100).grid == tuple(default_grid(100))
     # no abelian record to take a degree from
     assert count_pairs(cubics, empty, 100).fit_exponent == 1
+    # the other list still fixes the window the empty list must be complete to
+    with pytest.raises(IncompleteList, match="S_n list complete to 10, window needs 10000"):
+        count_pairs(empty, abelians, 10**12)
+    with pytest.raises(IncompleteList, match="abelian list complete to 10, window needs 10000"):
+        count_pairs(cubics, empty, 10**12)
 
 
 def test_default_grid():

@@ -97,6 +97,38 @@ def test_parse_rejects_cycle_type_of_another_degree():
     assert exc.value.lineno == 3
 
 
+WILD_LINE = (
+    '{"degree":3,"group":"S3","disc":81,'
+    '"ram":[{"p":3,"kind":"wild","label":"3-e3-v4","exp":4}]}'
+)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("tame", "degree", 3.5),
+    ("tame", "disc", "-23"),
+    ("tame", "group", 3),
+    ("tame", "p", 23.9),
+    ("tame", "kind", ["tame"]),
+    ("tame", "exp", 1.7),
+    ("tame", "cycle_type", [2, True]),
+    ("tame", "cycle_type", [2, 1.0]),
+    ("tame", "cycle_type", 21),
+    ("tame", "cycle_type", [3, 0]),
+    ("wild", "exp", 4.0),
+    ("wild", "label", 5),
+])
+def test_parse_refuses_values_of_another_json_type(kind, key, value):
+    # outside values are never coerced: 23.9 is not read as 23, nor True as 1
+    line = {"tame": GOOD_LINE, "wild": WILD_LINE}[kind]
+    obj = json.loads(line)
+    assert len(parse_field_file(io.StringIO(line))) == 1
+    target = obj if key in ("degree", "disc", "group") else obj["ram"][0]
+    target[key] = value
+    with pytest.raises(MalformedLine) as exc:
+        parse_field_file(io.StringIO(GOOD_LINE + "\n" + json.dumps(obj)))
+    assert exc.value.lineno == 2
+
+
 def test_parse_rejects_x_max_below_last_record():
     assert parse_field_file(io.StringIO(GOOD_LINE), x_max=23).x_max == 23
     with pytest.raises(InvariantViolation, match="x_max 22"):
