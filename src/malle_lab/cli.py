@@ -5,7 +5,8 @@ configurations produce byte-identical reports regardless of worker count.
 Every report goes to stdout, or to the file named by `--out`.
 
 Exit codes: 0 success, 1 verification failure, 2 input or usage error: a bad
-flag value, a missing file, or a malformed input file (JSONL field list, wild
+flag value, a file that cannot be opened, read or written (missing, a
+directory, no permission), or a malformed input file (JSONL field list, wild
 table, r_k table or scheme), reported as one `error:` line on stderr.
 """
 
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, MalleLabError, ValueError) as exc:
+    except (OSError, MalleLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -44,6 +44,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import convolve
@@ -56,9 +57,10 @@ from .errors import (
     LemmaFails,
     MissingWildEntry,
 )
-from .fields.records import FieldList, FieldRecord, LocalRamification, json_typed
+from .fields.records import FieldList, FieldRecord, LocalRamification
 from .permgroup import product_index_general
 from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, verify_unin
+from .util import json_typed
 
 __all__ = [
     "WildTable",
@@ -108,18 +110,25 @@ EMPTY_WILD = WildTable()
 
 
 def _check_admissible(k_rec: FieldRecord, l_rec: FieldRecord):
-    label = k_rec.group_label
-    if label not in ("S3", "S4", "S5"):
-        raise InadmissiblePair(f"left field must be S3/S4/S5, got {label}")
-    n = int(label[1])
-    if k_rec.degree != n:
-        raise InadmissiblePair(f"{label} field with degree {k_rec.degree}")
-    if not l_rec.group_label.startswith("C"):
-        raise InadmissiblePair(f"right field must be abelian (C...), got {l_rec.group_label}")
-    if gcd(l_rec.degree, COPRIMALITY[n]) != 1:
-        raise InadmissiblePair(
-            f"|A| = {l_rec.degree} not coprime to {COPRIMALITY[n]} for n = {n}"
-        )
+    _check_labels(k_rec.group_label, k_rec.degree, l_rec.group_label, l_rec.degree)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _check_labels(k_label: str, k_degree: int, l_label: str, l_degree: int) -> None:
+    """InadmissiblePair unless a K and an L of these labels and degrees may pair.
+
+    Cached: the pairs of two field lists repeat a few label pairs, and a
+    raise is never cached, so a bad pair raises on every call.
+    """
+    if k_label not in ("S3", "S4", "S5"):
+        raise InadmissiblePair(f"left field must be S3/S4/S5, got {k_label}")
+    n = int(k_label[1])
+    if k_degree != n:
+        raise InadmissiblePair(f"{k_label} field with degree {k_degree}")
+    if not l_label.startswith("C"):
+        raise InadmissiblePair(f"right field must be abelian (C...), got {l_label}")
+    if gcd(l_degree, COPRIMALITY[n]) != 1:
+        raise InadmissiblePair(f"|A| = {l_degree} not coprime to {COPRIMALITY[n]} for n = {n}")
 
 
 def _local_exponent(

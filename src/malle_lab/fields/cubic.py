@@ -87,7 +87,9 @@ own once.
 Local data.  For a maximal form, p ramifies exactly when p | disc, and p is
 totally ramified (e = 3) exactly when F mod p is a cube, that is when the
 multiple root of F mod p is triple: the same rule as for maximality, at
-every p.
+every p.  The entry at p depends only on (p, v_p(disc), e), so each
+enumerate_cubic call builds and checks each distinct entry once and the
+records share it (at 1e5, 4,367 entries for 21,794 fields).
 """
 
 from __future__ import annotations
@@ -453,37 +455,35 @@ def _amax_neg(x: int) -> int:
     return iroot(16 * x // 27, 4)
 
 
-def _local_data(f: Form, dsc: int, spf: array) -> tuple[LocalRamification, ...]:
+def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
+    """The entry at p of a field with v_p(disc) = v, totally ramified when `triple`."""
+    if not triple:
+        if p == 2:
+            return LocalRamification(p=2, kind="wild", disc_exponent=v, wild_label=f"2-e2-v{v}")
+        if v != 1:
+            raise InvariantViolation(f"tame e=2 at p={p} but v_p(disc)={v}")
+        return LocalRamification(p=p, kind="tame", disc_exponent=1, tame_cycle_type=_TAME_2_1)
+    if p == 3:
+        return LocalRamification(p=3, kind="wild", disc_exponent=v, wild_label=f"3-e3-v{v}")
+    if v != 2:
+        raise InvariantViolation(f"tame e=3 at p={p} but v_p(disc)={v}")
+    return LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
+
+
+def _local_data(f: Form, dsc: int, spf: array, entries: dict) -> tuple[LocalRamification, ...]:
     """Local ramification of the field of the maximal form F with disc(F) = dsc.
 
     Every p | dsc ramifies, with e = 3 exactly when the multiple root of F
-    mod p is triple.
+    mod p is triple.  `entries` holds the entry of each (p, v_p, triple)
+    built so far, shared by every field that has it.
     """
     ram = []
     for p, v in factor(abs(dsc), spf).items():
-        _, _, triple = _multiple_root(f, p)
-        if not triple:
-            if p == 2:
-                ram.append(
-                    LocalRamification(p=2, kind="wild", disc_exponent=v, wild_label=f"2-e2-v{v}")
-                )
-            else:
-                if v != 1:
-                    raise InvariantViolation(f"tame e=2 at p={p} but v_p(disc)={v}")
-                ram.append(
-                    LocalRamification(p=p, kind="tame", disc_exponent=1, tame_cycle_type=_TAME_2_1)
-                )
-        else:
-            if p == 3:
-                ram.append(
-                    LocalRamification(p=3, kind="wild", disc_exponent=v, wild_label=f"3-e3-v{v}")
-                )
-            else:
-                if v != 2:
-                    raise InvariantViolation(f"tame e=3 at p={p} but v_p(disc)={v}")
-                ram.append(
-                    LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
-                )
+        key = p, v, _multiple_root(f, p)[2]
+        loc = entries.get(key)
+        if loc is None:
+            loc = entries[key] = _local_entry(*key)
+        ram.append(loc)
     return tuple(ram)
 
 
@@ -531,12 +531,13 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
             found.update(chunk)
     finally:
         _spf = None
+    entries: dict[tuple[int, int, bool], LocalRamification] = {}
     records = [
         FieldRecord(
             degree=3,
             group_label="S3",
             abs_disc=abs(dsc),
-            ramification=_local_data(f, dsc, spf),
+            ramification=_local_data(f, dsc, spf, entries),
             disc_sign=1 if dsc > 0 else -1,
         )
         for f, dsc in sorted(found.items(), key=lambda item: (abs(item[1]), item[1] > 0, item[0]))

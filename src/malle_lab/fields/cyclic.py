@@ -23,58 +23,49 @@ from .records import FieldList, FieldRecord, LocalRamification
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
 
 
-def _record_for_conductor(l: int, f: int, tame_primes: tuple[int, ...], wild: bool) -> FieldRecord:
-    ram = [
-        LocalRamification(
-            p=p,
-            kind="tame",
-            disc_exponent=l - 1,
-            tame_cycle_type=CycleType.from_parts([l]),
-        )
-        for p in tame_primes
-    ]
-    if wild:
-        ram.append(
-            LocalRamification(
-                p=l,
-                kind="wild",
-                disc_exponent=2 * (l - 1),
-                wild_label=f"{l}-C{l}-cond-{l * l}",
-            )
-        )
-    return FieldRecord(
-        degree=l,
-        group_label=f"C{l}",
-        abs_disc=f ** (l - 1),
-        ramification=tuple(ram),
-        disc_sign=1,
-    )
-
-
 def enumerate_cyclic(l: int, x: int) -> FieldList:
-    """All degree-l cyclic fields over Q with disc = f^(l-1) <= x."""
+    """All degree-l cyclic fields over Q with disc = f^(l-1) <= x.
+
+    Each ramified prime has one entry per call, shared by every field
+    ramified at it.
+    """
     if l < 3 or not is_prime(l) or l % 2 == 0:
         raise ValueError("l must be an odd prime")
     if x < 1:
         raise ValueError("x must be >= 1")
     fmax = iroot(x, l - 1)
-    tame_pool = [p for p in primes_upto(fmax) if p % l == 1]
+    cycle = CycleType.from_parts([l])
+    tame_pool = [
+        LocalRamification(p=p, kind="tame", disc_exponent=l - 1, tame_cycle_type=cycle)
+        for p in primes_upto(fmax)
+        if p % l == 1
+    ]
+    wild_entry = LocalRamification(
+        p=l, kind="wild", disc_exponent=2 * (l - 1), wild_label=f"{l}-C{l}-cond-{l * l}"
+    )
     records: list[FieldRecord] = []
 
-    def emit(f: int, tame: tuple[int, ...], wild: bool):
-        t = len(tame) + (1 if wild else 0)
-        if t == 0:
+    def emit(f: int, ram: tuple[LocalRamification, ...]):
+        if not ram:
             return
-        for _ in range((l - 1) ** (t - 1)):
-            records.append(_record_for_conductor(l, f, tame, wild))
+        for _ in range((l - 1) ** (len(ram) - 1)):
+            records.append(
+                FieldRecord(
+                    degree=l,
+                    group_label=f"C{l}",
+                    abs_disc=f ** (l - 1),
+                    ramification=ram,
+                    disc_sign=1,
+                )
+            )
 
-    def dfs(start: int, f: int, tame: tuple[int, ...], wild: bool):
-        emit(f, tame, wild)
+    def dfs(start: int, f: int, tame: tuple[LocalRamification, ...], wild: bool):
+        emit(f, tame + (wild_entry,) if wild else tame)
         for i in range(start, len(tame_pool)):
-            p = tame_pool[i]
-            if f * p > fmax:
+            loc = tame_pool[i]
+            if f * loc.p > fmax:
                 break
-            dfs(i + 1, f * p, tame + (p,), wild)
+            dfs(i + 1, f * loc.p, tame + (loc,), wild)
 
     dfs(0, 1, (), wild=False)
     if l * l <= fmax:

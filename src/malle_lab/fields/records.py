@@ -12,6 +12,14 @@ every p must be prime, and tame entries must have a cycle type of the
 record's degree and exponent = ind(cycle_type) with p coprime to the
 ramification index.  Nothing is coerced: degree, disc, p, exp and every
 cycle-type part must be JSON integers, and group, kind and label JSON strings.
+
+Records share their entries.  `parse_field_file` builds and validates each
+distinct entry (p, kind, cycle type or label, exp, record degree) once per
+call, after the JSON type checks of every occurrence, and the enumerators
+build each distinct entry once per call too; every record is still checked
+on its own.  `FieldList.write_jsonl` writes each record as
+json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
+distinct entry once per call.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ import json
 import warnings
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 from ..arith import is_prime
 from ..errors import InvariantViolation, MalformedLine
 from ..permgroup import CycleType, index_of
+from ..util import json_typed, json_typed_items
 
 __all__ = ["LocalRamification", "FieldRecord", "FieldList", "json_typed", "parse_field_file"]
 
@@ -59,6 +69,14 @@ class LocalRamification:
                 raise InvariantViolation("wild entry needs a label")
             if self.disc_exponent < 1:
                 raise InvariantViolation("wild exponent must be >= 1")
+
+    def to_json(self) -> dict:
+        if self.kind == "tame":
+            return {"p": self.p, "kind": "tame", "cycle_type": list(self.tame_cycle_type.parts)}
+        return {"p": self.p, "kind": "wild", "label": self.wild_label, "exp": self.disc_exponent}
+
+
+_by_p = attrgetter("p")
 
 
 @dataclass(frozen=True)
@@ -95,22 +113,24 @@ class FieldRecord:
         return tuple(sorted(loc.p for loc in self.ramification))
 
     def to_json(self) -> dict:
-        ram = []
-        for loc in sorted(self.ramification, key=lambda l: l.p):
-            if loc.kind == "tame":
-                ram.append(
-                    {"p": loc.p, "kind": "tame", "cycle_type": list(loc.tame_cycle_type.parts)}
-                )
-            else:
-                ram.append(
-                    {"p": loc.p, "kind": "wild", "label": loc.wild_label, "exp": loc.disc_exponent}
-                )
         return {
             "degree": self.degree,
             "group": self.group_label,
             "disc": self.disc_sign * self.abs_disc,
-            "ram": ram,
+            "ram": [loc.to_json() for loc in sorted(self.ramification, key=_by_p)],
         }
+
+    def _jsonl_line(self, entry_text) -> str:
+        """json.dumps(self.to_json(), sort_keys=True) + "\n".
+
+        `entry_text(loc)` is json.dumps(loc.to_json(), sort_keys=True); the
+        frame around the entries is json.dumps' own: keys in sorted order,
+        ", " and ": " as separators.
+        """
+        ram = ", ".join(map(entry_text, sorted(self.ramification, key=_by_p)))
+        return '{"degree": %d, "disc": %d, "group": %s, "ram": [%s]}\n' % (
+            self.degree, self.disc_sign * self.abs_disc, json.dumps(self.group_label), ram
+        )
 
 
 @dataclass(frozen=True)
@@ -140,27 +160,48 @@ class FieldList:
         return bisect.bisect_right(self._discs, x)
 
     def write_jsonl(self, stream):
+        """One line per record, json.dumps(record.to_json(), sort_keys=True) + "\n".
+
+        Each distinct entry object is serialised once per call.  The texts are
+        keyed by id(): the records hold every entry for the whole call.
+        """
+        texts: dict[int, str] = {}
+
+        def entry_text(loc: LocalRamification) -> str:
+            text = texts.get(id(loc))
+            if text is None:
+                text = texts[id(loc)] = json.dumps(loc.to_json(), sort_keys=True)
+            return text
+
         for r in self.records:
-            stream.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
+            stream.write(r._jsonl_line(entry_text))
 
 
-def json_typed(value, kind: type, what: str):
-    """`value` if its type is exactly `kind`, else TypeError.
+def _new_entry(key: tuple, lineno: int, cycle_types: dict) -> LocalRamification:
+    """The validated entry of a key first met on line `lineno`.
 
-    Outside values are never coerced: int admits neither 1.0 nor True (both
-    compare equal to 1), and str admits no number.
+    `cycle_types` holds one shared CycleType per parts tuple.
     """
-    if type(value) is not kind:
-        name = "integer" if kind is int else "string"
-        raise TypeError(f"{what} must be a JSON {name}, got {value!r}")
-    return value
+    p, kind, data, exp, degree = key
+    if not is_prime(p):
+        raise MalformedLine(lineno, f"ramified p = {p} is not prime")
+    if kind == "wild":
+        return LocalRamification(p=p, kind="wild", disc_exponent=exp, wild_label=data)
+    ct = cycle_types.get(data)
+    if ct is None:
+        ct = cycle_types[data] = CycleType.from_parts(data)
+    if ct.degree != degree:
+        raise MalformedLine(lineno, f"cycle type {list(ct.parts)} on a degree-{degree} record")
+    return LocalRamification(
+        p=p, kind="tame", disc_exponent=index_of(ct) if exp is None else exp, tame_cycle_type=ct
+    )
 
 
-def _record_from_obj(obj: dict, lineno: int, cycle_types: dict, primes: set) -> FieldRecord:
+def _record_from_obj(obj: dict, lineno: int, entries: dict, cycle_types: dict) -> FieldRecord:
     """One validated record.
 
-    `cycle_types` holds one shared CycleType per parts tuple and `primes` the
-    ramified p already found prime, so each is checked once per file.
+    `entries` maps the key (p, kind, parts or label, exp or None, degree) of
+    each entry met so far in the file to its validated entry.
     """
     try:
         degree = json_typed(obj["degree"], int, "degree")
@@ -174,31 +215,23 @@ def _record_from_obj(obj: dict, lineno: int, cycle_types: dict, primes: set) -> 
     ram = []
     try:
         for r in ram_objs:
+            # the key is formed after the exact type checks, as True == 1 and
+            # 3.0 == 3 hash alike: a mistyped entry must not find a valid one
             p = json_typed(r["p"], int, "p")
             kind = json_typed(r["kind"], str, "kind")
-            if p not in primes:
-                if not is_prime(p):
-                    raise MalformedLine(lineno, f"ramified p = {p} is not prime")
-                primes.add(p)
             if kind == "tame":
-                parts = tuple(json_typed(k, int, "cycle type part") for k in r["cycle_type"])
-                ct = cycle_types.get(parts)
-                if ct is None:
-                    ct = cycle_types[parts] = CycleType.from_parts(parts)
-                if ct.degree != degree:
-                    raise MalformedLine(
-                        lineno, f"cycle type {list(ct.parts)} on a degree-{degree} record"
-                    )
-                exp = json_typed(r.get("exp", index_of(ct)), int, "exp")
-                ram.append(
-                    LocalRamification(p=p, kind="tame", disc_exponent=exp, tame_cycle_type=ct)
-                )
+                parts = json_typed_items(r["cycle_type"], int, "cycle type part")
+                exp = json_typed(r["exp"], int, "exp") if "exp" in r else None
+                key = p, kind, parts, exp, degree
             elif kind == "wild":
                 exp = json_typed(r["exp"], int, "exp")
-                label = json_typed(r["label"], str, "label")
-                ram.append(LocalRamification(p=p, kind="wild", disc_exponent=exp, wild_label=label))
+                key = p, kind, json_typed(r["label"], str, "label"), exp, degree
             else:
                 raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
+            loc = entries.get(key)
+            if loc is None:
+                loc = entries[key] = _new_entry(key, lineno, cycle_types)
+            ram.append(loc)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedLine(lineno, f"bad ramification entry: {exc}")
     return FieldRecord(
@@ -218,18 +251,22 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     the largest |disc| in the file raises InvariantViolation.
     """
     records = []
+    entries: dict[tuple, LocalRamification] = {}
     cycle_types: dict[tuple[int, ...], CycleType] = {}
-    primes: set[int] = set()
+    # json.loads less its whitespace scans, which a stripped line does not need
+    decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = decode(line)
+            if end < len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise MalformedLine(lineno, f"invalid JSON: {exc}")
         try:
-            records.append(_record_from_obj(obj, lineno, cycle_types, primes))
+            records.append(_record_from_obj(obj, lineno, entries, cycle_types))
         except InvariantViolation as exc:
             raise InvariantViolation(f"line {lineno}: {exc}")
     discs = [r.abs_disc for r in records]

@@ -27,6 +27,7 @@ import numpy as np
 
 from .arith import is_squarefree, prime_factors
 from .errors import CapExceeded, EnvelopeExceeded, InsufficientGrid, NotSquarefree
+from .util import json_typed, json_typed_items
 
 __all__ = [
     "AffineScheme",
@@ -64,11 +65,20 @@ class AffineScheme:
 
     @classmethod
     def from_json(cls, obj) -> "AffineScheme":
+        """{"n_vars": 2, "codim": 1, "polys": [[[1, [1, 0]]]]}: n_vars, codim,
+        every coefficient and every exponent JSON integers, else TypeError."""
         polys = tuple(
-            tuple((int(c), tuple(int(e) for e in exps)) for c, exps in poly)
+            tuple(
+                (json_typed(c, int, "coefficient"), json_typed_items(exps, int, "exponent"))
+                for c, exps in poly
+            )
             for poly in obj["polys"]
         )
-        return cls(n_vars=int(obj["n_vars"]), polynomials=polys, declared_codim=int(obj["codim"]))
+        return cls(
+            n_vars=json_typed(obj["n_vars"], int, "n_vars"),
+            polynomials=polys,
+            declared_codim=json_typed(obj["codim"], int, "codim"),
+        )
 
     def to_json(self) -> dict:
         return {

@@ -25,6 +25,7 @@ from math import gcd, prod
 from .arith import divisors, factor, is_prime
 from .errors import HypothesisViolated, IncompleteRkTable, TrivialGroup
 from .permgroup import CycleType, index_of, product_index_general
+from .util import json_typed, json_typed_items
 
 __all__ = [
     "AbelianGroupSpec",
@@ -237,11 +238,12 @@ class RkTable:
 
     @classmethod
     def from_json(cls, obj) -> "RkTable":
-        """{"n": 3, "rk": [{"cycle_type": [2,1], "r": "1"}, ...]}"""
-        n = int(obj["n"])
+        """{"n": 3, "rk": [{"cycle_type": [2,1], "r": "1"}, ...]}: n and every
+        cycle-type part JSON integers, else TypeError."""
+        n = json_typed(obj["n"], int, "n")
         rk = {}
         for entry in obj["rk"]:
-            ct = CycleType.from_parts(entry["cycle_type"])
+            ct = CycleType.from_parts(json_typed_items(entry["cycle_type"], int, "cycle type part"))
             if ct.degree != n:
                 raise ValueError(f"cycle type {ct.parts} has degree != {n}")
             rk[ct.parts] = Fraction(str(entry["r"]))

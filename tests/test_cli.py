@@ -324,6 +324,9 @@ def _bad_inputs(tmp_path):
         ["enumerate-cubic", "--x", "100", "--workers", "0"],
         ["convolve", "--s1", "integers", "--s2", "integers", "--a", "1/0", "--b", "1",
          "--x", "10"],
+        # a directory where a file belongs: IsADirectoryError, an OSError
+        ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}"],
+        ["count-pairs", "--sn-fields", "{dir}", "--abelians", "{dir}/l.jsonl", "--x", "1e6"],
     ]
 
 
@@ -335,6 +338,33 @@ def test_malformed_inputs_exit_2_with_one_error_line(input_files, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, captured.err)
+
+
+@pytest.mark.parametrize("command, obj, path, value", [
+    (["verify-lemmas", "--n", "3", "--group", "5", "--rk"],
+     {"n": 3, "rk": [{"cycle_type": [2, 1], "r": "1"}, {"cycle_type": [3], "r": "2"}]},
+     ("n",), 3.7),
+    (["verify-lemmas", "--n", "3", "--group", "5", "--rk"],
+     {"n": 3, "rk": [{"cycle_type": [2, 1], "r": "1"}, {"cycle_type": [3], "r": "2"}]},
+     ("rk", 1, "cycle_type", 0), 3.0),
+    (["sieve-exp", "--r", "20,50,100,200", "--q", "3,5,7,11,31", "--scheme"],
+     {"n_vars": 2, "codim": 1, "polys": [[[1, [1, 0]]]]}, ("polys", 0, 0, 0), 1.5),
+    (["sieve-exp", "--r", "20,50,100,200", "--q", "3,5,7,11,31", "--scheme"],
+     {"n_vars": 2, "codim": 1, "polys": [[[1, [1, 0]]]]}, ("n_vars",), True),
+], ids=["rk-n", "rk-part", "scheme-coefficient", "scheme-n-vars"])
+def test_rk_and_scheme_numbers_must_be_json_integers(command, obj, path, value, tmp_path, capsys):
+    # 3.7 was read as n = 3 and 1.5 as the coefficient 1
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(obj))
+    assert run(command + [str(file)], capsys)[0] == 0
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file.write_text(json.dumps(obj))
+    assert main(command + [str(file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "JSON integer" in captured.err
 
 
 def test_no_module_reads_the_environment():

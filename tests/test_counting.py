@@ -308,6 +308,28 @@ def test_count_pairs_checks_admissibility_once_per_label(lists_1e4, monkeypatch)
     assert calls["_check_admissible"] == 2 + calls["compose_disc"] + calls["disc_truncated"]
 
 
+def test_admissibility_is_decided_once_per_label_pair(lists_1e4):
+    import malle_lab.counting as counting
+
+    cubics, abelians = lists_1e4
+    counting._check_labels.cache_clear()
+    count_pairs(cubics, abelians, 10**12, mode="interval", y_ladder=(10, 100))
+    info = counting._check_labels.cache_info()
+    assert info.misses == 1 and info.hits > 100
+    # a refusal is never cached: every direct call raises
+    bad = rec(4, "C4", 1, [tame(5, [4])])
+    for _ in range(2):
+        with pytest.raises(InadmissiblePair):
+            compose_disc(K23, bad)
+        with pytest.raises(InadmissiblePair):
+            disc_truncated(K23, bad, WildTable(), 10)
+    # 3 and 3.0 hash alike, but gcd refuses the float as before
+    float_degree = replace(L7, degree=3.0)
+    compose_disc(K23, L7)
+    with pytest.raises(TypeError):
+        compose_disc(K23, float_degree)
+
+
 def test_count_pairs_calls_the_hyperbola_count_through_convolve(lists_1e4, monkeypatch):
     # a tracer that swaps convolve.product_count_exact must see these calls
     import malle_lab.convolve as convolve

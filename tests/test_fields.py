@@ -21,8 +21,9 @@ from malle_lab.fields.polysearch import (
     cubic_fields_by_polynomials,
     field_disc_of_cubic,
 )
-from malle_lab.fields.records import parse_field_file
+from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification, parse_field_file
 from malle_lab.fields.uniformity import abelian_uniformity_check
+from malle_lab.permgroup import CycleType
 
 GOOD_LINE = (
     '{"degree":3,"group":"S3","disc":-23,'
@@ -46,6 +47,13 @@ def test_parse_empty_stream():
 def test_parse_malformed_line_number():
     with pytest.raises(MalformedLine) as exc:
         parse_field_file(io.StringIO(GOOD_LINE + "\nnot json\n"))
+    assert exc.value.lineno == 2
+
+
+@pytest.mark.parametrize("tail", [" 5", " {}", "]", ", 1"])
+def test_parse_refuses_a_line_with_more_than_one_value(tail):
+    with pytest.raises(MalformedLine, match="Extra data") as exc:
+        parse_field_file(io.StringIO(GOOD_LINE + "\n" + GOOD_LINE + tail + "\n"))
     assert exc.value.lineno == 2
 
 
@@ -155,6 +163,76 @@ def test_roundtrip_jsonl():
     # one shared CycleType per parts tuple: (2, 1) and (3,)
     shared = {id(loc.tame_cycle_type) for r in again for loc in r.ramification if loc.kind == "tame"}
     assert len(shared) == 2
+
+
+def _hand_built_record():
+    # entries out of order of p, a wild 2-adic entry, and a label that JSON escapes
+    return FieldRecord(
+        degree=3,
+        group_label='S3 "\\é',
+        abs_disc=40,
+        ramification=(
+            LocalRamification(p=5, kind="tame", disc_exponent=1,
+                              tame_cycle_type=CycleType.from_parts((2, 1))),
+            LocalRamification(p=2, kind="wild", disc_exponent=3, wild_label="2-e2-v3"),
+        ),
+        disc_sign=-1,
+    )
+
+
+@pytest.mark.parametrize("make, out_of_order", [
+    (lambda: enumerate_cubic(10**4), False),
+    (lambda: enumerate_cyclic(3, 10**8), True),  # the wild 3 follows the tame primes
+    (lambda: FieldList((_hand_built_record(),), "enumerated", 40), True),
+], ids=["cubic-1e4", "c3-1e8", "hand-built"])
+def test_write_jsonl_lines_equal_json_dumps_of_to_json(make, out_of_order):
+    fl = make()
+    want = [json.dumps(r.to_json(), sort_keys=True) + "\n" for r in fl]
+    assert io.StringIO(_jsonl(fl)).readlines() == want
+    assert out_of_order == any(
+        [loc.p for loc in r.ramification] != list(r.ramified_primes) for r in fl
+    )
+
+
+SHARED_TAME = {"degree": 3, "group": "S3", "disc": -7,
+               "ram": [{"p": 7, "kind": "tame", "cycle_type": [2, 1], "exp": 1}]}
+SHARED_WILD = {"degree": 3, "group": "S3", "disc": 8,
+               "ram": [{"p": 2, "kind": "wild", "label": "2-e2-v3", "exp": 3}]}
+
+
+@pytest.mark.parametrize("line, key, value", [
+    (SHARED_TAME, "exp", True),
+    (SHARED_TAME, "p", 7.0),
+    (SHARED_TAME, "p", "7"),
+    (SHARED_WILD, "exp", 3.0),
+], ids=["tame-exp-true", "tame-p-float", "tame-p-string", "wild-exp-float"])
+def test_parse_checks_every_occurrence_of_a_shared_entry(line, key, value):
+    # True == 1 and 7.0 == 7 hash alike: the entry built on line 1 must not
+    # admit a mistyped copy on line 3
+    bad = json.loads(json.dumps(line))
+    bad["ram"][0][key] = value
+    assert len(parse_field_file(io.StringIO("\n".join([json.dumps(line)] * 3)))) == 3
+    with pytest.raises(MalformedLine) as exc:
+        parse_field_file(io.StringIO("\n".join([json.dumps(line)] * 2 + [json.dumps(bad)])))
+    assert exc.value.lineno == 3
+
+
+def test_parse_checks_a_shared_tame_entry_against_each_record_degree():
+    quartic = {"degree": 4, "group": "S4", "disc": -23,
+               "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}]}
+    with pytest.raises(MalformedLine, match="degree-4") as exc:
+        parse_field_file(io.StringIO(GOOD_LINE + "\n" + json.dumps(quartic)))
+    assert exc.value.lineno == 2
+
+
+def test_cubic_entries_are_built_once_and_parsed_once():
+    fl = enumerate_cubic(10**5)
+    buf = io.StringIO(_jsonl(fl))
+    again = parse_field_file(buf)
+    for field_list in (fl, again):
+        entries = [loc for r in field_list for loc in r.ramification]
+        assert len(entries) == 55341
+        assert len({id(loc) for loc in entries}) == len(set(entries)) == 4367
 
 
 # -- cyclic ------------------------------------------------------------------
@@ -381,7 +459,7 @@ def test_local_data_matches_sympy(monkeypatch):
     spf = arith.spf_table(x)
     kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
     for f, dsc in sorted(found.items()):
-        ram = cubic._local_data(f, dsc, spf)
+        ram = cubic._local_data(f, dsc, spf, {})
         if any(loc.kind == "tame" and loc.p >= 5 and loc.disc_exponent == 2 for loc in ram):
             kinds["e3 at p >= 5"].append((f, dsc, ram))
         if any(loc.kind == "wild" for loc in ram):
