@@ -33,8 +33,11 @@ __all__ = [
 ]
 
 # Miller-Rabin with these bases decides primality of every n < 3.18e23
-# (Sorenson and Webster); larger n only pass as strong probable primes
+# (Sorenson and Webster); larger n only pass as strong probable primes.
+# The first four alone decide every n < 3,215,031,751, the least strong
+# pseudoprime to the bases 2, 3, 5 and 7 (Pomerance, Selfridge, Wagstaff).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_SMALL_LIMIT = 3_215_031_751
 
 
 def iroot(n: int, k: int) -> int:
@@ -66,7 +69,7 @@ def is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_SMALL_LIMIT else _MR_BASES:
         y = pow(a, d, n)
         if y == 1 or y == n - 1:
             continue

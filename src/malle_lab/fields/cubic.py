@@ -40,7 +40,19 @@ and the coefficient bounds used by the search loops:
     |c| = a|3u^2 +- 2uw + v^2| <= 3a/4 + (|D|/3)^(1/4) + sqrt(|D|/3)/a.
 
 d then runs over the integer window where |D(a,b,c,d)| <= X (a downward
-parabola in d).
+parabola in d), cut to the window of |Re phi| <= 1/2.  That condition is
+the pair of sign tests g(a - b) >= 0 and g(-a - b) <= 0 on
+g(x) = x^3 + b x^2 + ac x + a^2 d (F(x, a) = a g(x)), and both are linear
+in d:
+
+    g(a - b)  = a ((a - b)(a - b + c) + a d),
+    g(-a - b) = a (a d - (a + b)(a + b + c)),
+
+so with a > 0 they say -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a,
+that is -((a - b)(a - b + c) // a) <= d <= (a + b)(a + b + c) // a in
+integers.  The exact test _neg_reduced still decides each form; the window
+only drops forms it would reject (at X = 1e5 the d loop visits 79,419
+forms instead of 333,867).
 
 Search bounds.  The loops take these bounds at |D| <= X in integers.  An
 integer n >= 0 has n^k <= t for a real t exactly when n <= iroot(floor(t), k),
@@ -54,6 +66,14 @@ floor of 2 (X/3)^(1/4), and m = isqrt(16X // 3), the floor of 4 sqrt(X/3):
 
 the last because 4a|c| <= 3a^2 + 4a (X/3)^(1/4) + 4 sqrt(X/3), which is
 below 3a^2 + 2a(s + 1) + m + 1.
+
+Irreducibility.  A form with no root in P^1(F_p) has no rational root.  For
+p = 5, 7, 11, 13 and 17 a p^4-entry bytearray marks the forms mod p with no
+root in P^1(F_p), [1:0] (that is, p | a) counted as a root; the tables are
+built once per process, on the first is_irreducible call, by clearing the
+d = -(a r^3 + b r^2 + c r) entry for every a != 0 and root r.  A form no
+table marks goes to the exact rational-root test (roots x/y with y | a and
+x | d), which every reducible form reaches.
 
 Maximality.  R(F) is non-maximal at p iff p divides the content of F, or F
 mod p has a multiple root [x0:y0] in P^1(F_p) with p^2 | F(x0, y0) (the value
@@ -87,14 +107,25 @@ own once.
 Local data.  For a maximal form, p ramifies exactly when p | disc, and p is
 totally ramified (e = 3) exactly when F mod p is a cube, that is when the
 multiple root of F mod p is triple: the same rule as for maximality, at
-every p.  The entry at p depends only on (p, v_p(disc), e), so each
-enumerate_cubic call builds and checks each distinct entry once and the
-records share it (at 1e5, 4,367 entries for 21,794 fields).
+every p.  If v_p(D) = 1 then e = 2 with no root to find: were F mod p a cube,
+a unimodular change of variables (which keeps D) would move its root to
+[1:0], making p | a, b, c, and every term of
+D = 18abcd + b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 has two of those factors, so
+p^2 | D.  So `_ramification` factors |D| once, calls `_multiple_root` only
+where v_p(D) >= 2, and returns both the maximality verdict and the entries;
+it runs in the workers, where maximality is decided.  The entry at p
+depends only on (p, v_p(disc), e), so each call builds and checks each
+distinct entry once and the records share it (at 1e5, 4,367 entries for
+21,794 fields); chunks that come back from other processes carry their own
+copies, which enumerate_cubic re-interns so that sharing holds for any
+worker count.
 """
 
 from __future__ import annotations
 
 from array import array
+from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from ..arith import divisors, factor, iroot, spf_table
@@ -263,8 +294,6 @@ def _neg_reduced(f: Form) -> bool:
 
 def _real_root_interval(f: Form) -> tuple:
     """Bracket the real root of F(t,1) between two rationals (num, den)."""
-    from fractions import Fraction
-
     a, b, c, d = f
     bound = 1 + max(abs(b), abs(c), abs(d)) // a + 1
     lo, hi = Fraction(-bound), Fraction(bound)
@@ -275,26 +304,22 @@ def _real_root_interval(f: Form) -> tuple:
 
 def _reduce_neg(f: Form) -> Form:
     """Walk the complex root pair into the fundamental domain (exact tests)."""
-    from fractions import Fraction
-
     a = f[0]
     if a == 0:
         raise ValueError("reducible form (a = 0)")
     if a < 0:
         f = tuple(-x for x in f)
-    half = Fraction(1, 2)
     for _ in range(10_000):
         if _neg_reduced(f):
             return f
         a, b, c, d = f
-        # Re phi = (-b/a - theta)/2; bisect theta until the nearest integer
-        # to Re phi is certified (Re phi is never a half-integer here)
+        # Re phi = (-b/a - theta)/2, whose nearest integer is
+        # (-b/a - theta + 1) // 2; bisect theta until both ends of its bracket
+        # give the same one (Re phi is never a half-integer here)
         lo, hi = _real_root_interval(f)
         while True:
-            relo = (Fraction(-b, a) - hi) / 2
-            rehi = (Fraction(-b, a) - lo) / 2
-            if (relo + half).__floor__() == (rehi + half).__floor__():
-                t = (relo + half).__floor__()
+            t = (Fraction(-b, a) - hi + 1) // 2
+            if t == (Fraction(-b, a) - lo + 1) // 2:
                 break
             mid = (lo + hi) / 2
             if _eval_form(f, mid.numerator, mid.denominator) > 0:
@@ -317,6 +342,34 @@ def _reduce_neg(f: Form) -> Form:
 
 # -- irreducibility ----------------------------------------------------------
 
+_SCREEN_PRIMES = (5, 7, 11, 13, 17)
+
+
+@cache
+def _no_root_tables() -> tuple[tuple[int, bytearray], ...]:
+    """(p, table) for the screen primes, built on first use (not at import).
+
+    table[((a p + b) p + c) p + d] is 1 when F = (a, b, c, d) mod p has no
+    root in P^1(F_p), [1:0] included.  Forked workers inherit the tables
+    once built.
+    """
+    return tuple((p, _no_root_table(p)) for p in _SCREEN_PRIMES)
+
+
+def _no_root_table(p: int) -> bytearray:
+    q = p**3
+    table = bytearray(q) + b"\x01" * (q * (p - 1))  # a = 0: root [1:0]
+    for a in range(1, p):
+        for r in range(p):
+            for b in range(p):
+                row = (a * p + b) * p * p
+                k = (a * r + b) * r * r
+                for c in range(p):
+                    # F(r, 1) = 0 exactly at d = -(a r^3 + b r^2 + c r)
+                    table[row + c * p + (-(k + c * r)) % p] = 0
+    return table
+
+
 def is_irreducible(f: Form) -> bool:
     """No rational linear factor (and a != 0)."""
     a, b, c, d = f
@@ -324,9 +377,9 @@ def is_irreducible(f: Form) -> bool:
         return False
     if d == 0:
         return False  # root [0:1]
-    # quick modular screens
-    for p in (5, 7, 11):
-        if a % p and all((((a * r + b) * r + c) * r + d) % p for r in range(p)):
+    # modular screens: a form with no root mod p has none over Q
+    for p, table in _no_root_tables():
+        if table[((a % p * p + b % p) * p + c % p) * p + d % p]:
             return True
     # exact rational root test: roots p/q with q | a, p | d
     d_divisors = divisors(abs(d))
@@ -339,7 +392,7 @@ def is_irreducible(f: Form) -> bool:
     return True
 
 
-# -- maximality (non-membership in the non-maximal locus at each p) ----------
+# -- maximality and local data ----------------------------------------------
 
 def _multiple_root(f: Form, p: int) -> tuple[int, int, bool]:
     """(x0, y0, triple): the multiple root [x0:y0] of F mod p, and whether it is triple.
@@ -362,24 +415,56 @@ def _multiple_root(f: Form, p: int) -> tuple[int, int, bool]:
     return 1, 0, c % p == 0
 
 
+def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
+    """The entry at p of a field with v_p(disc) = v, totally ramified when `triple`."""
+    if not triple:
+        if p == 2:
+            return LocalRamification(p=2, kind="wild", disc_exponent=v, wild_label=f"2-e2-v{v}")
+        if v != 1:
+            raise InvariantViolation(f"tame e=2 at p={p} but v_p(disc)={v}")
+        return LocalRamification(p=p, kind="tame", disc_exponent=1, tame_cycle_type=_TAME_2_1)
+    if p == 3:
+        return LocalRamification(p=3, kind="wild", disc_exponent=v, wild_label=f"3-e3-v{v}")
+    if v != 2:
+        raise InvariantViolation(f"tame e=3 at p={p} but v_p(disc)={v}")
+    return LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
+
+
+def _ramification(f: Form, dsc: int, spf: array | None, entries: dict):
+    """The local entries of the field of F with disc(F) = dsc, or None when R(F) is not maximal.
+
+    One factorisation of |dsc| decides both: R(F) is maximal when no p with
+    p^2 | dsc has p^2 | F(x0, y0) at the multiple root, and then every
+    p | dsc ramifies, with e = 3 exactly when that root is triple (never
+    when v_p(dsc) = 1).  `entries` holds the entry of each (p, v_p, triple)
+    built so far, shared by every field that has it.
+    """
+    a, b, c, d = f
+    if gcd(gcd(a, b), gcd(c, d)) != 1:
+        return None
+    ram = []
+    for p, v in factor(abs(dsc), spf).items():
+        if v == 1:
+            key = p, 1, False
+        else:
+            x0, y0, triple = _multiple_root(f, p)
+            if _eval_form(f, x0, y0) % (p * p) == 0:
+                return None
+            key = p, v, triple
+        loc = entries.get(key)
+        if loc is None:
+            loc = entries[key] = _local_entry(*key)
+        ram.append(loc)
+    return tuple(ram)
+
+
 def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
     """True when the cubic ring of F is maximal (p-maximal at every p).
 
     `d` is disc(F) when already known; `spf` is a smallest-prime-factor
     table used to factor |d| when it covers it.
     """
-    a, b, c, dd = f
-    if gcd(gcd(a, b), gcd(c, dd)) != 1:
-        return False
-    if d is None:
-        d = disc_form(f)
-    for p, v in factor(abs(d), spf).items():
-        if v < 2:
-            continue
-        x0, y0, _ = _multiple_root(f, p)
-        if _eval_form(f, x0, y0) % (p * p) == 0:
-            return False
-    return True
+    return _ramification(f, disc_form(f) if d is None else d, spf, {}) is not None
 
 
 # -- enumeration -------------------------------------------------------------
@@ -419,6 +504,13 @@ def _neg_candidates(x: int, a_range):
         a2 = 27 * a * a
         for b in range((3 * a + s) // 2 + 1):
             for c in range(-cmax, cmax + 1):
+                # |Re phi| <= 1/2: -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a
+                w_lo = -((a - b) * (a - b + c) // a)
+                w_hi = (a + b) * (a + b + c) // a
+                if not b:
+                    w_lo = max(w_lo, 1)
+                if w_lo > w_hi:
+                    continue
                 # disc(d) = -a2 d^2 + a1 d + a0; live window where -x <= disc,
                 # minus the middle where disc >= 0
                 a1 = 18 * a * b * c - 4 * b**3
@@ -427,8 +519,8 @@ def _neg_candidates(x: int, a_range):
                 if disc_quad < 0:
                     continue
                 sq = isqrt(disc_quad)
-                d_lo = -(-(a1 - sq) // (2 * a2)) if b else 1
-                d_hi = (a1 + sq) // (2 * a2)
+                d_lo = max(-(-(a1 - sq) // (2 * a2)), w_lo)
+                d_hi = min((a1 + sq) // (2 * a2), w_hi)
                 zero_quad = a1 * a1 + 4 * a2 * a0
                 if zero_quad >= 0:
                     zq = isqrt(zero_quad)
@@ -455,63 +547,63 @@ def _amax_neg(x: int) -> int:
     return iroot(16 * x // 27, 4)
 
 
-def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
-    """The entry at p of a field with v_p(disc) = v, totally ramified when `triple`."""
-    if not triple:
-        if p == 2:
-            return LocalRamification(p=2, kind="wild", disc_exponent=v, wild_label=f"2-e2-v{v}")
-        if v != 1:
-            raise InvariantViolation(f"tame e=2 at p={p} but v_p(disc)={v}")
-        return LocalRamification(p=p, kind="tame", disc_exponent=1, tame_cycle_type=_TAME_2_1)
-    if p == 3:
-        return LocalRamification(p=3, kind="wild", disc_exponent=v, wild_label=f"3-e3-v{v}")
-    if v != 2:
-        raise InvariantViolation(f"tame e=3 at p={p} but v_p(disc)={v}")
-    return LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
-
-
-def _local_data(f: Form, dsc: int, spf: array, entries: dict) -> tuple[LocalRamification, ...]:
-    """Local ramification of the field of the maximal form F with disc(F) = dsc.
-
-    Every p | dsc ramifies, with e = 3 exactly when the multiple root of F
-    mod p is triple.  `entries` holds the entry of each (p, v_p, triple)
-    built so far, shared by every field that has it.
-    """
-    ram = []
-    for p, v in factor(abs(dsc), spf).items():
-        key = p, v, _multiple_root(f, p)[2]
-        loc = entries.get(key)
-        if loc is None:
-            loc = entries[key] = _local_entry(*key)
-        ram.append(loc)
-    return tuple(ram)
-
-
-# The smallest-prime-factor table of the running enumerate_cubic.  pmap has no
-# per-worker set-up, and a table passed with each task would be pickled once
-# per task: forked workers inherit this one, spawned workers build their own
-# once.  It only saves work; _collect_chunk checks that it covers x.
+# The smallest-prime-factor table and the shared local entries of the running
+# enumerate_cubic.  pmap has no per-worker set-up, and a table passed with
+# each task would be pickled once per task: forked workers inherit these,
+# spawned workers build their own once.  They only save work; _collect_chunk
+# checks that the table covers x.
 _spf: array | None = None
+_entries: dict[tuple[int, int, bool], LocalRamification] | None = None
 
 
 def _collect_chunk(args):
-    global _spf
+    """({canonical form: disc}, {canonical form: local entries}) for the S_3 fields of one task.
+
+    Two dicts rather than one of (disc, entries) pairs: the pairs, freed
+    once the records are built, left holes among the objects that live on,
+    and enumerate_cubic(2e5) followed by write_jsonl peaked about 6 MB
+    higher in RSS.
+    """
+    global _spf, _entries
     x, sign, a_values = args
     if _spf is None or len(_spf) <= x:
         _spf = spf_table(x)
-    spf = _spf
+    if _entries is None:
+        _entries = {}
+    spf, entries = _spf, _entries
     cands = _pos_candidates(x, a_values) if sign > 0 else _neg_candidates(x, a_values)
-    found = {}
+    discs, rams = {}, {}
     for f, dsc in cands:
         if sign > 0 and isqrt(dsc) ** 2 == dsc:
             continue  # cyclic cubic (Galois <=> square disc)
         if not is_irreducible(f):
             continue
-        if not is_maximal(f, dsc, spf):
-            continue
+        ram = _ramification(f, dsc, spf, entries)
+        if ram is None:
+            continue  # not maximal
         canon = canonical_form(f)
-        found[canon] = dsc
-    return found
+        discs[canon], rams[canon] = dsc, ram
+    return discs, rams
+
+
+def _reintern(rams: dict) -> None:
+    """Give `rams` one object per distinct entry, across chunks that workers built apart.
+
+    A chunk comes back from its worker with its own copy of each entry it
+    shares (pickle keeps the sharing inside one chunk), so entries are
+    matched by id first and by value once per copy.  Every copy was alive
+    when this began and none is made here, so no id a lookup meets is reused.
+    """
+    by_value: dict[LocalRamification, LocalRamification] = {}
+    by_id: dict[int, LocalRamification] = {}
+    for f, ram in rams.items():
+        shared = []
+        for loc in ram:
+            one = by_id.get(id(loc))
+            if one is None:
+                one = by_id[id(loc)] = by_value.setdefault(loc, loc)
+            shared.append(one)
+        rams[f] = tuple(shared)
 
 
 def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
@@ -519,27 +611,30 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
 
     Fields of equal discriminant are ordered by canonical form.
     """
-    global _spf
+    global _spf, _entries
     if x < 1:
         raise ValueError("x must be >= 1")
     tasks = [(x, +1, [a]) for a in range(1, _amax_pos(x) + 1)]
     tasks += [(x, -1, [a]) for a in range(1, _amax_neg(x) + 1)]
-    found: dict[Form, int] = {}
-    spf = _spf = spf_table(x)
+    discs: dict[Form, int] = {}
+    rams: dict[Form, tuple[LocalRamification, ...]] = {}
+    _spf, _entries = spf_table(x), {}
     try:
-        for chunk in pmap(_collect_chunk, tasks, workers):
-            found.update(chunk)
+        for chunk_discs, chunk_rams in pmap(_collect_chunk, tasks, workers):
+            discs.update(chunk_discs)
+            rams.update(chunk_rams)
     finally:
-        _spf = None
-    entries: dict[tuple[int, int, bool], LocalRamification] = {}
+        _spf = _entries = None
+    if workers > 1:
+        _reintern(rams)
     records = [
         FieldRecord(
             degree=3,
             group_label="S3",
-            abs_disc=abs(dsc),
-            ramification=_local_data(f, dsc, spf, entries),
-            disc_sign=1 if dsc > 0 else -1,
+            abs_disc=abs(discs[f]),
+            ramification=rams[f],
+            disc_sign=1 if discs[f] > 0 else -1,
         )
-        for f, dsc in sorted(found.items(), key=lambda item: (abs(item[1]), item[1] > 0, item[0]))
+        for f in sorted(discs, key=lambda f: (abs(discs[f]), discs[f] > 0, f))
     ]
     return FieldList(records=tuple(records), provenance="enumerated", x_max=x)

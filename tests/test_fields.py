@@ -229,7 +229,8 @@ def test_cubic_entries_are_built_once_and_parsed_once():
     fl = enumerate_cubic(10**5)
     buf = io.StringIO(_jsonl(fl))
     again = parse_field_file(buf)
-    for field_list in (fl, again):
+    # on two workers each chunk brings its own copies, re-interned by the parent
+    for field_list in (fl, again, enumerate_cubic(10**5, workers=2)):
         entries = [loc for r in field_list for loc in r.ramification]
         assert len(entries) == 55341
         assert len({id(loc) for loc in entries}) == len(set(entries)) == 4367
@@ -420,6 +421,39 @@ def test_search_bounds_cover_a_brute_force_box():
     assert len(box[1]) > 10 and len(box[-1]) > 40
 
 
+def test_re_phi_window_drops_no_reduced_form():
+    """_neg_candidates, with d cut to the |Re phi| <= 1/2 window, loses no reduced form.
+
+    The scan below takes the same a, b and c but every d with -x <= disc < 0,
+    and keeps what _neg_reduced accepts; at X = 2e4 that is a <= 10.
+    """
+    from math import isqrt
+
+    from malle_lab.arith import iroot
+    from malle_lab.fields import cubic
+
+    x = 2 * 10**4
+    m, s = isqrt(16 * x // 3), iroot(16 * x // 3, 4)
+    scan = []
+    for a in range(1, cubic._amax_neg(x) + 1):
+        cmax = (3 * a * a + 2 * a * (s + 1) + m) // (4 * a)
+        for b in range((3 * a + s) // 2 + 1):
+            for c in range(-cmax, cmax + 1):
+                # disc = -a2 d^2 + a1 d + a0 >= -x between the roots of a quadratic
+                a2, a1, a0 = 27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
+                q = a1 * a1 + 4 * a2 * (a0 + x)
+                if q < 0:
+                    continue
+                r = isqrt(q)
+                for d in range((a1 - r) // (2 * a2), (a1 + r) // (2 * a2) + 2):
+                    f = (a, b, c, d)
+                    if (b or d > 0) and -x <= disc_form(f) < 0 and cubic._neg_reduced(f):
+                        scan.append((f, disc_form(f)))
+    found = cubic._neg_candidates(x, range(1, cubic._amax_neg(x) + 1))
+    assert sorted(found) == sorted(scan)
+    assert len(scan) > 5000
+
+
 def _jsonl(field_list) -> str:
     buf = io.StringIO()
     field_list.write_jsonl(buf)
@@ -451,15 +485,21 @@ def test_local_data_matches_sympy(monkeypatch):
     from malle_lab import arith
     from malle_lab.fields import cubic
 
-    monkeypatch.setattr(cubic, "_spf", None)  # drops the table _collect_chunk leaves
+    # drops the table and the entries _collect_chunk leaves
+    monkeypatch.setattr(cubic, "_spf", None)
+    monkeypatch.setattr(cubic, "_entries", None)
     x = 10**5
-    found = {}
+    found, found_ram = {}, {}
     for sign, a in ((1, 1), (-1, 1), (-1, 2)):
-        found.update(cubic._collect_chunk((x, sign, [a])))
+        discs, rams = cubic._collect_chunk((x, sign, [a]))
+        found.update(discs)
+        found_ram.update(rams)
     spf = arith.spf_table(x)
     kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
     for f, dsc in sorted(found.items()):
-        ram = cubic._local_data(f, dsc, spf, {})
+        # the entries of the canonical form are those of the form the search met
+        ram = cubic._ramification(f, dsc, spf, {})
+        assert ram == found_ram[f], f
         if any(loc.kind == "tame" and loc.p >= 5 and loc.disc_exponent == 2 for loc in ram):
             kinds["e3 at p >= 5"].append((f, dsc, ram))
         if any(loc.kind == "wild" for loc in ram):
