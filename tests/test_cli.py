@@ -222,6 +222,20 @@ def test_count_pairs_cli_input_errors_exit_2(capsys, tmp_path):
         assert run(["count-pairs", "--x", "1e6", flag, text] + files, capsys)[0] == 2
 
 
+def test_count_pairs_cli_refuses_a_degree_zero_field(capsys, tmp_path):
+    # this file once parsed, and count-pairs reported all zeros with exit 0
+    sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
+    sn.write_text('{"degree": 0, "disc": 1, "group": "S3", "ram": []}\n')
+    ab.write_text(json.dumps(
+        {"degree": 3, "group": "C3", "disc": 49,
+         "ram": [{"p": 7, "kind": "tame", "cycle_type": [3]}]}) + "\n")
+    code = main(["count-pairs", "--x", "1e6", "--sn-xmax", "1000",
+                 "--sn-fields", str(sn), "--abelians", str(ab)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: line 1: degree must be >= 1, got 0\n"
+
+
 def test_count_pairs_cli_parses_window_slack_exactly(capsys, tmp_path):
     from malle_lab.fields.cubic import enumerate_cubic
     from malle_lab.fields.cyclic import enumerate_cyclic

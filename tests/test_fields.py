@@ -3,7 +3,9 @@ import io
 import itertools
 import json
 import random
+import warnings
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -21,7 +23,13 @@ from malle_lab.fields.polysearch import (
     cubic_fields_by_polynomials,
     field_disc_of_cubic,
 )
-from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification, parse_field_file
+from malle_lab.fields.records import (
+    _LINE_FRAME,
+    FieldList,
+    FieldRecord,
+    LocalRamification,
+    parse_field_file,
+)
 from malle_lab.fields.uniformity import abelian_uniformity_check
 from malle_lab.permgroup import CycleType
 
@@ -29,6 +37,9 @@ GOOD_LINE = (
     '{"degree":3,"group":"S3","disc":-23,'
     '"ram":[{"p":23,"kind":"tame","cycle_type":[2,1]}]}'
 )
+# json.dumps(obj) keeps a test's key order, which is not the writer's frame,
+# and sorted keys give the frame: the error cases run on both parse paths
+RENDERINGS = (json.dumps, partial(json.dumps, sort_keys=True))
 
 
 def test_parse_good_record():
@@ -52,57 +63,63 @@ def test_parse_malformed_line_number():
 
 @pytest.mark.parametrize("tail", [" 5", " {}", "]", ", 1"])
 def test_parse_refuses_a_line_with_more_than_one_value(tail):
-    with pytest.raises(MalformedLine, match="Extra data") as exc:
-        parse_field_file(io.StringIO(GOOD_LINE + "\n" + GOOD_LINE + tail + "\n"))
-    assert exc.value.lineno == 2
+    for good in (GOOD_LINE, json.dumps(json.loads(GOOD_LINE), sort_keys=True)):
+        with pytest.raises(MalformedLine, match="Extra data") as exc:
+            parse_field_file(io.StringIO(good + "\n" + good + tail + "\n"))
+        assert exc.value.lineno == 2
 
 
 def test_parse_invariant_violation():
-    bad = json.dumps(
-        {
-            "degree": 3,
-            "group": "S3",
-            "disc": -46,  # 2 * 23: local parts give only 23
-            "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}],
-        }
-    )
-    with pytest.raises(InvariantViolation):
-        parse_field_file(io.StringIO(bad))
+    bad = {
+        "degree": 3,
+        "group": "S3",
+        "disc": -46,  # 2 * 23: local parts give only 23
+        "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}],
+    }
+    for render in RENDERINGS:
+        with pytest.raises(InvariantViolation):
+            parse_field_file(io.StringIO(render(bad)))
 
 
 def test_parse_tame_exponent_must_match_index():
-    bad = json.dumps(
-        {
-            "degree": 3,
-            "group": "S3",
-            "disc": -529,
-            "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1], "exp": 2}],
-        }
-    )
-    with pytest.raises(InvariantViolation):
-        parse_field_file(io.StringIO(bad))
+    bad = {
+        "degree": 3,
+        "group": "S3",
+        "disc": -529,
+        "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1], "exp": 2}],
+    }
+    for render in RENDERINGS:
+        with pytest.raises(InvariantViolation):
+            parse_field_file(io.StringIO(render(bad)))
 
 
 def test_parse_rejects_composite_ramified_prime():
     # 9^ind(2,1) = 9 matches the disc, but 9 is not a prime
-    bad = json.dumps(
-        {"degree": 3, "group": "S3", "disc": -9,
-         "ram": [{"p": 9, "kind": "tame", "cycle_type": [2, 1]}]}
-    )
-    with pytest.raises(MalformedLine, match="not prime") as exc:
-        parse_field_file(io.StringIO(GOOD_LINE + "\n" + bad))
-    assert exc.value.lineno == 2
+    bad = {"degree": 3, "group": "S3", "disc": -9,
+           "ram": [{"p": 9, "kind": "tame", "cycle_type": [2, 1]}]}
+    for render in RENDERINGS:
+        with pytest.raises(MalformedLine, match="not prime") as exc:
+            parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(bad)))
+        assert exc.value.lineno == 2
 
 
 def test_parse_rejects_cycle_type_of_another_degree():
     # ind(2,1,1) = 1 matches the disc, but (2,1,1) is a cycle type in S_4
-    bad = json.dumps(
-        {"degree": 3, "group": "S3", "disc": -23,
-         "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1, 1]}]}
-    )
-    with pytest.raises(MalformedLine, match="degree-3") as exc:
-        parse_field_file(io.StringIO(GOOD_LINE + "\n\n" + bad))
-    assert exc.value.lineno == 3
+    bad = {"degree": 3, "group": "S3", "disc": -23,
+           "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1, 1]}]}
+    for render in RENDERINGS:
+        with pytest.raises(MalformedLine, match="degree-3") as exc:
+            parse_field_file(io.StringIO(GOOD_LINE + "\n\n" + render(bad)))
+        assert exc.value.lineno == 3
+
+
+def test_parse_refuses_a_zero_disc_before_its_entries():
+    bad = {"degree": 3, "group": "S3", "disc": 0,
+           "ram": [{"p": 9, "kind": "tame", "cycle_type": [2, 1]}]}
+    for render in RENDERINGS:
+        with pytest.raises(MalformedLine, match="disc must be nonzero") as exc:
+            parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(bad)))
+        assert exc.value.lineno == 2
 
 
 WILD_LINE = (
@@ -132,9 +149,10 @@ def test_parse_refuses_values_of_another_json_type(kind, key, value):
     assert len(parse_field_file(io.StringIO(line))) == 1
     target = obj if key in ("degree", "disc", "group") else obj["ram"][0]
     target[key] = value
-    with pytest.raises(MalformedLine) as exc:
-        parse_field_file(io.StringIO(GOOD_LINE + "\n" + json.dumps(obj)))
-    assert exc.value.lineno == 2
+    for render in RENDERINGS:
+        with pytest.raises(MalformedLine) as exc:
+            parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(obj)))
+        assert exc.value.lineno == 2
 
 
 def test_parse_rejects_x_max_below_last_record():
@@ -211,18 +229,21 @@ def test_parse_checks_every_occurrence_of_a_shared_entry(line, key, value):
     # admit a mistyped copy on line 3
     bad = json.loads(json.dumps(line))
     bad["ram"][0][key] = value
-    assert len(parse_field_file(io.StringIO("\n".join([json.dumps(line)] * 3)))) == 3
-    with pytest.raises(MalformedLine) as exc:
-        parse_field_file(io.StringIO("\n".join([json.dumps(line)] * 2 + [json.dumps(bad)])))
-    assert exc.value.lineno == 3
+    for render in RENDERINGS:
+        assert len(parse_field_file(io.StringIO("\n".join([render(line)] * 3)))) == 3
+        with pytest.raises(MalformedLine) as exc:
+            parse_field_file(io.StringIO("\n".join([render(line)] * 2 + [render(bad)])))
+        assert exc.value.lineno == 3
 
 
 def test_parse_checks_a_shared_tame_entry_against_each_record_degree():
     quartic = {"degree": 4, "group": "S4", "disc": -23,
                "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}]}
-    with pytest.raises(MalformedLine, match="degree-4") as exc:
-        parse_field_file(io.StringIO(GOOD_LINE + "\n" + json.dumps(quartic)))
-    assert exc.value.lineno == 2
+    for render in RENDERINGS:
+        for first in (GOOD_LINE, render(json.loads(GOOD_LINE))):
+            with pytest.raises(MalformedLine, match="degree-4") as exc:
+                parse_field_file(io.StringIO(first + "\n" + render(quartic)))
+            assert exc.value.lineno == 2
 
 
 def test_cubic_entries_are_built_once_and_parsed_once():
@@ -234,6 +255,73 @@ def test_cubic_entries_are_built_once_and_parsed_once():
         entries = [loc for r in field_list for loc in r.ramification]
         assert len(entries) == 55341
         assert len({id(loc) for loc in entries}) == len(set(entries)) == 4367
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_cubic(10**4),
+    lambda: enumerate_cyclic(3, 10**8),
+], ids=["cubic-1e4", "c3-1e8"])
+def test_every_written_line_is_in_the_parse_frame(make):
+    # a writer line outside the frame would still parse, only slower
+    lines = _jsonl(make()).splitlines()
+    assert lines and all(_LINE_FRAME.fullmatch(line) for line in lines)
+
+
+def test_a_written_line_out_of_the_frame_round_trips():
+    rec = _hand_built_record()
+    text = _jsonl(FieldList((rec,), "enumerated", 40))
+    assert not _LINE_FRAME.fullmatch(text.strip())  # the label is written escaped
+    (again,) = parse_field_file(io.StringIO(text)).records
+    assert again.to_json() == rec.to_json() and again.group_label == 'S3 "\\é'
+
+
+def test_frame_and_hand_formatted_lines_share_their_entries():
+    tame7 = {"p": 7, "kind": "tame", "cycle_type": [2, 1]}
+    wild2 = {"p": 2, "kind": "wild", "label": "2-e2-v3", "exp": 3}
+    objs = [
+        {"degree": 3, "group": "S3", "disc": -7, "ram": [tame7]},
+        {"degree": 3, "group": "S3", "disc": -56, "ram": [wild2, tame7]},
+        {"degree": 3, "group": "S3", "disc": 56, "ram": [tame7, wild2]},
+    ]
+    lines = [text for obj in objs
+             for text in (json.dumps(obj, sort_keys=True), json.dumps(obj, separators=(",", ":")))]
+    assert [bool(_LINE_FRAME.fullmatch(line)) for line in lines] == [True, False] * 3
+    fl = parse_field_file(io.StringIO("\n".join(lines)))
+    entries = [loc for r in fl for loc in r.ramification]
+    assert len(entries) == 10
+    assert len({id(loc) for loc in entries}) == len(set(entries)) == 2
+
+
+def test_parse_warns_only_on_a_descent():
+    # 91^2 carries two cyclic cubic fields: equal |disc| is no descent
+    fl = enumerate_cyclic(3, 91**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = parse_field_file(io.StringIO(_jsonl(fl)))
+    assert [r.to_json() for r in again] == [r.to_json() for r in fl]
+    lines = _jsonl(fl).splitlines()
+    lines.append(lines.pop(0))  # the one descent is at the last line
+    with pytest.warns(UserWarning, match="unsorted"):
+        again = parse_field_file(io.StringIO("\n".join(lines)))
+    assert [r.abs_disc for r in again] == [r.abs_disc for r in fl]
+    assert len(fl) > 2 and fl.records[-1].abs_disc == fl.records[-2].abs_disc == 91**2
+
+
+@pytest.mark.parametrize("degree", [0, -3])
+def test_parse_refuses_a_degree_below_one(degree):
+    # degree 0 once parsed and counted to zero; -3 failed only in iroot
+    line = {"degree": degree, "group": "S3", "disc": 1, "ram": []}
+    for render in RENDERINGS:
+        with pytest.raises(InvariantViolation, match=f"line 2: degree must be >= 1, got {degree}"):
+            parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(line)))
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_record_refuses_a_disc_sign_other_than_one_or_minus_one(sign):
+    # disc_sign 0 was written as "disc": 0, which the parser refuses
+    rec = _hand_built_record()
+    with pytest.raises(InvariantViolation, match="disc sign"):
+        FieldRecord(rec.degree, rec.group_label, rec.abs_disc, rec.ramification, sign)
 
 
 # -- cyclic ------------------------------------------------------------------
