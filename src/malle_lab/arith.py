@@ -34,10 +34,10 @@ __all__ = [
 
 # Miller-Rabin with these bases decides primality of every n < 3.18e23
 # (Sorenson and Webster); larger n only pass as strong probable primes.
-# The first four alone decide every n < 3,215,031,751, the least strong
-# pseudoprime to the bases 2, 3, 5 and 7 (Pomerance, Selfridge, Wagstaff).
+# Fewer bases decide below the least strong pseudoprime to all of them
+# (Pomerance, Selfridge, Wagstaff): the first two below 1,373,653 = 829 * 1657,
+# the first four below 3,215,031,751.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_SMALL_LIMIT = 3_215_031_751
 
 
 def iroot(n: int, k: int) -> int:
@@ -69,7 +69,13 @@ def is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES[:4] if n < _MR_SMALL_LIMIT else _MR_BASES:
+    if n < 1_373_653:
+        bases = _MR_BASES[:2]
+    elif n < 3_215_031_751:
+        bases = _MR_BASES[:4]
+    else:
+        bases = _MR_BASES
+    for a in bases:
         y = pow(a, d, n)
         if y == 1 or y == n - 1:
             continue

@@ -34,7 +34,7 @@ u = Re phi, v = Im phi, w = |theta - u|, one has
 
     27 a^4 <= 16|D|,  w^2 + v^2 <= sqrt(|D|/3)/a^2,  w <= |D|^(1/4)/(3^(1/4) a),
 
-and the coefficient bounds used by the search loops:
+and the coefficient bounds used by the search:
 
     |b| = a|3u +- w| <= 3a/2 + (|D|/3)^(1/4)
     |c| = a|3u^2 +- 2uw + v^2| <= 3a/4 + (|D|/3)^(1/4) + sqrt(|D|/3)/a.
@@ -51,10 +51,10 @@ in d:
 so with a > 0 they say -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a,
 that is -((a - b)(a - b + c) // a) <= d <= (a + b)(a + b + c) // a in
 integers.  The exact test _neg_reduced still decides each form; the window
-only drops forms it would reject (at X = 1e5 the d loop visits 79,419
-forms instead of 333,867).
+only drops forms it would reject (at X = 1e5 there are 79,419 d rows
+instead of 333,867).
 
-Search bounds.  The loops take these bounds at |D| <= X in integers.  An
+Search bounds.  The search takes these bounds at |D| <= X in integers.  An
 integer n >= 0 has n^k <= t for a real t exactly when n <= iroot(floor(t), k),
 so no root is ever rounded the wrong way.  With s = iroot(16X // 3, 4), the
 floor of 2 (X/3)^(1/4), and m = isqrt(16X // 3), the floor of 4 sqrt(X/3):
@@ -67,20 +67,65 @@ floor of 2 (X/3)^(1/4), and m = isqrt(16X // 3), the floor of 4 sqrt(X/3):
 the last because 4a|c| <= 3a^2 + 4a (X/3)^(1/4) + 4 sqrt(X/3), which is
 below 3a^2 + 2a(s + 1) + m + 1.
 
+Arrays.  Each task of enumerate_cubic takes one (sign, a) and works on int64
+numpy arrays.  The (b, c) grid of the bounds above is expanded over its d
+window with np.repeat, and every stage below filters the rows by exact
+integer tests.  As a function of d, disc = -27a^2 d^2 + a1 d + a0 with
+a1 = 18abc - 4b^3 and a0 = b^2 c^2 - 4ac^3, and the d window of each (b, c)
+is two segments: the integers strictly between the roots of disc(d) = h,
+with h = X for disc > 0 and h = 0 for disc < 0, are cut out, so that only
+d with disc > h are dropped.  For disc > 0 the window is |Q| <= P and, when
+b > 0, 3bd <= c^2 - P (that is R >= P); for disc < 0 it is the Re phi window
+cut to disc >= -X.  Only three things stay per form: the exact rational-root
+test, canonical_form on the boundary of the positive domain, and
+FieldRecord.  numpy is imported inside these functions, on the first
+enumeration, so importing this module does not load it.  A task returns its
+canonical forms, their discs and the codes of their local entries, and the
+parent sorts, dedups and builds the records.
+
+int64.  Every intermediate of the array code is bounded through the search
+bounds, each increasing in X, so it is enough to bound them at
+X = 2^31 - 1, the largest x that `spf_table` (an array('i')) can index;
+enumerate_cubic refuses larger x before it allocates anything.  There
+s = 327, m = 107,019 and isqrt(X) = 46,340.  The maxima below are over
+the a of the search, each bound taken at the largest b and |c| for that a.
+
+- disc < 0: a <= 188, b <= B = (3a + s) // 2, |c| <= C = the c bound above.
+  The window ends and with them |d| are at most (a + B)(a + B + C) / a <=
+  4.5e6.  a1 = 18abc - 4b^3 and a0 = b^2 c^2 - 4ac^3 have |a1| <= 18aBC + 4B^3
+  <= 1.03e9 and |a0| <= B^2 C^2 + 4aC^3 <= 9.8e13, so the d quadratic
+  a1^2 + 4 * 27a^2 (a0 + X) is at most 1.47e18 < 2^61; its exact isqrt is a
+  float root corrected by one in each direction, exact below 2^62.  Every
+  term of disc = a0 + d (a1 - 27a^2 d) is below 1.1e15, and the cubic in d of
+  the |phi| >= 1 test, h = d k with k = a^2 - ac + bd - d^2, is decided by the
+  sign of k (|k| <= 2.1e13) and of d, so h itself is never formed.
+- disc > 0: a <= 82, b <= (3a + 430) // 2 <= 338, 3a|c| <= max(b^2, 46,340)
+  and 9a|d| <= b|c| + 46,340, so every term of disc is below 6.9e13,
+  |a1| <= 3.9e8, |a0| <= 2.7e13, c^2 - P <= 2.5e8, and the cut's quadratic
+  a1^2 + 4 * 27a^2 (a0 - X) is at most 2e17.
+- The Hessian of these rows has |P| <= 4.6e5, |Q| <= 4.5e7 and |R| <= 3e9.
+- F(x0, y0) mod p^2, with p^2 | disc so p^2 <= X < 2^31: the coefficients
+  are reduced mod p^2 and F is evaluated by Horner steps, each a sum of two
+  products of residues mod p^2, so below 2^63.
+- A local entry is coded as (p * 64 + v_p) * 2 + triple, below 2^38.
+
 Irreducibility.  A form with no root in P^1(F_p) has no rational root.  For
 p = 5, 7, 11, 13 and 17 a p^4-entry bytearray marks the forms mod p with no
 root in P^1(F_p), [1:0] (that is, p | a) counted as a root; the tables are
-built once per process, on the first is_irreducible call, by clearing the
-d = -(a r^3 + b r^2 + c r) entry for every a != 0 and root r.  A form no
-table marks goes to the exact rational-root test (roots x/y with y | a and
-x | d), which every reducible form reaches.
+built once per process, on first use, by clearing the
+d = -(a r^3 + b r^2 + c r) entry for every a != 0 and root r.  A task reads
+them as np.frombuffer views and indexes them with the rows mod p.  A form
+with d = 0 has the root [0:1]; any other form no table marks goes to
+is_irreducible, whose exact rational-root test (roots x/y with y | a and
+x | d) every other reducible form reaches (at X = 1e5, 6,434 forms of the
+40,567 candidates with non-square disc; 1,932 more have d = 0).
 
 Maximality.  R(F) is non-maximal at p iff p divides the content of F, or F
 mod p has a multiple root [x0:y0] in P^1(F_p) with p^2 | F(x0, y0) (the value
 at a lift is well defined mod p^2 because the gradient vanishes at a multiple
 root, and scaling by a unit keeps p^2 | F).  Only primes with p^2 | D can
 fail.  When p | D and p does not divide the content, F mod p has exactly one
-multiple root, double or triple, and `_multiple_root` finds it:
+multiple root, double or triple, and `_multiple_roots` finds it row by row:
 
 - p >= 5: the Hessian decides.  If p | P, Q, R then F mod p is a cube: if a
   is a unit mod p, P = Q = R = 0 forces F = a (x + b y/(3a))^3, the root
@@ -91,18 +136,16 @@ multiple root, double or triple, and `_multiple_root` finds it:
   coefficient 3a x0 + b of F(x + x0, 1) vanishes, and [1:0] is triple when
   p | c as well as a and b.
 
-Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
-in the class of F and keeps disc.  It maps each reduced set to itself: for
-disc > 0 the Hessian goes from (P, Q, R) to (P, -Q, R); for disc < 0 the roots
-are negated, so phi goes to -conj(phi), which stays in the fundamental domain.
-The b, c and d windows below are symmetric under (b, d) -> (-b, -d).  So the
-search loops take b >= 0 only, and d >= 1 when b = 0 (d = 0 is reducible):
-one form of each mirror pair, half the forms to test for the same fields.
+is_maximal runs the same code on one row of object arrays, so a form of any
+size is decided exactly.
 
 Factoring.  Every |disc| <= x is factored from one smallest-prime-factor
 table over [0, x] (an array('i'), 4 bytes an entry), built once per
 enumerate_cubic call; forked workers inherit it, spawned workers build their
-own once.
+own once.  A task reads it as an int32 view and factors all its discs in
+rounds: each round takes the smallest prime p left in every disc, divides p
+out as often as it goes, and emits one row (form, p, v_p).  Sorted stably by
+form, the rows of each form come in ascending p.
 
 Local data.  For a maximal form, p ramifies exactly when p | disc, and p is
 totally ramified (e = 3) exactly when F mod p is a cube, that is when the
@@ -111,14 +154,36 @@ every p.  If v_p(D) = 1 then e = 2 with no root to find: were F mod p a cube,
 a unimodular change of variables (which keeps D) would move its root to
 [1:0], making p | a, b, c, and every term of
 D = 18abcd + b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 has two of those factors, so
-p^2 | D.  So `_ramification` factors |D| once, calls `_multiple_root` only
-where v_p(D) >= 2, and returns both the maximality verdict and the entries;
-it runs in the workers, where maximality is decided.  The entry at p
-depends only on (p, v_p(disc), e), so each call builds and checks each
-distinct entry once and the records share it (at 1e5, 4,367 entries for
-21,794 fields); chunks that come back from other processes carry their own
-copies, which enumerate_cubic re-interns so that sharing holds for any
-worker count.
+p^2 | D.  So only the rows with v_p(D) >= 2 look for the multiple root, and
+they decide both maximality and e; a form with a failing row is dropped
+with all its rows.  The entry at p depends only on (p, v_p(disc), e), so a
+row carries it as one integer code, and the parent builds each distinct
+entry once from its code and shares it among the records that have it (at
+1e5, 4,367 entries for 21,794 fields), for any worker count.
+
+Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
+in the class of F and keeps disc.  It maps each reduced set to itself: for
+disc > 0 the Hessian goes from (P, Q, R) to (P, -Q, R); for disc < 0 the roots
+are negated, so phi goes to -conj(phi), which stays in the fundamental domain.
+The b, c and d windows below are symmetric under (b, d) -> (-b, -d).  So the
+search takes b >= 0 only, and d >= 1 when b = 0 (d = 0 is reducible): one
+form of each mirror pair, half the forms to test for the same fields.
+
+Canonical forms.  Every form the search keeps is already reduced, with
+a > 0, b >= 0, and d >= 1 when b = 0, so canonical_form would return it
+unchanged from its reduction and take the least of its images:
+
+- disc < 0: the least of F and its mirror, which is the mirror
+  (a, -b, c, -d): -b < b when b > 0, and -d < d when b = 0;
+- disc > 0 with |Q| < P < R: the least of +-F and +-mirror; -F and
+  -mirror start with -a < a, and -F = (-a, -b, -c, -d) is below
+  (-a, b, -c, d) by the same comparison, so it is -F;
+- disc > 0 on the boundary (|Q| = P or P = R): other reduced forms of the
+  class exist, and canonical_form finds the least (112 forms at 1e5).
+
+Forms of one class found more than once (only on that boundary) meet
+after the parent's sort on (|disc|, disc > 0, canonical form), and the
+first of each run is kept.
 """
 
 from __future__ import annotations
@@ -126,6 +191,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import gcd, isqrt
 
 from ..arith import divisors, factor, iroot, spf_table
@@ -394,25 +460,81 @@ def is_irreducible(f: Form) -> bool:
 
 # -- maximality and local data ----------------------------------------------
 
-def _multiple_root(f: Form, p: int) -> tuple[int, int, bool]:
-    """(x0, y0, triple): the multiple root [x0:y0] of F mod p, and whether it is triple.
+def _multiple_roots(f, p):
+    """(x0, y0, triple) arrays: the multiple root [x0:y0] of each F mod p, and whether it is triple.
 
-    Assumes p | disc(F) and p does not divide the content of F.
+    Row by row over the forms f = (a, b, c, d) (four arrays) and the primes
+    p; assumes p | disc(F) and p does not divide the content of F.
     """
+    import numpy as np
+
     a, b, c, d = f
-    if p >= 5:
-        hp, hq, hr = hessian(f)
-        if hp % p:
-            return -hq % p, 2 * hp % p, False
-        if hq % p or hr % p:
-            return 1, 0, False
-        if a % p:
-            return -b % p, 3 * a % p, True
-        return 1, 0, True
-    for r in range(p):
-        if _eval_form(f, r, 1) % p == 0 and (3 * a * r * r + 2 * b * r + c) % p == 0:
-            return r, 1, (3 * a * r + b) % p == 0
-    return 1, 0, c % p == 0
+    hp, hq, hr = hessian(f)
+    double = hp % p != 0
+    cube = ~double & (hq % p == 0) & (hr % p == 0)
+    finite = cube & (a % p != 0)
+    x0 = np.where(double, -hq % p, np.where(finite, -b % p, np.ones_like(a)))
+    y0 = np.where(double, 2 * hp % p, np.where(finite, 3 * a % p, np.zeros_like(a)))
+    triple = cube
+    small = np.flatnonzero(p < 5)
+    if small.size:
+        a, b, c, d, p = a[small], b[small], c[small], d[small], p[small]
+        sx, sy, st = np.ones_like(a), np.zeros_like(a), c % p == 0
+        found = np.zeros(small.size, bool)
+        for r in range(3):
+            hit = ~found & (r < p) & ((((a * r + b) * r + c) * r + d) % p == 0)
+            hit &= ((3 * a * r + 2 * b) * r + c) % p == 0
+            sx[hit], sy[hit], st[hit] = r, 1, ((3 * a * r + b) % p == 0)[hit]
+            found |= hit
+        x0[small], y0[small], triple[small] = sx, sy, st
+    return x0, y0, triple
+
+
+def _local_rows(f, p, v):
+    """(not maximal, triple) per row (F, p, v) with p^v || disc(F) and p not dividing the content of F."""
+    import numpy as np
+
+    bad, triple = np.zeros(p.size, bool), np.zeros(p.size, bool)
+    rows = np.flatnonzero(v >= 2)
+    f = tuple(x[rows] for x in f)
+    p = p[rows]
+    x0, y0, triple[rows] = _multiple_roots(f, p)
+    # F(x0, y0) mod p^2 by Horner steps on residues mod p^2 (y0^2 < p^2)
+    q = p * p
+    a, b, c, d = (x % q for x in f)
+    y2 = y0 * y0
+    val = (a * x0 + b * y0) % q
+    val = (val * x0 + c * y2) % q
+    bad[rows] = (val * x0 + d * (y2 * y0 % q)) % q == 0
+    return bad, triple
+
+
+def _factor_rows(n, spf):
+    """(i, p, v), one row per prime p^v || n[i], the rows of each i in ascending p.
+
+    `n` is an int64 array of values >= 1 that the int32 view `spf` of a
+    smallest-prime-factor table covers.
+    """
+    import numpy as np
+
+    empty = np.zeros(0, np.int64)
+    out = [(empty, empty, empty)]
+    i = np.flatnonzero(n > 1)
+    n = n[i]
+    while i.size:
+        p = spf[n].astype(np.int64)
+        v = np.zeros_like(n)
+        divides = np.ones(n.size, bool)
+        while divides.any():
+            n = np.where(divides, n // p, n)
+            v += divides
+            divides = n % p == 0
+        out.append((i, p, v))
+        left = n > 1
+        i, n = i[left], n[left]
+    i, p, v = (np.concatenate(col) for col in zip(*out))
+    order = np.argsort(i, kind="stable")
+    return i[order], p[order], v[order]
 
 
 def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
@@ -430,113 +552,135 @@ def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
     return LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
 
 
-def _ramification(f: Form, dsc: int, spf: array | None, entries: dict):
-    """The local entries of the field of F with disc(F) = dsc, or None when R(F) is not maximal.
+def _entry_code(p, v, triple):
+    """The entry key (p, v_p(disc), triple) as one integer, (p * 64 + v) * 2 + triple."""
+    return (p * 64 + v) * 2 + triple
 
-    One factorisation of |dsc| decides both: R(F) is maximal when no p with
-    p^2 | dsc has p^2 | F(x0, y0) at the multiple root, and then every
-    p | dsc ramifies, with e = 3 exactly when that root is triple (never
-    when v_p(dsc) = 1).  `entries` holds the entry of each (p, v_p, triple)
-    built so far, shared by every field that has it.
-    """
-    a, b, c, d = f
-    if gcd(gcd(a, b), gcd(c, d)) != 1:
-        return None
-    ram = []
-    for p, v in factor(abs(dsc), spf).items():
-        if v == 1:
-            key = p, 1, False
-        else:
-            x0, y0, triple = _multiple_root(f, p)
-            if _eval_form(f, x0, y0) % (p * p) == 0:
-                return None
-            key = p, v, triple
-        loc = entries.get(key)
-        if loc is None:
-            loc = entries[key] = _local_entry(*key)
-        ram.append(loc)
-    return tuple(ram)
+
+def _code_entry(code: int) -> LocalRamification:
+    """The entry of an `_entry_code`."""
+    return _local_entry(code >> 7, (code >> 1) & 63, bool(code & 1))
 
 
 def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
     """True when the cubic ring of F is maximal (p-maximal at every p).
 
     `d` is disc(F) when already known; `spf` is a smallest-prime-factor
-    table used to factor |d| when it covers it.
+    table used to factor |d| when it covers it.  The forms of the search
+    are decided by the same code, on int64 rows.
     """
-    return _ramification(f, disc_form(f) if d is None else d, spf, {}) is not None
+    import numpy as np
+
+    if gcd(*f) != 1:
+        return False
+    fac = factor(abs(disc_form(f) if d is None else d), spf)
+    p, v = np.array(list(fac), dtype=object), np.array(list(fac.values()), dtype=object)
+    rows = tuple(np.full(p.size, x, dtype=object) for x in f)
+    return not _local_rows(rows, p, v)[0].any()
 
 
 # -- enumeration -------------------------------------------------------------
 
-def _pos_candidates(x: int, a_range):
-    """Hessian-reduced candidates with 0 < disc <= x, a in a_range, one per mirror pair."""
-    out = []
-    pmax = isqrt(x)
-    x4 = iroot(16 * x, 4)
-    for a in a_range:
-        for b in range((3 * a + x4) // 2 + 1):
-            # c window from 0 < P <= sqrt(X)
-            c_lo = -(-(b * b - pmax) // (3 * a))  # ceil
-            c_hi = (b * b - 1) // (3 * a)
-            for c in range(c_lo, c_hi + 1):
-                p = b * b - 3 * a * c
-                # d window from |Q| <= P
-                d_lo = -(-(b * c - p) // (9 * a)) if b else 1
-                d_hi = (b * c + p) // (9 * a)
-                for d in range(d_lo, d_hi + 1):
-                    if c * c - 3 * b * d < p:
-                        continue
-                    f = (a, b, c, d)
-                    dsc = disc_form(f)
-                    if 0 < dsc <= x:
-                        out.append((f, dsc))
-    return out
+# x above this refused: spf_table(x) is an array('i'), and the int64 bounds of
+# the module docstring are proved at X = 2^31 - 1
+X_LIMIT = 2**31 - 1
 
 
-def _neg_candidates(x: int, a_range):
-    """Fundamental-domain-reduced candidates with -x <= disc < 0, a in a_range, one per mirror pair."""
-    out = []
-    m = isqrt(16 * x // 3)
-    s = iroot(16 * x // 3, 4)
-    for a in a_range:
-        cmax = (3 * a * a + 2 * a * (s + 1) + m) // (4 * a)
-        a2 = 27 * a * a
-        for b in range((3 * a + s) // 2 + 1):
-            for c in range(-cmax, cmax + 1):
-                # |Re phi| <= 1/2: -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a
-                w_lo = -((a - b) * (a - b + c) // a)
-                w_hi = (a + b) * (a + b + c) // a
-                if not b:
-                    w_lo = max(w_lo, 1)
-                if w_lo > w_hi:
-                    continue
-                # disc(d) = -a2 d^2 + a1 d + a0; live window where -x <= disc,
-                # minus the middle where disc >= 0
-                a1 = 18 * a * b * c - 4 * b**3
-                a0 = b * b * c * c - 4 * a * c**3
-                disc_quad = a1 * a1 + 4 * a2 * (a0 + x)
-                if disc_quad < 0:
-                    continue
-                sq = isqrt(disc_quad)
-                d_lo = max(-(-(a1 - sq) // (2 * a2)), w_lo)
-                d_hi = min((a1 + sq) // (2 * a2), w_hi)
-                zero_quad = a1 * a1 + 4 * a2 * a0
-                if zero_quad >= 0:
-                    zq = isqrt(zero_quad)
-                    mid_lo = (a1 - zq) // (2 * a2) + 1  # first d with disc > ... inside
-                    mid_hi = -(-(a1 + zq) // (2 * a2)) - 1
-                    segments = ((d_lo, min(mid_lo - 1, d_hi)), (max(mid_hi + 1, d_lo), d_hi))
-                else:
-                    segments = ((d_lo, d_hi),)
-                for seg_lo, seg_hi in segments:
-                    for d in range(seg_lo, seg_hi + 1):
-                        dsc = a0 + d * (a1 - a2 * d)
-                        if -x <= dsc < 0:
-                            f = (a, b, c, d)
-                            if _neg_reduced(f):
-                                out.append((f, dsc))
-    return out
+def _ranges(lo, hi):
+    """(i, v) for every row i and every integer v in [lo[i], hi[i]], in row order."""
+    import numpy as np
+
+    n = np.maximum(hi - lo + 1, 0)
+    i = np.repeat(np.arange(n.size), n)
+    return i, np.arange(i.size) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
+def _isqrt(n):
+    """isqrt of each entry of an int64 array with 0 <= n < 2^62: a float root corrected by one."""
+    import numpy as np
+
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def _outside_middle(lo, hi, a2: int, a1, a0, h: int):
+    """(i, d) for every row i and integer d in [lo[i], hi[i]] but those where the middle cut drops.
+
+    The cut is the integers strictly between the roots of
+    -a2 d^2 + a1 d + a0 = h, with the root isqrt taken exactly, so only d
+    with -a2 d^2 + a1 d + a0 > h are dropped.  Each row gives two segments.
+    """
+    import numpy as np
+
+    z = a1 * a1 + 4 * a2 * (a0 - h)
+    zq = _isqrt(np.maximum(z, 0))
+    middle = z >= 0
+    hi1 = np.where(middle, np.minimum((a1 - zq) // (2 * a2), hi), hi)
+    lo2 = np.where(middle, np.maximum(-((-(a1 + zq)) // (2 * a2)), lo), hi + 1)
+    i, d = _ranges(np.concatenate((lo, lo2)), np.concatenate((hi1, hi)))
+    return i % lo.size, d
+
+
+def _pos_candidates(x: int, a: int):
+    """(b, c, d, disc) arrays: the Hessian-reduced (a, b, c, d) with 0 < disc <= x, one per mirror pair."""
+    import numpy as np
+
+    b = np.arange((3 * a + iroot(16 * x, 4)) // 2 + 1)
+    # c window from 0 < P <= sqrt(X)
+    i, c = _ranges(-((isqrt(x) - b * b) // (3 * a)), (b * b - 1) // (3 * a))
+    b = b[i]
+    p, bc = b * b - 3 * a * c, b * c
+    # d window from |Q| <= P, and d >= 1 when b = 0; for b > 0, R >= P says
+    # 3bd <= c^2 - P.  disc(d) = -a2 d^2 + a1 d + a0, less the middle where
+    # disc > x
+    d_lo = np.where(b > 0, -((p - bc) // (9 * a)), 1)
+    d_hi = (bc + p) // (9 * a)
+    d_hi = np.where(b > 0, np.minimum(d_hi, (c * c - p) // np.maximum(3 * b, 1)), d_hi)
+    a1, a0 = 18 * a * bc - 4 * b**3, b * b * c * c - 4 * a * c**3
+    i, d = _outside_middle(d_lo, d_hi, 27 * a * a, a1, a0, x)
+    b, c = b[i], c[i]
+    keep = c * c - 3 * b * d >= p[i]
+    b, c, d = b[keep], c[keep], d[keep]
+    dsc = disc_form((a, b, c, d))
+    keep = (0 < dsc) & (dsc <= x)
+    return b[keep], c[keep], d[keep], dsc[keep]
+
+
+def _neg_candidates(x: int, a: int):
+    """(b, c, d, disc) arrays: the fundamental-domain-reduced (a, b, c, d) with -x <= disc < 0, one per mirror pair."""
+    import numpy as np
+
+    m, s = isqrt(16 * x // 3), iroot(16 * x // 3, 4)
+    cmax = (3 * a * a + 2 * a * (s + 1) + m) // (4 * a)
+    nb, nc = (3 * a + s) // 2 + 1, 2 * cmax + 1
+    b = np.repeat(np.arange(nb), nc)
+    c = np.tile(np.arange(-cmax, cmax + 1), nb)
+    # |Re phi| <= 1/2: -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a
+    w_lo = -((a - b) * (a - b + c) // a)
+    w_lo = np.where(b > 0, w_lo, np.maximum(w_lo, 1))
+    w_hi = (a + b) * (a + b + c) // a
+    # disc(d) = -a2 d^2 + a1 d + a0; live window where -x <= disc
+    a2 = 27 * a * a
+    a1 = 18 * a * b * c - 4 * b**3
+    a0 = b * b * c * c - 4 * a * c**3
+    q = a1 * a1 + 4 * a2 * (a0 + x)
+    live = (w_lo <= w_hi) & (q >= 0)
+    b, c, w_lo, w_hi, a1, a0, q = (col[live] for col in (b, c, w_lo, w_hi, a1, a0, q))
+    sq = _isqrt(q)
+    d_lo = np.maximum(-((sq - a1) // (2 * a2)), w_lo)
+    d_hi = np.minimum((a1 + sq) // (2 * a2), w_hi)
+    # less the middle, where disc > 0
+    i, d = _outside_middle(d_lo, d_hi, a2, a1, a0, 0)
+    b, c = b[i], c[i]
+    dsc = a0[i] + d * (a1[i] - a2 * d)
+    keep = (-x <= dsc) & (dsc < 0)
+    b, c, d, dsc = b[keep], c[keep], d[keep], dsc[keep]
+    # |phi| >= 1: h = d k with k = a^2 - ac + bd - d^2 must be >= 0 for d < 0
+    # and <= 0 for d >= 0, that is k <= 0 unless d = 0
+    keep = (d == 0) | (a * a - a * c + b * d - d * d <= 0)
+    return b[keep], c[keep], d[keep], dsc[keep]
 
 
 def _amax_pos(x: int) -> int:
@@ -547,94 +691,117 @@ def _amax_neg(x: int) -> int:
     return iroot(16 * x // 27, 4)
 
 
-# The smallest-prime-factor table and the shared local entries of the running
-# enumerate_cubic.  pmap has no per-worker set-up, and a table passed with
-# each task would be pickled once per task: forked workers inherit these,
-# spawned workers build their own once.  They only save work; _collect_chunk
-# checks that the table covers x.
+def _irreducible(f):
+    """Mask of the irreducible rows among forms with a != 0."""
+    import numpy as np
+
+    a, b, c, d = f
+    marked = np.zeros(b.size, bool)
+    for p, table in _no_root_tables():
+        marked |= np.frombuffer(table, np.uint8)[((a % p * p + b % p) * p + c % p) * p + d % p] != 0
+    # the rest, but those with the root [0:1], by the exact test
+    rest = np.flatnonzero(~marked & (d != 0))
+    marked[rest] = [is_irreducible(g) for g in zip(*(x[rest].tolist() for x in f))]
+    return marked
+
+
+# The smallest-prime-factor table of the running enumerate_cubic.  pmap has no
+# per-worker set-up, and a table passed with each task would be pickled once
+# per task: forked workers inherit it, spawned workers build their own once.
+# It only saves work; _collect_chunk checks that the table covers x.
 _spf: array | None = None
-_entries: dict[tuple[int, int, bool], LocalRamification] | None = None
 
 
 def _collect_chunk(args):
-    """({canonical form: disc}, {canonical form: local entries}) for the S_3 fields of one task.
+    """(forms, discs, codes, offsets) for the S_3 fields of the task (x, sign, a).
 
-    Two dicts rather than one of (disc, entries) pairs: the pairs, freed
-    once the records are built, left holes among the objects that live on,
-    and enumerate_cubic(2e5) followed by write_jsonl peaked about 6 MB
-    higher in RSS.
+    forms is an (n, 4) array of canonical forms and discs their discs;
+    codes[offsets[k]:offsets[k + 1]] are the `_entry_code`s of form k, in
+    ascending p.
     """
-    global _spf, _entries
-    x, sign, a_values = args
+    import numpy as np
+
+    global _spf
+    x, sign, a = args
     if _spf is None or len(_spf) <= x:
         _spf = spf_table(x)
-    if _entries is None:
-        _entries = {}
-    spf, entries = _spf, _entries
-    cands = _pos_candidates(x, a_values) if sign > 0 else _neg_candidates(x, a_values)
-    discs, rams = {}, {}
-    for f, dsc in cands:
-        if sign > 0 and isqrt(dsc) ** 2 == dsc:
-            continue  # cyclic cubic (Galois <=> square disc)
-        if not is_irreducible(f):
-            continue
-        ram = _ramification(f, dsc, spf, entries)
-        if ram is None:
-            continue  # not maximal
-        canon = canonical_form(f)
-        discs[canon], rams[canon] = dsc, ram
-    return discs, rams
-
-
-def _reintern(rams: dict) -> None:
-    """Give `rams` one object per distinct entry, across chunks that workers built apart.
-
-    A chunk comes back from its worker with its own copy of each entry it
-    shares (pickle keeps the sharing inside one chunk), so entries are
-    matched by id first and by value once per copy.  Every copy was alive
-    when this began and none is made here, so no id a lookup meets is reused.
-    """
-    by_value: dict[LocalRamification, LocalRamification] = {}
-    by_id: dict[int, LocalRamification] = {}
-    for f, ram in rams.items():
-        shared = []
-        for loc in ram:
-            one = by_id.get(id(loc))
-            if one is None:
-                one = by_id[id(loc)] = by_value.setdefault(loc, loc)
-            shared.append(one)
-        rams[f] = tuple(shared)
+    b, c, d, dsc = (_pos_candidates if sign > 0 else _neg_candidates)(x, a)
+    if sign > 0:
+        keep = _isqrt(dsc) ** 2 != dsc  # cyclic cubic (Galois <=> square disc)
+        b, c, d, dsc = b[keep], c[keep], d[keep], dsc[keep]
+    f = (np.full_like(b, a), b, c, d)
+    keep = _irreducible(f)
+    keep[keep] = np.gcd(np.gcd(a, b[keep]), np.gcd(c[keep], d[keep])) == 1
+    f, dsc = tuple(x[keep] for x in f), dsc[keep]
+    i, p, v = _factor_rows(np.abs(dsc), np.frombuffer(_spf, np.int32))
+    bad, triple = _local_rows(tuple(x[i] for x in f), p, v)
+    # a form with a failing row is not maximal: drop it with all its rows
+    keep = np.ones(dsc.size, bool)
+    keep[i[bad]] = False
+    f, dsc = tuple(x[keep] for x in f), dsc[keep]
+    rows = keep[i]
+    codes = _entry_code(p[rows], v[rows], triple[rows])
+    counts = np.bincount(i[rows], minlength=keep.size)[keep]
+    del i, p, v, bad, triple, rows, keep
+    forms = np.stack(f, axis=1)
+    # canonical forms: the mirror for disc < 0, -F inside the positive domain
+    if sign < 0:
+        forms[:, 1::2] *= -1
+    else:
+        hp, hq, hr = hessian(f)
+        inside = (np.abs(hq) < hp) & (hp < hr)
+        forms[inside] *= -1
+        edge = np.flatnonzero(~inside)
+        if edge.size:
+            forms[edge] = [canonical_form(g) for g in map(tuple, forms[edge].tolist())]
+    offsets = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return forms, dsc, codes, offsets
 
 
 def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
-    """All S_3 cubic fields over Q with |disc| <= x, both signatures.
+    """All S_3 cubic fields over Q with |disc| <= x, both signatures, for 1 <= x <= X_LIMIT.
 
     Fields of equal discriminant are ordered by canonical form.
     """
-    global _spf, _entries
+    global _spf
     if x < 1:
         raise ValueError("x must be >= 1")
-    tasks = [(x, +1, [a]) for a in range(1, _amax_pos(x) + 1)]
-    tasks += [(x, -1, [a]) for a in range(1, _amax_neg(x) + 1)]
-    discs: dict[Form, int] = {}
-    rams: dict[Form, tuple[LocalRamification, ...]] = {}
-    _spf, _entries = spf_table(x), {}
+    if x > X_LIMIT:
+        raise ValueError(f"x must be <= {X_LIMIT} (2^31 - 1), the int64 bound of the search")
+    import numpy as np
+
+    tasks = [(x, +1, a) for a in range(1, _amax_pos(x) + 1)]
+    tasks += [(x, -1, a) for a in range(1, _amax_neg(x) + 1)]
+    if not tasks:  # x = 1
+        return FieldList(records=(), provenance="enumerated", x_max=x)
+    _spf = spf_table(x)
     try:
-        for chunk_discs, chunk_rams in pmap(_collect_chunk, tasks, workers):
-            discs.update(chunk_discs)
-            rams.update(chunk_rams)
+        chunks = pmap(_collect_chunk, tasks, workers)
     finally:
-        _spf = _entries = None
-    if workers > 1:
-        _reintern(rams)
+        _spf = None
+    forms, discs, codes = (np.concatenate(col) for col in list(zip(*chunks))[:3])
+    counts = np.concatenate([np.diff(chunk[3]) for chunk in chunks])
+    del chunks
+    order = np.lexsort((*forms.T[::-1], discs > 0, np.abs(discs)))
+    # one field per run of equal canonical forms
+    forms = forms[order]
+    first = np.ones(order.size, bool)
+    first[1:] = (forms[1:] != forms[:-1]).any(axis=1)
+    order = order[first]
+    del forms
+    ends = np.cumsum(counts)
+    _, rows = _ranges((ends - counts)[order], ends[order] - 1)  # their rows, in order
+    codes, inverse = np.unique(codes[rows], return_inverse=True)
+    entries = np.array(list(map(_code_entry, codes.tolist())), dtype=object)
+    # the rows' entries in record order: slicing by row offsets would make an
+    # int per row, and freed between the records they raised peak RSS
+    row_entries = iter(entries[inverse].tolist())
+    abs_discs, signs = np.abs(discs[order]).tolist(), np.sign(discs[order]).tolist()
+    sizes = counts[order].tolist()
+    del discs, codes, inverse, counts, ends, order, first, rows, entries
     records = [
-        FieldRecord(
-            degree=3,
-            group_label="S3",
-            abs_disc=abs(discs[f]),
-            ramification=rams[f],
-            disc_sign=1 if discs[f] > 0 else -1,
-        )
-        for f in sorted(discs, key=lambda f: (abs(discs[f]), discs[f] > 0, f))
+        FieldRecord(3, "S3", n, tuple(islice(row_entries, k)), s)
+        for n, k, s in zip(abs_discs, sizes, signs)
     ]
     return FieldList(records=tuple(records), provenance="enumerated", x_max=x)

@@ -260,12 +260,12 @@ def _entry(r, degree: int, lineno: int, entries: dict, cycle_types: dict) -> Loc
 
 
 def _decoded(line: str, lineno: int):
-    """json.loads(line), with its error as MalformedLine."""
+    """json.loads(line), with its error, or an integer past int()'s digit limit, as MalformedLine."""
     try:
         obj, end = _decode(line)
         if end < len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is one
         raise MalformedLine(lineno, f"invalid JSON: {exc}")
     return obj
 
@@ -303,7 +303,10 @@ def _frame_record(
     that degree.  None means a piece between "}, {" is not one JSON object.
     """
     degree, disc, group, ram_text = match.groups()
-    degree, disc = int(degree), int(disc)
+    try:
+        degree, disc = int(degree), int(disc)
+    except ValueError as exc:  # past int()'s digit limit
+        raise MalformedLine(lineno, f"bad record fields: {exc}")
     known = texts.get(degree)
     if known is None:
         known = texts[degree] = {}
@@ -314,7 +317,7 @@ def _frame_record(
             text = "{" + piece + "}"
             try:
                 obj, end = _decode(text)
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or past int()'s digit limit
                 return None
             if end < len(text):
                 return None

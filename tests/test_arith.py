@@ -63,8 +63,9 @@ def test_iroot_matches_definition():
 def test_is_prime_matches_trial_division():
     primes = set(p for p in range(2, 20001) if all(p % d for d in range(2, int(p**0.5) + 1)))
     assert [n for n in range(-3, 20001) if is_prime(n)] == sorted(primes)
-    # 25326001 is a strong pseudoprime to the bases 2, 3 and 5, and
-    # 3215031751 to the bases 2, 3, 5 and 7
+    # 1373653 = 829 * 1657 is the least strong pseudoprime to the bases 2 and 3,
+    # 25326001 one to the bases 2, 3 and 5, and 3215031751 to 2, 3, 5 and 7
+    assert not is_prime(1373653)
     assert not is_prime(25326001)
     assert not is_prime(3215031751)
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)

@@ -222,6 +222,21 @@ def test_count_pairs_cli_input_errors_exit_2(capsys, tmp_path):
         assert run(["count-pairs", "--x", "1e6", flag, text] + files, capsys)[0] == 2
 
 
+def test_count_pairs_cli_names_the_line_of_an_oversized_integer(capsys, tmp_path):
+    # a disc of 5,001 digits was a bare ValueError from int(), with no line
+    sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
+    sn.write_text('{"degree": 3, "disc": -1%s1, "group": "S3", '
+                  '"ram": [{"cycle_type": [2, 1], "kind": "tame", "p": 23}]}\n' % ("0" * 4999))
+    ab.write_text(json.dumps(
+        {"degree": 3, "group": "C3", "disc": 49,
+         "ram": [{"p": 7, "kind": "tame", "cycle_type": [3]}]}) + "\n")
+    code = main(["count-pairs", "--x", "1e6", "--sn-fields", str(sn), "--abelians", str(ab)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "line 1: " in line
+
+
 def test_count_pairs_cli_refuses_a_degree_zero_field(capsys, tmp_path):
     # this file once parsed, and count-pairs reported all zeros with exit 0
     sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
@@ -324,6 +339,10 @@ def _bad_inputs(tmp_path):
     (tmp_path / "float_part.jsonl").write_text(json.dumps(
         {"degree": 3, "group": "S3", "disc": -23,
          "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1.0]}]}) + "\n")
+    # a disc of 5,001 digits, past int()'s limit: once a bare ValueError
+    (tmp_path / "big_disc.jsonl").write_text(
+        '{"degree": 3, "disc": -1%s1, "group": "S3", '
+        '"ram": [{"cycle_type": [2, 1], "kind": "tame", "p": 23}]}\n' % ("0" * 4999))
     pairs = ["count-pairs", "--sn-fields", "{dir}/k.jsonl", "--abelians", "{dir}/l.jsonl",
              "--x", "1e6", "--mode", "exact"]
     return [
@@ -334,6 +353,8 @@ def _bad_inputs(tmp_path):
         ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk_zero.json"],
         ["sieve-exp", "--scheme", "{dir}/scheme.json", "--r", "5,10,50", "--q", "3,5"],
         ["count-pairs", "--sn-fields", "{dir}/float_part.jsonl", "--abelians", "{dir}/l.jsonl",
+         "--x", "1e6"],
+        ["count-pairs", "--sn-fields", "{dir}/big_disc.jsonl", "--abelians", "{dir}/l.jsonl",
          "--x", "1e6"],
         ["enumerate-cubic", "--x", "100", "--workers", "0"],
         ["convolve", "--s1", "integers", "--s2", "integers", "--a", "1/0", "--b", "1",

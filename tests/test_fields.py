@@ -69,6 +69,24 @@ def test_parse_refuses_a_line_with_more_than_one_value(tail):
         assert exc.value.lineno == 2
 
 
+@pytest.mark.parametrize("frame", [False, True], ids=["whole-line", "frame"])
+@pytest.mark.parametrize("key", ["disc", "p"])
+def test_parse_refuses_an_integer_past_the_digit_limit(frame, key):
+    # int() refuses more than 4,300 digits; that escaped as a bare ValueError
+    big = "1" + "0" * 4998 + "1"  # json.dumps cannot write it either
+    disc, p = ("-" + big, "23") if key == "disc" else ("-23", big)
+    if frame:
+        line = ('{"degree": 3, "disc": %s, "group": "S3", '
+                '"ram": [{"cycle_type": [2, 1], "kind": "tame", "p": %s}]}' % (disc, p))
+    else:
+        line = ('{"degree":3,"group":"S3","disc":%s,'
+                '"ram":[{"p":%s,"kind":"tame","cycle_type":[2,1]}]}' % (disc, p))
+    assert bool(_LINE_FRAME.fullmatch(line)) == frame
+    with pytest.raises(MalformedLine) as exc:
+        parse_field_file(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
+    assert exc.value.lineno == 2
+
+
 def test_parse_invariant_violation():
     bad = {
         "degree": 3,
@@ -250,7 +268,7 @@ def test_cubic_entries_are_built_once_and_parsed_once():
     fl = enumerate_cubic(10**5)
     buf = io.StringIO(_jsonl(fl))
     again = parse_field_file(buf)
-    # on two workers each chunk brings its own copies, re-interned by the parent
+    # the parent builds each entry once from its code, for any worker count
     for field_list in (fl, again, enumerate_cubic(10**5, workers=2)):
         entries = [loc for r in field_list for loc in r.ramification]
         assert len(entries) == 55341
@@ -433,6 +451,15 @@ def test_maximality_rejects_index_forms():
     assert is_maximal((1, 0, -1, -1))
 
 
+def test_is_maximal_decides_forms_past_int64():
+    # equivalent forms with coefficients past 2^63: same disc, same verdict
+    m = (10**6 + 1, 10**6, 10**6 + 2, 10**6 + 1)  # det 1
+    for f, maximal in (((1, 0, -4, 8), False), ((1, 0, -1, -1), True)):
+        g = transform(transform(transform(f, m), m), m)
+        assert max(map(abs, g)) > 2**63 and disc_form(g) == disc_form(f)
+        assert is_maximal(g) is maximal
+
+
 def _multiple_roots_by_scan(f, p):
     """Every multiple root of F mod p in P^1(F_p) as (x0, y0, triple), by residues."""
     a, b, c, d = f
@@ -447,23 +474,32 @@ def _multiple_roots_by_scan(f, p):
 
 
 def test_multiple_root_matches_residue_scan():
-    from malle_lab.fields.cubic import _multiple_root
+    import numpy as np
 
-    def root(f, p):
-        """The point _multiple_root finds, written as [r:1] or [1:0]."""
-        x0, y0, triple = _multiple_root(f, p)
-        if y0 % p == 0:
-            assert x0 % p
-            return 1, 0, triple
-        return x0 * pow(y0, -1, p) % p, 1, triple
+    from malle_lab.fields.cubic import _multiple_roots
 
-    for p in (2, 3, 5, 7, 11, 13):
-        for f in itertools.product(range(p), repeat=4):
-            if any(f) and disc_form(f) % p == 0:
-                assert [root(f, p)] == _multiple_roots_by_scan(f, p), (f, p)
+    def roots(forms, primes, dtype=np.int64):
+        """The points _multiple_roots finds, one row per (form, p), written as [r:1] or [1:0]."""
+        cols = tuple(np.array(col, dtype=dtype) for col in zip(*forms))
+        found = _multiple_roots(cols, np.array(primes, dtype=dtype))
+        out = []
+        for p, x0, y0, triple in zip(primes, *(col.tolist() for col in found)):
+            if y0 % p == 0:
+                assert x0 % p
+                out.append((1, 0, triple))
+            else:
+                out.append((x0 * pow(y0, -1, p) % p, 1, triple))
+        return out
+
+    # every p in one call, so that the p = 2, 3 rows sit among the others
+    rows = [(f, p) for p in (2, 3, 5, 7, 11, 13)
+            for f in itertools.product(range(p), repeat=4) if any(f) and disc_form(f) % p == 0]
+    for (f, p), root in zip(rows, roots(*zip(*rows))):
+        assert [root] == _multiple_roots_by_scan(f, p), (f, p)
     # integer forms congruent mod p^2 to one with a double or triple root at
     # [r:1] or [1:0], so that p^2 | disc, at the primes from 53 to 101
     rng = random.Random(8)
+    rows = []
     for p in (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101):
         for _ in range(60):
             r, u, w = (rng.randrange(-p * p, p * p) for _ in range(3))
@@ -477,11 +513,23 @@ def test_multiple_root_matches_residue_scan():
             for g in shapes:
                 f = tuple(gi + p * p * rng.randrange(-5, 6) for gi in g)
                 assert disc_form(f) % (p * p) == 0
-                assert [root(f, p)] == _multiple_roots_by_scan(f, p), (f, p)
+                rows.append((f, p))
+    # the Hessian of these forms passes 2^63: object rows, as is_maximal runs them
+    for (f, p), root in zip(rows, roots(*zip(*rows), dtype=object)):
+        assert [root] == _multiple_roots_by_scan(f, p), (f, p)
+
+
+def _search(candidates, x: int, amax: int) -> list:
+    """((a, b, c, d), disc) for every row the array search `candidates` returns, a = 1..amax."""
+    return [
+        ((a, b, c, d), dsc)
+        for a in range(1, amax + 1)
+        for b, c, d, dsc in zip(*(col.tolist() for col in candidates(x, a)))
+    ]
 
 
 def test_search_bounds_cover_a_brute_force_box():
-    """The candidate loops find every reduced irreducible form with |disc| <= 400.
+    """The array search finds every reduced irreducible form with |disc| <= 400.
 
     At X = 400 the module docstring bounds give a <= 1 for disc > 0 and a <= 3
     for disc < 0, b <= 7 and |c| <= 15; |d| <= 6 for disc > 0 (from |Q| <= P)
@@ -502,8 +550,8 @@ def test_search_bounds_cover_a_brute_force_box():
                         continue
                     if cubic._hessian_reduced(f) if dsc > 0 else cubic._neg_reduced(f):
                         box[1 if dsc > 0 else -1].add((f, dsc))
-    pos = cubic._pos_candidates(x, range(1, cubic._amax_pos(x) + 1))
-    neg = cubic._neg_candidates(x, range(1, cubic._amax_neg(x) + 1))
+    pos = _search(cubic._pos_candidates, x, cubic._amax_pos(x))
+    neg = _search(cubic._neg_candidates, x, cubic._amax_neg(x))
     assert box[1] == {(f, dsc) for f, dsc in pos if is_irreducible(f)}
     assert box[-1] == {(f, dsc) for f, dsc in neg if is_irreducible(f)}
     assert len(box[1]) > 10 and len(box[-1]) > 40
@@ -537,7 +585,7 @@ def test_re_phi_window_drops_no_reduced_form():
                     f = (a, b, c, d)
                     if (b or d > 0) and -x <= disc_form(f) < 0 and cubic._neg_reduced(f):
                         scan.append((f, disc_form(f)))
-    found = cubic._neg_candidates(x, range(1, cubic._amax_neg(x) + 1))
+    found = _search(cubic._neg_candidates, x, cubic._amax_neg(x))
     assert sorted(found) == sorted(scan)
     assert len(scan) > 5000
 
@@ -559,6 +607,84 @@ def test_enumerate_cubic_bytes_pinned():
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_enumerate_cubic_bytes_pinned_at_1e5(workers):
+    text = _jsonl(enumerate_cubic(10**5, workers=workers))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7137eac1bbcf235c65dcc0f0095a3e1673b9abdb024c5ce9226b2b3dcd571e3d"
+    )
+
+
+def test_enumerate_cubic_refuses_x_past_the_int64_bound(monkeypatch):
+    from malle_lab.fields import cubic
+
+    def no_table(n):
+        raise AssertionError(f"spf_table({n}) built")
+
+    monkeypatch.setattr(cubic, "spf_table", no_table)
+    assert cubic.X_LIMIT == 2**31 - 1
+    for x in (2**31, 10**40):
+        with pytest.raises(ValueError, match="2\\^31"):
+            enumerate_cubic(x)
+
+
+def test_isqrt_rows_match_math_isqrt():
+    """The float root of _isqrt, corrected by one each way, is exact below 2^62."""
+    from math import isqrt
+
+    import numpy as np
+
+    from malle_lab.fields import cubic
+
+    rng = random.Random(3)
+    roots = [0, 1, 2, 3, 2**26, 2**31 - 1, 2**31] + [rng.randrange(2**31) for _ in range(300)]
+    n = sorted({max(k * k + e, 0) for k in roots for e in (-1, 0, 1)} | {2**62 - 1})
+    assert cubic._isqrt(np.array(n, dtype=np.int64)).tolist() == [isqrt(m) for m in n]
+
+
+def test_int64_bounds_of_the_module_docstring():
+    """The docstring's bounds on the array intermediates, at X = X_LIMIT, over every a."""
+    from math import isqrt
+
+    from malle_lab.arith import iroot
+    from malle_lab.fields import cubic
+
+    x = cubic.X_LIMIT
+    s, m, pmax, x4 = iroot(16 * x // 3, 4), isqrt(16 * x // 3), isqrt(x), iroot(16 * x, 4)
+    assert (s, m, pmax, x4) == (327, 107019, 46340, 430)
+    assert (cubic._amax_neg(x), cubic._amax_pos(x)) == (188, 82)
+    worst = Counter()
+    for a in range(1, cubic._amax_neg(x) + 1):
+        b, c = (3 * a + s) // 2, (3 * a * a + 2 * a * (s + 1) + m) // (4 * a)
+        d = (a + b) * (a + b + c) // a  # the window ends
+        a1, a0, a2 = 18 * a * b * c + 4 * b**3, b * b * c * c + 4 * a * c**3, 27 * a * a
+        for name, value in [("d", d), ("a1", a1), ("a0", a0), ("quadratic", a1 * a1 + 4 * a2 * (a0 + x)),
+                            ("disc terms", a0 + d * (a1 + a2 * d)), ("k", a * a + a * c + b * d + d * d),
+                            ("P", b * b + 3 * a * c), ("Q", b * c + 9 * a * d), ("R", c * c + 3 * b * d)]:
+            worst[name] = max(worst[name], value)
+    for a in range(1, cubic._amax_pos(x) + 1):
+        b = (3 * a + x4) // 2
+        c = max(b * b, pmax) // (3 * a)
+        d = (b * c + pmax) // (9 * a)
+        worst["pos disc terms"] = max(worst["pos disc terms"], 18 * a * b * c * d + b * b * c * c
+                                      + 4 * a * c**3 + 4 * b**3 * d + 27 * a * a * d * d)
+        worst["R"] = max(worst["R"], c * c + 3 * b * d)  # P and |Q| are at most pmax
+        a1, a0 = 18 * a * b * c + 4 * b**3, b * b * c * c + 4 * a * c**3
+        for name, value in [("pos a1", a1), ("pos a0", a0), ("pos c^2 - P", c * c + pmax),
+                            ("pos quadratic", a1 * a1 + 4 * 27 * a * a * (a0 + x))]:
+            worst[name] = max(worst[name], value)
+    assert worst["d"] <= 4.5e6 and worst["a1"] <= 1.03e9 and worst["a0"] <= 9.8e13
+    assert worst["quadratic"] <= 1.47e18 < 2**61
+    assert worst["disc terms"] < 1.1e15 and worst["k"] <= 2.1e13
+    assert worst["P"] <= 4.6e5 and worst["Q"] <= 4.5e7 and worst["R"] <= 3e9
+    assert worst["pos disc terms"] < 6.9e13
+    assert worst["pos a1"] <= 3.9e8 and worst["pos a0"] <= 2.7e13
+    assert worst["pos c^2 - P"] <= 2.5e8 and worst["pos quadratic"] <= 2e17
+    # F(x0, y0) mod p^2: sums of two products of residues mod p^2 <= x
+    assert 2 * (x - 1) ** 2 < 2**63
+    assert cubic._entry_code(x, 31, 1) < 2**38
+
+
 def test_local_data_matches_sympy(monkeypatch):
     """Field discriminant and ramification indices against sympy's round two.
 
@@ -568,26 +694,31 @@ def test_local_data_matches_sympy(monkeypatch):
     x^3 - 10x^2 - 2x - 48 at p = 2.)
     """
     sympy = pytest.importorskip("sympy")
+    import numpy as np
     from sympy.polys.numberfields.basis import nilradical_mod_p, round_two
 
     from malle_lab import arith
     from malle_lab.fields import cubic
 
-    # drops the table and the entries _collect_chunk leaves
+    # drops the table _collect_chunk leaves
     monkeypatch.setattr(cubic, "_spf", None)
-    monkeypatch.setattr(cubic, "_entries", None)
     x = 10**5
-    found, found_ram = {}, {}
+    spf = np.frombuffer(arith.spf_table(x), np.int32)
+    found = {}
     for sign, a in ((1, 1), (-1, 1), (-1, 2)):
-        discs, rams = cubic._collect_chunk((x, sign, [a]))
-        found.update(discs)
-        found_ram.update(rams)
-    spf = arith.spf_table(x)
-    kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
-    for f, dsc in sorted(found.items()):
+        forms, discs, codes, offsets = cubic._collect_chunk((x, sign, a))
         # the entries of the canonical form are those of the form the search met
-        ram = cubic._ramification(f, dsc, spf, {})
-        assert ram == found_ram[f], f
+        f = tuple(forms.T)
+        assert (np.gcd(np.gcd(f[0], f[1]), np.gcd(f[2], f[3])) == 1).all()
+        i, p, v = cubic._factor_rows(np.abs(discs), spf)
+        bad, triple = cubic._local_rows(tuple(col[i] for col in f), p, v)
+        assert not bad.any()
+        assert cubic._entry_code(p, v, triple).tolist() == codes.tolist()
+        for k, form in enumerate(forms.tolist()):
+            ram = tuple(map(cubic._code_entry, codes[offsets[k]:offsets[k + 1]].tolist()))
+            found[tuple(form)] = int(discs[k]), ram
+    kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
+    for f, (dsc, ram) in sorted(found.items()):
         if any(loc.kind == "tame" and loc.p >= 5 and loc.disc_exponent == 2 for loc in ram):
             kinds["e3 at p >= 5"].append((f, dsc, ram))
         if any(loc.kind == "wild" for loc in ram):

@@ -2,7 +2,9 @@
 
 The package docstring lists the oracles; no module of the package may call
 them or import `fields.polysearch`, and importing the counting, field and CLI
-modules must not load numpy (which only the oracle and the sieve need).
+modules must not load numpy.  `sieve` and the `fields.polysearch` oracle
+import it at load; `fields.cubic` imports it inside the enumeration, so it
+loads on the first enumerate_cubic call, not on import.
 """
 
 import ast
