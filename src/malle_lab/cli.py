@@ -259,7 +259,6 @@ def _cmd_count_pairs(args) -> int:
         mode=args.mode,
         y_ladder=y_ladder,
         grid=default_grid(x, args.grid_points),
-        window_slack=args.window_slack,
     )
     payload = {
         "grid": list(rep.grid),
@@ -279,7 +278,7 @@ def _cmd_count_pairs(args) -> int:
 def _cmd_euler_constant(args) -> int:
     from .counting import euler_constant
 
-    rep = euler_constant(_exact_int(args.pmax), c3=args.c3)
+    rep = euler_constant(_exact_int(args.pmax))
     payload = {
         "p_max": rep.p_max,
         "value": rep.value,
@@ -306,10 +305,9 @@ def _cmd_sieve_exp(args) -> int:
 
 def _config(args) -> dict:
     # the output path is not part of the computation, so reports written to
-    # different files from the same run configuration stay byte-identical;
-    # an exact rational is written in lowest terms, as a JSON string
+    # different files from the same run configuration stay byte-identical
     return {
-        k: str(v) if isinstance(v, Fraction) else v
+        k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None
     }
@@ -376,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wild", default=None, help="wild table JSON (exact mode)")
     p.add_argument("--y-ladder", default=None, help="comma-separated Y cutoffs")
     p.add_argument("--grid-points", type=int, default=16)
-    p.add_argument("--window-slack", type=_positive_fraction, default=Fraction(1))
     p.add_argument("--sn-xmax", type=_exact_int, default=None)
     p.add_argument("--ab-xmax", type=_exact_int, default=None)
     p.set_defaults(func=_cmd_count_pairs)
 
     p = sub.add_parser("euler-constant", help="partial Euler product of the pair constant")
     p.add_argument("--pmax", required=True)
-    p.add_argument("--c3", type=float, default=None)
     p.set_defaults(func=_cmd_euler_constant)
 
     p = sub.add_parser("sieve-exp", help="lattice-point scaling experiment")

@@ -10,9 +10,12 @@ exact mode, or from the interval
 
     [max(degL * vK, degK * vL), degL * vK + degK * vL]
 
-in interval mode (upper end is the proved product bound; the lower end is a
-tame-shaped heuristic, never used as a correctness assumption: interval
-counts bracket N(X) by testing the pessimistic and optimistic ends).
+in interval mode.  Both ends are proved bounds at every prime, wild ones
+included: the upper end is the product bound, and the lower end is the
+tower bound, since Disc(KL) = Disc(K)^[KL:K] * N_{K/Q}(d_{KL/K}) (Serre,
+Local Fields, III.4) with [KL:K] = degL, and symmetrically for L.  So the
+interval counts [n_lo, n_hi] bracket N(X), and a wild-table entry outside
+the interval raises InvariantViolation where it is used.
 
 Disc_Y replaces the local factor by the product bound above the cutoff Y,
 so Disc_Y >= Disc and the truncated counts N_Y(X) increase to N(X) with Y.
@@ -26,15 +29,9 @@ pairs with the hyperbola engine of `convolve.product_count_exact` and
 composes locally only the pairs that share a prime; `count_pairs_brute` is
 the double-loop oracle.
 
-Sharing pairs are first screened by a lower bound.  At every prime the lower
-end of the local exponent is at least max(degL * vK, degK * vL): for a tame
-pair this is the index inequality ind(s x t) >= max(n ind s, m ind t), with
-one side unramified it is the product rule, and at a wild prime it is the
-interval's lower end.  Hence disc_lo(K, L) >= lcm(Disc(K)^degL,
-Disc(L)^degK), and a pair whose lcm exceeds X is skipped before it is
-composed.  In exact mode a wild-table entry may lie below that lower end, so
-the screen applies only to pairs that share no prime wild on either side,
-where the exact value is the interval's lower end.
+Sharing pairs are first screened by the tower bound: every value of a pair,
+exact or either interval end, is at least lcm(Disc(K)^degL, Disc(L)^degK),
+so a pair whose lcm exceeds X is skipped before it is composed.
 """
 
 from __future__ import annotations
@@ -86,7 +83,8 @@ class WildTable:
 
     Tame sides are keyed as "tame-<parts>", e.g. "tame-2,1"; wild sides by
     their opaque wild_label.  Entries are validated at use against the
-    product bound degL * vK + degK * vL.
+    tower bound max(degL * vK, degK * vL) below and the product bound
+    degL * vK + degK * vL above: no field pair has an exponent outside them.
     """
 
     entries: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -155,9 +153,9 @@ def _local_exponent(
     if k_loc.kind == "tame" and l_loc.kind == "tame":
         e = product_index_general(k_loc.tame_cycle_type, l_loc.tame_cycle_type)
         return e, e
-    # wild on at least one ramified side
+    # wild on at least one ramified side: the product and tower bounds
     hi = n * vk + m * vl
-    lo = max(n * vk, m * vl)  # tame-shaped heuristic lower end
+    lo = max(n * vk, m * vl)
     if mode == "interval":
         return lo, hi
     e = wild.lookup(_tame_key(k_loc), _tame_key(l_loc))
@@ -165,9 +163,9 @@ def _local_exponent(
         raise MissingWildEntry(
             f"no wild entry for ({_tame_key(k_loc)}, {_tame_key(l_loc)}) at p={p}"
         )
-    if e > hi:
+    if not lo <= e <= hi:
         raise InvariantViolation(
-            f"wild exponent {e} at p={p} exceeds the product bound {hi}"
+            f"wild exponent {e} at p={p} outside [{lo}, {hi}], the tower and product bounds"
         )
     return e, e
 
@@ -287,15 +285,6 @@ def default_grid(x_max: int, points: int = 16) -> list[int]:
     return sorted(g for g in grid if g >= 1)
 
 
-def _shares_wild_prime(k_rec: FieldRecord, l_rec: FieldRecord) -> bool:
-    """Some prime is ramified in both fields and wild in one of them."""
-    for k_loc in k_rec.ramification:
-        l_loc = l_rec.local_at(k_loc.p)
-        if l_loc is not None and "wild" in (k_loc.kind, l_loc.kind):
-            return True
-    return False
-
-
 def _first_of_each_label(records):
     """The first record of each group label, in order of first occurrence."""
     first = {}
@@ -320,16 +309,14 @@ def count_pairs(
     mode: str = "exact",
     y_ladder=(),
     grid=None,
-    window_slack: float = 1.0,
 ) -> CountReport:
     """Count pairs (K, L) with Disc(KL) <= X over a grid, plus N_Y ladders.
 
-    The K window needs Disc(K) <= X^(1/degL) * slack and symmetrically for
-    L, the integer root times the exact value of slack, rounded down (at
-    tame primes Disc(KL) >= max(Disc(K)^degL, Disc(L)^degK) forces
-    slack 1; wild primes can only push a pair's disc *up* from the lower
-    end, which is monotone in both marginals, so slack 1 stays sound for
-    the lower end used in windowing).
+    The K window is Disc(K) <= X^(1/degL), the exact integer root, and
+    symmetrically for L: by the tower bound Disc(KL) >= Disc(K)^degL and
+    Disc(KL) >= Disc(L)^degK, so no pair outside the windows counts.  In
+    exact mode n_lo == n_hi is the count; in interval mode [n_lo, n_hi] is
+    a proved bracket of it, n_lo counting upper ends and n_hi lower ends.
 
     The windowed pairs are counted by coprime split.  A pair whose
     discriminants share no ramified prime has every local factor given by
@@ -342,9 +329,7 @@ def count_pairs(
     through compose_disc and disc_truncated; each adds
     [value <= g] - [product bound <= g] to the count it belongs to.  A
     sharing pair with lcm(Disc(K)^degL, Disc(L)^degK) > X is skipped before
-    composing, since its lower end is at least that lcm; in exact mode only
-    when no shared prime is wild on either side, so a wild-table entry below
-    the marginal lower end is still composed and still raises the warning.
+    composing, since each of its values is at least that lcm.
     Both lists must have a single degree each (InadmissiblePair otherwise).
     An empty list must still be complete over the window that the other
     list's degree fixes.
@@ -356,12 +341,9 @@ def count_pairs(
     grid = tuple(sorted(g for g in grid if g <= x))
     deg_k = _uniform_degree(sn_list, "S_n")
     deg_l = _uniform_degree(ab_list, "abelian")
-    # exact: slack 1 keeps the integer root as it is; X < 0 windows nothing,
-    # and neither does an empty list on the other side: it fixes no degree
-    slack = Fraction(window_slack)
-    k_window, l_window = (
-        math.floor(iroot(max(x, 0), d) * slack) if d else 0 for d in (deg_l, deg_k)
-    )
+    # X < 0 windows nothing, and neither does an empty list on the other
+    # side: it fixes no degree
+    k_window, l_window = (iroot(max(x, 0), d) if d else 0 for d in (deg_l, deg_k))
     if sn_list.x_max < k_window:
         raise IncompleteList(
             f"S_n list complete to {sn_list.x_max}, window needs {k_window}"
@@ -391,27 +373,21 @@ def count_pairs(
         for loc in l_rec.ramification:
             l_by_prime[loc.p].append(j)
     l_powers = [l_rec.abs_disc**deg_k for l_rec in ls]
-    exact = mode == "exact"
     discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}
-    below_marginal = False
     for k_rec in ks:
         k_power = k_rec.abs_disc**deg_l
-        # the L sharing a prime with K; a pair's lower end is at least the lcm
-        # of the two powers, so a pair with lcm > x counts nowhere, but an
-        # exact value at a shared wild prime may lie below the lower end
+        # the L sharing a prime with K; each value of a pair is at least the
+        # lcm of the two powers, so a pair with lcm > x counts nowhere
         kept = {
             j
             for loc in k_rec.ramification
             for j in l_by_prime.get(loc.p, ())
-            if math.lcm(k_power, l_powers[j]) <= x or exact and _shares_wild_prime(k_rec, ls[j])
+            if math.lcm(k_power, l_powers[j]) <= x
         }
         for j in sorted(kept):
             l_rec = ls[j]
             lo, hi = _ends(compose_disc(k_rec, l_rec, wild, mode))
-            # elsewhere an exact value is the lower end
-            if exact and not below_marginal and _shares_wild_prime(k_rec, l_rec):
-                below_marginal = lo < compose_disc(k_rec, l_rec, wild, "interval")[0]
             if lo > x:
                 continue  # every value of the pair, bound included, is > x >= g
             discs_lo.append(lo)
@@ -419,14 +395,6 @@ def count_pairs(
             bounds.append(k_power * l_powers[j])  # the product bound
             for y in y_ladder:
                 trunc[y].append(_ends(disc_truncated(k_rec, l_rec, wild, y, mode))[1])
-    if below_marginal and window_slack <= 1.0:
-        import warnings
-
-        warnings.warn(
-            "wild table drops below the marginal lower bound; widen "
-            "window_slack to guarantee completeness of the window",
-            stacklevel=2,
-        )
     # the windowed lists are the whole population counted, so they are
     # complete as far as any count at g <= x can ask
     k_seq = CountingSequence.from_values([r.abs_disc for r in ks], complete_to=x)
@@ -500,16 +468,15 @@ class EulerReport:
     log_tail_last_decade: float  # sum of |ln c_p| over the top decade of p
 
 
-def euler_constant(p_max: int, c3: float | None = None) -> EulerReport:
-    """Partial product 2 * c3 * prod_{5 <= p <= p_max} c_p.
+def euler_constant(p_max: int) -> EulerReport:
+    """Partial product 2 * c3 * prod_{5 <= p <= p_max} c_p, c3 = c3_exact().
 
     c_p = (1 + 1/p + 5/p^2 + 2/p^(7/3))(1 - 1/p) for p = 1 mod 3 and
     (1 + 1/p + 1/p^2)(1 - 1/p) for p = 2 mod 3.
     """
     if p_max < 5:
         raise ValueError("p_max must be >= 5")
-    if c3 is None:
-        c3 = c3_exact()
+    c3 = c3_exact()
     log_sum = 0.0
     log_tail = 0.0
     for p in primes_upto(p_max):

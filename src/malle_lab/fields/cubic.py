@@ -132,9 +132,11 @@ multiple root, double or triple, and `_multiple_roots` finds it row by row:
   [-b:3a], and if p | a then P = b^2 and R = c^2 force F = d y^3, the root
   [1:0].  Otherwise the root is double, and H = P (x - r y)^2 mod p when it
   is [r:1], so it is [-Q:2P], or [1:0] when p | P.
-- p = 2, 3: scan the residues; a finite root x0 is triple when the x^2
-  coefficient 3a x0 + b of F(x + x0, 1) vanishes, and [1:0] is triple when
-  p | c as well as a and b.
+- p = 2, 3: the multiple root is the one common zero of F_x and F_y mod p.
+  Mod 2 they are (ax + cy)^2 and (bx + dy)^2, so the root is [c:a], or
+  [d:b] when 2 | a, c.  Mod 3 they are y (2bx + cy) and x (bx + 2cy), so
+  the root is [c:b], or, when 3 | b, c and F = (ax + dy)^3, [-d:a].  The
+  Hessian decides triple here too.
 
 is_maximal runs the same code on one row of object arrays, so a form of any
 size is decided exactly.
@@ -473,21 +475,13 @@ def _multiple_roots(f, p):
     double = hp % p != 0
     cube = ~double & (hq % p == 0) & (hr % p == 0)
     finite = cube & (a % p != 0)
-    x0 = np.where(double, -hq % p, np.where(finite, -b % p, np.ones_like(a)))
-    y0 = np.where(double, 2 * hp % p, np.where(finite, 3 * a % p, np.zeros_like(a)))
-    triple = cube
-    small = np.flatnonzero(p < 5)
-    if small.size:
-        a, b, c, d, p = a[small], b[small], c[small], d[small], p[small]
-        sx, sy, st = np.ones_like(a), np.zeros_like(a), c % p == 0
-        found = np.zeros(small.size, bool)
-        for r in range(3):
-            hit = ~found & (r < p) & ((((a * r + b) * r + c) * r + d) % p == 0)
-            hit &= ((3 * a * r + 2 * b) * r + c) % p == 0
-            sx[hit], sy[hit], st[hit] = r, 1, ((3 * a * r + b) % p == 0)[hit]
-            found |= hit
-        x0[small], y0[small], triple[small] = sx, sy, st
-    return x0, y0, triple
+    # p = 2, 3: the one common zero of F_x and F_y mod p
+    even = (a % 2 == 0) & (c % 2 == 0)
+    flat = (b % 3 == 0) & (c % 3 == 0)
+    cases = [p == 2, p == 3, double, finite]
+    x0 = np.select(cases, [np.where(even, d, c), np.where(flat, -d, c), -hq, -b], 1) % p
+    y0 = np.select(cases, [np.where(even, b, a), np.where(flat, a, b), 2 * hp, 3 * a], 0) % p
+    return x0, y0, cube
 
 
 def _local_rows(f, p, v):

@@ -251,34 +251,46 @@ def test_count_pairs_cli_refuses_a_degree_zero_field(capsys, tmp_path):
     assert captured.err == "error: line 1: degree must be >= 1, got 0\n"
 
 
-def test_count_pairs_cli_parses_window_slack_exactly(capsys, tmp_path):
-    from malle_lab.fields.cubic import enumerate_cubic
-    from malle_lab.fields.cyclic import enumerate_cyclic
+def test_convolve_cli_parses_a_exactly(capsys):
+    def argv(a):
+        return ["convolve", "--s1", "integers", "--s2", "integers",
+                "--a", a, "--b", "1", "--x", "100"]
 
-    ab = tmp_path / "c3.jsonl"
-    with open(ab, "w") as fh:
-        enumerate_cyclic(3, 1000).write_jsonl(fh)
-    files = {}
-    for x_max in (139, 140):
-        files[x_max] = tmp_path / f"cubics{x_max}.jsonl"
-        with open(files[x_max], "w") as fh:
-            enumerate_cubic(x_max).write_jsonl(fh)
-
-    def argv(slack, x_max):
-        return ["count-pairs", "--x", "8e6", "--window-slack", slack,
-                "--sn-fields", str(files[x_max]), "--sn-xmax", str(x_max),
-                "--abelians", str(ab), "--ab-xmax", "1000"]
-
-    # X = 8e6 windows K to floor(200 * 7/10) = 140, so a list complete to
-    # 139 is refused; the binary float nearest 0.7 would window K to 139
-    assert main(argv("0.7", 139)) == 2
-    assert "window needs 140" in capsys.readouterr().err
-    code, out = run(argv("0.7", 140), capsys)
+    # "0.7" is the rational 7/10, not the binary float nearest it
+    code, out = run(argv("0.7"), capsys)
     assert code == 0
-    assert json.loads(out)["config"]["window_slack"] == "7/10"
-    assert run(argv("7/10", 140), capsys) == (0, out)
+    report = json.loads(out)["report"]
+    assert report["a"] == "7/10"
+    code, out = run(argv("7/10"), capsys)
+    assert code == 0 and json.loads(out)["report"] == report
     for text in ["nan", "inf", "0", "-0.5", "1/0", "ten"]:
-        assert run(argv(text, 140), capsys)[0] == 2
+        assert main(argv(text)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_count_pairs_cli_refuses_a_wild_entry_below_the_tower_bound(input_files, capsys):
+    from malle_lab.fields.records import parse_field_file
+
+    labels = {}
+    for side in ("k", "l"):
+        with open(input_files / f"{side}.jsonl") as fh:
+            records = parse_field_file(fh).records
+        labels[side] = {loc.wild_label for r in records for loc in r.ramification
+                        if loc.kind == "wild"}
+    labels["k"].add("tame-2,1")
+    # exponent 1 at p = 3, where every pair sharing 3 has at least 3 * v_3(L) = 12
+    table = {"pairs": [{"k_label": kl, "l_label": ll, "exp": 1}
+                       for kl in sorted(labels["k"]) for ll in sorted(labels["l"])]}
+    (input_files / "low.json").write_text(json.dumps(table))
+    code = main(["count-pairs", "--sn-fields", str(input_files / "k.jsonl"),
+                 "--abelians", str(input_files / "l.jsonl"), "--x", "1e8",
+                 "--mode", "exact", "--wild", str(input_files / "low.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: wild exponent 1 at p=3 outside [")
 
 
 @pytest.fixture

@@ -2,13 +2,12 @@
 
 The oracle below composes each windowed pair with compose_disc and
 disc_truncated and counts it at every grid point; the full report of
-count_pairs must agree with it on random sublists, bounds, grids, Y ladders,
-window slacks and wild tables.  The lcm lower bound that lets count_pairs
-skip a sharing pair is checked against compose_disc on every sharing pair.
+count_pairs must agree with it on random sublists, bounds, grids, Y ladders
+and wild tables.  The lcm lower bound that lets count_pairs skip a sharing
+pair is checked against compose_disc on every sharing pair.
 """
 
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -26,7 +25,7 @@ from malle_lab.counting import (  # noqa: E402
     default_grid,
     disc_truncated,
 )
-from malle_lab.errors import IncompleteList  # noqa: E402
+from malle_lab.errors import IncompleteList, InvariantViolation  # noqa: E402
 from malle_lab.fields.cubic import enumerate_cubic  # noqa: E402
 from malle_lab.fields.cyclic import enumerate_cyclic  # noqa: E402
 from malle_lab.fields.records import FieldList  # noqa: E402
@@ -71,22 +70,26 @@ def local_exponents(field_list):
     return {local_key(loc): loc.disc_exponent for r in field_list for loc in r.ramification}
 
 
-def oracle(ks, ls, x, wild, mode, y_ladder, grid, slack):
-    """Counts over every windowed pair, and whether any exact value fell
-    below the interval's lower end."""
+def marginal_table(ks, ls):
+    """Every label pair at its tower bound max(3 vK, 3 vL), the least exponent allowed."""
+    return WildTable({
+        (kl, ll): max(3 * vk, 3 * vl)
+        for (kl, vk), (ll, vl) in product(local_exponents(ks).items(), local_exponents(ls).items())
+    })
+
+
+def oracle(ks, ls, x, wild, mode, y_ladder, grid):
+    """Counts over every windowed pair."""
     deg_k, deg_l = ks.records[0].degree, ls.records[0].degree
-    k_window = int(iroot(x, deg_l) * slack)
-    l_window = int(iroot(x, deg_k) * slack)
+    k_window, l_window = iroot(x, deg_l), iroot(x, deg_k)
     n_lo, n_hi = [0] * len(grid), [0] * len(grid)
     n_y = {y: [0] * len(grid) for y in y_ladder}
-    below = False
     for k in ks:
         for l in ls:
             if k.abs_disc > k_window or l.abs_disc > l_window:
                 continue
             if mode == "exact":
                 lo = hi = compose_disc(k, l, wild, "exact")
-                below |= lo < compose_disc(k, l, wild, "interval")[0]
                 trunc = {y: disc_truncated(k, l, wild, y, "exact") for y in y_ladder}
             else:
                 lo, hi = compose_disc(k, l, wild, "interval")
@@ -96,8 +99,7 @@ def oracle(ks, ls, x, wild, mode, y_ladder, grid, slack):
                 n_hi[i] += lo <= g
                 for y in y_ladder:
                     n_y[y][i] += trunc[y] <= g
-    counts = (tuple(n_lo), tuple(n_hi), {y: tuple(v) for y, v in n_y.items()})
-    return counts, below
+    return tuple(n_lo), tuple(n_hi), {y: tuple(v) for y, v in n_y.items()}
 
 
 @st.composite
@@ -130,66 +132,57 @@ def count_inputs(draw):
         st.lists(st.integers(x // 1000, 2 * x), min_size=1, max_size=6),
     ))
     y_ladder = tuple(draw(st.lists(st.integers(1, 2000), max_size=3, unique=True)))
-    slack = draw(st.sampled_from([1.0, 0.9, 1.3, 0.5]))
-    return ks, ls, x, grid, y_ladder, slack
+    return ks, ls, x, grid, y_ladder
 
 
-def check_against_oracle(ks, ls, x, wild, mode, grid, y_ladder, slack):
-    kwargs = dict(wild=wild, mode=mode, y_ladder=y_ladder, grid=grid, window_slack=slack)
+def check_against_oracle(ks, ls, x, wild, mode, grid, y_ladder):
+    kwargs = dict(wild=wild, mode=mode, y_ladder=y_ladder, grid=grid)
     deg_k, deg_l = ks.records[0].degree, ls.records[0].degree
-    if (int(iroot(x, deg_l) * slack) > ks.x_max or int(iroot(x, deg_k) * slack) > ls.x_max):
+    if iroot(x, deg_l) > ks.x_max or iroot(x, deg_k) > ls.x_max:
         with pytest.raises(IncompleteList):
             count_pairs(ks, ls, x, **kwargs)
         return
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = count_pairs(ks, ls, x, **kwargs)
+    rep = count_pairs(ks, ls, x, **kwargs)
     grid = tuple(sorted(g for g in (default_grid(x) if grid is None else grid) if g <= x))
-    (n_lo, n_hi, n_y), below = oracle(ks, ls, x, wild, mode, y_ladder, grid, slack)
     assert rep.grid == grid
-    assert (rep.n_lo, rep.n_hi, rep.n_y) == (n_lo, n_hi, n_y)
-    warned = any("marginal" in str(w.message) for w in caught)
-    assert warned == (below and slack <= 1.0)
-    return below
+    assert (rep.n_lo, rep.n_hi, rep.n_y) == oracle(ks, ls, x, wild, mode, y_ladder, grid)
 
 
 @settings(max_examples=60)
 @given(count_inputs())
 def test_interval_split_matches_double_loop(inputs):
-    ks, ls, x, grid, y_ladder, slack = inputs
-    check_against_oracle(ks, ls, x, WildTable(), "interval", grid, y_ladder, slack)
+    ks, ls, x, grid, y_ladder = inputs
+    check_against_oracle(ks, ls, x, WildTable(), "interval", grid, y_ladder)
 
 
 @settings(max_examples=60)
 @given(count_inputs(), st.data())
 def test_exact_split_matches_double_loop(inputs, data):
-    ks, ls, x, grid, y_ladder, slack = inputs
-    # every label pair gets an exponent up to the product bound 3 vK + 3 vL,
-    # often below the marginal lower end max(3 vK, 3 vL)
+    ks, ls, x, grid, y_ladder = inputs
+    # every label pair gets an exponent between the tower bound max(3 vK, 3 vL)
+    # and the product bound 3 vK + 3 vL
     entries = {}
     for (kl, vk), (ll, vl) in product(
         sorted(local_exponents(cubics()).items()),
         sorted(local_exponents(abelians("C3")).items()),
     ):
-        entries[(kl, ll)] = data.draw(st.integers(1, 3 * vk + 3 * vl))
-    check_against_oracle(ks, ls, x, WildTable(entries), "exact", grid, y_ladder, slack)
+        entries[(kl, ll)] = data.draw(st.integers(max(3 * vk, 3 * vl), 3 * vk + 3 * vl))
+    check_against_oracle(ks, ls, x, WildTable(entries), "exact", grid, y_ladder)
 
 
 @pytest.mark.parametrize("side, x", [("C3", 10**12), ("C5", 10**20)])
 @pytest.mark.parametrize("mode", ["interval", "exact"])
 def test_full_lists_match_double_loop(side, x, mode):
     """Every pair of the full lists, where a few sharing pairs have their
-    product bound under X; exact mode with a table at the marginal lower end,
-    or below it (the warning fires) at Y = 10^4."""
+    product bound under X; exact mode with a table at the tower bound.  A
+    table below the tower bound is refused input."""
     ks, ls = cubics(), abelians(side)
-    table = WildTable({
-        (kl, ll): max(3 * vk, 3 * vl)
-        for (kl, vk), (ll, vl) in product(local_exponents(ks).items(), local_exponents(ls).items())
-    })
-    check_against_oracle(ks, ls, x, table, mode, None, (10, 100, 1000), 1.0)
+    table = marginal_table(ks, ls)
+    check_against_oracle(ks, ls, x, table, mode, None, (10, 100, 1000))
     if mode == "exact" and side == "C3":
         low = WildTable({key: 1 for key in table.entries})
-        assert check_against_oracle(ks, ls, x // 10, low, mode, [x // 100], (10**4,), 1.0)
+        with pytest.raises(InvariantViolation):
+            count_pairs(ks, ls, x // 10, wild=low, mode=mode, grid=[x // 100], y_ladder=(10**4,))
 
 
 def test_acceptance_08_report_is_pinned():
@@ -226,22 +219,26 @@ def lcm_bound(k, l):
 
 @pytest.mark.parametrize("side", ["C3", "C5"])
 def test_lcm_bound_is_below_every_sharing_pair(side):
-    """lcm(Disc(K)^degL, Disc(L)^degK) <= the interval lower end of every
-    sharing pair, and <= its exact value when no shared prime is wild."""
+    """lcm(Disc(K)^degL, Disc(L)^degK) <= the interval lower end and the
+    exact value of every sharing pair, the latter under a table at the
+    tower bound when a shared prime is wild."""
+    ks, ls = cubics(), abelians(side)
+    table = marginal_table(ks, ls)
     tame_pairs = wild_pairs = 0
-    for k, l, shared in sharing_pairs(cubics(), abelians(side)):
+    for k, l, shared in sharing_pairs(ks, ls):
         bound = lcm_bound(k, l)
         assert bound <= compose_disc(k, l, mode="interval")[0]
+        assert bound <= compose_disc(k, l, table, mode="exact")
         if any("wild" in (k.local_at(p).kind, l.local_at(p).kind) for p in shared):
             wild_pairs += 1
         else:
-            assert bound <= compose_disc(k, l, mode="exact")
             tame_pairs += 1
     assert tame_pairs > 100
     assert (wild_pairs > 100) == (side == "C3")
 
 
-def test_interval_count_composes_only_pairs_within_the_lcm_bound(monkeypatch):
+def check_composes_only_pairs_within_the_lcm_bound(monkeypatch, mode):
+    """Each sharing pair within its lcm bound is composed once, and no other pair."""
     import malle_lab.counting as counting
 
     x = 10**12  # both windows cover the full 10^4 lists
@@ -254,10 +251,18 @@ def test_interval_count_composes_only_pairs_within_the_lcm_bound(monkeypatch):
         return real(k, l, *args, **kwargs)
 
     monkeypatch.setattr(counting, "compose_disc", spy)
-    count_pairs(ks, ls, x, mode="interval", y_ladder=(10, 100))
+    count_pairs(ks, ls, x, wild=marginal_table(ks, ls), mode=mode, y_ladder=(10, 100))
     within = [(id(k), id(l)) for k, l, _ in sharing_pairs(ks, ls) if lcm_bound(k, l) <= x]
     assert len(composed) == len(set(composed)) == len(within) > 0
     assert set(composed) == set(within)
+
+
+def test_interval_count_composes_only_pairs_within_the_lcm_bound(monkeypatch):
+    check_composes_only_pairs_within_the_lcm_bound(monkeypatch, "interval")
+
+
+def test_exact_count_composes_only_pairs_within_the_lcm_bound(monkeypatch):
+    check_composes_only_pairs_within_the_lcm_bound(monkeypatch, "exact")
 
 
 def test_pair_at_its_lcm_bound_is_counted():

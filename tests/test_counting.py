@@ -128,6 +128,28 @@ def test_wild_table_bound_validation():
         compose_disc(kw, lw, wild=table)
 
 
+def test_wild_entry_below_the_tower_bound_is_refused():
+    # Disc(KL) >= Disc(K)^3 and >= Disc(L)^3, so v_3 >= max(3*4, 3*4) = 12
+    kw = rec(3, "S3", -1, [wild(3, "3-e3-v4", 4)])
+    lw = rec(3, "C3", 1, [wild(3, "3-C3-cond-9", 4)])
+    key = ("3-e3-v4", "3-C3-cond-9")
+    assert compose_disc(kw, lw, wild=WildTable({key: 12})) == 3**12
+    low = WildTable({key: 11})
+    ks = FieldList(records=(kw,), provenance="ingested", x_max=81)
+    ls = FieldList(records=(lw,), provenance="ingested", x_max=81)
+    x = 3**12  # both windows reach 81, and the pair's lcm bound is x
+    for call in (
+        lambda: compose_disc(kw, lw, wild=low),
+        lambda: disc_truncated(kw, lw, low, 3),
+        lambda: count_pairs(ks, ls, x, wild=low, grid=[x]),
+        lambda: count_pairs_brute(ks, ls, x, wild=low),
+    ):
+        with pytest.raises(InvariantViolation, match=r"wild exponent 11 at p=3 outside \[12, 24\]"):
+            call()
+    # below the cutoff the table is not read
+    assert disc_truncated(kw, lw, low, 2) == 3**24
+
+
 def test_disc_truncated_and_dsigma():
     w = WildTable()
     # Y = 1: full product bound
