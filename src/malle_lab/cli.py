@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -84,6 +85,14 @@ def _positive_fraction(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}") from None
     if value <= 0:
         raise ValueError(f"not positive: {text!r}")
+    return value
+
+
+def _finite(value: float | None, flag: str) -> float | None:
+    """A float flag's value unless it is nan or +-inf, which raise ValueError
+    (EXIT_INPUT): neither has a JSON number, and no ratio compares with nan."""
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
     return value
 
 
@@ -187,15 +196,16 @@ def _parse_sequence(text: str):
 def _cmd_convolve(args) -> int:
     from .convolve import product_count_exact
 
+    predicted = _finite(args.predicted, "--predicted")
     s1 = _parse_sequence(args.s1)
     s2 = _parse_sequence(args.s2)
     a, b = _positive_fraction(args.a), _positive_fraction(args.b)
     x = _exact_int(args.x)
     count = product_count_exact(s1, s2, a, b, x)
     payload = {"count": count, "x": x, "a": str(a), "b": str(b)}
-    if args.predicted is not None:
-        payload["predicted"] = args.predicted
-        payload["ratio"] = count / args.predicted if args.predicted else None
+    if predicted is not None:
+        payload["predicted"] = predicted
+        payload["ratio"] = count / predicted if predicted else None
     _emit(args, payload, _config(args))
     return EXIT_OK
 
@@ -223,6 +233,7 @@ def _cmd_enumerate_cubic(args) -> int:
 def _cmd_abelian_uniformity(args) -> int:
     from .fields.uniformity import abelian_uniformity_check
 
+    bound = _finite(args.bound, "--bound")
     qs = [int(t) for t in args.q.split(",")]
     rep = abelian_uniformity_check(args.l, qs, _exact_int(args.x))
     payload = {
@@ -235,7 +246,7 @@ def _cmd_abelian_uniformity(args) -> int:
         "max_ratio": rep.max_ratio,
     }
     _emit(args, payload, _config(args))
-    if args.bound is not None and not rep.bounded_by(args.bound):
+    if bound is not None and not rep.bounded_by(bound):
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -244,6 +255,8 @@ def _cmd_count_pairs(args) -> int:
     from .counting import WildTable, count_pairs, default_grid
     from .fields.records import parse_field_file
 
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     with open(args.sn_fields) as fh:
         sn_list = parse_field_file(fh, x_max=args.sn_xmax)
     with open(args.abelians) as fh:
@@ -373,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "interval"), default="interval")
     p.add_argument("--wild", default=None, help="wild table JSON (exact mode)")
     p.add_argument("--y-ladder", default=None, help="comma-separated Y cutoffs")
-    p.add_argument("--grid-points", type=int, default=16)
+    p.add_argument("--grid-points", type=int, default=16, help="at least 1")
     p.add_argument("--sn-xmax", type=_exact_int, default=None)
     p.add_argument("--ab-xmax", type=_exact_int, default=None)
     p.set_defaults(func=_cmd_count_pairs)

@@ -14,10 +14,11 @@ where t_i is the largest value with t_i^{2*exp} <= X', so each loop runs to
 roughly the square root of the window and every threshold comparison is an
 integer comparison.
 
-The two asymptotic regimes: equal slopes n1/a = n2/b multiply the log powers
-up through an exact Beta factor r1! r2! / (r1+r2+1)!; unequal slopes keep the
-steeper form and scale its coefficient by the convergent weighted sum C'
-computed by `csum`.
+Asymptotically, `predict_unequal` keeps the steeper of two forms with
+unequal slopes n1/a > n2/b and scales its coefficient by the convergent
+weighted sum C' computed by `csum`.  Equal slopes are refused
+(SlopeNotGreater): they never arise for S_n x A, where the S_n side's slope
+is always the larger (`invariants.product_a`/`product_b` hold that rule).
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import isqrt
 
 from .arith import iroot
 from .errors import (
     DivergenceSuspected,
     InsufficientData,
     InsufficientRange,
-    SlopeMismatch,
     SlopeNotGreater,
 )
 
@@ -41,11 +41,8 @@ __all__ = [
     "CountingSequence",
     "AsymptoticForm",
     "product_count_exact",
-    "predict_equal",
     "predict_unequal",
-    "predict_unequal_bound",
     "csum",
-    "predict_product_lower",
     "empirical_fit",
     "FitResult",
 ]
@@ -224,25 +221,6 @@ class AsymptoticForm:
         return self.coefficient * x ** float(self.exponent) * math.log(x) ** self.logpower
 
 
-def predict_equal(f1: AsymptoticForm, f2: AsymptoticForm, a, b) -> AsymptoticForm:
-    """Equal-slope product: coefficient through the exact Beta factor."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    slope1, slope2 = f1.exponent / a, f2.exponent / b
-    if slope1 != slope2:
-        raise SlopeMismatch(f"slopes differ: {slope1} vs {slope2}")
-    r1, r2 = f1.logpower, f2.logpower
-    beta_factor = Fraction(factorial(r1) * factorial(r2), factorial(r1 + r2 + 1))
-    coeff = (
-        f1.coefficient
-        * f2.coefficient
-        / float(a) ** r1
-        / float(b) ** r2
-        * float(beta_factor)
-        * float(slope1)
-    )
-    return AsymptoticForm(coeff, slope1, r1 + r2 + 1)
-
-
 def predict_unequal(f1: AsymptoticForm, f2: AsymptoticForm, a, b, c_prime: float) -> AsymptoticForm:
     """Steeper-slope product with caller-supplied convergent sum C' (see csum)."""
     a, b = _as_fraction(a), _as_fraction(b)
@@ -251,24 +229,6 @@ def predict_unequal(f1: AsymptoticForm, f2: AsymptoticForm, a, b, c_prime: float
         raise SlopeNotGreater(f"need n1/a > n2/b, got {slope1} <= {slope2}")
     coeff = f1.coefficient * c_prime / float(a) ** f1.logpower
     return AsymptoticForm(coeff, slope1, f1.logpower)
-
-
-def predict_unequal_bound(f1: AsymptoticForm, f2: AsymptoticForm, a, b) -> AsymptoticForm:
-    """Closed-form upper bound coefficient for the unequal-slope product."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    slope1, slope2 = f1.exponent / a, f2.exponent / b
-    if not slope1 > slope2:
-        raise SlopeNotGreater(f"need n1/a > n2/b, got {slope1} <= {slope2}")
-    r1, r2 = f1.logpower, f2.logpower
-    coeff = (
-        f1.coefficient
-        * f2.coefficient
-        * factorial(r2)
-        / (float(b) ** r2 * float(a) ** r1)
-        * float(slope1)
-        / float(slope1 - slope2) ** (r2 + 1)
-    )
-    return AsymptoticForm(coeff, slope1, r1)
 
 
 @dataclass(frozen=True)
@@ -332,24 +292,6 @@ def csum(
     else:
         tail = inc
     return CsumResult(value=c_full, x=x, increment_last_doubling=inc, tail_estimate=tail)
-
-
-def predict_product_lower(a1: int, deg1: int, b1: int, a2: int, deg2: int, b2: int):
-    """Lower-bound shape (exponent, logpower) for the pair count of a product.
-
-    Pairs are ordered by Disc(K)^deg2 * Disc(L)^deg1, so factor i contributes
-    slope 1/(a_i * deg_other); the exponent is the larger slope and the log
-    power is b-of-that-factor - 1, or b1 + b2 - 1 at equal slopes.
-    """
-    if min(a1, deg1, b1, a2, deg2, b2) < 1:
-        raise ValueError("all inputs must be positive")
-    slope1 = Fraction(1, a1 * deg2)
-    slope2 = Fraction(1, a2 * deg1)
-    if slope1 > slope2:
-        return slope1, b1 - 1
-    if slope2 > slope1:
-        return slope2, b2 - 1
-    return slope1, b1 + b2 - 1
 
 
 @dataclass(frozen=True)

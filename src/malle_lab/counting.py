@@ -61,7 +61,6 @@ from .util import json_typed
 
 __all__ = [
     "WildTable",
-    "PairRecord",
     "CountReport",
     "compose_disc",
     "disc_truncated",
@@ -226,43 +225,6 @@ def dsigma(k_rec: FieldRecord, l_rec: FieldRecord, wild: WildTable, y: int) -> F
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    k: FieldRecord
-    l: FieldRecord
-    disc_exact: int | None  # None in interval mode
-    disc_lo: int
-    disc_hi: int
-    disc_product_bound: int
-    disc_truncated: dict
-
-    def __post_init__(self):
-        if not self.disc_lo <= self.disc_hi <= self.disc_product_bound:
-            raise InvariantViolation("pair disc interval out of order")
-
-
-def pair_record(
-    k_rec: FieldRecord,
-    l_rec: FieldRecord,
-    wild: WildTable = EMPTY_WILD,
-    mode: str = "exact",
-    y_ladder=(),
-) -> PairRecord:
-    """Assemble the full per-pair record (exact or interval disc, truncations)."""
-    d = compose_disc(k_rec, l_rec, wild, mode)
-    lo, hi = _ends(d)
-    trunc = {y: disc_truncated(k_rec, l_rec, wild, y, mode) for y in y_ladder}
-    return PairRecord(
-        k=k_rec,
-        l=l_rec,
-        disc_exact=d if mode == "exact" else None,
-        disc_lo=lo,
-        disc_hi=hi,
-        disc_product_bound=disc_product_bound(k_rec, l_rec),
-        disc_truncated=trunc,
-    )
-
-
-@dataclass(frozen=True)
 class CountReport:
     grid: tuple[int, ...]
     n_lo: tuple[int, ...]
@@ -416,6 +378,9 @@ def count_pairs(
     n_hi = plus_shared(discs_lo)
     n_lo = plus_shared(discs_hi)
     n_y = {y: plus_shared(trunc[y]) for y in y_ladder}
+    # invariants.product_a/product_b with a(S_n) = b(S_n) = 1: since
+    # n * a(A) >= 3|A|/2 > |A|, the S_n side has the larger slope, 1/|A| =
+    # 1/degL, and the log power is b(S_n) - 1 = 0
     exponent = Fraction(1, deg_l)
     fit = None
     if len(grid) >= 8 and grid[-1] / grid[0] >= 10**3:

@@ -38,10 +38,6 @@ class LemmaFails(MalleLabError):
     """The uniformity inequality fails, so no tail exponent is available."""
 
 
-class SlopeMismatch(MalleLabError):
-    """predict_equal requires n1/a == n2/b exactly."""
-
-
 class SlopeNotGreater(MalleLabError):
     """predict_unequal requires n1/a > n2/b strictly."""
 
@@ -92,7 +88,3 @@ class NotSquarefree(MalleLabError):
 
 class InsufficientGrid(MalleLabError):
     """Experiment grids must span at least a decade."""
-
-
-class EnvelopeExceeded(MalleLabError):
-    """A lattice count exceeded the allowed multiple of its envelope."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 

@@ -55,7 +55,7 @@ from ..errors import InvariantViolation, MalformedLine
 from ..permgroup import CycleType, index_of
 from ..util import json_typed, json_typed_items
 
-__all__ = ["LocalRamification", "FieldRecord", "FieldList", "json_typed", "parse_field_file"]
+__all__ = ["LocalRamification", "FieldRecord", "FieldList", "parse_field_file"]
 
 
 @dataclass(frozen=True)

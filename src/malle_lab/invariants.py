@@ -9,7 +9,8 @@ preserves cycle type, hence index).
 For a direct product G1 x G2 in its S_{n1*n2} representation,
 a = min(n2*a(G1), n1*a(G2)); when the slopes a(G_i)/n_i are strictly ordered
 the minimal-index elements all live in the smaller-slope factor and b equals
-that factor's b.  The equal-slope case is refused (EqualSlopeUnsupported).
+that factor's b.  The equal-slope case is refused (EqualSlopeUnsupported);
+for S_n x A it never arises, since a(S_n)/n = 1/n < 1/2 <= a(A)/|A|.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "conjugacy_classes",
     "a_invariant",
     "b_invariant_Q",
+    "minimal_index_classes",
     "product_a",
     "product_b",
 ]
@@ -146,15 +148,6 @@ def _power(p: Permutation, k: int) -> Permutation:
         base = base * base
         k >>= 1
     return result
-
-
-def power_map_on_classes(group: PermutationGroup, a: int) -> dict[int, int]:
-    """The map class-id -> class-id induced by c -> c^a."""
-    classes, class_of = _classes_with_map(group)
-    return {
-        ci: class_of[_power(cls.representative, a).images]
-        for ci, cls in enumerate(classes)
-    }
 
 
 def b_invariant_Q(group: PermutationGroup) -> int:

@@ -10,23 +10,23 @@ front to back with rational window endpoints: a class steps through the
 windows with stride q.  The oracle `count_points_brute` tests every lattice
 point of the box instead.
 
-The counts feed the scaling/shearing experiments, whose log-log slopes are
-compared against the codimension-k envelope r^(n-k) * max(1, (r/q)^k) and its
-anisotropic analogue
-(prod r_i / q^k) * max over index subsets of q^j / (r_{i_1} ... r_{i_j}).
+The counts feed `scaling_experiment`, which fits the log-log slope in q at
+the largest r and in r at the smallest q; the codimension-k envelope
+r^(n-k) * max(1, (r/q)^k) puts them near -k and n.  Sheared boxes and boxes
+scaled per coordinate are counted the same way, and `count_points_brute`
+checks those counts; no experiment samples them.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .arith import is_squarefree, prime_factors
-from .errors import CapExceeded, EnvelopeExceeded, InsufficientGrid, NotSquarefree
+from .errors import CapExceeded, InsufficientGrid, NotSquarefree
 from .util import json_typed, json_typed_items
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "count_points_mod_q",
     "solutions_mod_q",
     "scaling_experiment",
-    "sheared_experiment",
     "binary_cubic_disc_scheme",
 ]
 
@@ -348,23 +347,17 @@ def count_points_mod_q(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    scheme_codim: int
-    n_vars: int
-    entries: tuple  # ((r, q, count), ...) with r scalar or tuple
+    entries: tuple  # ((r, q, count), ...)
     fitted_q_exponent: float | None
-    fitted_q_residual: float | None
     fitted_r_exponent: float | None
-    envelope_ratios: tuple
     crt_residuals: tuple  # ((q1, q2, direct, product-of-counts), ...)
-    seed: int | None = None
 
 
-def _ols_slope(xs, ys) -> tuple[float, float]:
-    """Least-squares slope of ys on xs, with max abs residual."""
+def _ols_slope(xs, ys) -> float:
+    """Least-squares slope of ys on xs."""
     A = np.vstack([xs, np.ones(len(xs))]).T
     sol, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    resid = np.abs(A @ sol - ys).max()
-    return float(sol[0]), float(resid)
+    return float(sol[0])
 
 
 def _check_grid_span(grid, name: str):
@@ -391,39 +384,28 @@ def scaling_experiment(scheme: AffineScheme, r_grid, q_grid, box: BoxSpec | None
             counts[(r, q)] = c
             entries.append((r, q, c))
     r_top = max(r_grid)
-    k = scheme.declared_codim
-    n = scheme.n_vars
     qs = [q for q in q_grid if counts[(r_top, q)] > 0]
-    fitted_q = fitted_q_resid = None
+    fitted_q = None
     if len(qs) >= 3:
-        fitted_q, fitted_q_resid = _ols_slope(
+        fitted_q = _ols_slope(
             [math.log(q) for q in qs], [math.log(counts[(r_top, q)]) for q in qs]
         )
     q_bot = min(q_grid)
     rs = [r for r in r_grid if counts[(r, q_bot)] > 0]
     fitted_r = None
     if len(rs) >= 3:
-        fitted_r, _ = _ols_slope(
+        fitted_r = _ols_slope(
             [math.log(r) for r in rs], [math.log(counts[(r, q_bot)]) for r in rs]
         )
-    ratios = []
-    for r, q, c in entries:
-        envelope = float(r) ** (n - k) * max(1.0, (float(r) / q) ** k)
-        ratios.append((r, q, c / envelope))
-    crt = _crt_residuals(scheme, box, r_top, q_grid)
     return ExperimentReport(
-        scheme_codim=k,
-        n_vars=n,
         entries=tuple(entries),
         fitted_q_exponent=fitted_q,
-        fitted_q_residual=fitted_q_resid,
         fitted_r_exponent=fitted_r,
-        envelope_ratios=tuple(ratios),
-        crt_residuals=crt,
+        crt_residuals=_crt_residuals(scheme, q_grid),
     )
 
 
-def _crt_residuals(scheme, box, r, q_grid) -> tuple:
+def _crt_residuals(scheme, q_grid) -> tuple:
     """Exact multiplicativity check: counts of solutions mod coprime parts."""
     out = []
     qs = sorted(set(q_grid))
@@ -443,64 +425,3 @@ def _crt_residuals(scheme, box, r, q_grid) -> tuple:
 def _brute_solution_count(scheme: AffineScheme, q: int) -> int:
     """Direct count of solutions over (Z/q)^n without CRT (residual oracle)."""
     return int(_solutions_mod_p(scheme, q).shape[0])
-
-
-def sheared_experiment(
-    scheme: AffineScheme,
-    r_vector_grid,
-    q_grid,
-    shear_samples: int = 3,
-    seed: int = 0,
-    envelope_factor: float = 64.0,
-    box: BoxSpec | None = None,
-) -> ExperimentReport:
-    """Random lower-triangular unipotent shears against the anisotropic envelope."""
-    _check_grid_span([max(rv) for rv in r_vector_grid], "r")
-    _check_grid_span(q_grid, "q")
-    if box is None:
-        box = BoxSpec(scheme.n_vars)
-    rng = random.Random(seed)
-    n = scheme.n_vars
-    k = scheme.declared_codim
-    shears = []
-    for _ in range(shear_samples):
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            for j in range(i):
-                row[j] = Fraction(rng.randint(-6, 6), 2)
-            rows.append(tuple(row))
-        shears.append(tuple(rows))
-    entries = []
-    ratios = []
-    for rv in r_vector_grid:
-        rv = tuple(Fraction(r) for r in rv)
-        for q in q_grid:
-            for shear in shears:
-                b = BoxSpec(n, box.intervals, rv, shear)
-                c = count_points_mod_q(scheme, b, q)
-                entries.append((tuple(float(r) for r in rv), q, c))
-                env = float(np.prod([float(r) for r in rv])) / q**k
-                sorted_r = sorted(float(r) for r in rv)
-                worst = max(
-                    q**j / float(np.prod(sorted_r[:j])) if j else 1.0
-                    for j in range(k + 1)
-                )
-                ratios.append((tuple(float(r) for r in rv), q, c / (env * worst)))
-    max_ratio = max(r[2] for r in ratios)
-    if max_ratio > envelope_factor:
-        raise EnvelopeExceeded(
-            f"count exceeded {envelope_factor} x the anisotropic envelope: {max_ratio:.2f}"
-        )
-    return ExperimentReport(
-        scheme_codim=k,
-        n_vars=n,
-        entries=tuple(entries),
-        fitted_q_exponent=None,
-        fitted_q_residual=None,
-        fitted_r_exponent=None,
-        envelope_ratios=tuple(ratios),
-        crt_residuals=(),
-        seed=seed,
-    )

@@ -18,7 +18,7 @@ separate sub-case, never folded into the main verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 

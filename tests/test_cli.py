@@ -251,6 +251,43 @@ def test_count_pairs_cli_refuses_a_degree_zero_field(capsys, tmp_path):
     assert captured.err == "error: line 1: degree must be >= 1, got 0\n"
 
 
+FLOAT_FLAGS = {
+    "--predicted": ["convolve", "--s1", "integers", "--s2", "integers",
+                    "--a", "1", "--b", "1", "--x", "10"],
+    "--bound": ["abelian-uniformity", "--l", "3", "--q", "7", "--x", "1e3"],
+}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAGS))
+def test_float_flags_refuse_nan_and_inf(flag, text, capsys):
+    # --predicted nan wrote NaN, which is not JSON, and exited 0;
+    # --bound nan failed every check and exited 1
+    assert main(FLOAT_FLAGS[flag] + [f"{flag}={text}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "must be finite" in line
+
+
+def test_convolve_cli_predicted_ratio(capsys):
+    code, out = run(FLOAT_FLAGS["--predicted"] + ["--predicted", "13.5"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["predicted"] == 13.5 and report["ratio"] == 2.0
+
+
+def test_count_pairs_cli_refuses_grid_points_below_1(input_files, capsys):
+    # --grid-points 0 wrote a report with an empty grid and exited 0
+    for points in ("0", "-3"):
+        code = main(["count-pairs", "--sn-fields", str(input_files / "k.jsonl"),
+                     "--abelians", str(input_files / "l.jsonl"), "--x", "1e6",
+                     "--grid-points", points])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --grid-points must be at least 1, got {points}\n"
+
+
 def test_convolve_cli_parses_a_exactly(capsys):
     def argv(a):
         return ["convolve", "--s1", "integers", "--s2", "integers",
@@ -414,15 +451,41 @@ def test_rk_and_scheme_numbers_must_be_json_integers(command, obj, path, value, 
     assert captured.out == "" and captured.err.startswith("error: ") and "JSON integer" in captured.err
 
 
+def package_sources():
+    """(path, syntax tree) of every module of the package."""
+    for path in sorted(Path(malle_lab.__file__).parent.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_module_reads_the_environment():
     # every setting, the worker count included, comes from a flag
     names = {"environ", "environb", "getenv"}
     offenders = []
-    for path in sorted(Path(malle_lab.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in package_sources():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in names:
                 offenders.append(f"{path.name}:{node.lineno} reads {node.attr}")
             if isinstance(node, ast.ImportFrom) and node.module == "os":
                 offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                               for alias in node.names if alias.name in names]
+    assert offenders == []
+
+
+def test_no_module_has_an_unused_import():
+    # a name an import binds must be read in its module or listed in __all__
+    offenders = []
+    for path, tree in package_sources():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        offenders += [f"{path.name}:{line} imports {name}"
+                      for name, line in sorted(imported.items()) if name not in used]
     assert offenders == []

@@ -9,10 +9,7 @@ from malle_lab.convolve import (
     CountingSequence,
     csum,
     empirical_fit,
-    predict_equal,
-    predict_product_lower,
     predict_unequal,
-    predict_unequal_bound,
     product_count_brute,
     product_count_exact,
 )
@@ -20,7 +17,6 @@ from malle_lab.errors import (
     DivergenceSuspected,
     InsufficientData,
     InsufficientRange,
-    SlopeMismatch,
     SlopeNotGreater,
 )
 
@@ -98,25 +94,6 @@ def test_squares_rule_equals_integers_reindexed():
             product_count_exact(INTS, INTS, 1, 2, x)
 
 
-def test_predict_equal():
-    f = AsymptoticForm(1.0, 1, 0)
-    out = predict_equal(f, f, 1, 1)
-    assert out.coefficient == pytest.approx(1.0)
-    assert out.exponent == 1 and out.logpower == 1
-
-    out = predict_equal(AsymptoticForm(1.0, 1, 1), AsymptoticForm(1.0, 1, 0), 1, 1)
-    assert out.coefficient == pytest.approx(0.5)
-    assert out.logpower == 2
-
-    out = predict_equal(AsymptoticForm(0.0, 1, 0), f, 1, 1)
-    assert out.coefficient == 0.0
-
-
-def test_predict_equal_slope_mismatch():
-    with pytest.raises(SlopeMismatch):
-        predict_equal(AsymptoticForm(1, 1, 0), AsymptoticForm(1, 1, 0), 1, 2)
-
-
 def test_predict_unequal_and_bound():
     f1 = AsymptoticForm(1.0, 1, 0)
     f2 = AsymptoticForm(1.0, 1, 0)
@@ -124,13 +101,11 @@ def test_predict_unequal_and_bound():
     pred = predict_unequal(f1, f2, 1, 2, zeta2)
     assert pred.coefficient == pytest.approx(zeta2)
     assert pred.exponent == 1 and pred.logpower == 0
-    bound = predict_unequal_bound(f1, f2, 1, 2)
-    assert bound.coefficient == pytest.approx(2.0)
-    assert pred.coefficient <= bound.coefficient
     with pytest.raises(SlopeNotGreater):
         predict_unequal(f1, f2, 2, 1, 1.0)
+    # the boundary: equal slopes are refused too
     with pytest.raises(SlopeNotGreater):
-        predict_unequal_bound(f1, f2, 1, 1)
+        predict_unequal(f1, f2, 1, 1, 1.0)
 
 
 def test_csum_zeta2():
@@ -155,16 +130,6 @@ def test_csum_divergence_detected():
     # b*n1/a = 1/2 < 1: the sum over integers diverges
     with pytest.raises(DivergenceSuspected):
         csum(INTS, 1, Fraction(1, 2), 0, 10**6)
-
-
-def test_predict_product_lower():
-    # S_3 (a=1, b=1, deg 3) with C_3 (a=2, b=1, deg 3)
-    assert predict_product_lower(1, 3, 1, 2, 3, 1) == (Fraction(1, 3), 0)
-    # equal slopes: log power adds
-    assert predict_product_lower(1, 2, 1, 1, 2, 1) == (Fraction(1, 2), 1)
-    # sharper second factor: slope2 = 1/(a2*deg1) = 1/5 wins, r = b2 - 1
-    exp, r = predict_product_lower(4, 5, 7, 1, 3, 2)
-    assert exp == Fraction(1, 5) and r == 1
 
 
 def test_empirical_fit_roundtrip():

@@ -1,7 +1,8 @@
 """count_pairs (coprime split) against a double loop over every windowed pair.
 
 The oracle below composes each windowed pair with compose_disc and
-disc_truncated and counts it at every grid point; the full report of
+disc_truncated, checks lo <= hi <= product bound, and counts it at every
+grid point; the full report of
 count_pairs must agree with it on random sublists, bounds, grids, Y ladders
 and wild tables.  The lcm lower bound that lets count_pairs skip a sharing
 pair is checked against compose_disc on every sharing pair.
@@ -23,6 +24,7 @@ from malle_lab.counting import (  # noqa: E402
     compose_disc,
     count_pairs,
     default_grid,
+    disc_product_bound,
     disc_truncated,
 )
 from malle_lab.errors import IncompleteList, InvariantViolation  # noqa: E402
@@ -94,6 +96,7 @@ def oracle(ks, ls, x, wild, mode, y_ladder, grid):
             else:
                 lo, hi = compose_disc(k, l, wild, "interval")
                 trunc = {y: disc_truncated(k, l, wild, y, "interval")[1] for y in y_ladder}
+            assert lo <= hi <= disc_product_bound(k, l), (k, l)
             for i, g in enumerate(grid):
                 n_lo[i] += hi <= g
                 n_hi[i] += lo <= g

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from malle_lab.arith import iroot
+from malle_lab.convolve import empirical_fit
 from malle_lab.counting import (
     WildTable,
     c3_exact,
@@ -16,7 +18,6 @@ from malle_lab.counting import (
     disc_truncated,
     dsigma,
     euler_constant,
-    pair_record,
     tail_bound_report,
 )
 from malle_lab.errors import (
@@ -29,8 +30,9 @@ from malle_lab.errors import (
 from malle_lab.fields.cubic import enumerate_cubic
 from malle_lab.fields.cyclic import enumerate_cyclic
 from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification
+from malle_lab.invariants import product_a, product_b
 from malle_lab.permgroup import CycleType
-from malle_lab.tamecomp import AbelianGroupSpec, RkTable
+from malle_lab.tamecomp import AbelianGroupSpec, RkTable, min_index_abelian
 
 
 def tame(p, parts):
@@ -164,14 +166,6 @@ def test_disc_truncated_and_dsigma():
     # identity: truncated = product bound / d_sigma
     for y in (1, 7, 23, 100):
         assert disc_truncated(K7, L7, w, y) * dsigma(K7, L7, w, y) == disc_product_bound(K7, L7)
-
-
-def test_pair_record_invariants():
-    pr = pair_record(K7, L7, y_ladder=(1, 7, 100))
-    assert pr.disc_exact == compose_disc(K7, L7)
-    assert pr.disc_lo <= pr.disc_hi <= pr.disc_product_bound
-    assert pr.disc_truncated[1] == pr.disc_product_bound
-    assert pr.disc_truncated[100] == pr.disc_exact
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +375,21 @@ def test_count_pairs_empty_list_reports_like_nonempty(lists_1e4):
         count_pairs(empty, abelians, 10**12)
     with pytest.raises(IncompleteList, match="abelian list complete to 10, window needs 10000"):
         count_pairs(cubics, empty, 10**12)
+
+
+@pytest.mark.parametrize("l, x", [(3, 64 * 10**12), (5, 5 * 10**22)], ids=["S3xC3", "S3xC5"])
+def test_count_pairs_fit_follows_the_product_slope_rule(l, x):
+    # the K window is X^(1/l) <= 4e4; each grid spans three decades of pairs
+    cubics = enumerate_cubic(4 * 10**4)
+    rep = count_pairs(cubics, enumerate_cyclic(l, iroot(x, 3)), x, mode="interval")
+    spec = AbelianGroupSpec((l,))
+    a_ab = min_index_abelian(spec)
+    # a(S_3) = b(S_3) = b(C_l) = 1
+    assert rep.fit_exponent == Fraction(1, product_a(1, 3, a_ab, spec.order))
+    counts = [(g, c) for g, c in zip(rep.grid, rep.n_lo) if c > 0]
+    logpower = product_b(1, 3, 1, a_ab, spec.order, 1) - 1
+    assert rep.fit is not None
+    assert rep.fit == empirical_fit(counts, rep.fit_exponent, logpower)
 
 
 def test_default_grid():

@@ -1,17 +1,22 @@
+from fractions import Fraction
+from math import gcd, prod
+
 import pytest
 
 from malle_lab.errors import EqualSlopeUnsupported, OrderCapExceeded, TrivialGroup
 from malle_lab.invariants import (
+    _classes_with_map,
+    _power,
     a_invariant,
     b_invariant_Q,
     close_group,
     conjugacy_classes,
     minimal_index_classes,
-    power_map_on_classes,
     product_a,
     product_b,
 )
 from malle_lab.permgroup import Permutation, cycle_type, embed_product, index_of
+from malle_lab.tamecomp import COPRIMALITY, AbelianGroupSpec, min_index_abelian
 
 
 def S3():
@@ -84,16 +89,20 @@ def test_b_invariant_product_s3_c5():
     assert b_invariant_Q(g) == 1
 
 
+def class_power_map(group, a):
+    """The class map c -> c^a, built as b_invariant_Q builds it inline."""
+    classes, class_of = _classes_with_map(group)
+    return {ci: class_of[_power(c.representative, a).images] for ci, c in enumerate(classes)}
+
+
 def test_power_maps_are_bijections_and_preserve_index():
     g = S4()
     classes = conjugacy_classes(g)
-    exp = g.group_exponent if hasattr(g, "group_exponent") else g.exponent()
-    from math import gcd
-
+    exp = g.exponent()
     for a in range(1, exp):
         if gcd(a, exp) != 1:
             continue
-        mapping = power_map_on_classes(g, a)
+        mapping = class_power_map(g, a)
         assert sorted(mapping.values()) == list(range(len(classes)))
         for ci, cj in mapping.items():
             assert classes[ci].index == classes[cj].index
@@ -108,13 +117,11 @@ def test_minimal_classes_closed_under_power_maps():
     )
     classes = conjugacy_classes(g)
     minimal = {i for i, c in enumerate(classes) if c.index == a_invariant(g)}
-    from math import gcd
-
     exp = g.exponent()
     for a in range(1, exp):
         if gcd(a, exp) != 1:
             continue
-        mapping = power_map_on_classes(g, a)
+        mapping = class_power_map(g, a)
         assert {mapping[i] for i in minimal} == minimal
 
 
@@ -155,6 +162,37 @@ def test_product_b():
     assert product_b(4, 5, 7, 1, 3, 2) == 2
     with pytest.raises(EqualSlopeUnsupported):
         product_b(1, 3, 1, 2, 6, 1)
+
+
+def invariant_factors(max_order, prefix=()):
+    """Every abelian group of order <= max_order, as factors f1 | f2 | ..."""
+    if prefix:
+        yield prefix
+    last = prefix[-1] if prefix else 1
+    for f in range(max(last, 2), max_order // prod(prefix) + 1, last):
+        yield from invariant_factors(max_order, prefix + (f,))
+
+
+def test_the_s_n_side_has_the_larger_slope():
+    # a(A) = |A| (p - 1) / p >= |A| / 2 for p the least prime of |A|, so
+    # n a(A) > |A|: product_a and product_b pick the S_n side, never refuse
+    checked = 0
+    for n in (3, 4, 5):
+        sn = close_group([Permutation.parse("(12)", degree=n),
+                          Permutation.parse("(" + "".join(map(str, range(1, n + 1))) + ")")])
+        a_sn, b_sn = a_invariant(sn), b_invariant_Q(sn)
+        assert (a_sn, b_sn) == (1, 1)
+        for factors in invariant_factors(100):
+            spec = AbelianGroupSpec(factors)
+            m = spec.order
+            if gcd(m, COPRIMALITY[n]) != 1:
+                continue
+            a_ab = min_index_abelian(spec)
+            assert Fraction(a_sn, n) < Fraction(a_ab, m)
+            assert product_a(a_sn, n, a_ab, m) == m
+            assert product_b(a_sn, n, b_sn, a_ab, m, 2) == b_sn
+            checked += 1
+    assert checked == 122
 
 
 def test_minimal_index_classes_s3xc3():

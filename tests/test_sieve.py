@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from malle_lab.errors import CapExceeded, EnvelopeExceeded, InsufficientGrid, NotSquarefree
+from malle_lab.errors import CapExceeded, InsufficientGrid, NotSquarefree
 from malle_lab.sieve import (
     AffineScheme,
     BoxSpec,
@@ -15,7 +15,6 @@ from malle_lab.sieve import (
     count_points_brute,
     count_points_mod_q,
     scaling_experiment,
-    sheared_experiment,
     solutions_mod_q,
 )
 
@@ -237,28 +236,6 @@ def test_insufficient_grid():
         scaling_experiment(line_scheme(2), r_grid=[10, 40, 110], q_grid=[3, 4])
 
 
-def test_sheared_experiment_envelope_and_identity():
-    scheme = line_scheme(2)
-    rep = sheared_experiment(
-        scheme,
-        r_vector_grid=[(8, 8), (20, 20), (50, 25), (90, 30)],
-        q_grid=[2, 5, 7, 23],
-        shear_samples=3,
-        seed=7,
-    )
-    assert rep.seed == 7
-    assert max(r[2] for r in rep.envelope_ratios) <= 64.0
-    # determinism under the same seed
-    rep2 = sheared_experiment(
-        scheme,
-        r_vector_grid=[(8, 8), (20, 20), (50, 25), (90, 30)],
-        q_grid=[2, 5, 7, 23],
-        shear_samples=3,
-        seed=7,
-    )
-    assert rep.entries == rep2.entries
-
-
 def _random_shear(rng, n):
     """Lower-triangular unipotent, with non-integer entries below the diagonal."""
     return tuple(
@@ -296,13 +273,3 @@ def test_residue_count_matches_point_walk():
         nonzero += got > 0
     assert nonzero >= 40
 
-
-def test_sheared_experiment_envelope_exceeded():
-    with pytest.raises(EnvelopeExceeded):
-        sheared_experiment(
-            line_scheme(2),
-            r_vector_grid=[(8, 8), (20, 20), (90, 30)],
-            q_grid=[2, 5, 23],
-            shear_samples=1,
-            envelope_factor=1e-3,
-        )
