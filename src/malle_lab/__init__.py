@@ -11,7 +11,7 @@ imported by `malle_lab.fields`:
 - `convolve.product_count_brute`: the double loop over both sequences,
   checking `convolve.product_count_exact`;
 - `sieve.count_points_brute`: the walk over every lattice point of the
-  sheared box, checking `sieve.count_points_mod_q`;
+  cube [-r, r]^n, checking `sieve.count_points_mod_q`;
 - `fields.cyclic.cyclic_count_oracle`: the Möbius count of character
   subgroups, checking `fields.cyclic.enumerate_cyclic`;
 - `fields.polysearch`: the monic-polynomial search with p-adic local

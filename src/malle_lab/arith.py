@@ -4,8 +4,7 @@
 - `is_prime(n)`: division by small primes, then Miller-Rabin;
 - `primes_upto(n)`: the primes <= n, from a bytearray sieve;
 - `spf_table(n)`: smallest prime factors of 0..n, for factoring many n;
-- `factor(n, spf=None)`: {p: v_p(n)}, off an spf table when it covers n,
-  else by trial division;
+- `factor(n)`: {p: v_p(n)}, by trial division;
 - `divisors(n)`: the divisors of n, ascending, by trial division to sqrt(n);
 - `is_squarefree(q)`, `prime_factors(q)`: read off `factor`.
 
@@ -109,15 +108,9 @@ def spf_table(n: int) -> array:
     return spf
 
 
-def factor(n: int, spf: array | None = None) -> dict[int, int]:
-    """{p: v_p(n)} in ascending p; read off `spf` when it covers n, else trial division."""
+def factor(n: int) -> dict[int, int]:
+    """{p: v_p(n)} in ascending p, by trial division."""
     fac: dict[int, int] = {}
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-        return fac
     p = 2
     while p * p <= n:
         while n % p == 0:

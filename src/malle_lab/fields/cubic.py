@@ -556,18 +556,16 @@ def _code_entry(code: int) -> LocalRamification:
     return _local_entry(code >> 7, (code >> 1) & 63, bool(code & 1))
 
 
-def is_maximal(f: Form, d: int | None = None, spf: array | None = None) -> bool:
+def is_maximal(f: Form) -> bool:
     """True when the cubic ring of F is maximal (p-maximal at every p).
 
-    `d` is disc(F) when already known; `spf` is a smallest-prime-factor
-    table used to factor |d| when it covers it.  The forms of the search
-    are decided by the same code, on int64 rows.
+    The forms of the search are decided by the same code, on int64 rows.
     """
     import numpy as np
 
     if gcd(*f) != 1:
         return False
-    fac = factor(abs(disc_form(f) if d is None else d), spf)
+    fac = factor(abs(disc_form(f)))
     p, v = np.array(list(fac), dtype=object), np.array(list(fac.values()), dtype=object)
     rows = tuple(np.full(p.size, x, dtype=object) for x in f)
     return not _local_rows(rows, p, v)[0].any()

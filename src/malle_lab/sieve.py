@@ -1,27 +1,25 @@
-"""Lattice points of affine schemes in expanding (sheared) boxes mod q.
+"""Lattice points of affine schemes in the expanding cube [-r, r]^n mod q.
 
-Counts #{a in m r B cap Z^n : a mod q in Y(Z/qZ)} by residue classes: solve
-the system mod each prime p of the squarefree q, combine by CRT, and count
-the lattice points of each residue class.  Each polynomial is read as a
-polynomial in x_1 whose coefficients are vectors over the grid (Z/p)^(n-1),
-built once from per-monomial power tables; the loop over x_1 only scales and
-adds them.  The shear is lower-triangular unipotent, so coordinates resolve
-front to back with rational window endpoints: a class steps through the
-windows with stride q.  The oracle `count_points_brute` tests every lattice
-point of the box instead.
+Counts #{a in [-r, r]^n cap Z^n : a mod q in Y(Z/qZ)} by residue classes:
+solve the system mod each prime p of the squarefree q, combine by CRT, and
+count the lattice points of each residue class.  Each polynomial is read as
+a polynomial in x_1 whose coefficients are vectors over the grid
+(Z/p)^(n-1), built once from per-monomial power tables; the loop over x_1
+only scales and adds them.  A class counts the product of its coordinates'
+progression lengths in [-r, r].  The oracle `count_points_brute` tests every
+lattice point of the cube instead.
 
 The counts feed `scaling_experiment`, which fits the log-log slope in q at
 the largest r and in r at the smallest q; the codimension-k envelope
-r^(n-k) * max(1, (r/q)^k) puts them near -k and n.  Sheared boxes and boxes
-scaled per coordinate are counted the same way, and `count_points_brute`
-checks those counts; no experiment samples them.
+r^(n-k) * max(1, (r/q)^k) puts them near -k and n.  Only the cube is
+counted, not a skewed box or one scaled per coordinate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .util import json_typed, json_typed_items
 
 __all__ = [
     "AffineScheme",
-    "BoxSpec",
     "ExperimentReport",
     "count_points_mod_q",
     "solutions_mod_q",
@@ -123,77 +120,13 @@ def binary_cubic_disc_scheme() -> AffineScheme:
     return AffineScheme(n_vars=4, polynomials=(poly,), declared_codim=1)
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """A compact box B scaled by r (scalar or per-coordinate) and sheared.
-
-    The region is m . diag(r) . B with B a product of intervals (default
-    [-1, 1]^n) and m lower-triangular unipotent with rational entries.
-    """
-
-    n_vars: int
-    intervals: tuple = None  # ((lo, hi) Fractions), default [-1, 1]^n
-    scaling: tuple = (1,)  # scalar broadcast or per-coordinate
-    shear: tuple = None  # rows of the lower-triangular unipotent matrix
-
-    def __post_init__(self):
-        if self.intervals is None:
-            object.__setattr__(
-                self, "intervals", tuple((Fraction(-1), Fraction(1)) for _ in range(self.n_vars))
-            )
-        ivals = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.intervals)
-        if len(ivals) != self.n_vars or any(lo > hi for lo, hi in ivals):
-            raise ValueError("bad base intervals")
-        object.__setattr__(self, "intervals", ivals)
-        scaling = self.scaling
-        if not isinstance(scaling, tuple):
-            scaling = (scaling,)
-        if len(scaling) == 1:
-            scaling = scaling * self.n_vars
-        scaling = tuple(Fraction(s) for s in scaling)
-        if len(scaling) != self.n_vars or any(s <= 0 for s in scaling):
-            raise ValueError("bad scaling")
-        object.__setattr__(self, "scaling", scaling)
-        if self.shear is None:
-            object.__setattr__(
-                self,
-                "shear",
-                tuple(
-                    tuple(Fraction(1) if i == j else Fraction(0) for j in range(self.n_vars))
-                    for i in range(self.n_vars)
-                ),
-            )
-        else:
-            rows = tuple(tuple(Fraction(e) for e in row) for row in self.shear)
-            for i, row in enumerate(rows):
-                if len(row) != self.n_vars or row[i] != 1:
-                    raise ValueError("shear must be unipotent")
-                if any(row[j] != 0 for j in range(i + 1, self.n_vars)):
-                    raise ValueError("shear must be lower triangular")
-            object.__setattr__(self, "shear", rows)
-
-    def with_scaling(self, r) -> "BoxSpec":
-        return BoxSpec(self.n_vars, self.intervals, r if isinstance(r, tuple) else (r,), self.shear)
-
-
-def _window(box: BoxSpec, i: int, y_prefix) -> tuple[Fraction, int, int]:
-    """Shear offset of x_i given the unsheared y_1..y_{i-1} (0 for an empty
-    prefix), and the integer window [lo, hi] of x_i, with lo <= hi + 1."""
-    lo, hi = box.intervals[i]
-    base = sum((m * y for m, y in zip(box.shear[i], y_prefix)), Fraction(0))
-    return base, math.ceil(base + lo * box.scaling[i]), math.floor(base + hi * box.scaling[i])
-
-
-def count_points_brute(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
-    """Oracle for `count_points_mod_q`: test every lattice point of the box mod q."""
-
-    def rec(point, y_prefix):
-        if len(point) == box.n_vars:
-            return scheme.eval_point_mod(point, q)
-        base, lo, hi = _window(box, len(point), y_prefix)
-        return sum(rec(point + (x,), y_prefix + (x - base,)) for x in range(lo, hi + 1))
-
-    return rec((), ())
+def count_points_brute(scheme: AffineScheme, r: int, q: int) -> int:
+    """Oracle for `count_points_mod_q`: test every lattice point of [-r, r]^n mod q."""
+    side = range(-r, r + 1)
+    return sum(
+        scheme.eval_point_mod(point, q)
+        for point in itertools.product(side, repeat=scheme.n_vars)
+    )
 
 
 def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
@@ -290,56 +223,28 @@ def solutions_mod_q(
     return sols
 
 
-def _count_residue_class(box: BoxSpec, residue, q: int) -> int:
-    """Lattice points x = residue (mod q) in the sheared box."""
+def count_points_mod_q(scheme: AffineScheme, r: int, q: int) -> int:
+    """#{a in [-r, r]^n cap Z^n : a mod q in Y(Z/qZ)}, by residue classes.
 
-    n = box.n_vars
-
-    def rec(i, y_prefix):
-        base, lo, hi = _window(box, i, y_prefix)
-        xs = range(lo + (residue[i] - lo) % q, hi + 1, q)
-        if i == n - 1:
-            return len(xs)
-        return sum(rec(i + 1, y_prefix + (x - base,)) for x in xs)
-
-    return rec(0, ())
-
-
-def _count_residue_axis_aligned(box: BoxSpec, sols: np.ndarray, q: int) -> int:
-    """Vectorized residue counting when the shear is the identity: a class
-    counts the product of its progressions, each of length >= 0 as lo <= hi + 1."""
-    r = np.arange(q, dtype=object)
-    counts = [
-        (hi - lo - (r - lo) % q) // q + 1
-        for _, lo, hi in (_window(box, i, ()) for i in range(box.n_vars))
-    ]
-    # int64 would wrap silently past 2^63; Python integers take over there
-    dtype = np.int64 if sols.shape[0] * math.prod(c.max() for c in counts) < 2**63 else object
-    prod = np.ones(sols.shape[0], dtype=dtype)
-    for c, col in zip(counts, sols.T):
-        prod *= c.astype(dtype)[col]
-    return int(prod.sum())
-
-
-def _is_identity_shear(box: BoxSpec) -> bool:
-    # BoxSpec keeps the shear unipotent, so only the entries below the
-    # diagonal can differ from the identity
-    return all(e == 0 for i, row in enumerate(box.shear) for e in row[:i])
-
-
-def count_points_mod_q(scheme: AffineScheme, box: BoxSpec, q: int) -> int:
-    """#{a in the sheared box cap Z^n : a mod q in Y(Z/qZ)}, by residue classes.
-
-    Raises NotSquarefree unless q >= 1 is squarefree, and CapExceeded when a
+    Every coordinate of a class s runs through the same progression
+    {x in [-r, r] : x = s_i mod q}, so the class counts the product of those
+    lengths over its coordinates.  Raises ValueError unless r is an integer
+    >= 1, NotSquarefree unless q >= 1 is squarefree, and CapExceeded when a
     prime p of q has p^n above the solution cap 10^7, however small the box
     (for n = 4, every p >= 59).
     """
-    if scheme.n_vars != box.n_vars:
-        raise ValueError("scheme and box dimension mismatch")
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"box radius r must be an integer >= 1, got {r!r}")
     sols = solutions_mod_q(scheme, q)
-    if _is_identity_shear(box):
-        return _count_residue_axis_aligned(box, sols, q)
-    return sum(_count_residue_class(box, s, q) for s in sols.tolist())
+    s = np.arange(q, dtype=object)
+    length = (2 * r - (s + r) % q) // q + 1
+    # int64 would wrap silently past 2^63; Python integers take over there
+    dtype = np.int64 if sols.shape[0] * length.max() ** scheme.n_vars < 2**63 else object
+    length = length.astype(dtype)
+    prod = np.ones(sols.shape[0], dtype=dtype)
+    for col in sols.T:
+        prod *= length[col]
+    return int(prod.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +266,29 @@ def _ols_slope(xs, ys) -> float:
 
 
 def _check_grid_span(grid, name: str):
+    for v in grid:
+        if v < 1:
+            raise ValueError(f"{name} grid value {v} is below 1")
     vals = [float(v) for v in grid]
     if len(vals) < 3 or max(vals) / min(vals) < 10:
         raise InsufficientGrid(f"{name} grid must span a decade with >= 3 points")
 
 
-def scaling_experiment(scheme: AffineScheme, r_grid, q_grid, box: BoxSpec | None = None) -> ExperimentReport:
-    """Counts over an (r, q) grid with log-log slope fits.
+def scaling_experiment(scheme: AffineScheme, r_grid, q_grid) -> ExperimentReport:
+    """Counts in the boxes [-r, r]^n over an (r, q) grid, with log-log slope fits.
 
-    The q-exponent is fitted at the largest r (the (r/q)^k regime, slope
-    close to -codim); the r-exponent at the smallest q (slope close to n).
+    Every grid value must be at least 1 (ValueError), and each grid must have
+    three or more values spanning a decade (InsufficientGrid).  The
+    q-exponent is fitted at the largest r (the (r/q)^k regime, slope close
+    to -codim); the r-exponent at the smallest q (slope close to n).
     """
     _check_grid_span(r_grid, "r")
     _check_grid_span(q_grid, "q")
-    if box is None:
-        box = BoxSpec(scheme.n_vars)
     entries = []
     counts = {}
     for r in r_grid:
         for q in q_grid:
-            c = count_points_mod_q(scheme, box.with_scaling(r), q)
+            c = count_points_mod_q(scheme, r, q)
             counts[(r, q)] = c
             entries.append((r, q, c))
     r_top = max(r_grid)

@@ -37,7 +37,6 @@ from malle_lab.permgroup import (
 )
 from malle_lab.sieve import (
     AffineScheme,
-    BoxSpec,
     binary_cubic_disc_scheme,
     count_points_mod_q,
     scaling_experiment,
@@ -316,7 +315,7 @@ def test_criterion_10_sieve_experiments():
     ok = True
     for n, k, r, q in [(2, 1, 10, 5), (2, 2, 10, 5), (3, 2, 30, 7)]:
         scheme = AffineScheme.coordinate_subspace(n, k)
-        got = count_points_mod_q(scheme, BoxSpec(n, scaling=(r,)), q)
+        got = count_points_mod_q(scheme, r, q)
         want = (2 * (r // q) + 1) ** k * (2 * r + 1) ** (n - k)
         ok = ok and got == want
     # fitted q-exponents for linear schemes within +-0.1 of -k

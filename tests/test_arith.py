@@ -26,20 +26,17 @@ def test_squarefree_and_prime_factors_match_definitions():
         assert primes_upto(n) == [p for p in primes if p <= n]
     spf = spf_table(3000)
     assert len(spf) == 3001
-    small = spf_table(100)
     for q in range(1, 3001):
         prime_divisors = [p for p in primes if q % p == 0]
         assert prime_factors(q) == prime_divisors
         assert is_squarefree(q) == all(q % (p * p) for p in prime_divisors)
         if q >= 2:
             assert spf[q] == prime_divisors[0]
-        fac = {p: _valuation(q, p) for p in prime_divisors}
-        # with a table, without one, and beyond the table (trial division)
-        for table in (spf, None, small):
-            got = factor(q, table)
-            assert got == fac and list(got) == prime_divisors
+        got = factor(q)
+        assert got == {p: _valuation(q, p) for p in prime_divisors}
+        assert list(got) == prime_divisors
         assert divisors(q) == [d for d in range(1, q + 1) if q % d == 0]
-    assert factor(1) == factor(1, spf) == {} and divisors(1) == [1]
+    assert factor(1) == {} and divisors(1) == [1]
     assert spf_table(1).tolist() == [0, 1] and primes_upto(1) == []
 
 

@@ -382,6 +382,7 @@ def _bad_inputs(tmp_path):
         "rk.json": {"n": 3},
         "rk_zero.json": {"n": 3, "rk": [{"cycle_type": [2, 1], "r": "1/0"}]},
         "scheme.json": {"n_vars": 2},
+        "line.json": {"n_vars": 2, "codim": 1, "polys": [[[1, [1, 0]]]]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -401,6 +402,9 @@ def _bad_inputs(tmp_path):
         ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk.json"],
         ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk_zero.json"],
         ["sieve-exp", "--scheme", "{dir}/scheme.json", "--r", "5,10,50", "--q", "3,5"],
+        # a grid value of 0: once a ZeroDivisionError traceback with exit 1
+        ["sieve-exp", "--scheme", "{dir}/line.json", "--r", "5,10,0", "--q", "3,5,7,31"],
+        ["sieve-exp", "--scheme", "{dir}/line.json", "--r", "5,10,50", "--q", "3,5,0,31"],
         ["count-pairs", "--sn-fields", "{dir}/float_part.jsonl", "--abelians", "{dir}/l.jsonl",
          "--x", "1e6"],
         ["count-pairs", "--sn-fields", "{dir}/big_disc.jsonl", "--abelians", "{dir}/l.jsonl",

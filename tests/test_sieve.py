@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from malle_lab.errors import CapExceeded, InsufficientGrid, NotSquarefree
 from malle_lab.sieve import (
     AffineScheme,
-    BoxSpec,
     binary_cubic_disc_scheme,
     count_points_brute,
     count_points_mod_q,
@@ -29,65 +27,32 @@ def plane_codim2(n=3):
 
 def test_linear_closed_form():
     # {x1 = 0} in A^2, r = 10, q = 5: (2*floor(10/5)+1) * (2*10+1) = 105
-    box = BoxSpec(2, scaling=(10,))
-    assert count_points_brute(line_scheme(), box, 5) == 105
-    assert count_points_mod_q(line_scheme(), box, 5) == 105
+    assert count_points_brute(line_scheme(), 10, 5) == 105
+    assert count_points_mod_q(line_scheme(), 10, 5) == 105
     # codim 2, r = 10, q = 5: 5 * 5 * 21 in A^3... {x1=x2=0} in A^2: 25
-    box2 = BoxSpec(2, scaling=(10,))
     scheme2 = AffineScheme.coordinate_subspace(2, 2)
-    assert count_points_mod_q(scheme2, box2, 5) == 25
+    assert count_points_mod_q(scheme2, 10, 5) == 25
 
 
 def test_closed_form_general_linear():
     scheme = AffineScheme.coordinate_subspace(3, 2)
     for r, q in [(12, 5), (30, 7), (20, 3)]:
-        box = BoxSpec(3, scaling=(r,))
         want = (2 * (r // q) + 1) ** 2 * (2 * r + 1)
-        assert count_points_mod_q(scheme, box, q) == want
+        assert count_points_mod_q(scheme, r, q) == want
 
 
 def test_dual_path_agreement_nonlinear():
     scheme = binary_cubic_disc_scheme()
     for r, q in [(4, 5), (5, 6), (6, 7)]:
-        box = BoxSpec(4, scaling=(r,))
-        brute = count_points_brute(scheme, box, q)
-        res = count_points_mod_q(scheme, box, q)
-        assert brute == res
-
-
-def test_dual_path_agreement_sheared():
-    scheme = line_scheme(2)
-    shear = ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(1)))
-    box = BoxSpec(2, scaling=(9,), shear=shear)
-    brute = count_points_brute(scheme, box, 5)
-    res = count_points_mod_q(scheme, box, 5)
-    assert brute == res
-
-
-def test_shear_preserves_symmetric_counts():
-    # {x1=0} with shear x2 <- x2 + 3 x1: columns are translated, counts equal
-    scheme = line_scheme(2)
-    for r in (6, 10, 15):
-        plain = count_points_mod_q(scheme, BoxSpec(2, scaling=(r,)), 5)
-        shear = ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(1)))
-        sheared = count_points_brute(scheme, BoxSpec(2, scaling=(r,), shear=shear), 5)
-        assert plain == sheared
-
-
-def test_anisotropic_closed_form():
-    # r = (100, 10), q = 30, {x1=0}: (2*floor(100/30)+1) * 21
-    scheme = line_scheme(2)
-    box = BoxSpec(2, scaling=(100, 10))
-    assert count_points_mod_q(scheme, box, 30) == (2 * 3 + 1) * 21
+        assert count_points_brute(scheme, r, q) == count_points_mod_q(scheme, r, q)
 
 
 def test_count_past_int64_is_exact():
-    # (2 * 10^5 + 1)^4 > 2^63: the identity-shear counter must not wrap
+    # (2 * 10^5 + 1)^4 > 2^63: the counter must not wrap
     scheme = AffineScheme.coordinate_subspace(4, 1)
-    box = BoxSpec(4, scaling=(10**5,))
     for q in (1, 7):
         want = (2 * (10**5 // q) + 1) * (2 * 10**5 + 1) ** 3
-        assert count_points_mod_q(scheme, box, q) == want
+        assert count_points_mod_q(scheme, 10**5, q) == want
 
 
 def test_crt_multiplicativity_exact():
@@ -104,7 +69,7 @@ def test_crt_multiplicativity_exact():
 
 def test_not_squarefree():
     with pytest.raises(NotSquarefree):
-        count_points_mod_q(line_scheme(), BoxSpec(2, scaling=(5,)), 4)
+        count_points_mod_q(line_scheme(), 5, 4)
     with pytest.raises(NotSquarefree):
         solutions_mod_q(line_scheme(), 12)
     for q in (0, -5):
@@ -123,7 +88,7 @@ def test_cap_exceeded():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve, "_solutions_mod_p", no_grid)
         with pytest.raises(CapExceeded):
-            count_points_mod_q(binary_cubic_disc_scheme(), BoxSpec(4, scaling=(3,)), 59)
+            count_points_mod_q(binary_cubic_disc_scheme(), 3, 59)
 
 
 def test_residue_grid_cap():
@@ -197,8 +162,7 @@ def test_disc_solutions_composite_modulus_bytes_pinned():
 
 def test_monotone_in_q_linear():
     scheme = line_scheme(2)
-    box = BoxSpec(2, scaling=(50,))
-    counts = [count_points_mod_q(scheme, box, q) for q in (2, 3, 5, 7, 11)]
+    counts = [count_points_mod_q(scheme, 50, q) for q in (2, 3, 5, 7, 11)]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -236,22 +200,21 @@ def test_insufficient_grid():
         scaling_experiment(line_scheme(2), r_grid=[10, 40, 110], q_grid=[3, 4])
 
 
-def _random_shear(rng, n):
-    """Lower-triangular unipotent, with non-integer entries below the diagonal."""
-    return tuple(
-        tuple(
-            Fraction(1) if j == i
-            else Fraction(rng.randint(-9, 9), rng.randint(2, 4)) if j < i
-            else Fraction(0)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def test_grid_values_below_one_are_refused_by_name():
+    # a 0 once divided the span ratio by zero, and a negative value was
+    # refused only because its ratio fell below 10
+    for r_grid, q_grid, name in [
+        ([5, 10, 0], [3, 5, 7, 31], "r"),
+        ([-100, 10, 50], [3, 5, 7, 31], "r"),
+        ([5, 10, 50], [3, 5, 0, 31], "q"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} grid value"):
+            scaling_experiment(line_scheme(2), r_grid, q_grid)
 
 
 def test_residue_count_matches_point_walk():
     rng = random.Random(20261018)
-    # at most 2 * side + 1 lattice values per coordinate keeps each walk small
+    # at most 2 r + 1 lattice values per coordinate keeps each walk small
     side = {1: 60, 2: 14, 3: 6, 4: 3}
     nonzero = 0
     for case in range(100):
@@ -260,16 +223,14 @@ def test_residue_count_matches_point_walk():
         scheme = _random_scheme(rng, n, q)
         while not solutions_mod_q(scheme, q).size:
             scheme = _random_scheme(rng, n, q)
-        intervals = []
-        for _ in range(n):
-            lo = Fraction(rng.randint(-8, 4), rng.randint(1, 4))
-            intervals.append((lo, lo + Fraction(rng.randint(0, 8), 4)))
-        scaling = tuple(Fraction(rng.randint(1, side[n]), rng.randint(1, 3)) for _ in range(n))
-        # one case in five takes the identity-shear counter
-        shear = None if case % 5 == 0 else _random_shear(rng, n)
-        box = BoxSpec(n, tuple(intervals), scaling, shear)
-        got = count_points_mod_q(scheme, box, q)
-        assert got == count_points_brute(scheme, box, q), (scheme, box, q)
+        r = rng.randint(1, side[n])
+        got = count_points_mod_q(scheme, r, q)
+        assert got == count_points_brute(scheme, r, q), (scheme, r, q)
         nonzero += got > 0
     assert nonzero >= 40
 
+
+def test_radius_must_be_a_positive_integer():
+    for r in (0, -3, 2.5, "5"):
+        with pytest.raises(ValueError, match="box radius"):
+            count_points_mod_q(line_scheme(), r, 5)
