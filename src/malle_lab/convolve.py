@@ -217,9 +217,6 @@ class AsymptoticForm:
         if self.logpower < 0 or self.coefficient < 0:
             raise ValueError("coefficient and logpower must be nonnegative")
 
-    def evaluate(self, x: float) -> float:
-        return self.coefficient * x ** float(self.exponent) * math.log(x) ** self.logpower
-
 
 def predict_unequal(f1: AsymptoticForm, f2: AsymptoticForm, a, b, c_prime: float) -> AsymptoticForm:
     """Steeper-slope product with caller-supplied convergent sum C' (see csum)."""

@@ -91,12 +91,15 @@ class WildTable:
     @classmethod
     def from_json(cls, obj) -> "WildTable":
         """{"pairs": [{"k_label": "3-e3-v4", "l_label": "3-C3-cond-9", "exp": 14}]}:
-        string labels and an integer exp, else TypeError."""
+        string labels and an integer exp, else TypeError; a label pair given
+        twice, ValueError."""
         entries = {}
         for row in obj.get("pairs", []):
             k_label = json_typed(row["k_label"], str, "k_label")
-            l_label = json_typed(row["l_label"], str, "l_label")
-            entries[(k_label, l_label)] = json_typed(row["exp"], int, "exp")
+            key = (k_label, json_typed(row["l_label"], str, "l_label"))
+            if key in entries:
+                raise ValueError(f"wild table lists the label pair {key} twice")
+            entries[key] = json_typed(row["exp"], int, "exp")
         return cls(entries)
 
     def lookup(self, k_label: str, l_label: str) -> int | None:
@@ -355,7 +358,7 @@ def count_pairs(
             discs_lo.append(lo)
             discs_hi.append(hi)
             bounds.append(k_power * l_powers[j])  # the product bound
-            for y in y_ladder:
+            for y in trunc:  # once per distinct rung
                 trunc[y].append(_ends(disc_truncated(k_rec, l_rec, wild, y, mode))[1])
     # the windowed lists are the whole population counted, so they are
     # complete as far as any count at g <= x can ask
@@ -377,7 +380,7 @@ def count_pairs(
     # N_lo counts pairs that surely do (upper ends)
     n_hi = plus_shared(discs_lo)
     n_lo = plus_shared(discs_hi)
-    n_y = {y: plus_shared(trunc[y]) for y in y_ladder}
+    n_y = {y: plus_shared(values) for y, values in trunc.items()}
     # invariants.product_a/product_b with a(S_n) = b(S_n) = 1: since
     # n * a(A) >= 3|A|/2 > |A|, the S_n side has the larger slope, 1/|A| =
     # 1/degL, and the log power is b(S_n) - 1 = 0

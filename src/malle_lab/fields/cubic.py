@@ -50,9 +50,9 @@ in d:
 
 so with a > 0 they say -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a,
 that is -((a - b)(a - b + c) // a) <= d <= (a + b)(a + b + c) // a in
-integers.  The exact test _neg_reduced still decides each form; the window
-only drops forms it would reject (at X = 1e5 there are 79,419 d rows
-instead of 333,867).
+integers.  The window only drops forms that the exact scalar test
+_neg_reduced rejects (at X = 1e5 there are 79,419 d rows instead of
+333,867).
 
 Search bounds.  The search takes these bounds at |D| <= X in integers.  An
 integer n >= 0 has n^k <= t for a real t exactly when n <= iroot(floor(t), k),
@@ -113,12 +113,13 @@ Irreducibility.  A form with no root in P^1(F_p) has no rational root.  For
 p = 5, 7, 11, 13 and 17 a p^4-entry bytearray marks the forms mod p with no
 root in P^1(F_p), [1:0] (that is, p | a) counted as a root; the tables are
 built once per process, on first use, by clearing the
-d = -(a r^3 + b r^2 + c r) entry for every a != 0 and root r.  A task reads
-them as np.frombuffer views and indexes them with the rows mod p.  A form
-with d = 0 has the root [0:1]; any other form no table marks goes to
-is_irreducible, whose exact rational-root test (roots x/y with y | a and
-x | d) every other reducible form reaches (at X = 1e5, 6,434 forms of the
-40,567 candidates with non-square disc; 1,932 more have d = 0).
+d = -(a r^3 + b r^2 + c r) entry for every a != 0 and root r.  Only
+_irreducible reads them: it views them as np.frombuffer arrays and indexes
+them with a task's rows mod p.  A form with d = 0 has the root [0:1]; any
+other form no table marks goes to is_irreducible, the exact rational-root
+test alone (roots x/y with y | a and x | d), which every reducible form with
+d != 0 reaches (at X = 1e5, 6,434 forms of the 40,567 candidates with
+non-square disc, 3,411 of them irreducible; 1,932 more have d = 0).
 
 Maximality.  R(F) is non-maximal at p iff p divides the content of F, or F
 mod p has a multiple root [x0:y0] in P^1(F_p) with p^2 | F(x0, y0) (the value
@@ -172,8 +173,8 @@ search takes b >= 0 only, and d >= 1 when b = 0 (d = 0 is reducible): one
 form of each mirror pair, half the forms to test for the same fields.
 
 Canonical forms.  Every form the search keeps is already reduced, with
-a > 0, b >= 0, and d >= 1 when b = 0, so canonical_form would return it
-unchanged from its reduction and take the least of its images:
+a > 0, b >= 0, and d >= 1 when b = 0; its canonical form is the least of
+a few images of it:
 
 - disc < 0: the least of F and its mirror, which is the mirror
   (a, -b, c, -d): -b < b when b > 0, and -d < d when b = 0;
@@ -181,7 +182,9 @@ unchanged from its reduction and take the least of its images:
   -mirror start with -a < a, and -F = (-a, -b, -c, -d) is below
   (-a, b, -c, d) by the same comparison, so it is -F;
 - disc > 0 on the boundary (|Q| = P or P = R): other reduced forms of the
-  class exist, and canonical_form finds the least (112 forms at 1e5).
+  class exist, and canonical_form takes the least of +-g over the reduced
+  images g of F under the matrices with entries in {-1, 0, 1} (112 forms at
+  1e5).  It takes only Hessian-reduced forms: nothing here reduces a form.
 
 Forms of one class found more than once (only on that boundary) meet
 after the parent's sort on (|disc|, disc > 0, canonical form), and the
@@ -191,7 +194,6 @@ first of each run is kept.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt
@@ -268,69 +270,26 @@ def _hessian_reduced(f: Form) -> bool:
     return 0 < p <= r and abs(q) <= p
 
 
-def _reduce_pos(f: Form) -> Form:
-    """Gaussian-reduce the Hessian, carrying the transform to the form."""
-    for _ in range(10_000):
-        p, q, r = hessian(f)
-        if p <= 0:
-            raise ValueError("Hessian not positive definite (disc <= 0?)")
-        if p > r:
-            f = transform(f, (0, -1, 1, 0))
-            continue
-        if abs(q) > p:
-            # under (1, 0, t, 1): Q -> Q + 2Pt; nearest integer to -Q/(2P)
-            t = (-q + p) // (2 * p)
-            if t == 0:
-                t = -1 if q > 0 else 1
-            f = transform(f, (1, 0, t, 1))
-            continue
-        return f
-    raise RuntimeError("reduction did not terminate")
-
-
 def canonical_form(f: Form) -> Form:
-    """Canonical representative of the GL_2(Z)-class (disc != 0, irreducible).
+    """Canonical representative of the class of a Hessian-reduced form (disc > 0).
 
-    disc > 0: lex-min over all Hessian-reduced forms reachable by one
-    entries<=1 unimodular transform from a reduced representative (classical
-    fact: equivalences between reduced positive quadratics have entries <= 1).
-    disc < 0: reduce the complex root into the fundamental domain, then
-    lex-min with the mirror.
+    The least of +-g over the images g = transform(f, m), m in _SMALL_MATS,
+    that are again reduced (classical fact: equivalences between reduced
+    positive definite quadratic forms have entries <= 1, so these are all the
+    reduced forms of the class).  ValueError unless |Q| <= P <= R, which
+    forces disc > 0 since 3 disc = 4PR - Q^2 >= 3P^2.
     """
-    d = disc_form(f)
-    if d == 0:
-        raise ValueError("degenerate form")
-    if d > 0:
-        f0 = _reduce_pos(f)
-        p, q, r = hessian(f0)
-        if abs(q) < p < r:
-            # interior of the reduction domain: the only reduced images are
-            # ±f0 and ±mirror (stabilizer {±1} x mirror)
-            mirror = (f0[0], -f0[1], f0[2], -f0[3])
-            return min(
-                f0,
-                tuple(-x for x in f0),
-                mirror,
-                tuple(-x for x in mirror),
-            )
-        cands = set()
-        for m in _SMALL_MATS:
-            g = transform(f0, m)
-            if _hessian_reduced(g):
-                cands.add(g)
-                cands.add(tuple(-x for x in g))
-        return min(cands)
-    f0 = _reduce_neg(f)
-    mirror = (f0[0], -f0[1], f0[2], -f0[3])
-    return min(f0, mirror)
+    if not _hessian_reduced(f):
+        raise ValueError("canonical_form takes a Hessian-reduced form (|Q| <= P <= R)")
+    return min(
+        s
+        for g in (transform(f, m) for m in _SMALL_MATS)
+        if _hessian_reduced(g)
+        for s in (g, tuple(-x for x in g))
+    )
 
 
-# -- negative discriminant reduction ----------------------------------------
-
-def _eval_form(f: Form, x: int, y: int) -> int:
-    a, b, c, d = f
-    return a * x**3 + b * x**2 * y + c * x * y**2 + d * y**3
-
+# -- negative discriminant domain -------------------------------------------
 
 def _neg_reduced(f: Form) -> bool:
     """Exact fundamental-domain test for disc < 0, a > 0 forms.
@@ -358,54 +317,6 @@ def _neg_reduced(f: Form) -> bool:
     if d < 0:  # theta > 0: need -d/a >= theta <=> g(-d) >= 0
         return h >= 0
     return h <= 0
-
-
-def _real_root_interval(f: Form) -> tuple:
-    """Bracket the real root of F(t,1) between two rationals (num, den)."""
-    a, b, c, d = f
-    bound = 1 + max(abs(b), abs(c), abs(d)) // a + 1
-    lo, hi = Fraction(-bound), Fraction(bound)
-    flo = _eval_form(f, lo.numerator, lo.denominator)
-    assert flo < 0 and _eval_form(f, hi.numerator, hi.denominator) > 0
-    return lo, hi
-
-
-def _reduce_neg(f: Form) -> Form:
-    """Walk the complex root pair into the fundamental domain (exact tests)."""
-    a = f[0]
-    if a == 0:
-        raise ValueError("reducible form (a = 0)")
-    if a < 0:
-        f = tuple(-x for x in f)
-    for _ in range(10_000):
-        if _neg_reduced(f):
-            return f
-        a, b, c, d = f
-        # Re phi = (-b/a - theta)/2, whose nearest integer is
-        # (-b/a - theta + 1) // 2; bisect theta until both ends of its bracket
-        # give the same one (Re phi is never a half-integer here)
-        lo, hi = _real_root_interval(f)
-        while True:
-            t = (Fraction(-b, a) - hi + 1) // 2
-            if t == (Fraction(-b, a) - lo + 1) // 2:
-                break
-            mid = (lo + hi) / 2
-            if _eval_form(f, mid.numerator, mid.denominator) > 0:
-                hi = mid
-            else:
-                lo = mid
-        if t != 0:
-            # x -> x + t y shifts theta by -t and Re phi along with it
-            f = transform(f, (1, 0, t, 1))
-            continue
-        # |Re phi| <= 1/2 but not reduced: |phi| < 1, invert (x,y) -> (-y,x)
-        g = transform(f, (0, -1, 1, 0))
-        if g[0] < 0:
-            g = tuple(-x for x in g)
-        if g == f:
-            raise RuntimeError("reduction stalled")
-        f = g
-    raise RuntimeError("reduction did not terminate")
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -438,18 +349,20 @@ def _no_root_table(p: int) -> bytearray:
     return table
 
 
-def is_irreducible(f: Form) -> bool:
-    """No rational linear factor (and a != 0)."""
+def _eval_form(f: Form, x: int, y: int) -> int:
     a, b, c, d = f
-    if a == 0:
-        return False
-    if d == 0:
-        return False  # root [0:1]
-    # modular screens: a form with no root mod p has none over Q
-    for p, table in _no_root_tables():
-        if table[((a % p * p + b % p) * p + c % p) * p + d % p]:
-            return True
-    # exact rational root test: roots p/q with q | a, p | d
+    return a * x**3 + b * x**2 * y + c * x * y**2 + d * y**3
+
+
+def is_irreducible(f: Form) -> bool:
+    """No rational root [x:y]: a != 0, d != 0 and no x/y with y | a and x | d a root.
+
+    The exact test alone; the search screens its forms with the root tables
+    first (`_irreducible`).
+    """
+    a, b, c, d = f
+    if a == 0 or d == 0:
+        return False  # root [1:0] or [0:1]
     d_divisors = divisors(abs(d))
     for q in divisors(abs(a)):
         for p in d_divisors:

@@ -58,6 +58,8 @@ class AffineScheme:
             for coef, exps in poly:
                 if len(exps) != self.n_vars:
                     raise ValueError("exponent vector length mismatch")
+                if min(exps) < 0:
+                    raise ValueError(f"negative exponent {min(exps)} in {list(exps)}")
 
     @classmethod
     def from_json(cls, obj) -> "AffineScheme":

@@ -73,9 +73,6 @@ class AbelianGroupSpec:
     def order(self) -> int:
         return prod(self.cyclic_factors)
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.cyclic_factors)
-
     def element_order(self, c: tuple[int, ...]) -> int:
         o = 1
         for ci, fi in zip(c, self.cyclic_factors, strict=True):
@@ -122,9 +119,6 @@ class AbelianGroupSpec:
         """Cycle type of an order-d element in the regular representation."""
         m = self.order
         return CycleType.from_parts([order] * (m // order))
-
-    def label(self) -> str:
-        return "x".join(f"C{f}" for f in self.cyclic_factors)
 
 
 def ind_abelian(a: AbelianGroupSpec, c: tuple[int, ...]) -> int:
@@ -239,13 +233,16 @@ class RkTable:
     @classmethod
     def from_json(cls, obj) -> "RkTable":
         """{"n": 3, "rk": [{"cycle_type": [2,1], "r": "1"}, ...]}: n and every
-        cycle-type part JSON integers, else TypeError."""
+        cycle-type part JSON integers, else TypeError; a cycle type given
+        twice, ValueError."""
         n = json_typed(obj["n"], int, "n")
         rk = {}
         for entry in obj["rk"]:
             ct = CycleType.from_parts(json_typed_items(entry["cycle_type"], int, "cycle type part"))
             if ct.degree != n:
                 raise ValueError(f"cycle type {ct.parts} has degree != {n}")
+            if ct.parts in rk:
+                raise ValueError(f"r_k table lists cycle type {ct.parts} twice")
             rk[ct.parts] = Fraction(str(entry["r"]))
         return cls(n, rk, notes=str(obj.get("notes", "")))
 

@@ -383,6 +383,10 @@ def _bad_inputs(tmp_path):
         "rk_zero.json": {"n": 3, "rk": [{"cycle_type": [2, 1], "r": "1/0"}]},
         "scheme.json": {"n_vars": 2},
         "line.json": {"n_vars": 2, "codim": 1, "polys": [[[1, [1, 0]]]]},
+        # a row given twice: once the last one silently won
+        "wild_twice.json": {"pairs": [{"k_label": "a", "l_label": "b", "exp": e} for e in (9, 12)]},
+        "rk_twice.json": {"n": 3, "rk": [{"cycle_type": [2, 1], "r": r} for r in ("1", "5")]
+                          + [{"cycle_type": [3], "r": "2"}]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
@@ -399,8 +403,10 @@ def _bad_inputs(tmp_path):
         pairs + ["--wild", "{dir}/wild.json"],
         pairs + ["--wild", "{dir}/wild_exp.json"],
         pairs + ["--wild", "{dir}/wild_list.json"],
+        pairs + ["--wild", "{dir}/wild_twice.json"],
         ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk.json"],
         ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk_zero.json"],
+        ["verify-lemmas", "--n", "3", "--group", "5", "--rk", "{dir}/rk_twice.json"],
         ["sieve-exp", "--scheme", "{dir}/scheme.json", "--r", "5,10,50", "--q", "3,5"],
         # a grid value of 0: once a ZeroDivisionError traceback with exit 1
         ["sieve-exp", "--scheme", "{dir}/line.json", "--r", "5,10,0", "--q", "3,5,7,31"],
@@ -426,6 +432,26 @@ def test_malformed_inputs_exit_2_with_one_error_line(input_files, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, captured.err)
+
+
+def test_sieve_exp_names_a_negative_exponent(tmp_path, capsys):
+    # once "error: base is not invertible for the given modulus"
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"n_vars": 2, "codim": 1, "polys": [[[1, [-1, 0]]]]}))
+    code = main(["sieve-exp", "--scheme", str(path), "--r", "5,10,50", "--q", "3,5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: negative exponent -1 in [-1, 0]"]
+
+
+def test_count_pairs_repeated_y_rung_counts_once(input_files, capsys):
+    argv = ["count-pairs", "--sn-fields", str(input_files / "k.jsonl"),
+            "--abelians", str(input_files / "l.jsonl"), "--x", "1e9", "--mode", "interval",
+            "--sn-xmax", "1000", "--ab-xmax", "1000", "--y-ladder"]
+    reports = [json.loads(run(argv + [ladder], capsys)[1])["report"]
+               for ladder in ("10,100", "100,10,100")]
+    assert reports[0]["n_y"]["100"] == reports[0]["n_lo"]
+    assert reports[1]["n_y"] == {"100": reports[0]["n_y"]["100"], "10": reports[0]["n_y"]["10"]}
 
 
 @pytest.mark.parametrize("command, obj, path, value", [

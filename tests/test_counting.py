@@ -115,6 +115,12 @@ def test_wild_table_from_json_refuses_other_json_types():
             WildTable.from_json({"pairs": [{**row, **bad}]})
 
 
+def test_wild_table_from_json_refuses_a_repeated_label_pair():
+    rows = [{"k_label": "3-e3-v4", "l_label": "3-C3-cond-9", "exp": e} for e in (12, 14)]
+    with pytest.raises(ValueError, match="3-e3-v4.*3-C3-cond-9"):
+        WildTable.from_json({"pairs": rows})
+
+
 def test_compose_wild_one_sided_is_exact():
     kw = rec(3, "S3", -1, [wild(3, "3-e3-v4", 4)])
     l5 = rec(5, "C5", 1, [tame(11, [5])])
@@ -195,6 +201,19 @@ def test_count_pairs_matches_brute(lists_1e4):
         assert all(a <= b for a, b in zip(rep.n_y[y1], rep.n_y[y2]))
     # interval sanity
     assert all(a <= b for a, b in zip(rep.n_lo, rep.n_hi))
+
+
+def test_count_pairs_repeated_rung_counts_once(lists_1e4):
+    # each sharing pair once per distinct Y: a repeated rung once gave
+    # N_10 = 125 for (10, 10) and N_100 = 167 for (100, 10, 100)
+    cubics, abelians = lists_1e4
+    x = 10**12
+    grid = default_grid(x, 12)
+    once = count_pairs(cubics, abelians, x, mode="interval", grid=grid, y_ladder=(10, 100))
+    assert once.n_y[10][-1] == 79 and once.n_y[100][-1] == once.n_lo[-1] == 100
+    for ladder in ((10, 10), (100, 10, 100)):
+        rep = count_pairs(cubics, abelians, x, mode="interval", grid=grid, y_ladder=ladder)
+        assert rep.n_y == {y: once.n_y[y] for y in ladder}
 
 
 def test_count_pairs_exact_mode_with_table(lists_1e4):

@@ -1,15 +1,16 @@
-"""is_irreducible, with its root-table screens, against a rational-root search.
+"""The irreducibility test of the cubic search against a rational-root search.
 
-A form with no root in P^1(F_p) has no rational root, so is_irreducible
-returns True at the first screen prime whose table marks the form, and
-falls back to the exact rational-root test otherwise.  The tables are
-checked entry by entry against a scan of the roots mod p, and the whole
-test against a search over every candidate root [x:y] with |y| <= |a| and
-|x| <= |d|.
+A form with no root in P^1(F_p) has no rational root.  The array pass
+_irreducible marks the forms that a root table mod 5, 7, 11, 13 or 17 rules
+out, and sends every other form with d != 0 to is_irreducible, the exact
+rational-root test alone.  The tables are checked entry by entry against a
+scan of the roots mod p, and both tests against a search over every
+candidate root [x:y] with |y| <= |a| and |x| <= |d|.
 """
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -38,7 +39,7 @@ _small = st.integers(-7, 7)
 
 @st.composite
 def _products(draw):
-    """(q x - p y)(u x^2 + v x y + w y^2): reducible, so it always reaches the fallback."""
+    """(q x - p y)(u x^2 + v x y + w y^2): reducible, so no root table marks it."""
     p, q = draw(st.tuples(_small, _small).filter(any))
     u, v, w = draw(st.tuples(_small, _small, _small).filter(any))
     return q * u, q * v - p * u, q * w - p * v, -p * w
@@ -48,6 +49,9 @@ def _products(draw):
 @given(st.one_of(st.tuples(_coef, _coef, _coef, _coef), _products()))
 def test_is_irreducible_matches_a_rational_root_search(f):
     assert is_irreducible(f) == (not _has_rational_root(f))
+    if f[0] != 0:  # _irreducible takes forms with a != 0
+        row = tuple(np.array([x], np.int64) for x in f)
+        assert cubic._irreducible(row).tolist() == [not _has_rational_root(f)]
 
 
 def test_no_root_tables_match_a_root_scan():

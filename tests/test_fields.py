@@ -410,23 +410,32 @@ def test_cubic_nonmonogenic_dedekind_field():
     assert any(r.abs_disc == 503 and r.disc_sign == -1 for r in fl)
 
 
-def test_canonical_form_stable_under_transforms():
-    random.seed(11)
-    mats = [(1, 0, 1, 1), (1, 0, -1, 1), (0, -1, 1, 0), (1, 1, 0, 1), (1, 0, 0, -1)]
-    fl_forms = []
-    for a in range(1, 4):
-        for b in range(-4, 5):
-            for c in range(-6, 7):
-                for d in range(-6, 7):
-                    f = (a, b, c, d)
-                    if disc_form(f) != 0 and is_irreducible(f):
-                        fl_forms.append(f)
-    for f in random.sample(fl_forms, 200):
+def test_canonical_form_agrees_on_the_reduced_forms_of_a_class():
+    """Every reduced image of a reduced form, and its negative, has the form's canonical form."""
+    from malle_lab.fields import cubic
+
+    x = 2 * 10**4
+    forms = [f for f, _ in _search(cubic._pos_candidates, x, cubic._amax_pos(x))]
+    assert len(forms) > 1000
+    images = 0
+    for f in forms:
         canon = canonical_form(f)
-        g = f
-        for _ in range(6):
-            g = transform(g, random.choice(mats))
-        assert canonical_form(g) == canon
+        for m in cubic._SMALL_MATS:
+            g = transform(f, m)
+            if cubic._hessian_reduced(g):
+                images += 1
+                assert canonical_form(g) == canonical_form(tuple(-x for x in g)) == canon
+    assert images > 4 * len(forms)
+
+
+def test_canonical_form_refuses_forms_that_are_not_reduced():
+    # x^3 - 3xy^2 + y^3, Hessian (9, -9, 9), under x -> x + 2y: disc 81 > 0,
+    # Hessian (9, 27, 27) with |Q| > P
+    shifted = transform((1, 0, -3, 1), (1, 0, 2, 1))
+    assert shifted == (1, 6, 9, 3) and disc_form(shifted) == 81
+    for f in (shifted, (1, 1, 2, 3)):  # disc 81 and -175
+        with pytest.raises(ValueError, match="Hessian-reduced"):
+            canonical_form(f)
 
 
 def test_cubic_vs_polynomial_oracle_exact_small():
