@@ -98,13 +98,6 @@ class CountingSequence:
     def squares(cls) -> "CountingSequence":
         return cls(rule="squares")
 
-    @classmethod
-    def from_values(cls, values, complete_to: int | None = None) -> "CountingSequence":
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(entries=sorted(counts.items()), complete_to=complete_to)
-
     def is_empty(self) -> bool:
         return self.entries is not None and not self.entries
 

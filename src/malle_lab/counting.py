@@ -29,9 +29,23 @@ pairs with the hyperbola engine of `convolve.product_count_exact` and
 composes locally only the pairs that share a prime; `count_pairs_brute` is
 the double-loop oracle.
 
-Sharing pairs are first screened by the tower bound: every value of a pair,
+Sharing pairs are screened by the tower bound: every value of a pair,
 exact or either interval end, is at least lcm(Disc(K)^degL, Disc(L)^degK),
-so a pair whose lcm exceeds X is skipped before it is composed.
+so a pair whose lcm exceeds X is never composed.  The candidates come from
+the field lists' columns, not from every pair that shares a prime: the K
+rows are grouped by (p, v_p(Disc K)) in order of disc, and for each prime p
+of each L, with v = v_p(Disc L) and w the group's exponent,
+
+    lcm(Disc(K)^degL, Disc(L)^degK) >= Disc(K)^degL * p^max(0, degK v - degL w),
+
+exact at p and taking the gcd at L's other primes to be all of Disc(L)^degK.
+A K ramified at no other prime of L has the lcm exactly
+Disc(K)^degL * p^max(0, degK v - degL w) * r^degK, with r the part of
+Disc(L) prime to p.  So each group is cut by bisection at two exact integer
+bounds, Disc(K) <= iroot(X // (p^max(0, degK v - degL w) * r^degK), degL)
+for every K and Disc(K) <= iroot(X // p^max(0, degK v - degL w), degL) for
+the K with gcd(Disc(K), r) > 1: every pair with lcm <= X is a candidate,
+and the exact lcm decides which are composed.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ from .errors import (
     LemmaFails,
     MissingWildEntry,
 )
-from .fields.records import FieldList, FieldRecord, LocalRamification
+from .fields.records import DISC_LIMIT, FieldList, FieldRecord, LocalRamification
 from .permgroup import product_index_general
 from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, verify_unin
 from .util import json_typed
@@ -250,20 +264,80 @@ def default_grid(x_max: int, points: int = 16) -> list[int]:
     return sorted(g for g in grid if g >= 1)
 
 
-def _first_of_each_label(records):
-    """The first record of each group label, in order of first occurrence."""
-    first = {}
-    for r in records:
-        first.setdefault(r.group_label, r)
-    return first.values()
+def _first_of_each_label(field_list: FieldList, stop: int) -> list[int]:
+    """The first row of each kind among the first `stop` rows, in order of first occurrence."""
+    import numpy as np
+
+    _, first = np.unique(field_list.kind_ids[:stop], return_index=True)
+    return sorted(first.tolist())
 
 
 def _uniform_degree(field_list: FieldList, side: str) -> int | None:
     """The one degree of the list's records, None for an empty list."""
-    degrees = {r.degree for r in field_list.records}
+    degrees = field_list.degrees
     if len(degrees) > 1:
         raise InadmissiblePair(f"{side} list mixes degrees {sorted(degrees)}")
     return degrees.pop() if degrees else None
+
+
+def _sharing_pairs(ks: FieldList, nk: int, ls: FieldList, nl: int, deg_k: int, deg_l: int, x: int):
+    """(i, j), K-major, for the rows i < nk of ks and j < nl of ls that share a
+    prime and have lcm(Disc(K)^degL, Disc(L)^degK) <= x.
+
+    The K entry slots are grouped by (p, v_p(Disc K)), each group in row
+    order, so by disc, and each group is cut by bisection at exact integer
+    bounds for each prime p of each L (see the module docstring); the exact
+    lcm decides among the candidates.
+    """
+    import numpy as np
+
+    l_discs = ls.abs_discs[:nl].tolist()
+    l_offsets = ls.offsets[: nl + 1].tolist()
+    l_ids = ls.entry_ids[: l_offsets[-1]].tolist()
+    l_primes = {ls.entries[e].p for e in l_ids}
+    # the K entry slots at the primes of the L window, by group
+    groups: dict[tuple[int, int], int] = {}
+    group_of = np.array([
+        groups.setdefault((loc.p, loc.disc_exponent), len(groups)) if loc.p in l_primes else -1
+        for loc in ks.entries
+    ], np.int64)
+    rows = ks.slot_rows(nk)
+    group = group_of[ks.entry_ids[: rows.size]]
+    rows, group = rows[group >= 0], group[group >= 0]
+    order = np.lexsort((rows, group))
+    rows = rows[order]
+    discs = ks.abs_discs[rows]
+    starts = np.searchsorted(group[order], np.arange(len(groups) + 1)).tolist()
+    by_prime = defaultdict(list)
+    for (p, w), g in groups.items():
+        by_prime[p].append((w, starts[g], starts[g + 1]))
+    found = []
+    for j, l_disc in enumerate(l_discs):
+        for e in l_ids[l_offsets[j]: l_offsets[j + 1]]:
+            p, v = ls.entries[e].p, ls.entries[e].disc_exponent
+            rest = l_disc // p**v  # Disc(L) away from p
+            for w, lo, hi in by_prime.get(p, ()):
+                at_p = p ** max(0, deg_k * v - deg_l * w)
+                limits = [min(iroot(x // c, deg_l), DISC_LIMIT - 1)
+                          for c in (at_p * rest**deg_k, at_p)]
+                tight, loose = lo + discs[lo:hi].searchsorted(limits, "right")
+                found.append(rows[lo:tight] * nl + j)
+                # past the tight cut, only a K ramified at another prime of L
+                found.append(rows[tight:loose][np.gcd(discs[tight:loose], rest) > 1] * nl + j)
+    if not found:
+        return []
+    k_discs = ks.abs_discs[:nk].tolist()
+    l_powers = [d**deg_k for d in l_discs]
+    pairs = (divmod(key, nl) for key in np.unique(np.concatenate(found)).tolist())
+    return [(i, j) for i, j in pairs if math.lcm(k_discs[i] ** deg_l, l_powers[j]) <= x]
+
+
+def _counting_sequence(field_list: FieldList, n: int, x: int) -> CountingSequence:
+    """The |disc| of the first n records, complete to x."""
+    import numpy as np
+
+    values, counts = np.unique(field_list.abs_discs[:n], return_counts=True)
+    return CountingSequence(entries=zip(values.tolist(), counts.tolist()), complete_to=x)
 
 
 def count_pairs(
@@ -289,12 +363,11 @@ def count_pairs(
     Disc_Y all equal the product bound Disc(K)^degL * Disc(L)^degK.  Each
     count at g therefore starts from the number of windowed pairs with
     product bound <= g, a hyperbola count (`product_count_exact`) shared by
-    n_lo, n_hi and every rung.  Only the pairs sharing a prime, found
-    through an index from each prime to the L records ramified at it, go
-    through compose_disc and disc_truncated; each adds
-    [value <= g] - [product bound <= g] to the count it belongs to.  A
-    sharing pair with lcm(Disc(K)^degL, Disc(L)^degK) > X is skipped before
-    composing, since each of its values is at least that lcm.
+    n_lo, n_hi and every rung.  Only the pairs sharing a prime go through
+    compose_disc and disc_truncated, in K-major order, one view per K; each
+    adds [value <= g] - [product bound <= g] to the count it belongs to.  A
+    sharing pair with lcm(Disc(K)^degL, Disc(L)^degK) > X is never composed,
+    since each of its values is at least that lcm (`_sharing_pairs`).
     Both lists must have a single degree each (InadmissiblePair otherwise).
     An empty list must still be complete over the window that the other
     list's degree fixes.
@@ -317,53 +390,44 @@ def count_pairs(
         raise IncompleteList(
             f"abelian list complete to {ab_list.x_max}, window needs {l_window}"
         )
-    ks = sn_list.upto(k_window)
-    ls = ab_list.upto(l_window)
-    if not ks or not ls:
+    nk, nl = sn_list.count_upto(k_window), ab_list.count_upto(l_window)
+    if not nk or not nl:
         zeros = tuple(0 for _ in grid)
         return CountReport(
             grid=grid, n_lo=zeros, n_hi=zeros,
             n_y={y: zeros for y in y_ladder}, fit=None,
             fit_exponent=Fraction(1, deg_l or 1), mode=mode,
         )
+    ks, ls = sn_list.records, ab_list.records
     # with one degree per list, admissibility depends only on each record's
     # group label; checking (K_0, L) then (K, L_0) over the first record of
     # each label raises what the first inadmissible pair in K-major order would
-    for l_rec in _first_of_each_label(ls):
-        _check_admissible(ks[0], l_rec)
-    for k_rec in _first_of_each_label(ks):
-        _check_admissible(k_rec, ls[0])
-    l_by_prime = defaultdict(list)
-    for j, l_rec in enumerate(ls):
-        for loc in l_rec.ramification:
-            l_by_prime[loc.p].append(j)
-    l_powers = [l_rec.abs_disc**deg_k for l_rec in ls]
+    k0, l0 = ks[0], ls[0]
+    for j in _first_of_each_label(ab_list, nl):
+        _check_admissible(k0, ls[j])
+    for i in _first_of_each_label(sn_list, nk):
+        _check_admissible(ks[i], l0)
+    l_recs = {}  # the L views, made at their first pair
     discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}
-    for k_rec in ks:
-        k_power = k_rec.abs_disc**deg_l
-        # the L sharing a prime with K; each value of a pair is at least the
-        # lcm of the two powers, so a pair with lcm > x counts nowhere
-        kept = {
-            j
-            for loc in k_rec.ramification
-            for j in l_by_prime.get(loc.p, ())
-            if math.lcm(k_power, l_powers[j]) <= x
-        }
-        for j in sorted(kept):
-            l_rec = ls[j]
-            lo, hi = _ends(compose_disc(k_rec, l_rec, wild, mode))
-            if lo > x:
-                continue  # every value of the pair, bound included, is > x >= g
-            discs_lo.append(lo)
-            discs_hi.append(hi)
-            bounds.append(k_power * l_powers[j])  # the product bound
-            for y in trunc:  # once per distinct rung
-                trunc[y].append(_ends(disc_truncated(k_rec, l_rec, wild, y, mode))[1])
+    k_at = None
+    for i, j in _sharing_pairs(sn_list, nk, ab_list, nl, deg_k, deg_l, x):
+        if i != k_at:
+            k_at, k_rec = i, ks[i]
+        l_rec = l_recs.get(j)
+        if l_rec is None:
+            l_rec = l_recs[j] = ls[j]
+        lo, hi = _ends(compose_disc(k_rec, l_rec, wild, mode))
+        if lo > x:
+            continue  # every value of the pair, bound included, is > x >= g
+        discs_lo.append(lo)
+        discs_hi.append(hi)
+        bounds.append(disc_product_bound(k_rec, l_rec))
+        for y in trunc:  # once per distinct rung
+            trunc[y].append(_ends(disc_truncated(k_rec, l_rec, wild, y, mode))[1])
     # the windowed lists are the whole population counted, so they are
     # complete as far as any count at g <= x can ask
-    k_seq = CountingSequence.from_values([r.abs_disc for r in ks], complete_to=x)
-    l_seq = CountingSequence.from_values([r.abs_disc for r in ls], complete_to=x)
+    k_seq, l_seq = _counting_sequence(sn_list, nk, x), _counting_sequence(ab_list, nl, x)
     bounds.sort()
     # pairs with product bound <= g, less the sharing pairs among them
     coprime = [
@@ -413,8 +477,9 @@ def count_pairs_brute(
     Counts by the same end of the interval as count_pairs' n_lo.
     """
     total = 0
+    ls = list(ab_list)
     for k_rec in sn_list:
-        for l_rec in ab_list:
+        for l_rec in ls:
             if _ends(compose_disc(k_rec, l_rec, wild, mode))[1] <= x:
                 total += 1
     return total

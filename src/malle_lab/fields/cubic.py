@@ -76,12 +76,15 @@ is two segments: the integers strictly between the roots of disc(d) = h,
 with h = X for disc > 0 and h = 0 for disc < 0, are cut out, so that only
 d with disc > h are dropped.  For disc > 0 the window is |Q| <= P and, when
 b > 0, 3bd <= c^2 - P (that is R >= P); for disc < 0 it is the Re phi window
-cut to disc >= -X.  Only three things stay per form: the exact rational-root
-test, canonical_form on the boundary of the positive domain, and
-FieldRecord.  numpy is imported inside these functions, on the first
-enumeration, so importing this module does not load it.  A task returns its
-canonical forms, their discs and the codes of their local entries, and the
-parent sorts, dedups and builds the records.
+cut to disc >= -X.  Only two things stay per form: the exact rational-root
+test and canonical_form on the boundary of the positive domain.  numpy is
+imported inside these functions, on the first enumeration, so importing this
+module does not load it.  A task returns its canonical forms, their discs
+and the codes of their local entries.  The parent sorts and dedups them and
+makes the FieldList's columns straight from the sorted arrays: |disc|, sign,
+row offsets, and the np.unique codes of the rows' entries as indices into
+the list's entries.  It builds no record; the list checks its columns once
+(see `records`).
 
 int64.  Every intermediate of the array code is bounded through the search
 bounds, each increasing in X, so it is enough to bound them at
@@ -161,8 +164,8 @@ p^2 | D.  So only the rows with v_p(D) >= 2 look for the multiple root, and
 they decide both maximality and e; a form with a failing row is dropped
 with all its rows.  The entry at p depends only on (p, v_p(disc), e), so a
 row carries it as one integer code, and the parent builds each distinct
-entry once from its code and shares it among the records that have it (at
-1e5, 4,367 entries for 21,794 fields), for any worker count.
+entry once from its code, as the list's table of entries (at 1e5, 4,367
+entries for the 55,341 entry slots of 21,794 fields), for any worker count.
 
 Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
 in the class of F and keeps disc.  It maps each reduced set to itself: for
@@ -195,14 +198,13 @@ from __future__ import annotations
 
 from array import array
 from functools import cache
-from itertools import islice
 from math import gcd, isqrt
 
 from ..arith import divisors, factor, iroot, spf_table
 from ..errors import InvariantViolation
 from ..permgroup import CycleType
 from ..util import pmap
-from .records import FieldList, FieldRecord, LocalRamification
+from .records import FieldList, LocalRamification
 
 __all__ = ["disc_form", "hessian", "enumerate_cubic", "canonical_form"]
 
@@ -697,16 +699,12 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
     del forms
     ends = np.cumsum(counts)
     _, rows = _ranges((ends - counts)[order], ends[order] - 1)  # their rows, in order
-    codes, inverse = np.unique(codes[rows], return_inverse=True)
-    entries = np.array(list(map(_code_entry, codes.tolist())), dtype=object)
-    # the rows' entries in record order: slicing by row offsets would make an
-    # int per row, and freed between the records they raised peak RSS
-    row_entries = iter(entries[inverse].tolist())
-    abs_discs, signs = np.abs(discs[order]).tolist(), np.sign(discs[order]).tolist()
-    sizes = counts[order].tolist()
-    del discs, codes, inverse, counts, ends, order, first, rows, entries
-    records = [
-        FieldRecord(3, "S3", n, tuple(islice(row_entries, k)), s)
-        for n, k, s in zip(abs_discs, sizes, signs)
-    ]
-    return FieldList(records=tuple(records), provenance="enumerated", x_max=x)
+    codes, entry_ids = np.unique(codes[rows], return_inverse=True)
+    offsets = np.zeros(order.size + 1, np.int64)
+    np.cumsum(counts[order], out=offsets[1:])
+    discs = discs[order]
+    return FieldList.from_columns(
+        "enumerated", x, np.abs(discs), np.sign(discs).astype(np.int8), ((3, "S3"),),
+        np.zeros(order.size, np.int32), offsets, tuple(map(_code_entry, codes.tolist())),
+        entry_ids.astype(np.int32),
+    )

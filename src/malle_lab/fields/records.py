@@ -14,6 +14,42 @@ ind(cycle_type) with p coprime to the ramification index.  Nothing is
 coerced: degree, disc, p, exp and every cycle-type part must be JSON
 integers, and group, kind and label JSON strings.
 
+Columns.  A FieldList keeps its records as columns, row i for the i-th
+record in order of |disc|:
+
+- `abs_discs`, int64, and `disc_signs`, int8 (1 or -1);
+- `kind_ids`, int32 indices into `kinds`, the list's tuple of distinct
+  (degree, group label) pairs;
+- `offsets`, int64 with one more entry than there are rows, and
+  `entry_ids`, int32 indices into `entries`, the list's tuple of distinct
+  LocalRamification objects: row i has the entries
+  entries[entry_ids[k]] for offsets[i] <= k < offsets[i + 1], in the order
+  its record gave them.
+
+Every |disc| must be below 2^63 (`DISC_LIMIT`), so that int64 holds it, as
+`cubic.X_LIMIT` bounds what the int64 search can reach: a parsed line past it
+is a MalformedLine with its line number, a hand-built record an
+InvariantViolation.  For S_3 x C_3 such a field enters a count window only
+at X >= 2^189.  numpy is imported inside the functions, so importing this
+module does not load it.
+
+Views.  `records[i]`, slices of `records`, iteration and `upto` build
+FieldRecord objects from the columns on demand.  A view skips FieldRecord's
+checks, which its row has passed, and shares its entry objects with every
+other view of the list; two views of one row are equal, not the same object.
+`FieldList(records=..., provenance=..., x_max=...)` turns hand-built records
+into columns, one entry slot per distinct entry object.
+
+Validation runs by columns, once per list, in every producer: the
+constructor, `FieldList.from_columns` (which `enumerate_cubic` calls) and
+`parse_field_file` (`_bad_rows`).  p^e is computed once per distinct entry;
+each |disc| is divided by its entries' p^e in turn, and every remainder must
+be 0 and the last quotient 1, so no value exceeds |disc| and int64 is exact;
+a sort of the entry slots on (row, p) finds a prime given twice.  The first
+failing row is then built as a checked FieldRecord, whose error (with the
+line number, when parsed) is the one raised, as it was when every record
+was built and checked on its own.
+
 `FieldList.write_jsonl` writes each record as
 json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
 distinct entry and group label once per call.  Every such line has the
@@ -25,27 +61,29 @@ with INT a JSON integer -?(0|[1-9][0-9]*), which JSON decodes as int() does,
 and STR a string with no quote, backslash or control character, which JSON
 decodes to its own text.
 
-Records share their entries: `parse_field_file` builds and validates each
-distinct entry (p, kind, cycle type or label, exp, record degree) once per
-call, and the enumerators build each distinct entry once per call too; every
-record is still checked on its own.  A stripped line that matches the frame
-(`_LINE_FRAME`) is split into entry texts at "}, {", and each distinct text
-is decoded and type-checked once per record degree, at its first sight.
-That is exact.  When every piece decodes as a JSON object, the bracketed
-text is the JSON array of those objects, as JSON's grammar gives each text
-one parse; so the whole line decodes to what the pieces give, and equal
-texts give equal objects that pass the same checks.  A line outside the
-frame, or with a piece that is not one JSON object, is decoded whole, and
-that path decides its record or its error.  Both paths run the same
-typed-key checks (`_entry`) and share the entry of each key.
+Parsed records share their entries: `parse_field_file` builds and validates
+each distinct entry (p, kind, cycle type or label, exp, record degree) once
+per call and appends every line to the columns.  A stripped line that
+matches the frame (`_LINE_FRAME`) is split into entry texts at "}, {", and
+each distinct text is decoded and type-checked once per record degree, at
+its first sight.  That is exact.  When every piece decodes as a JSON object,
+the bracketed text is the JSON array of those objects, as JSON's grammar
+gives each text one parse; so the whole line decodes to what the pieces
+give, and equal texts give equal objects that pass the same checks.  A line
+outside the frame, or with a piece that is not one JSON object, is decoded
+whole, and that path decides its record or its error.  Both paths run the
+same typed-key checks (`_entry`) and share the entry of each key.  A line's
+own errors are raised as it is read, but a record check of an earlier line
+comes first, as the columns of the lines before are checked before any
+error leaves the parser.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import re
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
 from operator import attrgetter
@@ -56,6 +94,9 @@ from ..permgroup import CycleType, index_of
 from ..util import json_typed, json_typed_items
 
 __all__ = ["LocalRamification", "FieldRecord", "FieldList", "parse_field_file"]
+
+# every |disc| is below this, so that the int64 column holds it
+DISC_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -109,6 +150,8 @@ _LINE_FRAME = re.compile(
 _encode = json.JSONEncoder(sort_keys=True).encode
 # json.loads less its whitespace scans, which a stripped line does not need
 _decode = json.JSONDecoder().raw_decode
+# rows per block when views or lines are made from the columns
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -157,58 +200,270 @@ class FieldRecord:
         }
 
 
-@dataclass(frozen=True)
+_new_object = object.__new__
+
+
+def _record_view(degree, group_label, abs_disc, ramification, disc_sign) -> FieldRecord:
+    """A FieldRecord of a checked row, built without FieldRecord's checks."""
+    rec = _new_object(FieldRecord)
+    rec.__dict__.update(degree=degree, group_label=group_label, abs_disc=abs_disc,
+                        ramification=ramification, disc_sign=disc_sign)
+    return rec
+
+
 class FieldList:
-    """Records sorted by |disc|, complete up to x_max under the provenance contract."""
+    """Records sorted by |disc|, complete up to x_max under the provenance contract.
 
-    records: tuple[FieldRecord, ...]
-    provenance: str  # "enumerated" | "ingested"
-    x_max: int
+    The records are columns (see the module docstring), read-only once the
+    list is made; `records`, iteration and `upto` give FieldRecord views.
+    """
 
-    def __post_init__(self):
-        discs = [r.abs_disc for r in self.records]
-        if discs != sorted(discs):
-            raise InvariantViolation("records must be sorted by |disc|")
-        object.__setattr__(self, "_discs", discs)  # bisected by upto / count_upto
+    __slots__ = ("provenance", "x_max", "abs_discs", "disc_signs", "kinds", "kind_ids",
+                 "offsets", "entries", "entry_ids")
+
+    def __init__(self, records, provenance: str, x_max: int):
+        """The list of these FieldRecords, which must be sorted by |disc|."""
+        import numpy as np
+
+        kinds: dict[tuple, int] = {}
+        slots: dict[int, int] = {}  # id of each entry object -> its slot
+        entries: list[LocalRamification] = []
+        discs, signs, kind_ids, counts, entry_ids = [], [], [], [], []
+        for rec in records:
+            if rec.abs_disc >= DISC_LIMIT:
+                raise InvariantViolation(f"|disc| {rec.abs_disc} is not below 2^63")
+            kind = kinds.get((rec.degree, rec.group_label))
+            if kind is None:
+                kind = kinds[rec.degree, rec.group_label] = len(kinds)
+            for loc in rec.ramification:
+                slot = slots.get(id(loc))
+                if slot is None:
+                    slot = slots[id(loc)] = len(entries)
+                    entries.append(loc)
+                entry_ids.append(slot)
+            discs.append(rec.abs_disc)
+            signs.append(rec.disc_sign)
+            kind_ids.append(kind)
+            counts.append(len(rec.ramification))
+        self._fill(provenance, x_max, np.array(discs, np.int64), np.array(signs, np.int8),
+                   tuple(kinds), np.array(kind_ids, np.int32), _offsets(counts),
+                   tuple(entries), np.array(entry_ids, np.int32))
+        self._check()
+
+    @classmethod
+    def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
+                     offsets, entries, entry_ids) -> FieldList:
+        """The list of these columns (see the module docstring), checked and sorted by |disc|."""
+        fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
+                             offsets, entries, entry_ids)
+        fl._check()
+        return fl
+
+    @classmethod
+    def _of_columns(cls, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
+                    offsets, entries, entry_ids) -> FieldList:
+        """The list of these columns, unchecked."""
+        fl = _new_object(cls)
+        fl._fill(provenance, x_max, abs_discs, disc_signs, kinds, kind_ids, offsets,
+                 entries, entry_ids)
+        return fl
+
+    def _fill(self, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids, offsets,
+              entries, entry_ids):
+        for col in (abs_discs, disc_signs, kind_ids, offsets, entry_ids):
+            col.flags.writeable = False
+        self.provenance, self.x_max = provenance, x_max
+        self.abs_discs, self.disc_signs = abs_discs, disc_signs
+        self.kinds, self.kind_ids = kinds, kind_ids
+        self.offsets, self.entries, self.entry_ids = offsets, entries, entry_ids
+
+    def __repr__(self):
+        return (f"FieldList(<{len(self)} records>, provenance={self.provenance!r}, "
+                f"x_max={self.x_max!r})")
 
     def __len__(self):
-        return len(self.records)
+        return self.abs_discs.size
 
     def __iter__(self):
-        return iter(self.records)
+        return self._views(0, len(self))
+
+    @property
+    def records(self) -> "_Records":
+        """The records as a read-only sequence of views."""
+        return _Records(self)
+
+    @property
+    def degrees(self) -> set:
+        """The degrees of the records."""
+        return {degree for degree, _ in self.kinds}
 
     def upto(self, x: int) -> list[FieldRecord]:
-        return list(self.records[: self.count_upto(x)])
+        return list(self._views(0, self.count_upto(x)))
 
     def count_upto(self, x: int) -> int:
-        return bisect.bisect_right(self._discs, x)
+        """The number of records with |disc| <= x."""
+        if x < 1:
+            return 0
+        return int(self.abs_discs.searchsorted(min(x, DISC_LIMIT - 1), side="right"))
+
+    def slot_rows(self, stop: int | None = None):
+        """The row of each entry slot of the first `stop` rows (all by default)."""
+        import numpy as np
+
+        counts = np.diff(self.offsets[: None if stop is None else stop + 1])
+        return np.repeat(np.arange(counts.size), counts)
+
+    def _view(self, i: int) -> FieldRecord:
+        """The view of row i, 0 <= i < len(self)."""
+        degree, label = self.kinds[self.kind_ids.item(i)]
+        ids = self.entry_ids[self.offsets.item(i): self.offsets.item(i + 1)].tolist()
+        ram = tuple(map(self.entries.__getitem__, ids))
+        return _record_view(degree, label, self.abs_discs.item(i), ram, self.disc_signs.item(i))
+
+    def _views(self, start: int, stop: int):
+        """The views of rows start to stop - 1, made a block of rows at a time."""
+        kinds, entry = self.kinds, self.entries.__getitem__
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            offs = self.offsets[lo: hi + 1].tolist()
+            ids = self.entry_ids[offs[0]: offs[-1]].tolist()
+            base = offs[0]
+            for k, n, s, a, b in zip(self.kind_ids[lo:hi].tolist(), self.abs_discs[lo:hi].tolist(),
+                                     self.disc_signs[lo:hi].tolist(), offs, offs[1:]):
+                degree, label = kinds[k]
+                yield _record_view(degree, label, n, tuple(map(entry, ids[a - base: b - base])), s)
+
+    def _take(self, rows) -> FieldList:
+        """The list of these rows, in this order."""
+        import numpy as np
+
+        counts = np.diff(self.offsets)[rows]
+        offsets = _offsets(counts)
+        slots = np.arange(offsets[-1]) + np.repeat(self.offsets[:-1][rows] - offsets[:-1], counts)
+        return FieldList._of_columns(
+            self.provenance, self.x_max, self.abs_discs[rows], self.disc_signs[rows], self.kinds,
+            self.kind_ids[rows], offsets, self.entries, self.entry_ids[slots],
+        )
+
+    def _bad_rows(self):
+        """Mask of the rows whose record FieldRecord's checks refuse (|disc| < 2^63)."""
+        import numpy as np
+
+        ids, offsets, signs = self.entry_ids, self.offsets, self.disc_signs
+        bad = (self.abs_discs < 1) | ((signs != 1) & (signs != -1))
+        if self.kinds:
+            bad |= np.array([degree < 1 for degree, _ in self.kinds])[self.kind_ids]
+        # p^e once per entry; one past int64 divides no |disc| < 2^63
+        powers = [loc.p**loc.disc_exponent if loc.disc_exponent < 64 else DISC_LIMIT
+                  for loc in self.entries]
+        too_big = np.array([q >= DISC_LIMIT for q in powers], bool)[ids]
+        bad[np.searchsorted(offsets, np.flatnonzero(too_big), "right") - 1] = True
+        powers = np.array([q if q < DISC_LIMIT else 1 for q in powers], np.int64)[ids]
+        # the k-th entry of every row divides its quotient in round k
+        counts = np.diff(offsets)
+        quotient = self.abs_discs.copy()
+        for k in range(int(counts.max(initial=0))):
+            rows = np.flatnonzero(counts > k)
+            q = powers[offsets[rows] + k]
+            bad[rows] |= quotient[rows] % q != 0
+            quotient[rows] //= q
+        bad |= quotient != 1
+        # a prime given twice in a row
+        p_ids: dict[int, int] = {}
+        p = np.array([p_ids.setdefault(loc.p, len(p_ids)) for loc in self.entries], np.int64)
+        span = max(len(p_ids), 1)
+        keys = np.sort(self.slot_rows() * span + p[ids])  # by (row, p)
+        bad[keys[1:][keys[1:] == keys[:-1]] // span] = True
+        return bad
+
+    def _refuse_bad_rows(self, lines=None):
+        """Raise the error of the first failing row, with its line if `lines` is given."""
+        import numpy as np
+
+        bad = np.flatnonzero(self._bad_rows())
+        if not bad.size:
+            return
+        i = int(bad[0])
+        rec = self._view(i)
+        try:  # the column checks are FieldRecord's, so this raises
+            FieldRecord(rec.degree, rec.group_label, rec.abs_disc, rec.ramification, rec.disc_sign)
+        except InvariantViolation as exc:
+            if lines is None:
+                raise
+            raise InvariantViolation(f"line {lines[i]}: {exc}")
+
+    def _check(self):
+        """Refuse a row that FieldRecord refuses, then rows out of order of |disc|."""
+        self._refuse_bad_rows()
+        if (self.abs_discs[1:] < self.abs_discs[:-1]).any():
+            raise InvariantViolation("records must be sorted by |disc|")
 
     def write_jsonl(self, stream):
         """One line per record, json.dumps(record.to_json(), sort_keys=True) + "\n".
 
-        Each distinct entry object and group label is serialised once per
-        call.  Entry texts are keyed by id(): the records hold every entry for
-        the whole call.
+        Each distinct entry and group label is serialised once per call, and
+        the lines are made from the columns, with each row's entries in
+        ascending p.
         """
-        texts: dict[int, str] = {}
-        groups: dict[str, str] = {}
+        import numpy as np
 
-        def entry_text(loc: LocalRamification) -> str:
-            text = texts.get(id(loc))
-            if text is None:
-                text = texts[id(loc)] = _encode(loc.to_json())
-            return text
+        texts = [_encode(loc.to_json()) for loc in self.entries]
+        heads = [(degree, _encode(label)) for degree, label in self.kinds]
+        rank = {p: i for i, p in enumerate(sorted({loc.p for loc in self.entries}))}
+        p = np.array([rank[loc.p] for loc in self.entries], np.int64)[self.entry_ids]
+        ids = self.entry_ids[np.lexsort((p, self.slot_rows()))]
+        discs = self.abs_discs * self.disc_signs
+        for lo in range(0, len(self), _BLOCK):
+            hi = min(lo + _BLOCK, len(self))
+            offs = self.offsets[lo: hi + 1].tolist()
+            ram = list(map(texts.__getitem__, ids[offs[0]: offs[-1]].tolist()))
+            base = offs[0]
+            lines = []
+            for k, d, a, b in zip(self.kind_ids[lo:hi].tolist(), discs[lo:hi].tolist(),
+                                  offs, offs[1:]):
+                degree, group = heads[k]
+                lines.append(_LINE % (degree, d, group, ", ".join(ram[a - base: b - base])))
+            stream.write("".join(lines))
 
-        for r in self.records:
-            ram = r.ramification
-            if len(ram) > 1:
-                ram = sorted(ram, key=_by_p)
-            group = groups.get(r.group_label)
-            if group is None:
-                group = groups[r.group_label] = _encode(r.group_label)
-            stream.write(_LINE % (
-                r.degree, r.disc_sign * r.abs_disc, group, ", ".join(map(entry_text, ram))
-            ))
+
+class _Records(Sequence):
+    """The records of a FieldList as views: `records[i]`, slices (tuples) and iteration."""
+
+    __slots__ = ("_list",)
+
+    def __init__(self, field_list: FieldList):
+        self._list = field_list
+
+    def __len__(self):
+        return len(self._list)
+
+    def __iter__(self):
+        return iter(self._list)
+
+    def __getitem__(self, i):
+        n = len(self._list)
+        if isinstance(i, slice):
+            return tuple(map(self._list._view, range(*i.indices(n))))
+        k = i + n if i < 0 else i
+        if not 0 <= k < n:
+            raise IndexError("record index out of range")
+        return self._list._view(k)
+
+    def __eq__(self, other):
+        if isinstance(other, (_Records, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _offsets(counts):
+    """Row offsets of these entry counts: 0, then their running sums."""
+    import numpy as np
+
+    offsets = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def _new_entry(key: tuple, lineno: int, cycle_types: dict) -> LocalRamification:
@@ -231,32 +486,135 @@ def _new_entry(key: tuple, lineno: int, cycle_types: dict) -> LocalRamification:
     )
 
 
-def _entry(r, degree: int, lineno: int, entries: dict, cycle_types: dict) -> LocalRamification:
-    """The shared, validated entry of the decoded ramification entry `r`.
+class _Ingest:
+    """The columns of the lines parsed so far, and the entries met so far.
 
-    `entries` maps the key (p, kind, parts or label, exp or None, degree) of
-    each entry met so far in the file to its validated entry.
+    `slots` maps the key (p, kind, parts or label, exp or None, degree) of
+    each entry met to its slot in `entries`, and `kinds` each (degree, group)
+    met to its index.  `frames` maps the degree text of each frame line met
+    to its degree, the slot of each entry text met at that degree and the
+    kind of each group met with it.
     """
-    try:
-        # the key is formed after the exact type checks, as True == 1 and
-        # 3.0 == 3 hash alike: a mistyped entry must not find a valid one
-        p = json_typed(r["p"], int, "p")
-        kind = json_typed(r["kind"], str, "kind")
-        if kind == "tame":
-            parts = json_typed_items(r["cycle_type"], int, "cycle type part")
-            exp = json_typed(r["exp"], int, "exp") if "exp" in r else None
-            key = p, kind, parts, exp, degree
-        elif kind == "wild":
-            exp = json_typed(r["exp"], int, "exp")
-            key = p, kind, json_typed(r["label"], str, "label"), exp, degree
+
+    def __init__(self):
+        self.entries: list[LocalRamification] = []
+        self.slots: dict[tuple, int] = {}
+        self.cycle_types: dict[tuple[int, ...], CycleType] = {}
+        self.frames: dict[str, tuple[int, dict[str, int], dict[str, int]]] = {}
+        self.kinds: dict[tuple, int] = {}
+        self.discs, self.kind_ids, self.counts, self.entry_ids, self.lines = [], [], [], [], []
+
+    def kind(self, degree: int, group: str) -> int:
+        return self.kinds.setdefault((degree, group), len(self.kinds))
+
+    def append(self, lineno: int, kind: int, disc: int, slots: list[int]):
+        self.discs.append(disc)
+        self.kind_ids.append(kind)
+        self.counts.append(len(slots))
+        self.entry_ids += slots
+        self.lines.append(lineno)
+
+    def field_list(self, x_max) -> FieldList:
+        """The rows so far, in line order."""
+        import numpy as np
+
+        discs = np.array(self.discs, np.int64)
+        return FieldList._of_columns(
+            "ingested", x_max, np.abs(discs), np.where(discs > 0, 1, -1).astype(np.int8),
+            tuple(self.kinds), np.array(self.kind_ids, np.int32), _offsets(self.counts),
+            tuple(self.entries), np.array(self.entry_ids, np.int32),
+        )
+
+    def entry(self, r, degree: int, lineno: int) -> int:
+        """The slot of the shared, validated entry of the decoded ramification entry `r`."""
+        try:
+            # the key is formed after the exact type checks, as True == 1 and
+            # 3.0 == 3 hash alike: a mistyped entry must not find a valid one
+            p = json_typed(r["p"], int, "p")
+            kind = json_typed(r["kind"], str, "kind")
+            if kind == "tame":
+                parts = json_typed_items(r["cycle_type"], int, "cycle type part")
+                exp = json_typed(r["exp"], int, "exp") if "exp" in r else None
+                key = p, kind, parts, exp, degree
+            elif kind == "wild":
+                exp = json_typed(r["exp"], int, "exp")
+                key = p, kind, json_typed(r["label"], str, "label"), exp, degree
+            else:
+                raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
+            slot = self.slots.get(key)
+            if slot is None:
+                loc = _new_entry(key, lineno, self.cycle_types)
+                slot = self.slots[key] = len(self.entries)
+                self.entries.append(loc)
+            return slot
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedLine(lineno, f"bad ramification entry: {exc}")
+
+    def whole_line(self, obj, lineno: int) -> None:
+        """Append the record of a line decoded whole."""
+        try:
+            degree = json_typed(obj["degree"], int, "degree")
+            group = json_typed(obj["group"], str, "group")
+            disc = json_typed(obj["disc"], int, "disc")
+            ram_objs = obj.get("ram", [])
+        except (KeyError, TypeError) as exc:
+            raise MalformedLine(lineno, f"bad record fields: {exc}")
+        _check_disc(disc, lineno)
+        try:
+            slots = [self.entry(r, degree, lineno) for r in ram_objs]
+        except TypeError as exc:  # "ram" is not iterable
+            raise MalformedLine(lineno, f"bad ramification entry: {exc}")
+        self.append(lineno, self.kind(degree, group), disc, slots)
+
+    def frame_line(self, match: re.Match, lineno: int) -> bool:
+        """Append the record of a line in `_LINE_FRAME`; False to decode it whole.
+
+        False means a piece between "}, {" is not one JSON object.
+        """
+        degree, disc, group, ram_text = match.groups()
+        try:
+            frame = self.frames.get(degree)
+            if frame is None:
+                frame = self.frames[degree] = int(degree), {}, {}
+            disc = int(disc)
+        except ValueError as exc:  # past int()'s digit limit
+            raise MalformedLine(lineno, f"bad record fields: {exc}")
+        degree, known, kinds = frame
+        pieces = ram_text[1:-1].split("}, {") if ram_text else ()
+        try:
+            slots = [known[piece] for piece in pieces]
+        except KeyError:  # a text first met here
+            fresh = {}
+            for piece in pieces:
+                if piece not in known and piece not in fresh:
+                    text = "{" + piece + "}"
+                    try:
+                        obj, end = _decode(text)
+                    except ValueError:  # JSONDecodeError, or past int()'s digit limit
+                        return False
+                    if end < len(text):
+                        return False
+                    fresh[piece] = obj
+            _check_disc(disc, lineno)
+            for piece, obj in fresh.items():
+                known[piece] = self.entry(obj, degree, lineno)
+            slots = [known[piece] for piece in pieces]
         else:
-            raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
-        loc = entries.get(key)
-        if loc is None:
-            loc = entries[key] = _new_entry(key, lineno, cycle_types)
-        return loc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedLine(lineno, f"bad ramification entry: {exc}")
+            if not 0 < abs(disc) < DISC_LIMIT:
+                _check_disc(disc, lineno)
+        kind = kinds.get(group)
+        if kind is None:
+            kind = kinds[group] = self.kind(degree, group)
+        self.append(lineno, kind, disc, slots)
+        return True
+
+
+def _check_disc(disc: int, lineno: int):
+    """MalformedLine unless 0 < |disc| < 2^63."""
+    if disc == 0:
+        raise MalformedLine(lineno, "disc must be nonzero")
+    if abs(disc) >= DISC_LIMIT:
+        raise MalformedLine(lineno, f"|disc| {abs(disc)} is not below 2^63")
 
 
 def _decoded(line: str, lineno: int):
@@ -270,66 +628,6 @@ def _decoded(line: str, lineno: int):
     return obj
 
 
-def _record_from_obj(obj, lineno: int, entries: dict, cycle_types: dict) -> FieldRecord:
-    """The validated record of a line decoded whole."""
-    try:
-        degree = json_typed(obj["degree"], int, "degree")
-        group = json_typed(obj["group"], str, "group")
-        disc = json_typed(obj["disc"], int, "disc")
-        ram_objs = obj.get("ram", [])
-    except (KeyError, TypeError) as exc:
-        raise MalformedLine(lineno, f"bad record fields: {exc}")
-    if disc == 0:
-        raise MalformedLine(lineno, "disc must be nonzero")
-    try:
-        ram = [_entry(r, degree, lineno, entries, cycle_types) for r in ram_objs]
-    except TypeError as exc:  # "ram" is not iterable
-        raise MalformedLine(lineno, f"bad ramification entry: {exc}")
-    return FieldRecord(
-        degree=degree,
-        group_label=group,
-        abs_disc=abs(disc),
-        ramification=tuple(ram),
-        disc_sign=1 if disc > 0 else -1,
-    )
-
-
-def _frame_record(
-    match: re.Match, lineno: int, texts: dict, entries: dict, cycle_types: dict
-) -> FieldRecord | None:
-    """The validated record of a line in `_LINE_FRAME`, or None to decode it whole.
-
-    `texts` maps each degree to the entry of each entry text met so far at
-    that degree.  None means a piece between "}, {" is not one JSON object.
-    """
-    degree, disc, group, ram_text = match.groups()
-    try:
-        degree, disc = int(degree), int(disc)
-    except ValueError as exc:  # past int()'s digit limit
-        raise MalformedLine(lineno, f"bad record fields: {exc}")
-    known = texts.get(degree)
-    if known is None:
-        known = texts[degree] = {}
-    pieces = ram_text[1:-1].split("}, {") if ram_text else ()
-    fresh = {}
-    for piece in pieces:
-        if piece not in known and piece not in fresh:
-            text = "{" + piece + "}"
-            try:
-                obj, end = _decode(text)
-            except ValueError:  # JSONDecodeError, or past int()'s digit limit
-                return None
-            if end < len(text):
-                return None
-            fresh[piece] = obj
-    if disc == 0:
-        raise MalformedLine(lineno, "disc must be nonzero")
-    for piece, obj in fresh.items():
-        known[piece] = _entry(obj, degree, lineno, entries, cycle_types)
-    ram = tuple(map(known.__getitem__, pieces))
-    return FieldRecord(degree, group, abs(disc), ram, 1 if disc > 0 else -1)
-
-
 def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     """Parse a JSONL stream into a validated, sorted FieldList.
 
@@ -337,33 +635,35 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     invariant violations raise with the 1-based line number.  An x_max below
     the largest |disc| in the file raises InvariantViolation.
     """
-    records = []
-    unsorted = False
-    entries: dict[tuple, LocalRamification] = {}
-    cycle_types: dict[tuple[int, ...], CycleType] = {}
-    texts: dict[int, dict[str, LocalRamification]] = {}
-    frame = _LINE_FRAME.fullmatch
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            match = frame(line)
-            rec = _frame_record(match, lineno, texts, entries, cycle_types) if match else None
-            if rec is None:
-                rec = _record_from_obj(_decoded(line, lineno), lineno, entries, cycle_types)
-        except InvariantViolation as exc:
-            raise InvariantViolation(f"line {lineno}: {exc}")
-        if records and rec.abs_disc < records[-1].abs_disc:
-            unsorted = True
-        records.append(rec)
-    if unsorted:
+    ingest = _Ingest()
+    frame, frame_line = _LINE_FRAME.fullmatch, ingest.frame_line
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                match = frame(line)
+                if not (match and frame_line(match, lineno)):
+                    ingest.whole_line(_decoded(line, lineno), lineno)
+            except InvariantViolation as exc:
+                raise InvariantViolation(f"line {lineno}: {exc}")
+    except Exception:
+        # whatever stopped the parse, a record check that fails on an
+        # earlier line comes first, as when each record was checked as read
+        ingest.field_list(x_max)._refuse_bad_rows(ingest.lines)
+        raise
+    fl = ingest.field_list(x_max)
+    fl._refuse_bad_rows(ingest.lines)
+    discs = fl.abs_discs
+    largest = int(discs.max()) if discs.size else 0
+    if (discs[1:] < discs[:-1]).any():
         warnings.warn("unsorted field file; auto-sorting by |disc|", stacklevel=2)
-        records.sort(key=lambda r: r.abs_disc)
+        fl = fl._take(discs.argsort(kind="stable"))
     if x_max is None:
-        x_max = records[-1].abs_disc if records else 0
-    elif records and x_max < records[-1].abs_disc:
+        fl.x_max = largest
+    elif x_max < largest:
         raise InvariantViolation(
-            f"x_max {x_max} is below the largest |disc| {records[-1].abs_disc} in the file"
+            f"x_max {x_max} is below the largest |disc| {largest} in the file"
         )
-    return FieldList(records=tuple(records), provenance="ingested", x_max=x_max)
+    return fl

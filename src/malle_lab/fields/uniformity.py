@@ -48,7 +48,12 @@ class UniformityReport:
 def abelian_uniformity_check(
     l: int, qs, x: int, field_list: FieldList | None = None
 ) -> UniformityReport:
-    """Ratios N_q / (X/q)^(1/a) ln^(b-1) X over the q grid."""
+    """Ratios N_q / (X/q)^(1/a) ln^(b-1) X over the q grid.
+
+    N_q is counted from the list's columns, with no record view.
+    """
+    import numpy as np
+
     if field_list is None:
         field_list = enumerate_cyclic(l, x)
     if field_list.x_max < x:
@@ -57,16 +62,18 @@ def abelian_uniformity_check(
     group = close_group([cycle])
     a = a_invariant(group)
     b = b_invariant_Q(group)
+    n = field_list.count_upto(x)
+    rows = field_list.slot_rows(n)
+    ids = field_list.entry_ids[: field_list.offsets[n]]
     per_q = []
     for q in qs:
         if q < 1 or not is_squarefree(q):
             raise ValueError(f"q must be squarefree positive, got {q}")
-        primes = prime_factors(q)
-        count = 0
-        for rec in field_list.upto(x):
-            ram = set(rec.ramified_primes)
-            if all(p in ram for p in primes):
-                count += 1
+        # a record lists each prime once, so it is ramified at every prime of
+        # q when as many of its entries as q has primes are at one of them
+        primes = set(prime_factors(q))
+        at_q = np.array([loc.p in primes for loc in field_list.entries], bool)
+        count = int((np.bincount(rows[at_q[ids]], minlength=n) == len(primes)).sum())
         shape = (x / q) ** (1.0 / a) * log(x) ** (b - 1)
         per_q.append(QRatio(q=q, count=count, shape=shape, ratio=count / shape))
     return UniformityReport(l=l, x=x, a=a, b=b, per_q=tuple(per_q))

@@ -1,0 +1,226 @@
+"""Field lists as columns: views, producers, checks and the consumers that read the columns.
+
+A FieldList keeps |disc|, sign, kind and entry indices as arrays, and builds
+FieldRecord views on demand.  Every producer must give the list that the
+checked constructor gives for the same records, and every consumer must give
+what the record-by-record computation gives.
+"""
+
+import io
+import json
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+
+from malle_lab import counting
+from malle_lab.arith import prime_factors
+from malle_lab.counting import WildTable, compose_disc, count_pairs
+from malle_lab.errors import InvariantViolation, MalformedLine, MissingWildEntry
+from malle_lab.fields import records
+from malle_lab.fields.cubic import enumerate_cubic
+from malle_lab.fields.cyclic import enumerate_cyclic
+from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification, parse_field_file
+from malle_lab.fields.uniformity import abelian_uniformity_check
+
+
+def _jsonl(field_list) -> str:
+    buf = io.StringIO()
+    field_list.write_jsonl(buf)
+    return buf.getvalue()
+
+
+def _checked(field_list) -> FieldList:
+    """The list the constructor makes of checked FieldRecords equal to the views."""
+    recs = [FieldRecord(r.degree, r.group_label, r.abs_disc, r.ramification, r.disc_sign)
+            for r in field_list]
+    return FieldList(records=recs, provenance=field_list.provenance, x_max=field_list.x_max)
+
+
+def _same_columns(a: FieldList, b: FieldList):
+    assert (len(a), a.x_max, a.kinds) == (len(b), b.x_max, b.kinds)
+    for name in ("abs_discs", "disc_signs", "kind_ids", "offsets"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+    assert [a.entries[k] for k in a.entry_ids.tolist()] == [b.entries[k] for k in b.entry_ids.tolist()]
+
+
+@pytest.mark.parametrize("x, workers", [(10**4, 1), (10**5, 1), (10**5, 2)])
+def test_enumerated_and_parsed_columns_match_the_constructor(x, workers):
+    fl = enumerate_cubic(x, workers=workers)
+    parsed = parse_field_file(io.StringIO(_jsonl(fl)), x_max=x)
+    for field_list in (fl, parsed):
+        checked = _checked(field_list)
+        _same_columns(field_list, checked)
+        assert list(field_list) == list(checked) == list(fl)
+
+
+def test_constructor_keeps_the_entry_objects_and_their_order():
+    fl = enumerate_cyclic(3, 10**8)  # the wild 3 follows the tame primes
+    recs = [FieldRecord(r.degree, r.group_label, r.abs_disc, r.ramification, r.disc_sign)
+            for r in fl]
+    again = FieldList(records=recs, provenance="enumerated", x_max=fl.x_max)
+    for rec, view in zip(recs, again):
+        assert view == rec and view is not rec
+        assert all(a is b for a, b in zip(view.ramification, rec.ramification))
+    assert len(again.entries) == len({id(loc) for r in recs for loc in r.ramification})
+
+
+def test_views_index_slice_iterate_and_window():
+    fl = enumerate_cubic(10**4)
+    recs = list(fl)
+    n = len(fl)
+    assert n == len(fl.records) == len(recs) == 1886
+    assert fl.records == tuple(recs) and fl.records != tuple(recs[1:])
+    assert fl.records[0] == recs[0] and fl.records[-1] == recs[-1] == fl.records[n - 1]
+    for cut in (slice(5, 17), slice(None, 3), slice(-3, None), slice(10, 5), slice(None, None, 7),
+                slice(n - 2, n + 5), slice(None, None, -300)):
+        assert fl.records[cut] == tuple(recs[cut])
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            fl.records[bad]
+    for x in (0, 22, 23, 500, 10**4, 10**30):
+        assert fl.upto(x) == [r for r in recs if r.abs_disc <= x]
+        assert fl.count_upto(x) == len(fl.upto(x))
+    # views are equal records, not the same objects, and share the list's entries
+    assert fl.records[3] == fl.records[3] and fl.records[3] is not fl.records[3]
+    entries = {id(loc) for loc in fl.entries}
+    assert all(id(loc) in entries for r in recs for loc in r.ramification)
+    assert all(FieldRecord(r.degree, r.group_label, r.abs_disc, r.ramification, r.disc_sign) == r
+               for r in recs)
+
+
+def test_columns_are_read_only():
+    fl = enumerate_cubic(10**3)
+    with pytest.raises(ValueError):
+        fl.abs_discs[0] = 1
+
+
+def _wild(p: int, exp: int) -> LocalRamification:
+    return LocalRamification(p=p, kind="wild", disc_exponent=exp, wild_label=f"{p}-w{exp}")
+
+
+# 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657
+_BELOW = ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))
+
+
+def test_a_disc_past_int64_is_refused_where_it_enters_a_list():
+    top = FieldRecord(3, "S3", 2**63 - 1, tuple(_wild(p, e) for p, e in _BELOW), -1)
+    fl = FieldList(records=(top,), provenance="ingested", x_max=2**63)
+    assert fl.records[0] == top and fl.count_upto(2**70) == 1
+    good = _jsonl(fl)
+    assert parse_field_file(io.StringIO(good)).records[0] == top
+    for sign in (1, -1):
+        past = FieldRecord(3, "S3", 2**63, (_wild(2, 63),), sign)
+        with pytest.raises(InvariantViolation, match=r"\|disc\| 9223372036854775808 is not below 2\^63"):
+            FieldList(records=(top, past), provenance="ingested", x_max=2**63)
+        # on both parse paths, a MalformedLine with its line number
+        obj = past.to_json()
+        for line, framed in ((json.dumps(obj, sort_keys=True), True), (json.dumps(obj), False)):
+            assert bool(records._LINE_FRAME.fullmatch(line)) == framed
+            with pytest.raises(MalformedLine, match=r"9223372036854775808 is not below 2\^63") as exc:
+                parse_field_file(io.StringIO(good + "\n" + line))
+            assert exc.value.lineno == 3
+
+
+def test_parse_raises_the_first_bad_line_whatever_its_kind():
+    good = ('{"degree": 3, "disc": -23, "group": "S3", '
+            '"ram": [{"cycle_type": [2, 1], "kind": "tame", "p": 23}]}')
+    product_bad = good.replace("-23,", "-46,")
+    twice = ('{"degree": 3, "disc": -529, "group": "S3", "ram": [{"cycle_type": [2, 1], '
+             '"kind": "tame", "p": 23}, {"cycle_type": [2, 1], "kind": "tame", "p": 23}]}')
+    cases = [
+        ([good, product_bad, good, "not json"], InvariantViolation,
+         "line 2: |disc| 46 != product of local parts 23"),
+        ([good, "not json", product_bad], MalformedLine, None),
+        ([good, "", twice, product_bad], InvariantViolation, "line 3: duplicate prime 23"),
+        ([good, good, product_bad], InvariantViolation, "line 3: |disc| 46"),
+    ]
+    for lines, error, message in cases:
+        with pytest.raises(error) as exc:
+            parse_field_file(io.StringIO("\n".join(lines)))
+        if message is None:
+            assert exc.value.lineno == 2
+        else:
+            assert str(exc.value).startswith(message)
+
+
+def test_constructor_and_from_columns_refuse_what_the_record_refuses():
+    k23 = FieldRecord(3, "S3", 23, (LocalRamification(23, "wild", 1, wild_label="w"),), -1)
+    with pytest.raises(InvariantViolation, match="sorted"):
+        FieldList(records=(k23, FieldRecord(3, "S3", 8, (_wild(2, 3),), 1)), provenance="x", x_max=99)
+    fl = FieldList(records=(k23,), provenance="x", x_max=99)
+    forged = [np.array([46]), np.array([-1], np.int8), fl.kinds, np.zeros(1, np.int32),
+              fl.offsets.copy(), fl.entries, fl.entry_ids.copy()]
+    with pytest.raises(InvariantViolation, match="46 != product of local parts 23"):
+        FieldList.from_columns("x", 99, *forged)
+
+
+def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
+    made = []
+    real = records._record_view
+
+    def counted(*args):
+        made.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(records, "_record_view", counted)
+    cubics = parse_field_file(io.StringIO(_jsonl(enumerate_cubic(10**4))), x_max=10**4)
+    cyclics = parse_field_file(io.StringIO(_jsonl(enumerate_cyclic(3, 10**4))), x_max=10**4)
+    assert made == []
+    x = 10**12  # both windows reach the ends of both lists
+    count_pairs(cubics, cyclics, x, mode="interval", y_ladder=(10, 100))
+    pairs = counting._sharing_pairs(cubics, len(cubics), cyclics, len(cyclics), 3, 3, x)
+    # one view per composing K and per composed L, and one of each label for admissibility
+    assert len(pairs) > 100
+    assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs}) + 2 + 2
+
+
+def _label(loc) -> str:
+    if loc.kind == "tame":
+        return "tame-" + ",".join(map(str, loc.tame_cycle_type.parts))
+    return loc.wild_label
+
+
+def test_missing_wild_entry_is_the_first_in_k_major_order():
+    ks, ls = enumerate_cubic(10**4), enumerate_cyclic(3, 10**4)
+    x = 10**12
+
+    def exponents(fl):
+        return {_label(loc): loc.disc_exponent for r in fl for loc in r.ramification}
+
+    table = WildTable({
+        (kl, ll): max(3 * vk, 3 * vl)
+        for (kl, vk), (ll, vl) in product(exponents(ks).items(), exponents(ls).items())
+        if kl not in ("3-e3-v3", "3-e3-v4", "3-e3-v5", "tame-2,1")
+    })
+    with pytest.raises(MissingWildEntry) as exc:
+        count_pairs(ks, ls, x, wild=table, mode="exact")
+    assert str(exc.value) == "no wild entry for (tame-2,1, 3-C3-cond-9) at p=3"
+    # the oracle: the sharing pairs within the lcm bound, K-major
+    first = None
+    for k in ks:
+        for l in ls:
+            shared = set(k.ramified_primes) & set(l.ramified_primes)
+            if shared and math.lcm(k.abs_disc**3, l.abs_disc**3) <= x:
+                try:
+                    compose_disc(k, l, table, "exact")
+                except MissingWildEntry as err:
+                    first = str(err)
+                    break
+        if first:
+            break
+    assert first == str(exc.value)
+
+
+def test_abelian_uniformity_counts_match_the_record_loop():
+    x = 10**8
+    fl = enumerate_cyclic(3, x)
+    qs = [1, 3, 7, 3 * 13, 7 * 13, 3 * 7 * 13, 19 * 31, 5, 2, 97]
+    rep = abelian_uniformity_check(3, qs, x, field_list=fl)
+    for q, row in zip(qs, rep.per_q):
+        want = sum(1 for r in fl.upto(x)
+                   if all(p in set(r.ramified_primes) for p in prime_factors(q)))
+        assert row.count == want, q
+    assert rep.per_q[0].count == len(fl) == 1592
+    assert rep.per_q[5].count > 0
