@@ -15,7 +15,9 @@ imported by `malle_lab.fields`:
 - `fields.cyclic.cyclic_count_oracle`: the Möbius count of character
   subgroups, checking `fields.cyclic.enumerate_cyclic`;
 - `fields.polysearch`: the monic-polynomial search with p-adic local
-  discriminants, checking `fields.cubic.enumerate_cubic`.
+  discriminants, checking `fields.cubic.enumerate_cubic`;
+- `fields.cubic._neg_reduced`: the exact fundamental-domain test for
+  negative forms, checking the Re phi window of the negative-form search.
 """
 
 __version__ = "0.1.0"

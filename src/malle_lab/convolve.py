@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from .arith import iroot
@@ -61,7 +63,10 @@ class CountingSequence:
 
     Rule-backed sequences ("integers", "squares") have closed-form counting
     functions and never run out of range; explicit sequences carry a
-    completeness bound and raise InsufficientRange past it.
+    completeness bound and raise InsufficientRange past it.  An explicit
+    sequence takes distinct positive values with positive multiplicities,
+    all of type int (TypeError otherwise, as an exact count must not round
+    its input).
     """
 
     def __init__(self, entries=None, rule: str | None = None, complete_to: int | None = None):
@@ -69,21 +74,22 @@ class CountingSequence:
             raise ValueError("give exactly one of entries or rule")
         self.rule = rule
         if entries is not None:
-            entries = sorted((int(v), int(m)) for v, m in entries)
-            if any(v < 1 or m < 1 for v, m in entries):
+            # (value, multiplicity) pairs of ints, sorted once and never rebuilt
+            entries = sorted(entries)
+            values = [v for v, _ in entries]  # bisected by count_upto
+            counts = [m for _, m in entries]
+            if not {*map(type, values), *map(type, counts)} <= {int}:
+                raise TypeError("values and multiplicities must be ints")
+            if entries and (values[0] < 1 or min(counts) < 1):
                 raise ValueError("values and multiplicities must be positive")
-            if len({v for v, _ in entries}) != len(entries):
+            if not all(map(operator.lt, values, values[1:])):
                 raise ValueError("duplicate values; merge multiplicities first")
             self.entries = entries
-            self._values = [v for v, _ in entries]  # bisected by count_upto
+            self._values = values
             self.complete_to = complete_to if complete_to is not None else (
-                entries[-1][0] if entries else 0
+                values[-1] if entries else 0
             )
-            self._prefix = []
-            total = 0
-            for _, m in entries:
-                total += m
-                self._prefix.append(total)
+            self._prefix = list(accumulate(counts))
         else:
             if rule not in ("integers", "squares"):
                 raise ValueError(f"unknown rule {rule!r}")

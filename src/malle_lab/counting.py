@@ -123,10 +123,6 @@ class WildTable:
 EMPTY_WILD = WildTable()
 
 
-def _check_admissible(k_rec: FieldRecord, l_rec: FieldRecord):
-    _check_labels(k_rec.group_label, k_rec.degree, l_rec.group_label, l_rec.degree)
-
-
 @lru_cache(maxsize=64, typed=True)
 def _check_labels(k_label: str, k_degree: int, l_label: str, l_degree: int) -> None:
     """InadmissiblePair unless a K and an L of these labels and degrees may pair.
@@ -192,7 +188,7 @@ def _compose(
     """The product of the local factors of Disc(KL), cut off above y when given."""
     if mode not in ("exact", "interval"):
         raise ValueError("mode must be exact or interval")
-    _check_admissible(k_rec, l_rec)
+    _check_labels(k_rec.group_label, k_rec.degree, l_rec.group_label, l_rec.degree)
     lo = hi = 1
     for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
         elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode, y)
@@ -262,14 +258,6 @@ def default_grid(x_max: int, points: int = 16) -> list[int]:
     """Powers of 2 descending from x_max: x_max, x_max/2, ..."""
     grid = [x_max >> k for k in range(points)]
     return sorted(g for g in grid if g >= 1)
-
-
-def _first_of_each_label(field_list: FieldList, stop: int) -> list[int]:
-    """The first row of each kind among the first `stop` rows, in order of first occurrence."""
-    import numpy as np
-
-    _, first = np.unique(field_list.kind_ids[:stop], return_index=True)
-    return sorted(first.tolist())
 
 
 def _uniform_degree(field_list: FieldList, side: str) -> int | None:
@@ -398,25 +386,27 @@ def count_pairs(
             n_y={y: zeros for y in y_ladder}, fit=None,
             fit_exponent=Fraction(1, deg_l or 1), mode=mode,
         )
-    ks, ls = sn_list.records, ab_list.records
-    # with one degree per list, admissibility depends only on each record's
-    # group label; checking (K_0, L) then (K, L_0) over the first record of
-    # each label raises what the first inadmissible pair in K-major order would
-    k0, l0 = ks[0], ls[0]
-    for j in _first_of_each_label(ab_list, nl):
-        _check_admissible(k0, ls[j])
-    for i in _first_of_each_label(sn_list, nk):
-        _check_admissible(ks[i], l0)
+    # with one degree per list, admissibility depends only on each row's
+    # kind; checking (K_0, L) then (K, L_0) over the windowed kinds in order
+    # of first occurrence raises what the first inadmissible pair in K-major
+    # order would
+    k_kinds = [sn_list.kinds[k] for k in dict.fromkeys(sn_list.kind_ids[:nk].tolist())]
+    l_kinds = [ab_list.kinds[k] for k in dict.fromkeys(ab_list.kind_ids[:nl].tolist())]
+    (k_degree, k_label), (l_degree, l_label) = k_kinds[0], l_kinds[0]
+    for degree, label in l_kinds:
+        _check_labels(k_label, k_degree, label, degree)
+    for degree, label in k_kinds:
+        _check_labels(label, degree, l_label, l_degree)
     l_recs = {}  # the L views, made at their first pair
     discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}
     k_at = None
     for i, j in _sharing_pairs(sn_list, nk, ab_list, nl, deg_k, deg_l, x):
         if i != k_at:
-            k_at, k_rec = i, ks[i]
+            k_at, k_rec = i, sn_list[i]
         l_rec = l_recs.get(j)
         if l_rec is None:
-            l_rec = l_recs[j] = ls[j]
+            l_rec = l_recs[j] = ab_list[j]
         lo, hi = _ends(compose_disc(k_rec, l_rec, wild, mode))
         if lo > x:
             continue  # every value of the pair, bound included, is > x >= g

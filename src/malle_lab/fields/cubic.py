@@ -52,7 +52,7 @@ so with a > 0 they say -(a - b)(a - b + c)/a <= d <= (a + b)(a + b + c)/a,
 that is -((a - b)(a - b + c) // a) <= d <= (a + b)(a + b + c) // a in
 integers.  The window only drops forms that the exact scalar test
 _neg_reduced rejects (at X = 1e5 there are 79,419 d rows instead of
-333,867).
+333,867); _neg_reduced is an oracle, which only the tests call.
 
 Search bounds.  The search takes these bounds at |D| <= X in integers.  An
 integer n >= 0 has n^k <= t for a real t exactly when n <= iroot(floor(t), k),
@@ -294,7 +294,7 @@ def canonical_form(f: Form) -> Form:
 # -- negative discriminant domain -------------------------------------------
 
 def _neg_reduced(f: Form) -> bool:
-    """Exact fundamental-domain test for disc < 0, a > 0 forms.
+    """Exact fundamental-domain test for disc < 0, a > 0 forms (an oracle).
 
     theta = the unique real root of F(t, 1).  Conditions:
       |2 Re phi| <= 1   <=>  -b/a - 1 <= theta <= -b/a + 1

@@ -7,6 +7,9 @@ p = 1 (mod l), optionally times l^2 (the wildly ramified case); a conductor
 with t ramified primes carries exactly (l-1)^(t-1) fields, since the l-torsion
 of the dual group is C_l^t and an order-l subgroup with full conductor has
 (l-1)^t generators with all components nontrivial, l-1 of them per subgroup.
+`enumerate_cyclic` builds no record: it writes each conductor's disc and
+entry slots into the list's columns, (l-1)^(t-1) equal rows of them, and
+hands the columns to `FieldList.from_columns`, which checks them.
 
 The oracle route ignores admissibility theory entirely: for every modulus f
 it computes the number of order-l subgroups of the dual of (Z/fZ)* from the
@@ -17,8 +20,9 @@ Möbius inversion over divisors.
 from __future__ import annotations
 
 from ..arith import divisors, factor, iroot, is_prime, primes_upto
+from ..errors import InvariantViolation
 from ..permgroup import CycleType
-from .records import FieldList, FieldRecord, LocalRamification
+from .records import DISC_LIMIT, FieldList, LocalRamification
 
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
 
@@ -33,45 +37,43 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
         raise ValueError("l must be an odd prime")
     if x < 1:
         raise ValueError("x must be >= 1")
+    import numpy as np
+
     fmax = iroot(x, l - 1)
     cycle = CycleType.from_parts([l])
-    tame_pool = [
-        LocalRamification(p=p, kind="tame", disc_exponent=l - 1, tame_cycle_type=cycle)
-        for p in primes_upto(fmax)
-        if p % l == 1
-    ]
-    wild_entry = LocalRamification(
-        p=l, kind="wild", disc_exponent=2 * (l - 1), wild_label=f"{l}-C{l}-cond-{l * l}"
-    )
-    records: list[FieldRecord] = []
+    primes = [p for p in primes_upto(fmax) if p % l == 1]
+    entries = [LocalRamification(p=p, kind="tame", disc_exponent=l - 1, tame_cycle_type=cycle)
+               for p in primes]  # the slot of the i-th prime is i
+    conductors: list[tuple[int, tuple[int, ...]]] = []  # (f, entry slots)
 
-    def emit(f: int, ram: tuple[LocalRamification, ...]):
-        if not ram:
-            return
-        for _ in range((l - 1) ** (len(ram) - 1)):
-            records.append(
-                FieldRecord(
-                    degree=l,
-                    group_label=f"C{l}",
-                    abs_disc=f ** (l - 1),
-                    ramification=ram,
-                    disc_sign=1,
-                )
-            )
-
-    def dfs(start: int, f: int, tame: tuple[LocalRamification, ...], wild: bool):
-        emit(f, tame + (wild_entry,) if wild else tame)
-        for i in range(start, len(tame_pool)):
-            loc = tame_pool[i]
-            if f * loc.p > fmax:
+    def dfs(start: int, f: int, tame: tuple[int, ...], wild: tuple[int, ...]):
+        if tame or wild:
+            conductors.append((f, tame + wild))
+        for i in range(start, len(primes)):
+            if f * primes[i] > fmax:
                 break
-            dfs(i + 1, f * loc.p, tame + (loc,), wild)
+            dfs(i + 1, f * primes[i], tame + (i,), wild)
 
-    dfs(0, 1, (), wild=False)
+    dfs(0, 1, (), ())
     if l * l <= fmax:
-        dfs(0, l * l, (), wild=True)
-    records.sort(key=lambda r: r.abs_disc)
-    return FieldList(records=tuple(records), provenance="enumerated", x_max=x)
+        entries.append(LocalRamification(
+            p=l, kind="wild", disc_exponent=2 * (l - 1), wild_label=f"{l}-C{l}-cond-{l * l}"
+        ))
+        dfs(0, l * l, (), (len(entries) - 1,))
+    conductors.sort()  # by f, as no two conductors are equal
+    discs, counts, entry_ids = [], [], []
+    for f, slots in conductors:
+        disc, copies = f ** (l - 1), (l - 1) ** (len(slots) - 1)
+        if disc >= DISC_LIMIT:
+            raise InvariantViolation(f"|disc| {disc} is not below 2^63")
+        discs += [disc] * copies
+        counts += [len(slots)] * copies
+        entry_ids += slots * copies
+    return FieldList.from_columns(
+        "enumerated", x, np.array(discs, np.int64), np.ones(len(discs), np.int8),
+        ((l, f"C{l}"),) if discs else (), np.zeros(len(discs), np.int32),
+        np.cumsum([0] + counts, dtype=np.int64), tuple(entries), np.array(entry_ids, np.int32),
+    )
 
 
 # ---------------------------------------------------------------------------

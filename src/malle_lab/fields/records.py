@@ -7,12 +7,18 @@ One JSONL line per field:
 
 Wild entries carry {"p": 3, "kind": "wild", "label": "3-e3-v4", "exp": 4}.
 The disc sign (1 or -1) is preserved on the record; counting uses the
-absolute value.  Every record must have degree >= 1 and satisfy
-|disc| = prod p^e over its ramification entries, every p must be prime, and
-tame entries must have a cycle type of the record's degree and exponent =
-ind(cycle_type) with p coprime to the ramification index.  Nothing is
-coerced: degree, disc, p, exp and every cycle-type part must be JSON
-integers, and group, kind and label JSON strings.
+absolute value.  Nothing is coerced: degree, disc, p, exp and every
+cycle-type part must be JSON integers, and group, kind and label JSON
+strings.
+
+Two rule sets check every list, however it is made.  The entry rules run
+in `LocalRamification.__post_init__`, once per entry object: p is prime,
+and a tame entry has exponent ind(cycle_type) with p coprime to the
+ramification index.  The row rules run in `FieldRecord.__post_init__` for a
+hand-built record and by columns in `FieldList._bad_rows` for every list:
+degree >= 1, disc sign 1 or -1, a tame cycle type of the row's degree, no
+prime given twice and |disc| = prod p^e over the row's entries.  In a parsed
+file a refusal by either set is an InvariantViolation with its line number.
 
 Columns.  A FieldList keeps its records as columns, row i for the i-th
 record in order of |disc|:
@@ -33,19 +39,22 @@ InvariantViolation.  For S_3 x C_3 such a field enters a count window only
 at X >= 2^189.  numpy is imported inside the functions, so importing this
 module does not load it.
 
-Views.  `records[i]`, slices of `records`, iteration and `upto` build
-FieldRecord objects from the columns on demand.  A view skips FieldRecord's
-checks, which its row has passed, and shares its entry objects with every
-other view of the list; two views of one row are equal, not the same object.
-`FieldList(records=..., provenance=..., x_max=...)` turns hand-built records
-into columns, one entry slot per distinct entry object.
+Views.  A FieldList is the sequence of its records: `fl[i]`, slices (tuples
+of views), iteration and `upto` build FieldRecord objects from the columns
+on demand, one row at a time (`_view`).  A view skips FieldRecord's checks,
+which its row has passed, and shares its entry objects with every other
+view of the list; two views of one row are equal, not the same object.
+`records` is the list itself.
 
-Validation runs by columns, once per list, in every producer: the
-constructor, `FieldList.from_columns` (which `enumerate_cubic` calls) and
-`parse_field_file` (`_bad_rows`).  p^e is computed once per distinct entry;
-each |disc| is divided by its entries' p^e in turn, and every remainder must
-be 0 and the last quotient 1, so no value exceeds |disc| and int64 is exact;
-a sort of the entry slots on (row, p) finds a prime given twice.  The first
+The enumerators build columns and hand them to the one checked path,
+`FieldList.from_columns`; `parse_field_file` builds columns and checks them
+the same way, with line numbers; `FieldList(records=..., provenance=...,
+x_max=...)` turns hand-built records into columns, one entry slot per
+distinct entry object, and checks those too.  The row rules run by columns,
+once per list (`_bad_rows`).  p^e is computed once per distinct entry; each
+|disc| is divided by its entries' p^e in turn, and every remainder must be
+0 and the last quotient 1, so no value exceeds |disc| and int64 is exact; a
+sort of the entry slots on (row, p) finds a prime given twice.  The first
 failing row is then built as a checked FieldRecord, whose error (with the
 line number, when parsed) is the one raised, as it was when every record
 was built and checked on its own.
@@ -61,21 +70,22 @@ with INT a JSON integer -?(0|[1-9][0-9]*), which JSON decodes as int() does,
 and STR a string with no quote, backslash or control character, which JSON
 decodes to its own text.
 
-Parsed records share their entries: `parse_field_file` builds and validates
-each distinct entry (p, kind, cycle type or label, exp, record degree) once
-per call and appends every line to the columns.  A stripped line that
-matches the frame (`_LINE_FRAME`) is split into entry texts at "}, {", and
-each distinct text is decoded and type-checked once per record degree, at
-its first sight.  That is exact.  When every piece decodes as a JSON object,
-the bracketed text is the JSON array of those objects, as JSON's grammar
-gives each text one parse; so the whole line decodes to what the pieces
-give, and equal texts give equal objects that pass the same checks.  A line
-outside the frame, or with a piece that is not one JSON object, is decoded
-whole, and that path decides its record or its error.  Both paths run the
-same typed-key checks (`_entry`) and share the entry of each key.  A line's
-own errors are raised as it is read, but a record check of an earlier line
-comes first, as the columns of the lines before are checked before any
-error leaves the parser.
+Parsed records share their entries: `parse_field_file` builds and checks
+each distinct entry (p, kind, cycle type or label, exp) once per call and
+appends every line to the columns.  A stripped line that matches the frame
+(`_LINE_FRAME`) is split into entry texts at "}, {", and each distinct text
+is decoded and type-checked once per call, at its first sight; the entry
+rules do not depend on the record, so one text has one entry.  That is
+exact.  When every piece decodes as a JSON object, the bracketed text is
+the JSON array of those objects, as JSON's grammar gives each text one
+parse; so the whole line decodes to what the pieces give, and equal texts
+give equal objects that pass the same checks.  A line outside the frame, or
+with a piece that is not one JSON object, is decoded whole, and that path
+decides its record or its error.  Both paths run the same typed-key checks
+(`_Ingest.entry`) and share the entry of each key.  A line's own errors are
+raised as it is read, but a row check of an earlier line comes first, as
+the columns of the lines before are checked before any error leaves the
+parser.
 """
 
 from __future__ import annotations
@@ -110,8 +120,8 @@ class LocalRamification:
     def __post_init__(self):
         if self.kind not in ("tame", "wild"):
             raise InvariantViolation(f"kind must be tame or wild, got {self.kind!r}")
-        if self.p < 2:
-            raise InvariantViolation("p must be a prime >= 2")
+        if not is_prime(self.p):
+            raise InvariantViolation(f"ramified p = {self.p} is not prime")
         if self.kind == "tame":
             ct = self.tame_cycle_type
             if ct is None:
@@ -150,7 +160,7 @@ _LINE_FRAME = re.compile(
 _encode = json.JSONEncoder(sort_keys=True).encode
 # json.loads less its whitespace scans, which a stripped line does not need
 _decode = json.JSONDecoder().raw_decode
-# rows per block when views or lines are made from the columns
+# rows per block when lines are made from the columns
 _BLOCK = 1 << 14
 
 
@@ -175,6 +185,11 @@ class FieldRecord:
             if loc.p in seen:
                 raise InvariantViolation(f"duplicate prime {loc.p}")
             seen.add(loc.p)
+            ct = loc.tame_cycle_type
+            if loc.kind == "tame" and ct.degree != self.degree:
+                raise InvariantViolation(
+                    f"cycle type {list(ct.parts)} on a degree-{self.degree} record"
+                )
             prod *= loc.p**loc.disc_exponent
         if prod != self.abs_disc:
             raise InvariantViolation(
@@ -211,11 +226,12 @@ def _record_view(degree, group_label, abs_disc, ramification, disc_sign) -> Fiel
     return rec
 
 
-class FieldList:
+class FieldList(Sequence):
     """Records sorted by |disc|, complete up to x_max under the provenance contract.
 
     The records are columns (see the module docstring), read-only once the
-    list is made; `records`, iteration and `upto` give FieldRecord views.
+    list is made.  The list is the sequence of its FieldRecord views:
+    `fl[i]`, slices (tuples), iteration and `upto` give views.
     """
 
     __slots__ = ("provenance", "x_max", "abs_discs", "disc_signs", "kinds", "kind_ids",
@@ -285,12 +301,22 @@ class FieldList:
         return self.abs_discs.size
 
     def __iter__(self):
-        return self._views(0, len(self))
+        return map(self._view, range(len(self)))
+
+    def __getitem__(self, i):
+        """The view of row i, or a tuple of the views of a slice of rows."""
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(map(self._view, range(*i.indices(n))))
+        k = i + n if i < 0 else i
+        if not 0 <= k < n:
+            raise IndexError("record index out of range")
+        return self._view(k)
 
     @property
-    def records(self) -> "_Records":
-        """The records as a read-only sequence of views."""
-        return _Records(self)
+    def records(self) -> FieldList:
+        """The list itself, the read-only sequence of its views."""
+        return self
 
     @property
     def degrees(self) -> set:
@@ -298,7 +324,7 @@ class FieldList:
         return {degree for degree, _ in self.kinds}
 
     def upto(self, x: int) -> list[FieldRecord]:
-        return list(self._views(0, self.count_upto(x)))
+        return list(map(self._view, range(self.count_upto(x))))
 
     def count_upto(self, x: int) -> int:
         """The number of records with |disc| <= x."""
@@ -320,19 +346,6 @@ class FieldList:
         ram = tuple(map(self.entries.__getitem__, ids))
         return _record_view(degree, label, self.abs_discs.item(i), ram, self.disc_signs.item(i))
 
-    def _views(self, start: int, stop: int):
-        """The views of rows start to stop - 1, made a block of rows at a time."""
-        kinds, entry = self.kinds, self.entries.__getitem__
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            offs = self.offsets[lo: hi + 1].tolist()
-            ids = self.entry_ids[offs[0]: offs[-1]].tolist()
-            base = offs[0]
-            for k, n, s, a, b in zip(self.kind_ids[lo:hi].tolist(), self.abs_discs[lo:hi].tolist(),
-                                     self.disc_signs[lo:hi].tolist(), offs, offs[1:]):
-                degree, label = kinds[k]
-                yield _record_view(degree, label, n, tuple(map(entry, ids[a - base: b - base])), s)
-
     def _take(self, rows) -> FieldList:
         """The list of these rows, in this order."""
         import numpy as np
@@ -350,14 +363,21 @@ class FieldList:
         import numpy as np
 
         ids, offsets, signs = self.entry_ids, self.offsets, self.disc_signs
+        slot_row = self.slot_rows()
         bad = (self.abs_discs < 1) | ((signs != 1) & (signs != -1))
-        if self.kinds:
-            bad |= np.array([degree < 1 for degree, _ in self.kinds])[self.kind_ids]
+        # a degree below 1; the degrees are numbered, as a parsed one may be past int64
+        number: dict[int, int] = {}
+        row_degree = np.array([number.setdefault(degree, len(number)) for degree, _ in self.kinds],
+                              np.int64)[self.kind_ids]
+        bad |= np.array([degree < 1 for degree in number], bool)[row_degree]
+        # a tame cycle type of another degree than its row's
+        ct_degree = np.array([number.get(loc.tame_cycle_type.degree, -1) if loc.kind == "tame"
+                              else -2 for loc in self.entries], np.int64)[ids]
+        bad[slot_row[(ct_degree != -2) & (ct_degree != row_degree[slot_row])]] = True
         # p^e once per entry; one past int64 divides no |disc| < 2^63
         powers = [loc.p**loc.disc_exponent if loc.disc_exponent < 64 else DISC_LIMIT
                   for loc in self.entries]
-        too_big = np.array([q >= DISC_LIMIT for q in powers], bool)[ids]
-        bad[np.searchsorted(offsets, np.flatnonzero(too_big), "right") - 1] = True
+        bad[slot_row[np.array([q >= DISC_LIMIT for q in powers], bool)[ids]]] = True
         powers = np.array([q if q < DISC_LIMIT else 1 for q in powers], np.int64)[ids]
         # the k-th entry of every row divides its quotient in round k
         counts = np.diff(offsets)
@@ -372,7 +392,7 @@ class FieldList:
         p_ids: dict[int, int] = {}
         p = np.array([p_ids.setdefault(loc.p, len(p_ids)) for loc in self.entries], np.int64)
         span = max(len(p_ids), 1)
-        keys = np.sort(self.slot_rows() * span + p[ids])  # by (row, p)
+        keys = np.sort(slot_row * span + p[ids])  # by (row, p)
         bad[keys[1:][keys[1:] == keys[:-1]] // span] = True
         return bad
 
@@ -426,37 +446,6 @@ class FieldList:
             stream.write("".join(lines))
 
 
-class _Records(Sequence):
-    """The records of a FieldList as views: `records[i]`, slices (tuples) and iteration."""
-
-    __slots__ = ("_list",)
-
-    def __init__(self, field_list: FieldList):
-        self._list = field_list
-
-    def __len__(self):
-        return len(self._list)
-
-    def __iter__(self):
-        return iter(self._list)
-
-    def __getitem__(self, i):
-        n = len(self._list)
-        if isinstance(i, slice):
-            return tuple(map(self._list._view, range(*i.indices(n))))
-        k = i + n if i < 0 else i
-        if not 0 <= k < n:
-            raise IndexError("record index out of range")
-        return self._list._view(k)
-
-    def __eq__(self, other):
-        if isinstance(other, (_Records, tuple)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
-
-
 def _offsets(counts):
     """Row offsets of these entry counts: 0, then their running sums."""
     import numpy as np
@@ -466,21 +455,17 @@ def _offsets(counts):
     return offsets
 
 
-def _new_entry(key: tuple, lineno: int, cycle_types: dict) -> LocalRamification:
-    """The validated entry of a key first met on line `lineno`.
+def _new_entry(key: tuple, cycle_types: dict) -> LocalRamification:
+    """The entry of a key (p, kind, parts or label, exp or None), checked as it is built.
 
     `cycle_types` holds one shared CycleType per parts tuple.
     """
-    p, kind, data, exp, degree = key
-    if not is_prime(p):
-        raise MalformedLine(lineno, f"ramified p = {p} is not prime")
+    p, kind, data, exp = key
     if kind == "wild":
         return LocalRamification(p=p, kind="wild", disc_exponent=exp, wild_label=data)
     ct = cycle_types.get(data)
     if ct is None:
         ct = cycle_types[data] = CycleType.from_parts(data)
-    if ct.degree != degree:
-        raise MalformedLine(lineno, f"cycle type {list(ct.parts)} on a degree-{degree} record")
     return LocalRamification(
         p=p, kind="tame", disc_exponent=index_of(ct) if exp is None else exp, tame_cycle_type=ct
     )
@@ -489,18 +474,18 @@ def _new_entry(key: tuple, lineno: int, cycle_types: dict) -> LocalRamification:
 class _Ingest:
     """The columns of the lines parsed so far, and the entries met so far.
 
-    `slots` maps the key (p, kind, parts or label, exp or None, degree) of
-    each entry met to its slot in `entries`, and `kinds` each (degree, group)
-    met to its index.  `frames` maps the degree text of each frame line met
-    to its degree, the slot of each entry text met at that degree and the
-    kind of each group met with it.
+    `slots` maps the key (p, kind, parts or label, exp or None) of each
+    entry met to its slot in `entries`, and `kinds` each (degree, group) met
+    to its index.  On frame lines, `texts` maps each entry text met to its
+    slot, and `heads` each (degree text, group) met to its kind.
     """
 
     def __init__(self):
         self.entries: list[LocalRamification] = []
         self.slots: dict[tuple, int] = {}
         self.cycle_types: dict[tuple[int, ...], CycleType] = {}
-        self.frames: dict[str, tuple[int, dict[str, int], dict[str, int]]] = {}
+        self.texts: dict[str, int] = {}
+        self.heads: dict[tuple[str, str], int] = {}
         self.kinds: dict[tuple, int] = {}
         self.discs, self.kind_ids, self.counts, self.entry_ids, self.lines = [], [], [], [], []
 
@@ -525,7 +510,7 @@ class _Ingest:
             tuple(self.entries), np.array(self.entry_ids, np.int32),
         )
 
-    def entry(self, r, degree: int, lineno: int) -> int:
+    def entry(self, r, lineno: int) -> int:
         """The slot of the shared, validated entry of the decoded ramification entry `r`."""
         try:
             # the key is formed after the exact type checks, as True == 1 and
@@ -535,15 +520,15 @@ class _Ingest:
             if kind == "tame":
                 parts = json_typed_items(r["cycle_type"], int, "cycle type part")
                 exp = json_typed(r["exp"], int, "exp") if "exp" in r else None
-                key = p, kind, parts, exp, degree
+                key = p, kind, parts, exp
             elif kind == "wild":
                 exp = json_typed(r["exp"], int, "exp")
-                key = p, kind, json_typed(r["label"], str, "label"), exp, degree
+                key = p, kind, json_typed(r["label"], str, "label"), exp
             else:
                 raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
             slot = self.slots.get(key)
             if slot is None:
-                loc = _new_entry(key, lineno, self.cycle_types)
+                loc = _new_entry(key, self.cycle_types)
                 slot = self.slots[key] = len(self.entries)
                 self.entries.append(loc)
             return slot
@@ -561,7 +546,7 @@ class _Ingest:
             raise MalformedLine(lineno, f"bad record fields: {exc}")
         _check_disc(disc, lineno)
         try:
-            slots = [self.entry(r, degree, lineno) for r in ram_objs]
+            slots = [self.entry(r, lineno) for r in ram_objs]
         except TypeError as exc:  # "ram" is not iterable
             raise MalformedLine(lineno, f"bad ramification entry: {exc}")
         self.append(lineno, self.kind(degree, group), disc, slots)
@@ -573,13 +558,13 @@ class _Ingest:
         """
         degree, disc, group, ram_text = match.groups()
         try:
-            frame = self.frames.get(degree)
-            if frame is None:
-                frame = self.frames[degree] = int(degree), {}, {}
+            kind = self.heads.get((degree, group))
+            if kind is None:
+                kind = self.heads[degree, group] = self.kind(int(degree), group)
             disc = int(disc)
         except ValueError as exc:  # past int()'s digit limit
             raise MalformedLine(lineno, f"bad record fields: {exc}")
-        degree, known, kinds = frame
+        known = self.texts
         pieces = ram_text[1:-1].split("}, {") if ram_text else ()
         try:
             slots = [known[piece] for piece in pieces]
@@ -597,14 +582,11 @@ class _Ingest:
                     fresh[piece] = obj
             _check_disc(disc, lineno)
             for piece, obj in fresh.items():
-                known[piece] = self.entry(obj, degree, lineno)
+                known[piece] = self.entry(obj, lineno)
             slots = [known[piece] for piece in pieces]
         else:
             if not 0 < abs(disc) < DISC_LIMIT:
                 _check_disc(disc, lineno)
-        kind = kinds.get(group)
-        if kind is None:
-            kind = kinds[group] = self.kind(degree, group)
         self.append(lineno, kind, disc, slots)
         return True
 

@@ -36,7 +36,8 @@ __all__ = [
     "binary_cubic_disc_scheme",
 ]
 
-DEFAULT_SOLUTION_CAP = 10**7
+# the most residues or solutions solutions_mod_q holds
+SOLUTION_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -189,21 +190,20 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     return np.concatenate(sols)
 
 
-def solutions_mod_q(
-    scheme: AffineScheme, q: int, cap: int = DEFAULT_SOLUTION_CAP
-) -> np.ndarray:
+def solutions_mod_q(scheme: AffineScheme, q: int) -> np.ndarray:
     """Solutions over (Z/q)^n for squarefree q >= 1, by CRT over its primes.
 
     Raises CapExceeded before any array is allocated when the residue grid
-    p^n of some prime p of q exceeds cap, and later when the solutions do.
+    p^n of some prime p of q exceeds SOLUTION_CAP, and later when the
+    solutions do.
     """
     if q < 1 or not is_squarefree(q):
         raise NotSquarefree(f"q = {q}")
     if q == 1:
         return np.zeros((1, scheme.n_vars), dtype=np.int64)
     primes = prime_factors(q)
-    if primes[-1] ** scheme.n_vars > cap:
-        raise CapExceeded(f"residue grid {primes[-1]}^{scheme.n_vars} exceeds cap {cap}")
+    if primes[-1] ** scheme.n_vars > SOLUTION_CAP:
+        raise CapExceeded(f"residue grid {primes[-1]}^{scheme.n_vars} exceeds cap {SOLUTION_CAP}")
     sols = None
     mod = 1
     for p in primes:
@@ -211,7 +211,7 @@ def solutions_mod_q(
         if sols is None:
             sols, mod = sp, p
         else:
-            if sols.shape[0] * sp.shape[0] > cap:
+            if sols.shape[0] * sp.shape[0] > SOLUTION_CAP:
                 raise CapExceeded("too many residue solutions")
             # x = a mod `mod`, x = b mod p
             inv = pow(mod, -1, p)
@@ -220,7 +220,7 @@ def solutions_mod_q(
             t = ((b - a) % p) * inv % p
             sols = (a + mod * t) % (mod * p)
             mod *= p
-        if sols.shape[0] > cap:
+        if sols.shape[0] > SOLUTION_CAP:
             raise CapExceeded("too many residue solutions")
     return sols
 

@@ -39,6 +39,19 @@ def test_product_count_refuses_floats():
     assert product_count_exact(INTS, INTS, 1, 1, Fraction(109999, 10000)) == 27
 
 
+def test_counting_sequence_takes_exact_positive_distinct_ints():
+    # 2.5 would be held as 2 and True as 1: a sequence of an exact count must not round
+    for entries in ([(2.5, 1)], [(True, 1)], [(3, 1), (1, 2.0)], [(1, False)]):
+        with pytest.raises(TypeError):
+            CountingSequence(entries=entries)
+    for entries in ([(0, 1)], [(2, 1), (1, 0)], [(1, 1), (2, 1), (1, 3)]):
+        with pytest.raises(ValueError):
+            CountingSequence(entries=entries)
+    seq = CountingSequence(entries=iter([(9, 2), (1, 1), (4, 3)]))
+    assert seq.entries == [(1, 1), (4, 3), (9, 2)] and seq.complete_to == 9
+    assert [seq.count_upto(v) for v in (0, 1, 3, 4, 8, 9)] == [0, 1, 1, 4, 4, 6]
+
+
 def test_product_count_empty():
     empty = CountingSequence(entries=[])
     assert product_count_exact(empty, INTS, 1, 1, 100) == 0

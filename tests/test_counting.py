@@ -335,12 +335,12 @@ def test_count_pairs_checks_admissibility_once_per_label(lists_1e4, monkeypatch)
 
         return wrapper
 
-    for name in ("_check_admissible", "compose_disc", "disc_truncated"):
+    for name in ("_check_labels", "compose_disc", "disc_truncated"):
         monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
     count_pairs(cubics, abelians, 10**12, mode="interval", y_ladder=(10, 100))
     assert calls["compose_disc"] > 0 and calls["disc_truncated"] > 0
     # one label on each side, then one check in every composition
-    assert calls["_check_admissible"] == 2 + calls["compose_disc"] + calls["disc_truncated"]
+    assert calls["_check_labels"] == 2 + calls["compose_disc"] + calls["disc_truncated"]
 
 
 def test_admissibility_is_decided_once_per_label_pair(lists_1e4):

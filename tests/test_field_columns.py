@@ -23,6 +23,7 @@ from malle_lab.fields.cubic import enumerate_cubic
 from malle_lab.fields.cyclic import enumerate_cyclic
 from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification, parse_field_file
 from malle_lab.fields.uniformity import abelian_uniformity_check
+from malle_lab.permgroup import CycleType
 
 
 def _jsonl(field_list) -> str:
@@ -60,6 +61,7 @@ def test_constructor_keeps_the_entry_objects_and_their_order():
     recs = [FieldRecord(r.degree, r.group_label, r.abs_disc, r.ramification, r.disc_sign)
             for r in fl]
     again = FieldList(records=recs, provenance="enumerated", x_max=fl.x_max)
+    _same_columns(fl, again)  # the enumerator's own columns are the constructor's
     for rec, view in zip(recs, again):
         assert view == rec and view is not rec
         assert all(a is b for a, b in zip(view.ramification, rec.ramification))
@@ -71,7 +73,7 @@ def test_views_index_slice_iterate_and_window():
     recs = list(fl)
     n = len(fl)
     assert n == len(fl.records) == len(recs) == 1886
-    assert fl.records == tuple(recs) and fl.records != tuple(recs[1:])
+    assert tuple(fl) == tuple(recs) and tuple(fl) != tuple(recs[1:]) and fl.records is fl
     assert fl.records[0] == recs[0] and fl.records[-1] == recs[-1] == fl.records[n - 1]
     for cut in (slice(5, 17), slice(None, 3), slice(-3, None), slice(10, 5), slice(None, None, 7),
                 slice(n - 2, n + 5), slice(None, None, -300)):
@@ -156,6 +158,56 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
         FieldList.from_columns("x", 99, *forged)
 
 
+def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
+    """A composite p and a tame cycle type of another degree than its record's
+    are refused by hand-built records, the constructor's columns and
+    `from_columns`, with the parser's message text."""
+
+    def columns(entry, disc):
+        return (np.array([disc]), np.array([-1], np.int8), ((3, "S3"),), np.zeros(1, np.int32),
+                np.array([0, 1]), (entry,), np.zeros(1, np.int32))
+
+    def parser_message(obj) -> str:
+        with pytest.raises(InvariantViolation) as exc:
+            parse_field_file(io.StringIO(json.dumps(obj)))
+        message = str(exc.value)
+        assert message.startswith("line 1: ")
+        return message[len("line 1: "):]
+
+    # ind(2,1,1) = 1 matches |disc| 23, but (2,1,1) is a cycle type in S_4
+    quartic = LocalRamification(23, "tame", 1, tame_cycle_type=CycleType.from_parts([2, 1, 1]))
+    message = parser_message({"degree": 3, "group": "S3", "disc": -23,
+                              "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1, 1]}]})
+    assert message == "cycle type [2, 1, 1] on a degree-3 record"
+    for make in (
+        lambda: FieldRecord(3, "S3", 23, (quartic,), -1),
+        # a view skips the record's checks, so the constructor's columns decide
+        lambda: FieldList(records=(records._record_view(3, "S3", 23, (quartic,), -1),),
+                          provenance="x", x_max=99),
+        lambda: FieldList.from_columns("x", 99, *columns(quartic, 23)),
+    ):
+        with pytest.raises(InvariantViolation) as exc:
+            make()
+        assert str(exc.value) == message
+    # 9^ind(2,1) = 9 and 4^1 = 4 match the disc, but neither p is prime
+    for obj, entry in (
+        ({"p": 9, "kind": "tame", "cycle_type": [2, 1]},
+         lambda: LocalRamification(9, "tame", 1, tame_cycle_type=CycleType.from_parts([2, 1]))),
+        ({"p": 4, "kind": "wild", "label": "2-w", "exp": 1},
+         lambda: LocalRamification(4, "wild", 1, wild_label="2-w")),
+    ):
+        message = parser_message({"degree": 3, "group": "S3", "disc": -obj["p"], "ram": [obj]})
+        assert message == f"ramified p = {obj['p']} is not prime"
+        for make in (
+            lambda: FieldList(records=(FieldRecord(3, "S3", obj["p"], (entry(),), -1),),
+                              provenance="x", x_max=99),
+            lambda: FieldList.from_columns("x", 99, *columns(entry(), obj["p"])),
+        ):
+            with pytest.raises(InvariantViolation) as exc:
+                make()
+            assert str(exc.value) == message
+
+
 def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     made = []
     real = records._record_view
@@ -171,9 +223,9 @@ def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     x = 10**12  # both windows reach the ends of both lists
     count_pairs(cubics, cyclics, x, mode="interval", y_ladder=(10, 100))
     pairs = counting._sharing_pairs(cubics, len(cubics), cyclics, len(cyclics), 3, 3, x)
-    # one view per composing K and per composed L, and one of each label for admissibility
+    # one view per composing K and per composed L; admissibility reads the kinds
     assert len(pairs) > 100
-    assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs}) + 2 + 2
+    assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs})
 
 
 def _label(loc) -> str:

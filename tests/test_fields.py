@@ -116,9 +116,9 @@ def test_parse_rejects_composite_ramified_prime():
     bad = {"degree": 3, "group": "S3", "disc": -9,
            "ram": [{"p": 9, "kind": "tame", "cycle_type": [2, 1]}]}
     for render in RENDERINGS:
-        with pytest.raises(MalformedLine, match="not prime") as exc:
+        with pytest.raises(InvariantViolation, match="not prime") as exc:
             parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(bad)))
-        assert exc.value.lineno == 2
+        assert str(exc.value) == "line 2: ramified p = 9 is not prime"
 
 
 def test_parse_rejects_cycle_type_of_another_degree():
@@ -126,9 +126,9 @@ def test_parse_rejects_cycle_type_of_another_degree():
     bad = {"degree": 3, "group": "S3", "disc": -23,
            "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1, 1]}]}
     for render in RENDERINGS:
-        with pytest.raises(MalformedLine, match="degree-3") as exc:
+        with pytest.raises(InvariantViolation, match="degree-3") as exc:
             parse_field_file(io.StringIO(GOOD_LINE + "\n\n" + render(bad)))
-        assert exc.value.lineno == 3
+        assert str(exc.value) == "line 3: cycle type [2, 1, 1] on a degree-3 record"
 
 
 def test_parse_refuses_a_zero_disc_before_its_entries():
@@ -259,9 +259,9 @@ def test_parse_checks_a_shared_tame_entry_against_each_record_degree():
                "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1]}]}
     for render in RENDERINGS:
         for first in (GOOD_LINE, render(json.loads(GOOD_LINE))):
-            with pytest.raises(MalformedLine, match="degree-4") as exc:
+            with pytest.raises(InvariantViolation, match="degree-4") as exc:
                 parse_field_file(io.StringIO(first + "\n" + render(quartic)))
-            assert exc.value.lineno == 2
+            assert str(exc.value).startswith("line 2: ")
 
 
 def test_cubic_entries_are_built_once_and_parsed_once():
@@ -622,6 +622,15 @@ def test_enumerate_cubic_bytes_pinned_at_1e5(workers):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7137eac1bbcf235c65dcc0f0095a3e1673b9abdb024c5ce9226b2b3dcd571e3d"
     )
+
+
+@pytest.mark.parametrize("l, x, digest", [
+    (3, 10**8, "8209effb5497fe34676ef06a326eb4bab91dcd6d9d1405a6a6a6437833160fd8"),
+    (5, 10**12, "bd820864b1ba01dacef025fb248152cfcc1b642d8c9fe5ad84255e9a8092cda1"),
+    (7, 10**15, "643330321c371c2d4581eb5980dbae62cbef41887b21f930742095cf11b9beb1"),
+])
+def test_enumerate_cyclic_bytes_pinned(l, x, digest):
+    assert hashlib.sha256(_jsonl(enumerate_cyclic(l, x)).encode()).hexdigest() == digest
 
 
 def test_enumerate_cubic_refuses_x_past_the_int64_bound(monkeypatch):

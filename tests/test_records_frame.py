@@ -51,7 +51,7 @@ def _outcome(text: str):
             return "error", type(exc), getattr(exc, "lineno", None), str(exc)
     entries = [loc for r in fl for loc in r.ramification]
     shared = len({id(loc) for loc in entries})
-    return "ok", fl.records, fl.x_max, len(entries), shared, [str(w.message) for w in caught]
+    return "ok", tuple(fl), fl.x_max, len(entries), shared, [str(w.message) for w in caught]
 
 
 def _general_outcome(text: str):

@@ -92,9 +92,9 @@ def test_cap_exceeded():
 
 
 def test_residue_grid_cap():
-    # 37^4 = 1,874,161 residues exceed the cap before any array exists
+    # 59^4 = 12,117,361 residues exceed the cap of 10^7 before any array exists
     with pytest.raises(CapExceeded):
-        solutions_mod_q(binary_cubic_disc_scheme(), 37, cap=10**6)
+        solutions_mod_q(binary_cubic_disc_scheme(), 59)
 
 
 def _random_scheme(rng, n, m):
