@@ -357,7 +357,8 @@ def count_pairs(
     sharing pair with lcm(Disc(K)^degL, Disc(L)^degK) > X is never composed,
     since each of its values is at least that lcm (`_sharing_pairs`).
     Both lists must have a single degree each (InadmissiblePair otherwise).
-    An empty list must still be complete over the window that the other
+    A list with no rows has no degree, so it windows nothing of the other
+    list; it must itself still be complete over the window that the other
     list's degree fixes.
     """
     if mode not in ("exact", "interval"):

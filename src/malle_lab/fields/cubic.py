@@ -679,9 +679,8 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
     import numpy as np
 
     tasks = [(x, +1, a) for a in range(1, _amax_pos(x) + 1)]
-    tasks += [(x, -1, a) for a in range(1, _amax_neg(x) + 1)]
-    if not tasks:  # x = 1
-        return FieldList(records=(), provenance="enumerated", x_max=x)
+    # a = 1 always, so that at x = 1 one empty chunk gives the list's columns
+    tasks += [(x, -1, a) for a in range(1, max(_amax_neg(x), 1) + 1)]
     _spf = spf_table(x)
     try:
         chunks = pmap(_collect_chunk, tasks, workers)

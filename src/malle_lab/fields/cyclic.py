@@ -20,9 +20,8 @@ Möbius inversion over divisors.
 from __future__ import annotations
 
 from ..arith import divisors, factor, iroot, is_prime, primes_upto
-from ..errors import InvariantViolation
 from ..permgroup import CycleType
-from .records import DISC_LIMIT, FieldList, LocalRamification
+from .records import FieldList, LocalRamification, disc_column
 
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
 
@@ -63,15 +62,13 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
     conductors.sort()  # by f, as no two conductors are equal
     discs, counts, entry_ids = [], [], []
     for f, slots in conductors:
-        disc, copies = f ** (l - 1), (l - 1) ** (len(slots) - 1)
-        if disc >= DISC_LIMIT:
-            raise InvariantViolation(f"|disc| {disc} is not below 2^63")
-        discs += [disc] * copies
+        copies = (l - 1) ** (len(slots) - 1)
+        discs += [f ** (l - 1)] * copies
         counts += [len(slots)] * copies
         entry_ids += slots * copies
     return FieldList.from_columns(
-        "enumerated", x, np.array(discs, np.int64), np.ones(len(discs), np.int8),
-        ((l, f"C{l}"),) if discs else (), np.zeros(len(discs), np.int32),
+        "enumerated", x, disc_column(discs), np.ones(len(discs), np.int8),
+        ((l, f"C{l}"),), np.zeros(len(discs), np.int32),
         np.cumsum([0] + counts, dtype=np.int64), tuple(entries), np.array(entry_ids, np.int32),
     )
 

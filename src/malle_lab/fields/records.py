@@ -14,11 +14,13 @@ strings.
 Two rule sets check every list, however it is made.  The entry rules run
 in `LocalRamification.__post_init__`, once per entry object: p is prime,
 and a tame entry has exponent ind(cycle_type) with p coprime to the
-ramification index.  The row rules run in `FieldRecord.__post_init__` for a
-hand-built record and by columns in `FieldList._bad_rows` for every list:
-degree >= 1, disc sign 1 or -1, a tame cycle type of the row's degree, no
-prime given twice and |disc| = prod p^e over the row's entries.  In a parsed
-file a refusal by either set is an InvariantViolation with its line number.
+ramification index.  The row rules run in one column pass over the list
+when it is made (`FieldList._bad_row`), in this order: degree >= 1, disc
+sign 1 or -1, |disc| >= 1; then, entry by entry, no prime given twice and a
+tame cycle type of the row's degree; then |disc| = prod p^e over the row's
+entries.  The first failing row is refused with the message of its first
+failing rule, as an InvariantViolation; in a parsed file, with its line
+number.  A FieldRecord is a plain row, checked when it enters a list.
 
 Columns.  A FieldList keeps its records as columns, row i for the i-th
 record in order of |disc|:
@@ -34,30 +36,26 @@ record in order of |disc|:
 
 Every |disc| must be below 2^63 (`DISC_LIMIT`), so that int64 holds it, as
 `cubic.X_LIMIT` bounds what the int64 search can reach: a parsed line past it
-is a MalformedLine with its line number, a hand-built record an
-InvariantViolation.  For S_3 x C_3 such a field enters a count window only
-at X >= 2^189.  numpy is imported inside the functions, so importing this
-module does not load it.
+is a MalformedLine with its line number, a hand-built record or an
+enumerated disc an InvariantViolation (`disc_column`).  For S_3 x C_3 such
+a field enters a count window only at X >= 2^189.  numpy is imported inside
+the functions, so importing this module does not load it.
 
 Views.  A FieldList is the sequence of its records: `fl[i]`, slices (tuples
 of views), iteration and `upto` build FieldRecord objects from the columns
-on demand, one row at a time (`_view`).  A view skips FieldRecord's checks,
-which its row has passed, and shares its entry objects with every other
-view of the list; two views of one row are equal, not the same object.
-`records` is the list itself.
+on demand, one row at a time (`_view`).  A view shares its entry objects
+with every other view of the list; two views of one row are equal, not the
+same object.  `records` is the list itself.
 
-The enumerators build columns and hand them to the one checked path,
-`FieldList.from_columns`; `parse_field_file` builds columns and checks them
-the same way, with line numbers; `FieldList(records=..., provenance=...,
-x_max=...)` turns hand-built records into columns, one entry slot per
-distinct entry object, and checks those too.  The row rules run by columns,
-once per list (`_bad_rows`).  p^e is computed once per distinct entry; each
-|disc| is divided by its entries' p^e in turn, and every remainder must be
-0 and the last quotient 1, so no value exceeds |disc| and int64 is exact; a
-sort of the entry slots on (row, p) finds a prime given twice.  The first
-failing row is then built as a checked FieldRecord, whose error (with the
-line number, when parsed) is the one raised, as it was when every record
-was built and checked on its own.
+The enumerators hand their columns to `FieldList.from_columns`;
+`parse_field_file` and `FieldList(records, provenance, x_max)` build theirs
+with `_Ingest`, the constructor with one entry slot per distinct entry
+object.  Each list is checked once, by columns.  p^e is computed once per
+distinct entry; each |disc| is divided by its entries' p^e in turn, and
+every remainder must be 0 and the last quotient 1, so no value exceeds
+|disc| and int64 is exact; a stable sort of the entry slots on (row, p)
+finds a prime given twice, at its later slot.  Only the first failing row's
+message is made in Python.
 
 `FieldList.write_jsonl` writes each record as
 json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
@@ -95,7 +93,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import attrgetter
 
 from ..arith import is_prime
@@ -166,35 +164,13 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class FieldRecord:
+    """A row of a list; checked when it enters one (see the module docstring)."""
+
     degree: int
     group_label: str
     abs_disc: int
     ramification: tuple[LocalRamification, ...]
     disc_sign: int = 1
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvariantViolation(f"degree must be >= 1, got {self.degree}")
-        if self.disc_sign not in (1, -1):
-            raise InvariantViolation(f"disc sign must be 1 or -1, got {self.disc_sign}")
-        if self.abs_disc < 1:
-            raise InvariantViolation("absolute discriminant must be positive")
-        prod = 1
-        seen = set()
-        for loc in self.ramification:
-            if loc.p in seen:
-                raise InvariantViolation(f"duplicate prime {loc.p}")
-            seen.add(loc.p)
-            ct = loc.tame_cycle_type
-            if loc.kind == "tame" and ct.degree != self.degree:
-                raise InvariantViolation(
-                    f"cycle type {list(ct.parts)} on a degree-{self.degree} record"
-                )
-            prod *= loc.p**loc.disc_exponent
-        if prod != self.abs_disc:
-            raise InvariantViolation(
-                f"|disc| {self.abs_disc} != product of local parts {prod}"
-            )
 
     def local_at(self, p: int) -> LocalRamification | None:
         for loc in self.ramification:
@@ -215,15 +191,22 @@ class FieldRecord:
         }
 
 
-_new_object = object.__new__
+_SIGN_RULE = "disc sign must be 1 or -1, got {}"
 
 
-def _record_view(degree, group_label, abs_disc, ramification, disc_sign) -> FieldRecord:
-    """A FieldRecord of a checked row, built without FieldRecord's checks."""
-    rec = _new_object(FieldRecord)
-    rec.__dict__.update(degree=degree, group_label=group_label, abs_disc=abs_disc,
-                        ramification=ramification, disc_sign=disc_sign)
-    return rec
+def disc_column(abs_discs):
+    """The int64 column of these |disc|s; InvariantViolation for one not below 2^63.
+
+    One below -2^63 is held as 0, which the row rules refuse as they would it.
+    """
+    import numpy as np
+
+    top = max(abs_discs, default=0)
+    if top >= DISC_LIMIT:
+        raise InvariantViolation(f"|disc| {top} is not below 2^63")
+    if min(abs_discs, default=0) < -DISC_LIMIT:
+        abs_discs = [max(disc, 0) for disc in abs_discs]
+    return np.array(abs_discs, np.int64)
 
 
 class FieldList(Sequence):
@@ -239,31 +222,11 @@ class FieldList(Sequence):
 
     def __init__(self, records, provenance: str, x_max: int):
         """The list of these FieldRecords, which must be sorted by |disc|."""
-        import numpy as np
-
-        kinds: dict[tuple, int] = {}
-        slots: dict[int, int] = {}  # id of each entry object -> its slot
-        entries: list[LocalRamification] = []
-        discs, signs, kind_ids, counts, entry_ids = [], [], [], [], []
+        ingest = _Ingest()
         for rec in records:
-            if rec.abs_disc >= DISC_LIMIT:
-                raise InvariantViolation(f"|disc| {rec.abs_disc} is not below 2^63")
-            kind = kinds.get((rec.degree, rec.group_label))
-            if kind is None:
-                kind = kinds[rec.degree, rec.group_label] = len(kinds)
-            for loc in rec.ramification:
-                slot = slots.get(id(loc))
-                if slot is None:
-                    slot = slots[id(loc)] = len(entries)
-                    entries.append(loc)
-                entry_ids.append(slot)
-            discs.append(rec.abs_disc)
-            signs.append(rec.disc_sign)
-            kind_ids.append(kind)
-            counts.append(len(rec.ramification))
-        self._fill(provenance, x_max, np.array(discs, np.int64), np.array(signs, np.int8),
-                   tuple(kinds), np.array(kind_ids, np.int32), _offsets(counts),
-                   tuple(entries), np.array(entry_ids, np.int32))
+            ingest.append(None, ingest.kind(rec.degree, rec.group_label), rec.abs_disc,
+                          rec.disc_sign, list(map(ingest.slot_of, rec.ramification)))
+        self._fill(provenance, x_max, *ingest.columns())
         self._check()
 
     @classmethod
@@ -279,7 +242,7 @@ class FieldList(Sequence):
     def _of_columns(cls, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
                     offsets, entries, entry_ids) -> FieldList:
         """The list of these columns, unchecked."""
-        fl = _new_object(cls)
+        fl = object.__new__(cls)
         fl._fill(provenance, x_max, abs_discs, disc_signs, kinds, kind_ids, offsets,
                  entries, entry_ids)
         return fl
@@ -320,8 +283,8 @@ class FieldList(Sequence):
 
     @property
     def degrees(self) -> set:
-        """The degrees of the records."""
-        return {degree for degree, _ in self.kinds}
+        """The degrees of the records; none for a list with no rows."""
+        return {self.kinds[k][0] for k in set(self.kind_ids.tolist())}
 
     def upto(self, x: int) -> list[FieldRecord]:
         return list(map(self._view, range(self.count_upto(x))))
@@ -344,7 +307,7 @@ class FieldList(Sequence):
         degree, label = self.kinds[self.kind_ids.item(i)]
         ids = self.entry_ids[self.offsets.item(i): self.offsets.item(i + 1)].tolist()
         ram = tuple(map(self.entries.__getitem__, ids))
-        return _record_view(degree, label, self.abs_discs.item(i), ram, self.disc_signs.item(i))
+        return FieldRecord(degree, label, self.abs_discs.item(i), ram, self.disc_signs.item(i))
 
     def _take(self, rows) -> FieldList:
         """The list of these rows, in this order."""
@@ -358,26 +321,37 @@ class FieldList(Sequence):
             self.kind_ids[rows], offsets, self.entries, self.entry_ids[slots],
         )
 
-    def _bad_rows(self):
-        """Mask of the rows whose record FieldRecord's checks refuse (|disc| < 2^63)."""
+    def _bad_row(self) -> tuple[int, str] | None:
+        """The first row that breaks a row rule, and the message of its first broken rule.
+
+        The rules are the module docstring's, in its order; None when every
+        row keeps them (|disc| < 2^63).
+        """
         import numpy as np
 
         ids, offsets, signs = self.entry_ids, self.offsets, self.disc_signs
         slot_row = self.slot_rows()
-        bad = (self.abs_discs < 1) | ((signs != 1) & (signs != -1))
-        # a degree below 1; the degrees are numbered, as a parsed one may be past int64
+        # the degrees are numbered, as a parsed one may be past int64
         number: dict[int, int] = {}
         row_degree = np.array([number.setdefault(degree, len(number)) for degree, _ in self.kinds],
                               np.int64)[self.kind_ids]
-        bad |= np.array([degree < 1 for degree in number], bool)[row_degree]
-        # a tame cycle type of another degree than its row's
+        low_degree = np.array([degree < 1 for degree in number], bool)[row_degree]
+        bad_sign = (signs != 1) & (signs != -1)
+        # per slot: a prime met before in its row, a tame cycle type of another degree
+        p_ids: dict[int, int] = {}
+        p = np.array([p_ids.setdefault(loc.p, len(p_ids)) for loc in self.entries], np.int64)
+        keys = slot_row * max(len(p_ids), 1) + p[ids]
+        order = keys.argsort(kind="stable")  # by (row, p), then slot
+        repeat = np.zeros(ids.size, bool)
+        repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
         ct_degree = np.array([number.get(loc.tame_cycle_type.degree, -1) if loc.kind == "tame"
                               else -2 for loc in self.entries], np.int64)[ids]
-        bad[slot_row[(ct_degree != -2) & (ct_degree != row_degree[slot_row])]] = True
+        wrong_type = (ct_degree != -2) & (ct_degree != row_degree[slot_row])
         # p^e once per entry; one past int64 divides no |disc| < 2^63
         powers = [loc.p**loc.disc_exponent if loc.disc_exponent < 64 else DISC_LIMIT
                   for loc in self.entries]
-        bad[slot_row[np.array([q >= DISC_LIMIT for q in powers], bool)[ids]]] = True
+        off_product = np.zeros(len(self), bool)
+        off_product[slot_row[np.array([q >= DISC_LIMIT for q in powers], bool)[ids]]] = True
         powers = np.array([q if q < DISC_LIMIT else 1 for q in powers], np.int64)[ids]
         # the k-th entry of every row divides its quotient in round k
         counts = np.diff(offsets)
@@ -385,36 +359,42 @@ class FieldList(Sequence):
         for k in range(int(counts.max(initial=0))):
             rows = np.flatnonzero(counts > k)
             q = powers[offsets[rows] + k]
-            bad[rows] |= quotient[rows] % q != 0
+            off_product[rows] |= quotient[rows] % q != 0
             quotient[rows] //= q
-        bad |= quotient != 1
-        # a prime given twice in a row
-        p_ids: dict[int, int] = {}
-        p = np.array([p_ids.setdefault(loc.p, len(p_ids)) for loc in self.entries], np.int64)
-        span = max(len(p_ids), 1)
-        keys = np.sort(slot_row * span + p[ids])  # by (row, p)
-        bad[keys[1:][keys[1:] == keys[:-1]] // span] = True
-        return bad
-
-    def _refuse_bad_rows(self, lines=None):
-        """Raise the error of the first failing row, with its line if `lines` is given."""
-        import numpy as np
-
-        bad = np.flatnonzero(self._bad_rows())
-        if not bad.size:
-            return
-        i = int(bad[0])
+        off_product |= quotient != 1
+        bad = low_degree | bad_sign | (self.abs_discs < 1) | off_product
+        bad[slot_row[repeat | wrong_type]] = True
+        failing = np.flatnonzero(bad)
+        if not failing.size:
+            return None
+        i = int(failing[0])
         rec = self._view(i)
-        try:  # the column checks are FieldRecord's, so this raises
-            FieldRecord(rec.degree, rec.group_label, rec.abs_disc, rec.ramification, rec.disc_sign)
-        except InvariantViolation as exc:
-            if lines is None:
-                raise
-            raise InvariantViolation(f"line {lines[i]}: {exc}")
+        if low_degree[i]:
+            return i, f"degree must be >= 1, got {rec.degree}"
+        if bad_sign[i]:
+            return i, _SIGN_RULE.format(rec.disc_sign)
+        if rec.abs_disc < 1:
+            return i, "absolute discriminant must be positive"
+        lo, hi = offsets.item(i), offsets.item(i + 1)
+        for loc, dup, wrong in zip(rec.ramification, repeat[lo:hi], wrong_type[lo:hi]):
+            if dup:
+                return i, f"duplicate prime {loc.p}"
+            if wrong:
+                parts = list(loc.tame_cycle_type.parts)
+                return i, f"cycle type {parts} on a degree-{rec.degree} record"
+        local = prod(loc.p**loc.disc_exponent for loc in rec.ramification)
+        return i, f"|disc| {rec.abs_disc} != product of local parts {local}"
+
+    def _refuse_bad_row(self, lines=None):
+        """Raise the refusal of the first failing row, with its line if `lines` is given."""
+        bad = self._bad_row()
+        if bad is not None:
+            i, message = bad
+            raise InvariantViolation(message if lines is None else f"line {lines[i]}: {message}")
 
     def _check(self):
-        """Refuse a row that FieldRecord refuses, then rows out of order of |disc|."""
-        self._refuse_bad_rows()
+        """Refuse a row that breaks a row rule, then rows out of order of |disc|."""
+        self._refuse_bad_row()
         if (self.abs_discs[1:] < self.abs_discs[:-1]).any():
             raise InvariantViolation("records must be sorted by |disc|")
 
@@ -472,43 +452,59 @@ def _new_entry(key: tuple, cycle_types: dict) -> LocalRamification:
 
 
 class _Ingest:
-    """The columns of the lines parsed so far, and the entries met so far.
+    """The columns of the rows met so far, and the entries met so far.
 
     `slots` maps the key (p, kind, parts or label, exp or None) of each
-    entry met to its slot in `entries`, and `kinds` each (degree, group) met
-    to its index.  On frame lines, `texts` maps each entry text met to its
-    slot, and `heads` each (degree text, group) met to its kind.
+    parsed entry to its slot in `entries`, `ids` the id of each entry object
+    given whole to its slot, and `kinds` each (degree, group) met to its
+    index.  On frame lines, `texts` maps each entry text met to its slot,
+    and `heads` each (degree text, group) met to its kind.
     """
 
     def __init__(self):
         self.entries: list[LocalRamification] = []
         self.slots: dict[tuple, int] = {}
+        self.ids: dict[int, int] = {}
         self.cycle_types: dict[tuple[int, ...], CycleType] = {}
         self.texts: dict[str, int] = {}
         self.heads: dict[tuple[str, str], int] = {}
         self.kinds: dict[tuple, int] = {}
-        self.discs, self.kind_ids, self.counts, self.entry_ids, self.lines = [], [], [], [], []
+        self.discs, self.signs, self.kind_ids, self.counts = [], [], [], []
+        self.entry_ids, self.lines = [], []
 
     def kind(self, degree: int, group: str) -> int:
         return self.kinds.setdefault((degree, group), len(self.kinds))
 
-    def append(self, lineno: int, kind: int, disc: int, slots: list[int]):
-        self.discs.append(disc)
+    def slot_of(self, loc: LocalRamification) -> int:
+        """The slot of this entry object, which every row that gives it shares."""
+        slot = self.ids.get(id(loc))
+        if slot is None:  # `entries` keeps loc, so its id is not reused
+            slot = self.ids[id(loc)] = len(self.entries)
+            self.entries.append(loc)
+        return slot
+
+    def append(self, lineno: int | None, kind: int, abs_disc: int, sign: int, slots: list[int]):
+        self.discs.append(abs_disc)
+        self.signs.append(sign)
         self.kind_ids.append(kind)
         self.counts.append(len(slots))
         self.entry_ids += slots
         self.lines.append(lineno)
 
-    def field_list(self, x_max) -> FieldList:
-        """The rows so far, in line order."""
+    def columns(self) -> tuple:
+        """The columns of the rows so far, in order, as `FieldList.from_columns` takes them."""
         import numpy as np
 
-        discs = np.array(self.discs, np.int64)
-        return FieldList._of_columns(
-            "ingested", x_max, np.abs(discs), np.where(discs > 0, 1, -1).astype(np.int8),
-            tuple(self.kinds), np.array(self.kind_ids, np.int32), _offsets(self.counts),
-            tuple(self.entries), np.array(self.entry_ids, np.int32),
-        )
+        for sign in (min(self.signs, default=0), max(self.signs, default=0)):
+            if not -128 <= sign < 128:  # past int8; the row rules refuse 0, 2 and the like
+                raise InvariantViolation(_SIGN_RULE.format(sign))
+        return (disc_column(self.discs), np.array(self.signs, np.int8), tuple(self.kinds),
+                np.array(self.kind_ids, np.int32), _offsets(self.counts), tuple(self.entries),
+                np.array(self.entry_ids, np.int32))
+
+    def field_list(self, x_max) -> FieldList:
+        """The rows parsed so far, in line order."""
+        return FieldList._of_columns("ingested", x_max, *self.columns())
 
     def entry(self, r, lineno: int) -> int:
         """The slot of the shared, validated entry of the decoded ramification entry `r`."""
@@ -549,7 +545,7 @@ class _Ingest:
             slots = [self.entry(r, lineno) for r in ram_objs]
         except TypeError as exc:  # "ram" is not iterable
             raise MalformedLine(lineno, f"bad ramification entry: {exc}")
-        self.append(lineno, self.kind(degree, group), disc, slots)
+        self.append(lineno, self.kind(degree, group), abs(disc), -1 if disc < 0 else 1, slots)
 
     def frame_line(self, match: re.Match, lineno: int) -> bool:
         """Append the record of a line in `_LINE_FRAME`; False to decode it whole.
@@ -587,7 +583,7 @@ class _Ingest:
         else:
             if not 0 < abs(disc) < DISC_LIMIT:
                 _check_disc(disc, lineno)
-        self.append(lineno, kind, disc, slots)
+        self.append(lineno, kind, abs(disc), -1 if disc < 0 else 1, slots)
         return True
 
 
@@ -633,10 +629,10 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     except Exception:
         # whatever stopped the parse, a record check that fails on an
         # earlier line comes first, as when each record was checked as read
-        ingest.field_list(x_max)._refuse_bad_rows(ingest.lines)
+        ingest.field_list(x_max)._refuse_bad_row(ingest.lines)
         raise
     fl = ingest.field_list(x_max)
-    fl._refuse_bad_rows(ingest.lines)
+    fl._refuse_bad_row(ingest.lines)
     discs = fl.abs_discs
     largest = int(discs.max()) if discs.size else 0
     if (discs[1:] < discs[:-1]).any():

@@ -33,7 +33,7 @@ def _jsonl(field_list) -> str:
 
 
 def _checked(field_list) -> FieldList:
-    """The list the constructor makes of checked FieldRecords equal to the views."""
+    """The list the constructor makes of hand-built FieldRecords equal to the views."""
     recs = [FieldRecord(r.degree, r.group_label, r.abs_disc, r.ramification, r.disc_sign)
             for r in field_list]
     return FieldList(records=recs, provenance=field_list.provenance, x_max=field_list.x_max)
@@ -123,6 +123,10 @@ def test_a_disc_past_int64_is_refused_where_it_enters_a_list():
             with pytest.raises(MalformedLine, match=r"9223372036854775808 is not below 2\^63") as exc:
                 parse_field_file(io.StringIO(good + "\n" + line))
             assert exc.value.lineno == 3
+    # an "absolute" disc below -2^63 is refused as any other below 1
+    low = FieldRecord(3, "S3", -(2**70), (), 1)
+    with pytest.raises(InvariantViolation, match="^absolute discriminant must be positive$"):
+        FieldList(records=(low,), provenance="ingested", x_max=2**63)
 
 
 def test_parse_raises_the_first_bad_line_whatever_its_kind():
@@ -160,8 +164,8 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
 
 def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
     """A composite p and a tame cycle type of another degree than its record's
-    are refused by hand-built records, the constructor's columns and
-    `from_columns`, with the parser's message text."""
+    are refused by the constructor and `from_columns`, with the parser's
+    message text."""
 
     def columns(entry, disc):
         return (np.array([disc]), np.array([-1], np.int8), ((3, "S3"),), np.zeros(1, np.int32),
@@ -180,9 +184,7 @@ def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
                               "ram": [{"p": 23, "kind": "tame", "cycle_type": [2, 1, 1]}]})
     assert message == "cycle type [2, 1, 1] on a degree-3 record"
     for make in (
-        lambda: FieldRecord(3, "S3", 23, (quartic,), -1),
-        # a view skips the record's checks, so the constructor's columns decide
-        lambda: FieldList(records=(records._record_view(3, "S3", 23, (quartic,), -1),),
+        lambda: FieldList(records=(FieldRecord(3, "S3", 23, (quartic,), -1),),
                           provenance="x", x_max=99),
         lambda: FieldList.from_columns("x", 99, *columns(quartic, 23)),
     ):
@@ -210,13 +212,13 @@ def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
 
 def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     made = []
-    real = records._record_view
+    real = FieldList._view
 
-    def counted(*args):
-        made.append(args[2])
-        return real(*args)
+    def counted(self, i):
+        made.append(i)
+        return real(self, i)
 
-    monkeypatch.setattr(records, "_record_view", counted)
+    monkeypatch.setattr(FieldList, "_view", counted)
     cubics = parse_field_file(io.StringIO(_jsonl(enumerate_cubic(10**4))), x_max=10**4)
     cyclics = parse_field_file(io.StringIO(_jsonl(enumerate_cyclic(3, 10**4))), x_max=10**4)
     assert made == []
@@ -226,6 +228,24 @@ def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     # one view per composing K and per composed L; admissibility reads the kinds
     assert len(pairs) > 100
     assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs})
+
+
+def test_every_empty_list_has_no_degree_and_windows_nothing():
+    """An empty list, however it is made, fixes no window on the other side.
+
+    No K lies in the window below, so the count is zeros whatever the
+    C3 list's reach; the cubic list to 10 once kept the degree of its kinds
+    table and asked the C3 list to reach 10.
+    """
+    empties = [enumerate_cubic(1), enumerate_cubic(10), enumerate_cyclic(3, 5),
+               parse_field_file(io.StringIO(""), x_max=10),
+               FieldList(records=(), provenance="x", x_max=10)]
+    assert all(len(fl) == 0 and fl.degrees == set() for fl in empties)
+    assert enumerate_cubic(1).kinds == enumerate_cubic(10).kinds == ((3, "S3"),)
+    assert enumerate_cyclic(3, 5).kinds == ((3, "C3"),)
+    for k_list in (enumerate_cubic(1), enumerate_cubic(10)):
+        rep = count_pairs(k_list, enumerate_cyclic(3, 5), 1000)
+        assert set(rep.n_lo) == set(rep.n_hi) == {0}
 
 
 def _label(loc) -> str:

@@ -334,12 +334,14 @@ def test_parse_refuses_a_degree_below_one(degree):
             parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(line)))
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2])
+@pytest.mark.parametrize("sign", [0, 2, -2, 2**70])
 def test_record_refuses_a_disc_sign_other_than_one_or_minus_one(sign):
-    # disc_sign 0 was written as "disc": 0, which the parser refuses
+    # disc_sign 0 was written as "disc": 0, which the parser refuses; the
+    # list refuses the record, and 2**70, past the int8 column, the same way
     rec = _hand_built_record()
-    with pytest.raises(InvariantViolation, match="disc sign"):
-        FieldRecord(rec.degree, rec.group_label, rec.abs_disc, rec.ramification, sign)
+    bad = FieldRecord(rec.degree, rec.group_label, rec.abs_disc, rec.ramification, sign)
+    with pytest.raises(InvariantViolation, match=f"disc sign must be 1 or -1, got {sign}"):
+        FieldList(records=(bad,), provenance="x", x_max=99)
 
 
 # -- cyclic ------------------------------------------------------------------
