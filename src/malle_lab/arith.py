@@ -8,6 +8,9 @@
 - `divisors(n)`: the divisors of n, ascending, by trial division to sqrt(n);
 - `is_squarefree(q)`, `prime_factors(q)`: read off `factor`.
 
+Both sieves refuse n > SIEVE_LIMIT = 2^31 - 1 (ValueError) before they
+allocate: an array('i') entry holds no larger value.
+
 `factor`, `divisors`, `is_squarefree` and `prime_factors` take n >= 1;
 callers check that first.  `fields.polysearch` keeps its own divisor and
 valuation helpers: it is the independent oracle for the cubic enumerator,
@@ -30,6 +33,8 @@ __all__ = [
     "is_squarefree",
     "prime_factors",
 ]
+
+SIEVE_LIMIT = 2**31 - 1  # the largest n that primes_upto and spf_table take
 
 # Miller-Rabin with these bases decides primality of every n < 3.18e23
 # (Sorenson and Webster); larger n only pass as strong probable primes.
@@ -87,8 +92,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_sieve(n: int) -> None:
+    if n > SIEVE_LIMIT:
+        raise ValueError(f"a sieve to {n} is past its limit {SIEVE_LIMIT} (2^31 - 1)")
+
+
 def primes_upto(n: int) -> list[int]:
     """The primes <= n, ascending."""
+    _check_sieve(n)
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -101,6 +112,7 @@ def primes_upto(n: int) -> list[int]:
 
 def spf_table(n: int) -> array:
     """spf[m] = the smallest prime factor of m for 2 <= m <= n (4 bytes an entry)."""
+    _check_sieve(n)
     spf = array("i", range(n + 1))
     # descending, so that the smallest prime of each m is written last
     for p in reversed(primes_upto(isqrt(n))):

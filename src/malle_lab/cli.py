@@ -6,8 +6,9 @@ Every report goes to stdout, or to the file named by `--out`.
 
 Exit codes: 0 success, 1 verification failure, 2 input or usage error: a bad
 flag value, a file that cannot be opened, read or written (missing, a
-directory, no permission), or a malformed input file (JSONL field list, wild
-table, r_k table or scheme), reported as one `error:` line on stderr.
+directory, no permission), a malformed input file (JSONL field list, wild
+table, r_k table or scheme) or an input too large for memory, reported as
+one `error:` line on stderr.  `_exact_int` reads every integer in a flag.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _cmd_abelian_uniformity(args) -> int:
     from .fields.uniformity import abelian_uniformity_check
 
     bound = _finite(args.bound, "--bound")
-    qs = [int(t) for t in args.q.split(",")]
+    qs = [_exact_int(t) for t in args.q.split(",")]
     rep = abelian_uniformity_check(args.l, qs, _exact_int(args.x))
     payload = {
         "a": rep.a,
@@ -263,7 +264,7 @@ def _cmd_count_pairs(args) -> int:
         ab_list = parse_field_file(fh, x_max=args.ab_xmax)
     wild = _read_json(args.wild, WildTable.from_json) if args.wild else WildTable()
     x = _exact_int(args.x)
-    y_ladder = tuple(int(t) for t in args.y_ladder.split(",")) if args.y_ladder else ()
+    y_ladder = tuple(_exact_int(t) for t in args.y_ladder.split(",")) if args.y_ladder else ()
     rep = count_pairs(
         sn_list,
         ab_list,
@@ -306,8 +307,8 @@ def _cmd_sieve_exp(args) -> int:
     from .sieve import AffineScheme, scaling_experiment
 
     scheme = _read_json(args.scheme, AffineScheme.from_json)
-    r_grid = [int(t) for t in args.r.split(",")]
-    q_grid = [int(t) for t in args.q.split(",")]
+    r_grid = [_exact_int(t) for t in args.r.split(",")]
+    q_grid = [_exact_int(t) for t in args.q.split(",")]
     rep = scaling_experiment(scheme, r_grid, q_grid)
     rows = [(r, q, c) for r, q, c in rep.entries]
     rows.append(("# fitted_q_exponent", rep.fitted_q_exponent, ""))
@@ -416,6 +417,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, MalleLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_INPUT
 
 

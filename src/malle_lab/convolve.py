@@ -3,16 +3,17 @@
 P_{a,b}(X) = #{(s1, s2) : s_i in S_i, s1^a * s2^b <= X} for multisets of
 positive integers S_i with counting functions F_i(X) ~ A_i X^{n_i} ln^{r_i} X.
 
-Exact counts use a hyperbola split: with integer exponents alpha = a*L,
-beta = b*L and threshold X' = X^L (L clearing both denominators),
+Exact counts use a hyperbola split on integers, made once: alpha = a*L,
+beta = b*L and X^L = num/den, with L the least common denominator of a, b.
+As s^beta is an integer, s^beta <= num/(den s1^alpha) exactly when
+s <= iroot(num // (den s1^alpha), beta); so
 
-    P = sum_{s1 <= t1} m1(s1) F2*(X'/s1^alpha)
-      + sum_{s2 <= t2} m2(s2) F1*(X'/s2^beta)
-      - F1*(t1-cap) F2*(t2-cap),
+    P = sum_{s1 <= t1} m1(s1) F2(iroot(num // (den s1^alpha), beta))
+      + sum_{s2 <= t2} m2(s2) F1(iroot(num // (den s2^beta), alpha))
+      - F1(t1) F2(t2),
 
-where t_i is the largest value with t_i^{2*exp} <= X', so each loop runs to
-roughly the square root of the window and every threshold comparison is an
-integer comparison.
+with t1 = iroot(num // den, 2 alpha) and t2 = iroot(num // den, 2 beta):
+each loop runs to roughly the square root of the window.
 
 Asymptotically, `predict_unequal` keeps the steeper of two forms with
 unequal slopes n1/a > n2/b and scales its coefficient by the convergent
@@ -48,14 +49,6 @@ __all__ = [
     "empirical_fit",
     "FitResult",
 ]
-
-
-def _max_value_with_pow_le(exp: int, bound: Fraction) -> int:
-    """Largest integer v >= 0 with v^exp <= bound."""
-    if bound < 1:
-        return 0
-    # v^exp is an integer, so v^exp <= bound exactly when v^exp <= floor(bound)
-    return iroot(bound.numerator // bound.denominator, exp)
 
 
 class CountingSequence:
@@ -122,10 +115,6 @@ class CountingSequence:
         idx = bisect.bisect_right(self._values, v)
         return self._prefix[idx - 1] if idx else 0
 
-    def count_pow_le(self, exp: int, bound: Fraction) -> int:
-        """#{s : s^exp <= bound}."""
-        return self.count_upto(_max_value_with_pow_le(exp, bound))
-
     def iter_upto(self, v: int):
         """Yield (value, multiplicity) for values <= v."""
         if self.rule == "integers":
@@ -171,17 +160,16 @@ def product_count_exact(s1: CountingSequence, s2: CountingSequence, a, b, x) -> 
         return 0
     if s1.is_empty() or s2.is_empty():
         return 0
-    lcm_den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    alpha = int(a * lcm_den)
-    beta = int(b * lcm_den)
-    xp = x**lcm_den
-    t1 = _max_value_with_pow_le(2 * alpha, xp)
-    t2 = _max_value_with_pow_le(2 * beta, xp)
+    lcm_den = math.lcm(a.denominator, b.denominator)
+    alpha, beta = int(a * lcm_den), int(b * lcm_den)
+    num, den = x.numerator**lcm_den, x.denominator**lcm_den  # X' = num / den
+    t1 = iroot(num // den, 2 * alpha)
+    t2 = iroot(num // den, 2 * beta)
     total = 0
     for v, m in s1.iter_upto(t1):
-        total += m * s2.count_pow_le(beta, xp / v**alpha)
+        total += m * s2.count_upto(iroot(num // (den * v**alpha), beta))
     for v, m in s2.iter_upto(t2):
-        total += m * s1.count_pow_le(alpha, xp / v**beta)
+        total += m * s1.count_upto(iroot(num // (den * v**beta), alpha))
     total -= s1.count_upto(t1) * s2.count_upto(t2)
     return total
 
@@ -189,13 +177,14 @@ def product_count_exact(s1: CountingSequence, s2: CountingSequence, a, b, x) -> 
 def product_count_brute(s1: CountingSequence, s2: CountingSequence, a, b, x) -> int:
     """O(|S1|*|S2|) reference double loop (test oracle)."""
     a, b, x = _exact_fraction(a), _exact_fraction(b), _exact_fraction(x)
+    if x < 1:
+        return 0  # s1^a s2^b >= 1
     lcm_den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
     alpha, beta, xp = int(a * lcm_den), int(b * lcm_den), x**lcm_den
-    v1max = _max_value_with_pow_le(alpha, xp)
     total = 0
-    for v1, m1 in s1.iter_upto(v1max):
+    for v1, m1 in s1.iter_upto(iroot(math.floor(xp), alpha)):
         lhs = v1**alpha
-        for v2, m2 in s2.iter_upto(_max_value_with_pow_le(beta, xp / lhs)):
+        for v2, m2 in s2.iter_upto(iroot(math.floor(xp / lhs), beta)):
             if lhs * v2**beta <= xp:
                 total += m1 * m2
     return total
@@ -235,18 +224,20 @@ class CsumResult:
     tail_estimate: float
 
 
+DIVERGENCE_TOL = 0.05  # csum's largest relative move over the last doubling of X
+
+
 def csum(
     s2: CountingSequence,
     b,
     n1_over_a,
     r1: int,
     x,
-    divergence_tol: float = 0.05,
 ) -> CsumResult:
     """C(X) = sum_{m^b <= X} (b_m / m^{b*n1/a}) (1 - ln m^b / ln X)^{r1}.
 
     Monotone in X; DivergenceSuspected if the last doubling of X moved the
-    sum by more than divergence_tol relative.  The tail estimate extrapolates
+    sum by more than DIVERGENCE_TOL relative.  The tail estimate extrapolates
     the doubling increments geometrically (the integral comparison gives a
     geometric decay once b*n1/a exceeds the growth exponent of S2).
     """
@@ -258,9 +249,8 @@ def csum(
     beta = float(b * n1_over_a)
 
     def partial(upper: float) -> float:
-        vmax = _max_value_with_pow_le(
-            b.numerator, Fraction(upper).limit_denominator(10**15) ** b.denominator
-        )
+        u = Fraction(upper).limit_denominator(10**15) ** b.denominator
+        vmax = iroot(u.numerator // u.denominator, b.numerator)
         ln_upper = math.log(upper) if upper > 1 else 0.0
         total = 0.0
         for v, m in s2.iter_upto(vmax):
@@ -276,7 +266,7 @@ def csum(
     c_half = partial(x / 2)
     c_full = partial(x)
     inc = c_full - c_half
-    if c_full > 0 and inc > divergence_tol * c_full:
+    if c_full > 0 and inc > DIVERGENCE_TOL * c_full:
         raise DivergenceSuspected(
             f"last doubling moved C(X) by {inc:.3g} (value {c_full:.3g})"
         )
@@ -298,8 +288,12 @@ class FitResult:
 
 
 def empirical_fit(counts, exponent, logpower: int) -> FitResult:
-    """Fit N(X) / (X^e ln^r X) to a constant over the top decade of X."""
-    pts = sorted((float(x), float(n)) for x, n in counts)
+    """Fit N(X) / (X^e ln^r X) to a constant over the top decade of X; InsufficientData
+    for fewer than 8 points, a span under 3 decades or a point past the float range."""
+    try:
+        pts = sorted((float(x), float(n)) for x, n in counts)
+    except OverflowError:
+        raise InsufficientData("a point lies outside the float range") from None
     if len(pts) < 8:
         raise InsufficientData(f"need >= 8 points, got {len(pts)}")
     if pts[0][0] <= 0 or pts[-1][0] / pts[0][0] < 10**3:

@@ -1,12 +1,13 @@
 """Pair counting for S_n x A: compositum discriminants, truncations, tails.
 
-For a pair (K, L) with linearly disjoint Galois closures the compositum
-discriminant is a product of local factors: at a prime tame in both fields
-the exponent is product_index_general of the two inertia cycle types (the
-unramified side contributing the identity type, which collapses to
-Disc_p(K)^degL resp. Disc_p(L)^degK); at a prime wild in at least one field
-with both ramified, the exponent comes from a user-supplied wild table in
-exact mode, or from the interval
+For a pair (K, L) with linearly disjoint Galois closures, Disc(KL) is the
+product bound Disc(K)^degL * Disc(L)^degK divided by the deficit
+p^(degL vK + degK vL - e) at each prime p ramified in both fields, where vK,
+vL and e are the exponents of p in Disc(K), Disc(L) and Disc(KL); a prime
+ramified in one field only has no deficit.  At a shared prime tame in both
+fields, e is product_index_general of the two inertia cycle types; at one
+wild in at least one field, e comes from a user-supplied wild table in exact
+mode, or from the interval
 
     [max(degL * vK, degK * vL), degL * vK + degK * vL]
 
@@ -15,11 +16,13 @@ included: the upper end is the product bound, and the lower end is the
 tower bound, since Disc(KL) = Disc(K)^[KL:K] * N_{K/Q}(d_{KL/K}) (Serre,
 Local Fields, III.4) with [KL:K] = degL, and symmetrically for L.  So the
 interval counts [n_lo, n_hi] bracket N(X), and a wild-table entry outside
-the interval raises InvariantViolation where it is used.
+the interval raises InvariantViolation where it is used.  Records are rows
+of checked field lists: |disc| = prod p^e, and no p appears twice.  That is
+what lets the bound stand in for the product rule at every prime.
 
-Disc_Y replaces the local factor by the product bound above the cutoff Y,
-so Disc_Y >= Disc and the truncated counts N_Y(X) increase to N(X) with Y.
-d_Sigma is the exact ratio product-bound / Disc_Y over the primes <= Y.
+Disc_Y takes no deficit above the cutoff Y, so Disc_Y >= Disc and the
+truncated counts N_Y(X) increase to N(X) with Y.  d_Sigma is the exact
+ratio product-bound / Disc_Y, the deficits at the shared primes <= Y.
 
 Pair counts split on shared ramification.  When Disc(K) and Disc(L) share
 no ramified prime, every prime is ramified on one side only, so every local
@@ -57,6 +60,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 from . import convolve
 from .arith import iroot, primes_upto
@@ -64,6 +68,7 @@ from .convolve import CountingSequence, FitResult, empirical_fit
 from .errors import (
     InadmissiblePair,
     IncompleteList,
+    InsufficientData,
     InvariantViolation,
     LemmaFails,
     MissingWildEntry,
@@ -141,31 +146,15 @@ def _check_labels(k_label: str, k_degree: int, l_label: str, l_degree: int) -> N
         raise InadmissiblePair(f"|A| = {l_degree} not coprime to {COPRIMALITY[n]} for n = {n}")
 
 
-def _local_exponent(
-    k_rec: FieldRecord,
-    l_rec: FieldRecord,
-    p: int,
-    wild: WildTable,
-    mode: str,
-    y: int | None = None,
-) -> tuple[int, int]:
-    """(lo, hi) exponent of p in Disc(KL); lo == hi when exact.
-
-    Above the cutoff y (when given) the exponent is the product rule.
-    """
-    m, n = k_rec.degree, l_rec.degree  # degK, degL
-    k_loc = k_rec.local_at(p)
-    l_loc = l_rec.local_at(p)
-    vk = k_loc.disc_exponent if k_loc else 0
-    vl = l_loc.disc_exponent if l_loc else 0
-    if k_loc is None or l_loc is None or y is not None and p > y:
-        # one inertia trivial (exact product rule), or truncated above y
-        e = n * vk + m * vl
-        return e, e
+def _local_exponent(k_loc: LocalRamification, l_loc: LocalRamification, m: int, n: int,
+                    wild: WildTable, mode: str) -> tuple[int, int]:
+    """(lo, hi) exponent of p in Disc(KL) from the entries of K and L (degrees m
+    and n) at a prime p ramified in both; lo == hi when exact."""
     if k_loc.kind == "tame" and l_loc.kind == "tame":
         e = product_index_general(k_loc.tame_cycle_type, l_loc.tame_cycle_type)
         return e, e
-    # wild on at least one ramified side: the product and tower bounds
+    # wild on at least one side: the product and tower bounds
+    vk, vl = k_loc.disc_exponent, l_loc.disc_exponent
     hi = n * vk + m * vl
     lo = max(n * vk, m * vl)
     if mode == "interval":
@@ -173,11 +162,11 @@ def _local_exponent(
     e = wild.lookup(_tame_key(k_loc), _tame_key(l_loc))
     if e is None:
         raise MissingWildEntry(
-            f"no wild entry for ({_tame_key(k_loc)}, {_tame_key(l_loc)}) at p={p}"
+            f"no wild entry for ({_tame_key(k_loc)}, {_tame_key(l_loc)}) at p={k_loc.p}"
         )
     if not lo <= e <= hi:
         raise InvariantViolation(
-            f"wild exponent {e} at p={p} outside [{lo}, {hi}], the tower and product bounds"
+            f"wild exponent {e} at p={k_loc.p} outside [{lo}, {hi}], the tower and product bounds"
         )
     return e, e
 
@@ -185,15 +174,22 @@ def _local_exponent(
 def _compose(
     k_rec: FieldRecord, l_rec: FieldRecord, wild: WildTable, mode: str, y: int | None = None
 ):
-    """The product of the local factors of Disc(KL), cut off above y when given."""
+    """The product bound over the deficit at each shared prime (<= y, when given)."""
     if mode not in ("exact", "interval"):
         raise ValueError("mode must be exact or interval")
     _check_labels(k_rec.group_label, k_rec.degree, l_rec.group_label, l_rec.degree)
-    lo = hi = 1
-    for p in sorted({loc.p for loc in (*k_rec.ramification, *l_rec.ramification)}):
-        elo, ehi = _local_exponent(k_rec, l_rec, p, wild, mode, y)
-        lo *= p**elo
-        hi *= p**ehi
+    m, n = k_rec.degree, l_rec.degree
+    l_at = {loc.p: loc for loc in l_rec.ramification}
+    lo = hi = disc_product_bound(k_rec, l_rec)
+    for k_loc in sorted((loc for loc in k_rec.ramification if loc.p in l_at), key=attrgetter("p")):
+        p = k_loc.p
+        if y is not None and p > y:
+            break
+        l_loc = l_at[p]
+        elo, ehi = _local_exponent(k_loc, l_loc, m, n, wild, mode)
+        full = n * k_loc.disc_exponent + m * l_loc.disc_exponent
+        lo //= p ** (full - elo)
+        hi //= p ** (full - ehi)
     return lo if mode == "exact" else (lo, hi)
 
 
@@ -440,11 +436,10 @@ def count_pairs(
     # n * a(A) >= 3|A|/2 > |A|, the S_n side has the larger slope, 1/|A| =
     # 1/degL, and the log power is b(S_n) - 1 = 0
     exponent = Fraction(1, deg_l)
-    fit = None
-    if len(grid) >= 8 and grid[-1] / grid[0] >= 10**3:
-        counts = [(g, c) for g, c in zip(grid, n_lo) if c > 0]
-        if len(counts) >= 8 and counts[-1][0] / counts[0][0] >= 10**3:
-            fit = empirical_fit(counts, exponent, 0)
+    try:
+        fit = empirical_fit([(g, c) for g, c in zip(grid, n_lo) if c > 0], exponent, 0)
+    except InsufficientData:
+        fit = None
     return CountReport(
         grid=grid,
         n_lo=n_lo,

@@ -79,12 +79,12 @@ b > 0, 3bd <= c^2 - P (that is R >= P); for disc < 0 it is the Re phi window
 cut to disc >= -X.  Only two things stay per form: the exact rational-root
 test and canonical_form on the boundary of the positive domain.  numpy is
 imported inside these functions, on the first enumeration, so importing this
-module does not load it.  A task returns its canonical forms, their discs
-and the codes of their local entries.  The parent sorts and dedups them and
-makes the FieldList's columns straight from the sorted arrays: |disc|, sign,
-row offsets, and the np.unique codes of the rows' entries as indices into
-the list's entries.  It builds no record; the list checks its columns once
-(see `records`).
+module does not load it.  A task returns its canonical forms, their discs,
+their entries' codes and each form's entry count.  The parent sorts and
+dedups them and makes the FieldList's columns straight from the sorted
+arrays: |disc|, sign, row offsets, and the np.unique codes of the rows'
+entries as indices into the list's entries.  It builds no record; the list
+checks its columns once (see `records`).
 
 int64.  Every intermediate of the array code is bounded through the search
 bounds, each increasing in X, so it is enough to bound them at
@@ -162,10 +162,12 @@ a unimodular change of variables (which keeps D) would move its root to
 D = 18abcd + b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 has two of those factors, so
 p^2 | D.  So only the rows with v_p(D) >= 2 look for the multiple root, and
 they decide both maximality and e; a form with a failing row is dropped
-with all its rows.  The entry at p depends only on (p, v_p(disc), e), so a
-row carries it as one integer code, and the parent builds each distinct
-entry once from its code, as the list's table of entries (at 1e5, 4,367
-entries for the 55,341 entry slots of 21,794 fields), for any worker count.
+with all its rows.  The entry at p is wild where p | e, else tame with
+exponent v_p(D), which only the entry rules check (against ind of the cycle
+type).  It depends only on (p, v_p(disc), e), so a row carries it as one
+integer code, and the parent builds each distinct entry once from its code,
+as the list's table of entries (at 1e5, 4,367 entries for the 55,341 entry
+slots of 21,794 fields), for any worker count.
 
 Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
 in the class of F and keeps disc.  It maps each reduced set to itself: for
@@ -200,11 +202,10 @@ from array import array
 from functools import cache
 from math import gcd, isqrt
 
-from ..arith import divisors, factor, iroot, spf_table
-from ..errors import InvariantViolation
+from ..arith import SIEVE_LIMIT, divisors, factor, iroot, spf_table
 from ..permgroup import CycleType
 from ..util import pmap
-from .records import FieldList, LocalRamification
+from .records import FieldList, LocalRamification, _offsets
 
 __all__ = ["disc_form", "hessian", "enumerate_cubic", "canonical_form"]
 
@@ -447,18 +448,13 @@ def _factor_rows(n, spf):
 
 
 def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
-    """The entry at p of a field with v_p(disc) = v, totally ramified when `triple`."""
-    if not triple:
-        if p == 2:
-            return LocalRamification(p=2, kind="wild", disc_exponent=v, wild_label=f"2-e2-v{v}")
-        if v != 1:
-            raise InvariantViolation(f"tame e=2 at p={p} but v_p(disc)={v}")
-        return LocalRamification(p=p, kind="tame", disc_exponent=1, tame_cycle_type=_TAME_2_1)
-    if p == 3:
-        return LocalRamification(p=3, kind="wild", disc_exponent=v, wild_label=f"3-e3-v{v}")
-    if v != 2:
-        raise InvariantViolation(f"tame e=3 at p={p} but v_p(disc)={v}")
-    return LocalRamification(p=p, kind="tame", disc_exponent=2, tame_cycle_type=_TAME_3)
+    """The entry at p of a field with v_p(disc) = v and e = 3 when `triple`, else 2:
+    wild where p | e, else tame with exponent v (the entry rules check it)."""
+    e = 3 if triple else 2
+    if p == e:
+        return LocalRamification(p=p, kind="wild", disc_exponent=v, wild_label=f"{p}-e{e}-v{v}")
+    cycle_type = _TAME_3 if triple else _TAME_2_1
+    return LocalRamification(p=p, kind="tame", disc_exponent=v, tame_cycle_type=cycle_type)
 
 
 def _entry_code(p, v, triple):
@@ -488,9 +484,7 @@ def is_maximal(f: Form) -> bool:
 
 # -- enumeration -------------------------------------------------------------
 
-# x above this refused: spf_table(x) is an array('i'), and the int64 bounds of
-# the module docstring are proved at X = 2^31 - 1
-X_LIMIT = 2**31 - 1
+X_LIMIT = SIEVE_LIMIT  # x above it refused: the int64 bounds above are proved at it
 
 
 def _ranges(lo, hi):
@@ -620,11 +614,11 @@ _spf: array | None = None
 
 
 def _collect_chunk(args):
-    """(forms, discs, codes, offsets) for the S_3 fields of the task (x, sign, a).
+    """(forms, discs, codes, counts) for the S_3 fields of the task (x, sign, a).
 
     forms is an (n, 4) array of canonical forms and discs their discs;
-    codes[offsets[k]:offsets[k + 1]] are the `_entry_code`s of form k, in
-    ascending p.
+    codes holds the `_entry_code`s of the forms in turn, counts[k] of them
+    for form k, in ascending p.
     """
     import numpy as np
 
@@ -661,9 +655,7 @@ def _collect_chunk(args):
         edge = np.flatnonzero(~inside)
         if edge.size:
             forms[edge] = [canonical_form(g) for g in map(tuple, forms[edge].tolist())]
-    offsets = np.zeros(counts.size + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return forms, dsc, codes, offsets
+    return forms, dsc, codes, counts
 
 
 def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
@@ -686,8 +678,7 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
         chunks = pmap(_collect_chunk, tasks, workers)
     finally:
         _spf = None
-    forms, discs, codes = (np.concatenate(col) for col in list(zip(*chunks))[:3])
-    counts = np.concatenate([np.diff(chunk[3]) for chunk in chunks])
+    forms, discs, codes, counts = map(np.concatenate, zip(*chunks))
     del chunks
     order = np.lexsort((*forms.T[::-1], discs > 0, np.abs(discs)))
     # one field per run of equal canonical forms
@@ -699,11 +690,9 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
     ends = np.cumsum(counts)
     _, rows = _ranges((ends - counts)[order], ends[order] - 1)  # their rows, in order
     codes, entry_ids = np.unique(codes[rows], return_inverse=True)
-    offsets = np.zeros(order.size + 1, np.int64)
-    np.cumsum(counts[order], out=offsets[1:])
     discs = discs[order]
     return FieldList.from_columns(
         "enumerated", x, np.abs(discs), np.sign(discs).astype(np.int8), ((3, "S3"),),
-        np.zeros(order.size, np.int32), offsets, tuple(map(_code_entry, codes.tolist())),
-        entry_ids.astype(np.int32),
+        np.zeros(order.size, np.int32), _offsets(counts[order]),
+        tuple(map(_code_entry, codes.tolist())), entry_ids.astype(np.int32),
     )

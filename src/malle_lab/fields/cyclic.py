@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..arith import divisors, factor, iroot, is_prime, primes_upto
 from ..permgroup import CycleType
-from .records import FieldList, LocalRamification, disc_column
+from .records import FieldList, LocalRamification, _offsets, disc_column
 
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
 
@@ -69,7 +69,7 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
     return FieldList.from_columns(
         "enumerated", x, disc_column(discs), np.ones(len(discs), np.int8),
         ((l, f"C{l}"),), np.zeros(len(discs), np.int32),
-        np.cumsum([0] + counts, dtype=np.int64), tuple(entries), np.array(entry_ids, np.int32),
+        _offsets(counts), tuple(entries), np.array(entry_ids, np.int32),
     )
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from malle_lab.arith import (
+    SIEVE_LIMIT,
     divisors,
     factor,
     iroot,
@@ -66,3 +67,13 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(25326001)
     assert not is_prime(3215031751)
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
+def test_sieves_refuse_past_their_limit_before_they_allocate():
+    # 1e12 would be a terabyte bytearray and 4 TB of array('i'): the refusal
+    # must come first, as a ValueError the CLI reports with exit code 2
+    for sieve in (primes_upto, spf_table):
+        for n in (10**12, SIEVE_LIMIT + 1):
+            with pytest.raises(ValueError, match=r"past its limit 2147483647 \(2\^31 - 1\)"):
+                sieve(n)
+    assert SIEVE_LIMIT == 2**31 - 1

@@ -519,3 +519,80 @@ def test_no_module_has_an_unused_import():
         offenders += [f"{path.name}:{line} imports {name}"
                       for name, line in sorted(imported.items()) if name not in used]
     assert offenders == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler-constant", "--pmax", "1e12"],
+    ["enumerate-cyclic", "--l", "3", "--x", "1e40"],
+    ["abelian-uniformity", "--l", "3", "--q", "7", "--x", "1e30"],
+], ids=["euler-constant", "enumerate-cyclic", "abelian-uniformity"])
+def test_a_sieve_past_its_limit_exits_2_before_it_allocates(argv, capsys):
+    # each once raised MemoryError out of main, which exits 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a sieve to %d is past its limit 2147483647 (2^31 - 1)"
+        % {"euler-constant": 10**12, "enumerate-cyclic": 10**20, "abelian-uniformity": 10**15}[
+            argv[0]]
+    ]
+
+
+def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys):
+    # an input too large for memory is an input error, not a verification failure
+    import malle_lab.tamecomp as tamecomp
+
+    def too_large(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(tamecomp, "disc_table", too_large)
+    assert main(["tame-table", "--l", "3", "--k", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory: the input is too large"]
+
+
+def _report_rows(out):
+    """A report without its configuration: JSON's "report", or CSV's rows."""
+    if out.startswith("{"):
+        return json.loads(out)["report"]
+    return [line for line in out.splitlines() if not line.startswith("# config")]
+
+
+@pytest.mark.parametrize("command, flag, exact, written", [
+    (["abelian-uniformity", "--l", "3", "--x", "1e5"], "--q", "7,10", "7,1e1"),
+    (["sieve-exp", "--scheme", "{dir}/scheme.json", "--q", "3,5,7,31"], "--r", "5,10,50",
+     "5,1e1,50"),
+    (["sieve-exp", "--scheme", "{dir}/scheme.json", "--r", "5,10,50"], "--q", "3,5,7,31",
+     "3,5e0,7,31"),
+    (["count-pairs", "--sn-fields", "{dir}/k.jsonl", "--abelians", "{dir}/l.jsonl",
+      "--x", "1e6"], "--y-ladder", "10,100", "1e1,1e2"),
+], ids=["abelian-uniformity-q", "sieve-exp-r", "sieve-exp-q", "count-pairs-y-ladder"])
+def test_list_flags_read_each_item_as_an_exact_integer(command, flag, exact, written,
+                                                       input_files, capsys):
+    # "7,1e1" once exited 2 with "invalid literal for int()", while --x 1e1 was accepted
+    argv = [a.format(dir=input_files) for a in command] + [flag]
+    code, out = run(argv + [exact], capsys)
+    assert code == 0
+    code, same = run(argv + [written], capsys)
+    assert code == 0 and _report_rows(same) == _report_rows(out)
+    for bad in (exact + ",1.5", "nan," + exact, exact + ",1e-3"):
+        assert main(argv + [bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: not ")
+
+
+def test_count_pairs_past_the_float_range_reports_no_fit(input_files, capsys):
+    # at X = 1e310 every grid point is past the float range: the counts are
+    # exact, the fit is only an estimate, so there is none (once an
+    # OverflowError traceback with exit code 1)
+    argv = ["count-pairs", "--sn-fields", str(input_files / "k.jsonl"),
+            "--abelians", str(input_files / "l.jsonl"), "--sn-xmax", "1e104",
+            "--ab-xmax", "1e104", "--x"]
+    code, out = run(argv + ["1e310"], capsys)
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["fit"] is None and rep["grid"][-1] == 10**310
+    assert rep["n_lo"][-1] == rep["n_hi"][-1] == 149 * 5  # every pair of the two lists
+    code, out = run(argv + ["1e300"], capsys)
+    assert code == 0 and json.loads(out)["report"]["fit"] is not None

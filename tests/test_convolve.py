@@ -5,7 +5,6 @@ import pytest
 
 from malle_lab.convolve import (
     AsymptoticForm,
-    _max_value_with_pow_le,
     CountingSequence,
     csum,
     empirical_fit,
@@ -66,6 +65,11 @@ def test_product_count_matches_brute_force():
         assert product_count_exact(INTS, seq, b, a, x) == product_count_brute(
             INTS, seq, b, a, x
         )
+    # no pair lies below 1; at X = -3 the brute once counted the pairs with
+    # s1 s2 <= 9, as X^L = (-3)^2 with L = 2
+    half = Fraction(1, 2)
+    assert product_count_brute(seq, seq, half, half, -3) == product_count_exact(
+        seq, seq, half, half, -3) == 0
 
 
 def test_product_count_symmetry():
@@ -82,16 +86,21 @@ def test_product_count_rational_weights_threshold_exact():
     one = CountingSequence(entries=[(1, 1)])
     assert product_count_exact(seq, one, Fraction(1, 2), 1, 3) == 1
     assert product_count_exact(seq, one, Fraction(1, 2), 1, Fraction(29999, 10000)) == 0
-    # the root helper under it, against its definition, just off each k^exp
+    # integer thresholds just off each k^exp, against a direct count; both
+    # sequences are complete past every value the hyperbola loops ask for
+    values = CountingSequence(entries=[(v, 1) for v in range(1, 14)], complete_to=10**7)
+    one = CountingSequence(entries=[(1, 1)], complete_to=10**7)
     for exp in (1, 2, 3, 5):
         for k in range(12):
             for den in (2, 3, 10):
                 for shift in (-1, 1):
-                    bound = Fraction(k**exp * den + shift, den)  # denominator den
-                    if bound < 0:
-                        continue
-                    v = _max_value_with_pow_le(exp, bound)
-                    assert v**exp <= bound < (v + 1) ** exp, (exp, bound)
+                    x = Fraction(k**exp * den + shift, den)  # denominator den
+                    direct = sum(v**exp <= x for v in range(1, 14))
+                    assert product_count_exact(values, one, exp, 1, x) == direct, (exp, x)
+                    assert product_count_exact(one, values, 1, exp, x) == direct, (exp, x)
+                    # s^(exp/2) <= x, that is s^exp <= x^2: X^L with L = 2
+                    direct = sum(v**exp <= x * x for v in range(1, 14))
+                    assert product_count_exact(values, one, Fraction(exp, 2), 1, x) == direct
 
 
 def test_insufficient_range():
@@ -166,3 +175,11 @@ def test_empirical_fit_insufficient():
         empirical_fit([(10, 1)] * 4, 1, 0)
     with pytest.raises(InsufficientData):
         empirical_fit([(10 + i, 10) for i in range(10)], 1, 0)
+
+
+def test_empirical_fit_refuses_points_past_the_float_range():
+    # float(10**310) overflows: the fit is an estimate and has no data there
+    pts = [(10**k, 10**k) for k in range(300, 311)]
+    with pytest.raises(InsufficientData, match="float range"):
+        empirical_fit(pts, 1, 0)
+    assert empirical_fit(pts[:9], 1, 0).coefficient == pytest.approx(1)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from malle_lab.counting import (  # noqa: E402
     WildTable,
+    _local_exponent,
     compose_disc,
     count_pairs,
     default_grid,
@@ -238,6 +239,46 @@ def test_lcm_bound_is_below_every_sharing_pair(side):
         else:
             tame_pairs += 1
     assert tame_pairs > 100
+    assert (wild_pairs > 100) == (side == "C3")
+
+
+def per_prime_disc(k, l, wild, mode, y=None):
+    """Oracle (tests only): Disc(KL), or Disc_Y(KL), as a product prime by prime.
+
+    The product rule n vK + m vL at every prime of either field, but at a
+    prime ramified in both (and <= y, when given) the exponent that
+    `_local_exponent` decides.  `_compose` instead divides the product bound
+    by each shared prime's deficit, so the two assemble the value apart.
+    """
+    m, n = k.degree, l.degree
+    lo = hi = 1
+    for p in sorted({*k.ramified_primes, *l.ramified_primes}):
+        k_loc, l_loc = k.local_at(p), l.local_at(p)
+        if k_loc is None or l_loc is None or y is not None and p > y:
+            elo = ehi = n * (k_loc.disc_exponent if k_loc else 0) + m * (
+                l_loc.disc_exponent if l_loc else 0)
+        else:
+            elo, ehi = _local_exponent(k_loc, l_loc, m, n, wild, mode)
+        lo *= p**elo
+        hi *= p**ehi
+    return lo if mode == "exact" else (lo, hi)
+
+
+@pytest.mark.parametrize("side", ["C3", "C5"])
+@pytest.mark.parametrize("mode", ["interval", "exact"])
+def test_deficits_match_the_per_prime_product(side, mode):
+    """compose_disc and disc_truncated against the per-prime oracle, exactly,
+    on every sharing pair, under a table at the tower bound."""
+    ks, ls = cubics(), abelians(side)
+    table = marginal_table(ks, ls)
+    pairs = wild_pairs = 0
+    for k, l, shared in sharing_pairs(ks, ls):
+        assert compose_disc(k, l, table, mode) == per_prime_disc(k, l, table, mode), (k, l)
+        for y in (1, 2, 3, 7, 100):
+            assert disc_truncated(k, l, table, y, mode) == per_prime_disc(k, l, table, mode, y)
+        pairs += 1
+        wild_pairs += any("wild" in (k.local_at(p).kind, l.local_at(p).kind) for p in shared)
+    assert pairs > 100
     assert (wild_pairs > 100) == (side == "C3")
 
 

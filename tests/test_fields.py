@@ -25,6 +25,7 @@ from malle_lab.fields.polysearch import (
 )
 from malle_lab.fields.records import (
     _LINE_FRAME,
+    _offsets,
     FieldList,
     FieldRecord,
     LocalRamification,
@@ -726,7 +727,8 @@ def test_local_data_matches_sympy(monkeypatch):
     spf = np.frombuffer(arith.spf_table(x), np.int32)
     found = {}
     for sign, a in ((1, 1), (-1, 1), (-1, 2)):
-        forms, discs, codes, offsets = cubic._collect_chunk((x, sign, a))
+        forms, discs, codes, counts = cubic._collect_chunk((x, sign, a))
+        offsets = _offsets(counts)
         # the entries of the canonical form are those of the form the search met
         f = tuple(forms.T)
         assert (np.gcd(np.gcd(f[0], f[1]), np.gcd(f[2], f[3])) == 1).all()
