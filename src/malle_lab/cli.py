@@ -142,11 +142,11 @@ def _cmd_tame_table(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    from .tamecomp import AbelianGroupSpec, RkTable, verify_delta, verify_unin
+    from .tamecomp import DEFAULT_RK, AbelianGroupSpec, RkTable, verify_delta, verify_unin
 
     a = AbelianGroupSpec.parse(args.group)
     delta = verify_delta(args.n, a)
-    rk = RkTable.default(args.n) if args.rk == "default" else _read_json(args.rk, RkTable.from_json)
+    rk = DEFAULT_RK[args.n] if args.rk == "default" else _read_json(args.rk, RkTable.from_json)
     unin = verify_unin(args.n, a, rk)
     payload = {
         "delta": {

@@ -216,14 +216,6 @@ def predict_unequal(f1: AsymptoticForm, f2: AsymptoticForm, a, b, c_prime: float
     return AsymptoticForm(coeff, slope1, f1.logpower)
 
 
-@dataclass(frozen=True)
-class CsumResult:
-    value: float
-    x: float
-    increment_last_doubling: float
-    tail_estimate: float
-
-
 DIVERGENCE_TOL = 0.05  # csum's largest relative move over the last doubling of X
 
 
@@ -233,13 +225,11 @@ def csum(
     n1_over_a,
     r1: int,
     x,
-) -> CsumResult:
+) -> float:
     """C(X) = sum_{m^b <= X} (b_m / m^{b*n1/a}) (1 - ln m^b / ln X)^{r1}.
 
     Monotone in X; DivergenceSuspected if the last doubling of X moved the
-    sum by more than DIVERGENCE_TOL relative.  The tail estimate extrapolates
-    the doubling increments geometrically (the integral comparison gives a
-    geometric decay once b*n1/a exceeds the growth exponent of S2).
+    sum by more than DIVERGENCE_TOL relative.
     """
     b = _as_fraction(b)
     n1_over_a = _as_fraction(n1_over_a)
@@ -270,14 +260,7 @@ def csum(
         raise DivergenceSuspected(
             f"last doubling moved C(X) by {inc:.3g} (value {c_full:.3g})"
         )
-    c_quarter = partial(x / 4)
-    prev_inc = c_half - c_quarter
-    if prev_inc > 0 and 0 < inc < prev_inc:
-        ratio = inc / prev_inc
-        tail = inc * ratio / (1 - ratio)
-    else:
-        tail = inc
-    return CsumResult(value=c_full, x=x, increment_last_doubling=inc, tail_estimate=tail)
+    return c_full
 
 
 @dataclass(frozen=True)

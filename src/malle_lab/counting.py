@@ -524,7 +524,6 @@ def euler_constant(p_max: int) -> EulerReport:
 class TailReport:
     delta: Fraction
     tail_sum: float  # numeric proxy sum_{q > y} q^delta over integers
-    y: int
 
 
 def tail_bound_report(rk: RkTable, n: int, a: AbelianGroupSpec, y: int) -> TailReport:
@@ -548,4 +547,4 @@ def tail_bound_report(rk: RkTable, n: int, a: AbelianGroupSpec, y: int) -> TailR
     tail = sum(q**d for q in range(q0, q_cut + 1))
     # integral bound for the rest: int_{q_cut}^inf t^d dt
     tail += q_cut ** (d + 1) / (-d - 1)
-    return TailReport(delta=delta, tail_sum=tail, y=y)
+    return TailReport(delta=delta, tail_sum=tail)

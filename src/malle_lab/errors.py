@@ -17,10 +17,6 @@ class TrivialGroup(MalleLabError):
     """Operation needs a non-identity element but the group is trivial."""
 
 
-class EqualSlopeUnsupported(MalleLabError):
-    """Product b-invariant is undefined here when both factors have equal index slope."""
-
-
 class HypothesisViolated(MalleLabError):
     """|A| fails the coprimality hypothesis for the requested S_n."""
 
@@ -39,7 +35,8 @@ class LemmaFails(MalleLabError):
 
 
 class SlopeNotGreater(MalleLabError):
-    """predict_unequal requires n1/a > n2/b strictly."""
+    """Equal slopes where one factor's slope must win strictly: predict_unequal
+    needs n1/a > n2/b, product_b a smaller a/deg on one side."""
 
 
 class DivergenceSuspected(MalleLabError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import log
 
 from ..arith import is_squarefree, prime_factors
-from ..errors import IncompleteList
+from ..errors import IncompleteList, NotSquarefree
 from ..invariants import a_invariant, b_invariant_Q, close_group
 from ..permgroup import Permutation
 from .cyclic import enumerate_cyclic
@@ -68,7 +68,7 @@ def abelian_uniformity_check(
     per_q = []
     for q in qs:
         if q < 1 or not is_squarefree(q):
-            raise ValueError(f"q must be squarefree positive, got {q}")
+            raise NotSquarefree(f"q must be squarefree positive, got {q}")
         # a record lists each prime once, so it is ramified at every prime of
         # q when as many of its entries as q has primes are at one of them
         primes = set(prime_factors(q))

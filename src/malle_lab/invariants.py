@@ -9,8 +9,9 @@ preserves cycle type, hence index).
 For a direct product G1 x G2 in its S_{n1*n2} representation,
 a = min(n2*a(G1), n1*a(G2)); when the slopes a(G_i)/n_i are strictly ordered
 the minimal-index elements all live in the smaller-slope factor and b equals
-that factor's b.  The equal-slope case is refused (EqualSlopeUnsupported);
-for S_n x A it never arises, since a(S_n)/n = 1/n < 1/2 <= a(A)/|A|.
+that factor's b.  The equal-slope case is refused (SlopeNotGreater, as in
+`convolve.predict_unequal`); for S_n x A it never arises, since
+a(S_n)/n = 1/n < 1/2 <= a(A)/|A|.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import EqualSlopeUnsupported, OrderCapExceeded, TrivialGroup
-from .permgroup import CycleType, Permutation, cycle_type, index_of
+from .errors import OrderCapExceeded, SlopeNotGreater, TrivialGroup
+from .permgroup import Permutation, cycle_type, index_of
 
 __all__ = [
     "PermutationGroup",
@@ -59,10 +60,6 @@ class ConjugacyClass:
     representative: Permutation
     size: int
     index: int
-
-    @property
-    def ct(self) -> CycleType:
-        return cycle_type(self.representative)
 
 
 def close_group(generators, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
@@ -188,6 +185,6 @@ def product_b(a1: int, deg1: int, b1: int, a2: int, deg2: int, b2: int) -> int:
         return b1
     if s2 < s1:
         return b2
-    raise EqualSlopeUnsupported(
+    raise SlopeNotGreater(
         f"a/deg = {s1} on both factors; the product b is not asserted here"
     )

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# one or more cycles of ASCII-digit points, separated by commas or whitespace
+_CYCLES = re.compile(r"(?:\(\s*[0-9]+(?:\s*,\s*[0-9]+|\s+[0-9]+)*\s*\)\s*)+")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n}, stored as the tuple of images (1-based)."""
@@ -78,6 +82,8 @@ class Permutation:
         points = [p for c in cycles for p in c]
         if len(set(points)) != len(points):
             raise ValueError("cycles are not disjoint")
+        if points and min(points) < 1:
+            raise ValueError("cycle points must be >= 1")
         n = degree if degree is not None else (max(points) if points else 1)
         if points and max(points) > n:
             raise ValueError("cycle point exceeds degree")
@@ -89,22 +95,20 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str, degree: int | None = None) -> "Permutation":
-        """Parse cycle notation: "(12)(345)" or "(1,2)(3,4,5)" or "e"."""
+        """Parse cycle notation: "(12)(345)" or "(1,2)(3 4 5)", or "e", "()" or ""
+        for the identity; the whole text must be cycles, else ValueError.  A
+        cycle without separators has one-digit points."""
         text = text.strip()
         if text in ("e", "()", ""):
             return cls.identity(degree if degree is not None else 1)
+        if not _CYCLES.fullmatch(text):
+            raise ValueError(f"cannot parse permutation {text!r}")
         cycles = []
         for grp in re.findall(r"\(([^()]*)\)", text):
-            grp = grp.strip()
-            if not grp:
-                continue
-            if "," in grp or " " in grp:
-                pts = [int(t) for t in re.split(r"[,\s]+", grp) if t]
-            else:
-                pts = [int(ch) for ch in grp]
-            cycles.append(tuple(pts))
-        if not cycles:
-            raise ValueError(f"cannot parse permutation {text!r}")
+            points = re.split(r"[,\s]+", grp.strip())
+            if len(points) == 1:
+                points = points[0]  # "(123)": one point per digit
+            cycles.append(tuple(map(int, points)))
         return cls.from_cycles(cycles, degree=degree)
 
     def cycles(self) -> list[tuple[int, ...]]:

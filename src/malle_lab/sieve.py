@@ -220,8 +220,6 @@ def solutions_mod_q(scheme: AffineScheme, q: int) -> np.ndarray:
             t = ((b - a) % p) * inv % p
             sols = (a + mod * t) % (mod * p)
             mod *= p
-        if sols.shape[0] > SOLUTION_CAP:
-            raise CapExceeded("too many residue solutions")
     return sols
 
 

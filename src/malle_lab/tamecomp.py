@@ -18,6 +18,7 @@ separate sub-case, never folded into the main verdict.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -59,15 +60,11 @@ class AbelianGroupSpec:
 
     @classmethod
     def parse(cls, text: str) -> "AbelianGroupSpec":
-        """Parse "7", "3x3", "C5xC5", "C9"."""
-        factors = []
-        for tok in text.lower().replace("c", "").split("x"):
-            tok = tok.strip()
-            if tok:
-                factors.append(int(tok))
-        if not factors:
+        """Parse "7", "3x3", "C5xC5", "C9", "3 x 3": factors C?<digits> joined
+        by x, case-insensitive; anything else raises ValueError."""
+        if not re.fullmatch(r"\s*c?[0-9]+(?:\s*x\s*c?[0-9]+)*\s*", text, re.IGNORECASE):
             raise ValueError(f"cannot parse abelian group {text!r}")
-        return cls(tuple(factors))
+        return cls(tuple(map(int, re.findall(r"[0-9]+", text))))
 
     @property
     def order(self) -> int:
@@ -223,10 +220,6 @@ class RkTable:
             raise IncompleteRkTable(f"r_k table for S_{self.n} missing classes {missing}")
 
     @classmethod
-    def default(cls, n: int) -> "RkTable":
-        return DEFAULT_RK[n]
-
-    @classmethod
     def zeros(cls, n: int) -> "RkTable":
         return cls(n, {ct.parts: Fraction(0) for ct in nonidentity_classes(n)}, notes="all-zero")
 
@@ -327,17 +320,13 @@ _DELTA_THRESHOLDS = {
 class DeltaClassReport:
     ct: CycleType
     min_ratio: Fraction
-    argmin_order: int
     identity_ratio: int
     threshold: Fraction | None
-    strict: bool
     passed: bool
 
 
 @dataclass(frozen=True)
 class DeltaReport:
-    n: int
-    group: AbelianGroupSpec
     classes: tuple[DeltaClassReport, ...]
 
     @property
@@ -353,31 +342,26 @@ def verify_delta(n: int, a: AbelianGroupSpec) -> DeltaReport:
     with p >= 7).  c = identity is reported separately via identity_ratio.
     """
     _check_hypothesis(n, a)
-    m = a.order
     reports = []
     for ct in nonidentity_classes(n):
-        ratio, argmin = _min_ratio(ct, a)
+        ratio, _ = _min_ratio(ct, a)
         ind_k = index_of(ct)
         if n in _DELTA_THRESHOLDS:
             thr = Fraction(_DELTA_THRESHOLDS[n][ct.parts])
             passed = ratio > thr
-            strict = True
         else:
             thr = ind_k + 1 - Fraction(1, 7)
             passed = ratio >= thr
-            strict = False
         reports.append(
             DeltaClassReport(
                 ct=ct,
                 min_ratio=ratio,
-                argmin_order=argmin,
                 identity_ratio=ind_k,
                 threshold=thr,
-                strict=strict,
                 passed=passed,
             )
         )
-    return DeltaReport(n, a, tuple(reports))
+    return DeltaReport(tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -385,7 +369,6 @@ class UninClassReport:
     ct: CycleType
     rk: Fraction
     min_margin: Fraction  # min over c != e of ind(k,c)/m - ind(k) + r_k
-    argmin_order: int
     identity_margin: Fraction  # the c = e sub-case: equals r_k
     identity_ok: bool
     passed: bool
@@ -393,8 +376,6 @@ class UninClassReport:
 
 @dataclass(frozen=True)
 class UninReport:
-    n: int
-    group: AbelianGroupSpec
     classes: tuple[UninClassReport, ...]
     witness: tuple[tuple[int, ...], int] | None  # (class parts, element order)
 
@@ -428,10 +409,9 @@ def verify_unin(n: int, a: AbelianGroupSpec, rk: RkTable) -> UninReport:
                 ct=ct,
                 rk=r_val,
                 min_margin=margin,
-                argmin_order=argmin,
                 identity_margin=r_val,
                 identity_ok=r_val >= 1,
                 passed=passed,
             )
         )
-    return UninReport(n, a, tuple(reports), witness)
+    return UninReport(tuple(reports), witness)

@@ -43,6 +43,7 @@ from malle_lab.sieve import (
     solutions_mod_q,
 )
 from malle_lab.tamecomp import (
+    DEFAULT_RK,
     AbelianGroupSpec,
     RkTable,
     disc_table,
@@ -152,7 +153,7 @@ def test_criterion_04_lemma_verifiers():
     }
     ok = True
     for n, groups in grid.items():
-        rk = RkTable.default(n)
+        rk = DEFAULT_RK[n]
         for g in groups:
             a = AbelianGroupSpec.parse(g)
             ok = ok and verify_delta(n, a).passed

@@ -596,3 +596,86 @@ def test_count_pairs_past_the_float_range_reports_no_fit(input_files, capsys):
     assert rep["n_lo"][-1] == rep["n_hi"][-1] == 149 * 5  # every pair of the two lists
     code, out = run(argv + ["1e300"], capsys)
     assert code == 0 and json.loads(out)["report"]["fit"] is not None
+
+
+MALFORMED_SPECS = [
+    (["invariants", "--generators", "(12)(3"], "cannot parse permutation '(12)(3'"),
+    (["invariants", "--generators", "(12)x"], "cannot parse permutation '(12)x'"),
+    (["invariants", "--generators", "(1,2),(3,4)"], "cannot parse permutation '(1,2),(3,4)'"),
+    (["invariants", "--generators", "(123);(12)("], "cannot parse permutation '(12)('"),
+    (["invariants", "--generators", "(12)", "--product", "(0)"], "cycle points must be >= 1"),
+] + [(["verify-lemmas", "--n", "3", "--group", spec], f"cannot parse abelian group {spec!r}")
+     for spec in ("3c5", "3x", "x3", "3xx5", "cc7", "1_000")]
+
+
+@pytest.mark.parametrize("argv, error", MALFORMED_SPECS,
+                         ids=[argv[-1] for argv, _ in MALFORMED_SPECS])
+def test_a_malformed_group_spec_exits_2_with_one_error_line(argv, error, capsys):
+    # each once read a group from the text's valid parts: "(12)(3" exited 0
+    # on the group of (12), "3c5" on C35 and "1_000" as C1000 (refused for
+    # its order); "(0)" exited 1 with an IndexError traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("q", [4, 0])
+def test_a_non_squarefree_q_is_refused_as_the_sieve_refuses_it(q, capsys):
+    from malle_lab.errors import NotSquarefree
+    from malle_lab.fields.uniformity import abelian_uniformity_check
+
+    message = f"q must be squarefree positive, got {q}"
+    with pytest.raises(NotSquarefree) as exc:
+        abelian_uniformity_check(3, [7, q], 10**4)
+    assert str(exc.value) == message
+    assert main(["abelian-uniformity", "--l", "3", "--q", f"7,{q}", "--x", "1e4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"p": 3, "kind": "tame", "cycle_type": [3]}, "p=3 divides the tame ramification index 3"),
+    ({"p": 3, "kind": "wild", "label": "", "exp": 3}, "wild entry needs a label"),
+    ({"p": 3, "kind": "wild", "label": "3-e3-v3", "exp": 0}, "wild exponent must be >= 1"),
+], ids=["tame-p-divides-e", "wild-without-label", "wild-exp-0"])
+def test_count_pairs_refuses_an_entry_its_type_refuses(entry, message, input_files, capsys):
+    bad = input_files / "bad.jsonl"
+    bad.write_text(json.dumps({"degree": 3, "disc": -27, "group": "S3", "ram": [entry]},
+                              sort_keys=True) + "\n")
+    code = main(["count-pairs", "--sn-fields", str(bad), "--abelians",
+                 str(input_files / "l.jsonl"), "--x", "1e6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: line 1: {message}\n"
+
+
+def test_convolve_cli_reads_a_sequence_file(tmp_path, capsys):
+    from malle_lab.convolve import CountingSequence, product_count_exact
+
+    path = tmp_path / "s1.txt"
+    path.write_text("1 1\n2 3\n\n5 2\n9 1\n")
+    argv = ["convolve", "--s1", str(path), "--s2", "integers", "--a", "1", "--b", "2"]
+    seq = CountingSequence(entries=[(1, 1), (2, 3), (5, 2), (9, 1)])
+    for x in (1, 4, 8, 9):  # the file's list is complete to its last value, 9
+        code, out = run(argv + ["--x", str(x)], capsys)
+        assert code == 0
+        count = product_count_exact(seq, CountingSequence.integers(), 1, 2, x)
+        assert json.loads(out)["report"]["count"] == count
+    assert count == 12
+    # a line of one column is refused input
+    path.write_text("1 1\n2\n")
+    assert main(argv + ["--x", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_abelian_uniformity_bound_below_the_largest_ratio_exits_1(capsys):
+    argv = ["abelian-uniformity", "--l", "3", "--q", "7,13", "--x", "1e6", "--bound"]
+    code, out = run(argv + ["0.001"], capsys)
+    assert code == 1
+    rep = json.loads(out)["report"]
+    assert rep["max_ratio"] > 0.001
+    code, _ = run(argv + [str(rep["max_ratio"])], capsys)  # the bound is inclusive
+    assert code == 0

@@ -32,7 +32,7 @@ from malle_lab.fields.cyclic import enumerate_cyclic
 from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification
 from malle_lab.invariants import product_a, product_b
 from malle_lab.permgroup import CycleType
-from malle_lab.tamecomp import AbelianGroupSpec, RkTable, min_index_abelian
+from malle_lab.tamecomp import DEFAULT_RK, AbelianGroupSpec, RkTable, min_index_abelian
 
 
 def tame(p, parts):
@@ -430,10 +430,10 @@ def test_euler_partial_product():
 
 
 def test_tail_bound_report():
-    rep = tail_bound_report(RkTable.default(3), 3, AbelianGroupSpec((5,)), 10)
+    rep = tail_bound_report(DEFAULT_RK[3], 3, AbelianGroupSpec((5,)), 10)
     assert rep.delta < -1
     assert rep.delta == Fraction(-13, 5)  # (12) class: -(13/5 - 1 + 1)
-    rep2 = tail_bound_report(RkTable.default(3), 3, AbelianGroupSpec((5,)), 20)
+    rep2 = tail_bound_report(DEFAULT_RK[3], 3, AbelianGroupSpec((5,)), 20)
     assert rep2.tail_sum < rep.tail_sum / 2  # doubling Y at least halves the tail
     with pytest.raises(LemmaFails):
         tail_bound_report(RkTable.zeros(3), 3, AbelianGroupSpec((5,)), 10)

@@ -132,6 +132,43 @@ def test_parse_rejects_cycle_type_of_another_degree():
         assert str(exc.value) == "line 3: cycle type [2, 1, 1] on a degree-3 record"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"p": 3, "kind": "tame", "cycle_type": [3]}, "p=3 divides the tame ramification index 3"),
+    ({"p": 3, "kind": "wild", "label": "", "exp": 3}, "wild entry needs a label"),
+    ({"p": 3, "kind": "wild", "label": "3-e3-v3", "exp": 0}, "wild exponent must be >= 1"),
+], ids=["tame-p-divides-e", "wild-without-label", "wild-exp-0"])
+def test_parse_refuses_an_entry_its_type_refuses(entry, message):
+    bad = {"degree": 3, "group": "S3", "disc": -27, "ram": [entry]}
+    for render in RENDERINGS:
+        with pytest.raises(InvariantViolation) as exc:
+            parse_field_file(io.StringIO(render(bad) + "\n"))
+        assert str(exc.value) == "line 1: " + message
+
+
+def test_an_entry_needs_a_known_kind_and_a_tame_one_a_cycle_type():
+    with pytest.raises(InvariantViolation) as exc:
+        LocalRamification(5, "x", 1)
+    assert str(exc.value) == "kind must be tame or wild, got 'x'"
+    with pytest.raises(InvariantViolation) as exc:
+        LocalRamification(5, "tame", 1)
+    assert str(exc.value) == "tame entry needs a cycle type"
+
+
+@pytest.mark.parametrize("disc, message", [
+    (0, "disc must be nonzero"),
+    (2**63, "|disc| 9223372036854775808 is not below 2^63"),
+    (-(2**63), "|disc| 9223372036854775808 is not below 2^63"),
+])
+def test_frame_path_checks_the_disc_of_a_line_whose_entries_are_known(disc, message):
+    # the second line repeats the first one's entry text, so no entry is decoded
+    good = json.loads(GOOD_LINE)
+    lines = [json.dumps(good, sort_keys=True), json.dumps({**good, "disc": disc}, sort_keys=True)]
+    assert all(map(_LINE_FRAME.fullmatch, lines))
+    with pytest.raises(MalformedLine) as exc:
+        parse_field_file(io.StringIO("\n".join(lines) + "\n"))
+    assert exc.value.lineno == 2 and str(exc.value) == "line 2: " + message
+
+
 def test_parse_refuses_a_zero_disc_before_its_entries():
     bad = {"degree": 3, "group": "S3", "disc": 0,
            "ram": [{"p": 9, "kind": "tame", "cycle_type": [2, 1]}]}

@@ -3,7 +3,7 @@ from math import gcd, prod
 
 import pytest
 
-from malle_lab.errors import EqualSlopeUnsupported, OrderCapExceeded, TrivialGroup
+from malle_lab.errors import OrderCapExceeded, SlopeNotGreater, TrivialGroup
 from malle_lab.invariants import (
     _classes_with_map,
     _power,
@@ -160,7 +160,7 @@ def test_product_b():
     assert product_b(1, 5, 1, 6, 7, 1) == 1
     # larger slope first: returns the second factor's b
     assert product_b(4, 5, 7, 1, 3, 2) == 2
-    with pytest.raises(EqualSlopeUnsupported):
+    with pytest.raises(SlopeNotGreater):
         product_b(1, 3, 1, 2, 6, 1)
 
 

@@ -36,6 +36,24 @@ def test_parse_multidigit_and_roundtrip():
     assert p * p.inverse() == Permutation.identity(12)
 
 
+def test_parse_reads_the_whole_text_as_cycles():
+    assert Permutation.parse(" (12) (3,4)\t") == Permutation.parse("(12)(34)")
+    assert Permutation.parse("(1, 2 3)") == Permutation.parse("(123)")
+    for identity in ("e", "()", "", "  "):
+        assert Permutation.parse(identity, degree=3) == Permutation.identity(3)
+
+
+@pytest.mark.parametrize("text", [
+    "(12)(3", "(12)x", "(12)(", "(1,2),(3,4)", "x(12)", "(12)()", "(1,,2)", "(1,)", "(0)",
+    "(\u0661\u0662)",  # Arabic-Indic digits, which int() would read
+])
+def test_parse_refuses_text_outside_its_cycles(text):
+    # each of the first four once parsed as the cycles it contained; "(0)"
+    # raised IndexError
+    with pytest.raises(ValueError):
+        Permutation.parse(text)
+
+
 def test_index_of():
     assert index_of(CycleType.from_parts([1, 1, 1])) == 0
     assert index_of(CycleType.from_parts([3])) == 2

@@ -5,6 +5,7 @@ import pytest
 from malle_lab.errors import HypothesisViolated, IncompleteRkTable, TrivialGroup
 from malle_lab.permgroup import CycleType, index_of, product_index_general
 from malle_lab.tamecomp import (
+    DEFAULT_RK,
     AbelianGroupSpec,
     RkTable,
     disc_table,
@@ -19,6 +20,19 @@ def test_parse():
     assert AbelianGroupSpec.parse("7").cyclic_factors == (7,)
     assert AbelianGroupSpec.parse("C5xC5").cyclic_factors == (5, 5)
     assert AbelianGroupSpec.parse("3x3").order == 9
+    assert AbelianGroupSpec.parse("C9").cyclic_factors == (9,)
+    assert AbelianGroupSpec.parse("3 x 3").cyclic_factors == (3, 3)
+    assert AbelianGroupSpec.parse("c3XC5").cyclic_factors == (3, 5)
+
+
+@pytest.mark.parametrize("text", [
+    "3c5", "3x", "x3", "3xx5", "cc7", "1_000", "", "C 5", "3,5", "\u0663",
+])
+def test_parse_refuses_a_spec_outside_the_grammar(text):
+    # "3c5" once read as C35, "3x" and "x3" as C3, "3xx5" as C3 x C5, "cc7"
+    # as C7 and "1_000" as C1000
+    with pytest.raises(ValueError, match="cannot parse abelian group"):
+        AbelianGroupSpec.parse(text)
 
 
 def test_ind_abelian():
@@ -221,13 +235,13 @@ def test_verify_unin_failure_witness():
 
 def test_verify_unin_default_grid():
     for n, groups in HYPOTHESIS_GRID.items():
-        rk = RkTable.default(n)
+        rk = DEFAULT_RK[n]
         for g in groups:
             assert verify_unin(n, AbelianGroupSpec.parse(g), rk).passed, (n, g)
 
 
 def test_verify_unin_identity_subcase_flagged():
-    rep = verify_unin(5, AbelianGroupSpec((7,)), RkTable.default(5))
+    rep = verify_unin(5, AbelianGroupSpec((7,)), DEFAULT_RK[5])
     by_parts = {c.ct.parts: c for c in rep.classes}
     assert by_parts[(5,)].identity_margin == Fraction(4, 15)
     assert not by_parts[(5,)].identity_ok
@@ -243,6 +257,6 @@ def test_rk_table_cover_validation():
 
 
 def test_rk_json_roundtrip():
-    rk = RkTable.default(5)
+    rk = DEFAULT_RK[5]
     again = RkTable.from_json(rk.to_json())
     assert again.rk == rk.rk
