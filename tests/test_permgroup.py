@@ -48,8 +48,8 @@ def test_parse_reads_the_whole_text_as_cycles():
     "(\u0661\u0662)",  # Arabic-Indic digits, which int() would read
 ])
 def test_parse_refuses_text_outside_its_cycles(text):
-    # each of the first four once parsed as the cycles it contained; "(0)"
-    # raised IndexError
+    # each once parsed as the cycles it contained, but "(0)", which raised
+    # IndexError
     with pytest.raises(ValueError):
         Permutation.parse(text)
 
