@@ -189,8 +189,16 @@ def _parse_sequence(text: str):
         return CountingSequence.integers()
     if text == "squares":
         return CountingSequence.squares()
+    entries = []
     with open(text) as fh:
-        entries = [tuple(map(int, line.split())) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    value, count = map(int, line.split())
+                except ValueError:
+                    raise ValueError(f"{text} line {lineno}: expected two integers "
+                                     f"'value multiplicity', got {line.strip()!r}") from None
+                entries.append((value, count))
     return CountingSequence(entries=entries)
 
 

@@ -256,14 +256,6 @@ def default_grid(x_max: int, points: int = 16) -> list[int]:
     return sorted(g for g in grid if g >= 1)
 
 
-def _uniform_degree(field_list: FieldList, side: str) -> int | None:
-    """The one degree of the list's records, None for an empty list."""
-    degrees = field_list.degrees
-    if len(degrees) > 1:
-        raise InadmissiblePair(f"{side} list mixes degrees {sorted(degrees)}")
-    return degrees.pop() if degrees else None
-
-
 def _sharing_pairs(ks: FieldList, nk: int, ls: FieldList, nl: int, deg_k: int, deg_l: int, x: int):
     """(i, j), K-major, for the rows i < nk of ks and j < nl of ls that share a
     prime and have lcm(Disc(K)^degL, Disc(L)^degK) <= x.
@@ -352,18 +344,18 @@ def count_pairs(
     adds [value <= g] - [product bound <= g] to the count it belongs to.  A
     sharing pair with lcm(Disc(K)^degL, Disc(L)^degK) > X is never composed,
     since each of its values is at least that lcm (`_sharing_pairs`).
-    Both lists must have a single degree each (InadmissiblePair otherwise).
-    A list with no rows has no degree, so it windows nothing of the other
-    list; it must itself still be complete over the window that the other
-    list's degree fixes.
+    Each list holds one kind of field (see `fields.records`), so the labels
+    are checked once per call, when both windows hold a field.  A list with
+    no rows has no degree, so it windows nothing of the other list; it must
+    itself still be complete over the window that the other list's degree
+    fixes.
     """
     if mode not in ("exact", "interval"):
         raise ValueError("mode must be exact or interval")
     if grid is None:
         grid = default_grid(x)
     grid = tuple(sorted(g for g in grid if g <= x))
-    deg_k = _uniform_degree(sn_list, "S_n")
-    deg_l = _uniform_degree(ab_list, "abelian")
+    deg_k, deg_l = sn_list.degree, ab_list.degree
     # X < 0 windows nothing, and neither does an empty list on the other
     # side: it fixes no degree
     k_window, l_window = (iroot(max(x, 0), d) if d else 0 for d in (deg_l, deg_k))
@@ -383,17 +375,7 @@ def count_pairs(
             n_y={y: zeros for y in y_ladder}, fit=None,
             fit_exponent=Fraction(1, deg_l or 1), mode=mode,
         )
-    # with one degree per list, admissibility depends only on each row's
-    # kind; checking (K_0, L) then (K, L_0) over the windowed kinds in order
-    # of first occurrence raises what the first inadmissible pair in K-major
-    # order would
-    k_kinds = [sn_list.kinds[k] for k in dict.fromkeys(sn_list.kind_ids[:nk].tolist())]
-    l_kinds = [ab_list.kinds[k] for k in dict.fromkeys(ab_list.kind_ids[:nl].tolist())]
-    (k_degree, k_label), (l_degree, l_label) = k_kinds[0], l_kinds[0]
-    for degree, label in l_kinds:
-        _check_labels(k_label, k_degree, label, degree)
-    for degree, label in k_kinds:
-        _check_labels(label, degree, l_label, l_degree)
+    _check_labels(sn_list.group_label, deg_k, ab_list.group_label, deg_l)
     l_recs = {}  # the L views, made at their first pair
     discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}

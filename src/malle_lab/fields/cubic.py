@@ -692,7 +692,7 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
     codes, entry_ids = np.unique(codes[rows], return_inverse=True)
     discs = discs[order]
     return FieldList.from_columns(
-        "enumerated", x, np.abs(discs), np.sign(discs).astype(np.int8), ((3, "S3"),),
-        np.zeros(order.size, np.int32), _offsets(counts[order]),
+        "enumerated", x, np.abs(discs), np.sign(discs).astype(np.int8), (3, "S3"),
+        _offsets(counts[order]),
         tuple(map(_code_entry, codes.tolist())), entry_ids.astype(np.int32),
     )

@@ -67,8 +67,7 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
         counts += [len(slots)] * copies
         entry_ids += slots * copies
     return FieldList.from_columns(
-        "enumerated", x, disc_column(discs), np.ones(len(discs), np.int8),
-        ((l, f"C{l}"),), np.zeros(len(discs), np.int32),
+        "enumerated", x, disc_column(discs), np.ones(len(discs), np.int8), (l, f"C{l}"),
         _offsets(counts), tuple(entries), np.array(entry_ids, np.int32),
     )
 

@@ -17,17 +17,20 @@ and a tame entry has exponent ind(cycle_type) with p coprime to the
 ramification index.  The row rules run in one column pass over the list
 when it is made (`FieldList._bad_row`), in this order: degree >= 1, disc
 sign 1 or -1, |disc| >= 1; then, entry by entry, no prime given twice and a
-tame cycle type of the row's degree; then |disc| = prod p^e over the row's
+tame cycle type of the list's degree; then |disc| = prod p^e over the row's
 entries.  The first failing row is refused with the message of its first
 failing rule, as an InvariantViolation; in a parsed file, with its line
 number.  A FieldRecord is a plain row, checked when it enters a list.
 
-Columns.  A FieldList keeps its records as columns, row i for the i-th
-record in order of |disc|:
+Columns.  A FieldList holds one kind of field, its `degree` and
+`group_label`, kept once (None for a list with no rows).  A record of
+another kind is refused where the list is made, as an InvariantViolation
+naming both kinds: by the constructor, and by the parser with its line
+number, after the line's typed-field checks and before its disc and entry
+checks (`from_columns` takes the one kind).  The records are columns, row i
+for the i-th record in order of |disc|:
 
 - `abs_discs`, int64, and `disc_signs`, int8 (1 or -1);
-- `kind_ids`, int32 indices into `kinds`, the list's tuple of distinct
-  (degree, group label) pairs;
 - `offsets`, int64 with one more entry than there are rows, and
   `entry_ids`, int32 indices into `entries`, the list's tuple of distinct
   LocalRamification objects: row i has the entries
@@ -59,7 +62,7 @@ message is made in Python.
 
 `FieldList.write_jsonl` writes each record as
 json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
-distinct entry and group label once per call.  Every such line has the
+distinct entry and the group label once per call.  Every such line has the
 frame `_FRAME`,
 
     {"degree": INT, "disc": INT, "group": "STR", "ram": [ENTRY, ..., ENTRY]}
@@ -217,43 +220,49 @@ class FieldList(Sequence):
     `fl[i]`, slices (tuples), iteration and `upto` give views.
     """
 
-    __slots__ = ("provenance", "x_max", "abs_discs", "disc_signs", "kinds", "kind_ids",
+    __slots__ = ("provenance", "x_max", "degree", "group_label", "abs_discs", "disc_signs",
                  "offsets", "entries", "entry_ids")
 
     def __init__(self, records, provenance: str, x_max: int):
-        """The list of these FieldRecords, which must be sorted by |disc|."""
+        """The list of these FieldRecords, which must be of one kind and sorted by |disc|."""
         ingest = _Ingest()
-        for rec in records:
-            ingest.append(None, ingest.kind(rec.degree, rec.group_label), rec.abs_disc,
-                          rec.disc_sign, list(map(ingest.slot_of, rec.ramification)))
+        try:
+            for rec in records:
+                ingest.same_kind(rec.degree, rec.group_label)
+                ingest.append(None, rec.abs_disc, rec.disc_sign,
+                              list(map(ingest.slot_of, rec.ramification)))
+        except InvariantViolation:  # a row check of an earlier record comes first
+            ingest.field_list(x_max)._refuse_bad_row()
+            raise
         self._fill(provenance, x_max, *ingest.columns())
         self._check()
 
     @classmethod
-    def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
-                     offsets, entries, entry_ids) -> FieldList:
-        """The list of these columns (see the module docstring), checked and sorted by |disc|."""
-        fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
-                             offsets, entries, entry_ids)
+    def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entries,
+                     entry_ids) -> FieldList:
+        """The list of these columns (see the module docstring), checked and sorted by |disc|.
+
+        `kind` is the (degree, group label) of every row.
+        """
+        fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kind, offsets, entries,
+                             entry_ids)
         fl._check()
         return fl
 
     @classmethod
-    def _of_columns(cls, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids,
-                    offsets, entries, entry_ids) -> FieldList:
+    def _of_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entries,
+                    entry_ids) -> FieldList:
         """The list of these columns, unchecked."""
         fl = object.__new__(cls)
-        fl._fill(provenance, x_max, abs_discs, disc_signs, kinds, kind_ids, offsets,
-                 entries, entry_ids)
+        fl._fill(provenance, x_max, abs_discs, disc_signs, kind, offsets, entries, entry_ids)
         return fl
 
-    def _fill(self, provenance, x_max, abs_discs, disc_signs, kinds, kind_ids, offsets,
-              entries, entry_ids):
-        for col in (abs_discs, disc_signs, kind_ids, offsets, entry_ids):
+    def _fill(self, provenance, x_max, abs_discs, disc_signs, kind, offsets, entries, entry_ids):
+        for col in (abs_discs, disc_signs, offsets, entry_ids):
             col.flags.writeable = False
         self.provenance, self.x_max = provenance, x_max
+        self.degree, self.group_label = kind if abs_discs.size else (None, None)
         self.abs_discs, self.disc_signs = abs_discs, disc_signs
-        self.kinds, self.kind_ids = kinds, kind_ids
         self.offsets, self.entries, self.entry_ids = offsets, entries, entry_ids
 
     def __repr__(self):
@@ -281,11 +290,6 @@ class FieldList(Sequence):
         """The list itself, the read-only sequence of its views."""
         return self
 
-    @property
-    def degrees(self) -> set:
-        """The degrees of the records; none for a list with no rows."""
-        return {self.kinds[k][0] for k in set(self.kind_ids.tolist())}
-
     def upto(self, x: int) -> list[FieldRecord]:
         return list(map(self._view, range(self.count_upto(x))))
 
@@ -304,10 +308,10 @@ class FieldList(Sequence):
 
     def _view(self, i: int) -> FieldRecord:
         """The view of row i, 0 <= i < len(self)."""
-        degree, label = self.kinds[self.kind_ids.item(i)]
         ids = self.entry_ids[self.offsets.item(i): self.offsets.item(i + 1)].tolist()
         ram = tuple(map(self.entries.__getitem__, ids))
-        return FieldRecord(degree, label, self.abs_discs.item(i), ram, self.disc_signs.item(i))
+        return FieldRecord(self.degree, self.group_label, self.abs_discs.item(i), ram,
+                           self.disc_signs.item(i))
 
     def _take(self, rows) -> FieldList:
         """The list of these rows, in this order."""
@@ -317,8 +321,8 @@ class FieldList(Sequence):
         offsets = _offsets(counts)
         slots = np.arange(offsets[-1]) + np.repeat(self.offsets[:-1][rows] - offsets[:-1], counts)
         return FieldList._of_columns(
-            self.provenance, self.x_max, self.abs_discs[rows], self.disc_signs[rows], self.kinds,
-            self.kind_ids[rows], offsets, self.entries, self.entry_ids[slots],
+            self.provenance, self.x_max, self.abs_discs[rows], self.disc_signs[rows],
+            (self.degree, self.group_label), offsets, self.entries, self.entry_ids[slots],
         )
 
     def _bad_row(self) -> tuple[int, str] | None:
@@ -329,13 +333,13 @@ class FieldList(Sequence):
         """
         import numpy as np
 
+        if not len(self):
+            return None
+        degree = self.degree
+        if degree < 1:  # the list's one degree, so its first row breaks it
+            return 0, f"degree must be >= 1, got {degree}"
         ids, offsets, signs = self.entry_ids, self.offsets, self.disc_signs
         slot_row = self.slot_rows()
-        # the degrees are numbered, as a parsed one may be past int64
-        number: dict[int, int] = {}
-        row_degree = np.array([number.setdefault(degree, len(number)) for degree, _ in self.kinds],
-                              np.int64)[self.kind_ids]
-        low_degree = np.array([degree < 1 for degree in number], bool)[row_degree]
         bad_sign = (signs != 1) & (signs != -1)
         # per slot: a prime met before in its row, a tame cycle type of another degree
         p_ids: dict[int, int] = {}
@@ -344,9 +348,8 @@ class FieldList(Sequence):
         order = keys.argsort(kind="stable")  # by (row, p), then slot
         repeat = np.zeros(ids.size, bool)
         repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-        ct_degree = np.array([number.get(loc.tame_cycle_type.degree, -1) if loc.kind == "tame"
-                              else -2 for loc in self.entries], np.int64)[ids]
-        wrong_type = (ct_degree != -2) & (ct_degree != row_degree[slot_row])
+        wrong_type = np.array([loc.kind == "tame" and loc.tame_cycle_type.degree != degree
+                               for loc in self.entries], bool)[ids]
         # p^e once per entry; one past int64 divides no |disc| < 2^63
         powers = [loc.p**loc.disc_exponent if loc.disc_exponent < 64 else DISC_LIMIT
                   for loc in self.entries]
@@ -362,15 +365,13 @@ class FieldList(Sequence):
             off_product[rows] |= quotient[rows] % q != 0
             quotient[rows] //= q
         off_product |= quotient != 1
-        bad = low_degree | bad_sign | (self.abs_discs < 1) | off_product
+        bad = bad_sign | (self.abs_discs < 1) | off_product
         bad[slot_row[repeat | wrong_type]] = True
         failing = np.flatnonzero(bad)
         if not failing.size:
             return None
         i = int(failing[0])
         rec = self._view(i)
-        if low_degree[i]:
-            return i, f"degree must be >= 1, got {rec.degree}"
         if bad_sign[i]:
             return i, _SIGN_RULE.format(rec.disc_sign)
         if rec.abs_disc < 1:
@@ -381,7 +382,7 @@ class FieldList(Sequence):
                 return i, f"duplicate prime {loc.p}"
             if wrong:
                 parts = list(loc.tame_cycle_type.parts)
-                return i, f"cycle type {parts} on a degree-{rec.degree} record"
+                return i, f"cycle type {parts} on a degree-{degree} record"
         local = prod(loc.p**loc.disc_exponent for loc in rec.ramification)
         return i, f"|disc| {rec.abs_disc} != product of local parts {local}"
 
@@ -401,14 +402,14 @@ class FieldList(Sequence):
     def write_jsonl(self, stream):
         """One line per record, json.dumps(record.to_json(), sort_keys=True) + "\n".
 
-        Each distinct entry and group label is serialised once per call, and
+        Each distinct entry and the group label are serialised once per call, and
         the lines are made from the columns, with each row's entries in
         ascending p.
         """
         import numpy as np
 
         texts = [_encode(loc.to_json()) for loc in self.entries]
-        heads = [(degree, _encode(label)) for degree, label in self.kinds]
+        degree, group = self.degree, _encode(self.group_label)
         rank = {p: i for i, p in enumerate(sorted({loc.p for loc in self.entries}))}
         p = np.array([rank[loc.p] for loc in self.entries], np.int64)[self.entry_ids]
         ids = self.entry_ids[np.lexsort((p, self.slot_rows()))]
@@ -418,12 +419,10 @@ class FieldList(Sequence):
             offs = self.offsets[lo: hi + 1].tolist()
             ram = list(map(texts.__getitem__, ids[offs[0]: offs[-1]].tolist()))
             base = offs[0]
-            lines = []
-            for k, d, a, b in zip(self.kind_ids[lo:hi].tolist(), discs[lo:hi].tolist(),
-                                  offs, offs[1:]):
-                degree, group = heads[k]
-                lines.append(_LINE % (degree, d, group, ", ".join(ram[a - base: b - base])))
-            stream.write("".join(lines))
+            stream.write("".join([
+                _LINE % (degree, d, group, ", ".join(ram[a - base: b - base]))
+                for d, a, b in zip(discs[lo:hi].tolist(), offs, offs[1:])
+            ]))
 
 
 def _offsets(counts):
@@ -455,10 +454,11 @@ class _Ingest:
     """The columns of the rows met so far, and the entries met so far.
 
     `slots` maps the key (p, kind, parts or label, exp or None) of each
-    parsed entry to its slot in `entries`, `ids` the id of each entry object
-    given whole to its slot, and `kinds` each (degree, group) met to its
-    index.  On frame lines, `texts` maps each entry text met to its slot,
-    and `heads` each (degree text, group) met to its kind.
+    parsed entry to its slot in `entries`, and `ids` the id of each entry
+    object given whole to its slot.  `kind` is the (degree, group) of the
+    first row, None before it.  On frame lines, `texts` maps each entry text
+    met to its slot, and `head` is the last (degree text, group) found to be
+    of that kind.
     """
 
     def __init__(self):
@@ -467,13 +467,17 @@ class _Ingest:
         self.ids: dict[int, int] = {}
         self.cycle_types: dict[tuple[int, ...], CycleType] = {}
         self.texts: dict[str, int] = {}
-        self.heads: dict[tuple[str, str], int] = {}
-        self.kinds: dict[tuple, int] = {}
-        self.discs, self.signs, self.kind_ids, self.counts = [], [], [], []
-        self.entry_ids, self.lines = [], []
+        self.kind: tuple[int, str] | None = None
+        self.head: tuple[str, str] | None = None
+        self.discs, self.signs, self.counts, self.entry_ids, self.lines = [], [], [], [], []
 
-    def kind(self, degree: int, group: str) -> int:
-        return self.kinds.setdefault((degree, group), len(self.kinds))
+    def same_kind(self, degree: int, group: str):
+        """Take the kind of the first row; InvariantViolation for a row of another kind."""
+        if self.kind is None:
+            self.kind = degree, group
+        elif (degree, group) != self.kind:
+            raise InvariantViolation(f"a degree-{degree} {group} record in a list of "
+                                     f"degree-{self.kind[0]} {self.kind[1]} records")
 
     def slot_of(self, loc: LocalRamification) -> int:
         """The slot of this entry object, which every row that gives it shares."""
@@ -483,10 +487,9 @@ class _Ingest:
             self.entries.append(loc)
         return slot
 
-    def append(self, lineno: int | None, kind: int, abs_disc: int, sign: int, slots: list[int]):
+    def append(self, lineno: int | None, abs_disc: int, sign: int, slots: list[int]):
         self.discs.append(abs_disc)
         self.signs.append(sign)
-        self.kind_ids.append(kind)
         self.counts.append(len(slots))
         self.entry_ids += slots
         self.lines.append(lineno)
@@ -498,9 +501,8 @@ class _Ingest:
         for sign in (min(self.signs, default=0), max(self.signs, default=0)):
             if not -128 <= sign < 128:  # past int8; the row rules refuse 0, 2 and the like
                 raise InvariantViolation(_SIGN_RULE.format(sign))
-        return (disc_column(self.discs), np.array(self.signs, np.int8), tuple(self.kinds),
-                np.array(self.kind_ids, np.int32), _offsets(self.counts), tuple(self.entries),
-                np.array(self.entry_ids, np.int32))
+        return (disc_column(self.discs), np.array(self.signs, np.int8), self.kind,
+                _offsets(self.counts), tuple(self.entries), np.array(self.entry_ids, np.int32))
 
     def field_list(self, x_max) -> FieldList:
         """The rows parsed so far, in line order."""
@@ -540,12 +542,13 @@ class _Ingest:
             ram_objs = obj.get("ram", [])
         except (KeyError, TypeError) as exc:
             raise MalformedLine(lineno, f"bad record fields: {exc}")
+        self.same_kind(degree, group)
         _check_disc(disc, lineno)
         try:
             slots = [self.entry(r, lineno) for r in ram_objs]
         except TypeError as exc:  # "ram" is not iterable
             raise MalformedLine(lineno, f"bad ramification entry: {exc}")
-        self.append(lineno, self.kind(degree, group), abs(disc), -1 if disc < 0 else 1, slots)
+        self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
 
     def frame_line(self, match: re.Match, lineno: int) -> bool:
         """Append the record of a line in `_LINE_FRAME`; False to decode it whole.
@@ -553,10 +556,10 @@ class _Ingest:
         False means a piece between "}, {" is not one JSON object.
         """
         degree, disc, group, ram_text = match.groups()
+        head = degree, group
         try:
-            kind = self.heads.get((degree, group))
-            if kind is None:
-                kind = self.heads[degree, group] = self.kind(int(degree), group)
+            if head != self.head:  # a head text first met here
+                degree = int(degree)
             disc = int(disc)
         except ValueError as exc:  # past int()'s digit limit
             raise MalformedLine(lineno, f"bad record fields: {exc}")
@@ -565,7 +568,7 @@ class _Ingest:
         try:
             slots = [known[piece] for piece in pieces]
         except KeyError:  # a text first met here
-            fresh = {}
+            slots, fresh = None, {}
             for piece in pieces:
                 if piece not in known and piece not in fresh:
                     text = "{" + piece + "}"
@@ -576,14 +579,16 @@ class _Ingest:
                     if end < len(text):
                         return False
                     fresh[piece] = obj
+        if head != self.head:
+            self.same_kind(degree, group)
+            self.head = head
+        if not 0 < abs(disc) < DISC_LIMIT:
             _check_disc(disc, lineno)
+        if slots is None:
             for piece, obj in fresh.items():
                 known[piece] = self.entry(obj, lineno)
             slots = [known[piece] for piece in pieces]
-        else:
-            if not 0 < abs(disc) < DISC_LIMIT:
-                _check_disc(disc, lineno)
-        self.append(lineno, kind, abs(disc), -1 if disc < 0 else 1, slots)
+        self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
         return True
 
 

@@ -50,12 +50,16 @@ def abelian_uniformity_check(
 ) -> UniformityReport:
     """Ratios N_q / (X/q)^(1/a) ln^(b-1) X over the q grid.
 
-    N_q is counted from the list's columns, with no record view.
+    N_q is counted from the list's columns, with no record view.  A given
+    list with rows must be of degree l and group C<l> (ValueError otherwise).
     """
     import numpy as np
 
     if field_list is None:
         field_list = enumerate_cyclic(l, x)
+    elif len(field_list) and (field_list.degree, field_list.group_label) != (l, f"C{l}"):
+        raise ValueError(f"a list of degree-{field_list.degree} {field_list.group_label} "
+                         f"records, not of degree-{l} C{l} records")
     if field_list.x_max < x:
         raise IncompleteList(f"list complete to {field_list.x_max} < {x}")
     cycle = Permutation.from_cycles([tuple(range(1, l + 1))], degree=l)

@@ -56,7 +56,7 @@ class AbelianGroupSpec:
 
     def __post_init__(self):
         if any(f < 2 for f in self.cyclic_factors):
-            raise ValueError("cyclic factors must be >= 2 (use () for the trivial group)")
+            raise ValueError("cyclic factors must be >= 2")
 
     @classmethod
     def parse(cls, text: str) -> "AbelianGroupSpec":

@@ -251,6 +251,23 @@ def test_count_pairs_cli_refuses_a_degree_zero_field(capsys, tmp_path):
     assert captured.err == "error: line 1: degree must be >= 1, got 0\n"
 
 
+def test_count_pairs_cli_refuses_a_file_of_two_kinds(capsys, tmp_path):
+    # with a C3 line among the S3 lines this file once parsed, and count-pairs
+    # refused the pair of kinds only when the C3 line fell in its window
+    from malle_lab.fields.cubic import enumerate_cubic
+    from malle_lab.fields.cyclic import enumerate_cyclic
+
+    sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
+    for path, field_list in ((sn, enumerate_cubic(10**3)), (ab, enumerate_cyclic(3, 10**4))):
+        with path.open("w") as fh:
+            field_list.write_jsonl(fh)
+    sn.write_text(sn.read_text().splitlines(keepends=True)[0] + ab.read_text().splitlines()[0])
+    code = main(["count-pairs", "--x", "1e6", "--sn-fields", str(sn), "--abelians", str(ab)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: line 2: a degree-3 C3 record in a list of degree-3 S3 records\n"
+
+
 FLOAT_FLAGS = {
     "--predicted": ["convolve", "--s1", "integers", "--s2", "integers",
                     "--a", "1", "--b", "1", "--x", "10"],
@@ -605,7 +622,9 @@ MALFORMED_SPECS = [
     (["invariants", "--generators", "(123);(12)("], "cannot parse permutation '(12)('"),
     (["invariants", "--generators", "(12)", "--product", "(0)"], "cycle points must be >= 1"),
 ] + [(["verify-lemmas", "--n", "3", "--group", spec], f"cannot parse abelian group {spec!r}")
-     for spec in ("3c5", "3x", "x3", "3xx5", "cc7", "1_000")]
+     for spec in ("3c5", "3x", "x3", "3xx5", "cc7", "1_000")] + [
+    (["verify-lemmas", "--n", "3", "--group", spec], "cyclic factors must be >= 2")
+    for spec in ("1", "3x0")]
 
 
 @pytest.mark.parametrize("argv, error", MALFORMED_SPECS,
@@ -613,7 +632,8 @@ MALFORMED_SPECS = [
 def test_a_malformed_group_spec_exits_2_with_one_error_line(argv, error, capsys):
     # each once read a group from the text's valid parts: "(12)(3" exited 0
     # on the group of (12), "3c5" on C35 and "1_000" as C1000 (refused for
-    # its order); "(0)" exited 1 with an IndexError traceback
+    # its order); "(0)" exited 1 with an IndexError traceback; "1" once
+    # pointed at a "()" that no spec parses to
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -663,12 +683,15 @@ def test_convolve_cli_reads_a_sequence_file(tmp_path, capsys):
         count = product_count_exact(seq, CountingSequence.integers(), 1, 2, x)
         assert json.loads(out)["report"]["count"] == count
     assert count == 12
-    # a line of one column is refused input
-    path.write_text("1 1\n2\n")
-    assert main(argv + ["--x", "9"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ")
+    # a line of one column or of a non-integer is refused input, by file and line
+    for text, lineno, bad in (("1 1\n2\n", 2, "2"), ("1.5 2\n", 1, "1.5 2"),
+                              ("1 1\n\n2 1 1\n", 3, "2 1 1")):
+        path.write_text(text)
+        assert main(argv + ["--x", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path} line {lineno}: expected two integers "
+                                f"'value multiplicity', got {bad!r}\n")
 
 
 def test_abelian_uniformity_bound_below_the_largest_ratio_exits_1(capsys):

@@ -274,23 +274,22 @@ def test_count_pairs_s3_c5_exact_no_table():
     assert rep.n_exact[-1] > 0
 
 
-def test_count_pairs_rejects_mixed_degrees(monkeypatch):
-    import malle_lab.counting as counting
-
-    def no_pairs(*args, **kwargs):
-        raise AssertionError("a pair was formed")
-
-    monkeypatch.setattr(counting, "compose_disc", no_pairs)
+def test_mixed_lists_are_refused_where_they_are_made():
+    # count_pairs once refused the first two lists, and summed over the two
+    # groups of the third
     k4 = rec(4, "S4", 1, [tame(5, [2, 1, 1])])  # |disc| = 5
     l5 = rec(5, "C5", 1, [tame(11, [5])])  # |disc| = 11^4
-    s3_s4 = FieldList(records=(k4, K23), provenance="ingested", x_max=10**6)
-    c3_c5 = FieldList(records=(L7, l5), provenance="ingested", x_max=10**6)
-    s3 = FieldList(records=(K23,), provenance="ingested", x_max=10**6)
-    c3 = FieldList(records=(L7,), provenance="ingested", x_max=10**6)
-    with pytest.raises(InadmissiblePair, match="S_n list mixes degrees"):
-        count_pairs(s3_s4, c3, 10**12, mode="interval")
-    with pytest.raises(InadmissiblePair, match="abelian list mixes degrees"):
-        count_pairs(s3, c3_c5, 10**12, mode="interval")
+    c3xc3 = rec(9, "C3xC3", 1, [tame(7, [3, 3, 3])])  # |disc| = 7^6
+    c9 = rec(9, "C9", 1, [tame(19, [9])])  # |disc| = 19^8
+    for records, message in (
+        ((k4, K23), "a degree-3 S3 record in a list of degree-4 S4 records"),
+        ((L7, l5), "a degree-5 C5 record in a list of degree-3 C3 records"),
+        ((c3xc3, c9), "a degree-9 C9 record in a list of degree-9 C3xC3 records"),
+    ):
+        FieldList(records=records[:1], provenance="ingested", x_max=10**12)
+        with pytest.raises(InvariantViolation) as exc:
+            FieldList(records=records, provenance="ingested", x_max=10**12)
+        assert str(exc.value) == message
 
 
 def _relabelled(field_list, labels):
@@ -301,6 +300,8 @@ def _relabelled(field_list, labels):
 
 
 def test_count_pairs_inadmissible_label_late_in_a_list(lists_1e4):
+    """A label late in a list is refused where the list is made; a list all of
+    one inadmissible label is refused by count_pairs."""
     cubics, abelians = lists_1e4
     x = 10**12  # both windows reach 10^4, the end of both lists
 
@@ -309,17 +310,20 @@ def test_count_pairs_inadmissible_label_late_in_a_list(lists_1e4):
             count_pairs(ks, ls, x, mode="interval")
         return str(excinfo.value)
 
-    late_k = _relabelled(cubics, {-1: "C3"})
-    late_l = _relabelled(abelians, {-1: "S3"})
-    assert error(late_k, abelians) == "left field must be S3/S4/S5, got C3"
-    assert error(cubics, late_l) == "right field must be abelian (C...), got S3"
-    # in K-major order (K_0, L_last) comes before (K_last, L_0)
-    assert error(late_k, late_l) == "right field must be abelian (C...), got S3"
-    # the first bad label of a list wins, and a label's degree is checked
-    assert error(_relabelled(cubics, {-9: "S4", -1: "C3"}), abelians) == "S4 field with degree 3"
-    assert error(cubics, _relabelled(abelians, {-2: "C3xC3", -1: "S5"})) == (
-        "right field must be abelian (C...), got S5"
+    def all_of(field_list, label):
+        return _relabelled(field_list, dict.fromkeys(range(len(field_list)), label))
+
+    for field_list, label, kind in ((cubics, "C3", "S3"), (abelians, "S3", "C3")):
+        with pytest.raises(InvariantViolation) as exc:
+            _relabelled(field_list, {-1: label})
+        assert str(exc.value) == f"a degree-3 {label} record in a list of degree-3 {kind} records"
+    assert error(all_of(cubics, "C3"), abelians) == "left field must be S3/S4/S5, got C3"
+    assert error(cubics, all_of(abelians, "S3")) == "right field must be abelian (C...), got S3"
+    # the K label is checked first, and a label's degree is checked
+    assert error(all_of(cubics, "C3"), all_of(abelians, "S3")) == (
+        "left field must be S3/S4/S5, got C3"
     )
+    assert error(all_of(cubics, "S4"), abelians) == "S4 field with degree 3"
 
 
 def test_count_pairs_checks_admissibility_once_per_label(lists_1e4, monkeypatch):
@@ -339,8 +343,8 @@ def test_count_pairs_checks_admissibility_once_per_label(lists_1e4, monkeypatch)
         monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
     count_pairs(cubics, abelians, 10**12, mode="interval", y_ladder=(10, 100))
     assert calls["compose_disc"] > 0 and calls["disc_truncated"] > 0
-    # one label on each side, then one check in every composition
-    assert calls["_check_labels"] == 2 + calls["compose_disc"] + calls["disc_truncated"]
+    # one check of the two lists' kinds, then one in every composition
+    assert calls["_check_labels"] == 1 + calls["compose_disc"] + calls["disc_truncated"]
 
 
 def test_admissibility_is_decided_once_per_label_pair(lists_1e4):

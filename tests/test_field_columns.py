@@ -1,6 +1,6 @@
 """Field lists as columns: views, producers, checks and the consumers that read the columns.
 
-A FieldList keeps |disc|, sign, kind and entry indices as arrays, and builds
+A FieldList keeps one kind, and |disc|, sign and entry indices as arrays, and builds
 FieldRecord views on demand.  Every producer must give the list that the
 checked constructor gives for the same records, and every consumer must give
 what the record-by-record computation gives.
@@ -9,6 +9,7 @@ what the record-by-record computation gives.
 import io
 import json
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -40,8 +41,8 @@ def _checked(field_list) -> FieldList:
 
 
 def _same_columns(a: FieldList, b: FieldList):
-    assert (len(a), a.x_max, a.kinds) == (len(b), b.x_max, b.kinds)
-    for name in ("abs_discs", "disc_signs", "kind_ids", "offsets"):
+    assert (len(a), a.x_max, a.degree, a.group_label) == (len(b), b.x_max, b.degree, b.group_label)
+    for name in ("abs_discs", "disc_signs", "offsets"):
         assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
     assert [a.entries[k] for k in a.entry_ids.tolist()] == [b.entries[k] for k in b.entry_ids.tolist()]
 
@@ -156,10 +157,25 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
     with pytest.raises(InvariantViolation, match="sorted"):
         FieldList(records=(k23, FieldRecord(3, "S3", 8, (_wild(2, 3),), 1)), provenance="x", x_max=99)
     fl = FieldList(records=(k23,), provenance="x", x_max=99)
-    forged = [np.array([46]), np.array([-1], np.int8), fl.kinds, np.zeros(1, np.int32),
+    forged = [np.array([46]), np.array([-1], np.int8), (fl.degree, fl.group_label),
               fl.offsets.copy(), fl.entries, fl.entry_ids.copy()]
     with pytest.raises(InvariantViolation, match="46 != product of local parts 23"):
         FieldList.from_columns("x", 99, *forged)
+
+
+def test_the_constructor_refuses_a_record_of_another_kind_as_the_parser_does():
+    k23 = FieldRecord(3, "S3", 23, (_wild(23, 1),), -1)
+    l49 = FieldRecord(3, "C3", 49, (_wild(7, 2),), 1)
+    lines = [json.dumps(rec.to_json()) for rec in (k23, l49)]
+    with pytest.raises(InvariantViolation) as parsed:
+        parse_field_file(io.StringIO("\n".join(lines)))
+    with pytest.raises(InvariantViolation) as made:
+        FieldList(records=(k23, l49), provenance="x", x_max=99)
+    assert str(parsed.value) == "line 2: " + str(made.value)
+    assert str(made.value) == "a degree-3 C3 record in a list of degree-3 S3 records"
+    # a row rule broken by an earlier record comes first, as in the parser
+    with pytest.raises(InvariantViolation, match="^disc sign must be 1 or -1, got 2$"):
+        FieldList(records=(replace(k23, disc_sign=2), l49), provenance="x", x_max=99)
 
 
 def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
@@ -168,8 +184,8 @@ def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
     message text."""
 
     def columns(entry, disc):
-        return (np.array([disc]), np.array([-1], np.int8), ((3, "S3"),), np.zeros(1, np.int32),
-                np.array([0, 1]), (entry,), np.zeros(1, np.int32))
+        return (np.array([disc]), np.array([-1], np.int8), (3, "S3"), np.array([0, 1]), (entry,),
+                np.zeros(1, np.int32))
 
     def parser_message(obj) -> str:
         with pytest.raises(InvariantViolation) as exc:
@@ -225,7 +241,7 @@ def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     x = 10**12  # both windows reach the ends of both lists
     count_pairs(cubics, cyclics, x, mode="interval", y_ladder=(10, 100))
     pairs = counting._sharing_pairs(cubics, len(cubics), cyclics, len(cyclics), 3, 3, x)
-    # one view per composing K and per composed L; admissibility reads the kinds
+    # one view per composing K and per composed L; admissibility reads the lists' kinds
     assert len(pairs) > 100
     assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs})
 
@@ -234,15 +250,14 @@ def test_every_empty_list_has_no_degree_and_windows_nothing():
     """An empty list, however it is made, fixes no window on the other side.
 
     No K lies in the window below, so the count is zeros whatever the
-    C3 list's reach; the cubic list to 10 once kept the degree of its kinds
-    table and asked the C3 list to reach 10.
+    C3 list's reach; the cubic list to 10 once kept the degree its
+    enumerator gave it and asked the C3 list to reach 10.
     """
     empties = [enumerate_cubic(1), enumerate_cubic(10), enumerate_cyclic(3, 5),
                parse_field_file(io.StringIO(""), x_max=10),
-               FieldList(records=(), provenance="x", x_max=10)]
-    assert all(len(fl) == 0 and fl.degrees == set() for fl in empties)
-    assert enumerate_cubic(1).kinds == enumerate_cubic(10).kinds == ((3, "S3"),)
-    assert enumerate_cyclic(3, 5).kinds == ((3, "C3"),)
+               FieldList(records=(), provenance="x", x_max=10),
+               enumerate_cubic(10**3)._take(np.arange(0))]
+    assert all(len(fl) == 0 and fl.degree is fl.group_label is None for fl in empties)
     for k_list in (enumerate_cubic(1), enumerate_cubic(10)):
         rep = count_pairs(k_list, enumerate_cyclic(3, 5), 1000)
         assert set(rep.n_lo) == set(rep.n_hi) == {0}

@@ -368,8 +368,47 @@ def test_parse_refuses_a_degree_below_one(degree):
     # degree 0 once parsed and counted to zero; -3 failed only in iroot
     line = {"degree": degree, "group": "S3", "disc": 1, "ram": []}
     for render in RENDERINGS:
-        with pytest.raises(InvariantViolation, match=f"line 2: degree must be >= 1, got {degree}"):
-            parse_field_file(io.StringIO(GOOD_LINE + "\n" + render(line)))
+        with pytest.raises(InvariantViolation) as exc:
+            parse_field_file(io.StringIO(render(line)))
+        assert str(exc.value) == f"line 1: degree must be >= 1, got {degree}"
+
+
+C3_LINE = {"degree": 3, "group": "C3", "disc": 49,
+           "ram": [{"p": 7, "kind": "tame", "cycle_type": [3]}]}
+MIXED = "a degree-3 C3 record in a list of degree-3 S3 records"
+
+
+def _parse_error(lines) -> tuple:
+    with pytest.raises((InvariantViolation, MalformedLine)) as exc:
+        parse_field_file(io.StringIO("\n".join(lines)))
+    return type(exc.value), str(exc.value)
+
+
+def test_parse_refuses_a_record_of_another_kind_at_its_line():
+    """After the line's typed-field checks, before its disc and entry checks."""
+    good = json.loads(GOOD_LINE)
+    p9 = [{"p": 9, "kind": "tame", "cycle_type": [3]}]
+    others = [C3_LINE, dict(C3_LINE, disc=0), dict(C3_LINE, disc=2**63), dict(C3_LINE, ram=p9)]
+    for render in RENDERINGS:
+        for other in others:
+            lines = [render(good), render(good), render(other)]
+            assert _parse_error(lines) == (InvariantViolation, "line 3: " + MIXED)
+        s4 = dict(good, degree=4, group="S4")
+        assert _parse_error([render(good), render(s4)]) == (
+            InvariantViolation, "line 2: a degree-4 S4 record in a list of degree-3 S3 records")
+        error, message = _parse_error([render(good), render(dict(C3_LINE, degree=3.0))])
+        assert error is MalformedLine and message.startswith("line 2: bad record fields")
+
+
+def test_parse_names_the_first_bad_line_when_a_kind_is_mixed():
+    off_product = dict(json.loads(GOOD_LINE), disc=-46)
+    for render in RENDERINGS:
+        # a row rule broken on an earlier line wins
+        assert _parse_error([render(off_product), render(C3_LINE)]) == (
+            InvariantViolation, "line 1: |disc| 46 != product of local parts 23")
+        # and a kind mismatch wins over a malformed line after it
+        assert _parse_error([GOOD_LINE, render(C3_LINE), "{not json"]) == (
+            InvariantViolation, "line 2: " + MIXED)
 
 
 @pytest.mark.parametrize("sign", [0, 2, -2, 2**70])
@@ -828,3 +867,15 @@ def test_abelian_uniformity_incomplete_list():
     fl = enumerate_cyclic(3, 100)
     with pytest.raises(IncompleteList):
         abelian_uniformity_check(3, [7], 10**4, field_list=fl)
+
+
+def test_abelian_uniformity_refuses_a_list_of_another_kind():
+    # these were once counted against the C3 shape; the C5 list gave 21 and 9
+    for fl, kind in ((enumerate_cyclic(5, 10**12), "degree-5 C5"),
+                     (enumerate_cubic(10**4), "degree-3 S3")):
+        with pytest.raises(ValueError) as exc:
+            abelian_uniformity_check(3, [11, 31], fl.x_max, field_list=fl)
+        assert str(exc.value) == f"a list of {kind} records, not of degree-3 C3 records"
+    # a list with no rows has no kind, and counts nothing
+    rep = abelian_uniformity_check(3, [1], 10, field_list=enumerate_cyclic(5, 10))
+    assert rep.per_q[0].count == 0

@@ -2,7 +2,8 @@
 
 A stripped line in the writer's frame is split into entry texts, each decoded
 once per call and degree; any other line is decoded whole.  Each example is
-a short file of writer lines with one or two mutated lines in it.  The file
+a short file of the writer lines of one list, which holds one kind of field,
+with one or two mutated lines of that list in it.  The file
 is parsed as is, and again with the frame pattern swapped for one that
 matches nothing, which sends every line down the general path.  The two
 parses must give equal records with the same sharing and warnings, or the
@@ -32,11 +33,12 @@ def _lines(field_list) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-# tame entries at degree 3, wild ones at 3 and 5, and records of one to four entries
-WRITER_LINES = (
-    _lines(enumerate_cubic(2000))
-    + _lines(enumerate_cyclic(3, 2 * 10**4))
-    + _lines(enumerate_cyclic(5, 10**9))
+# tame entries at degree 3, wild ones at 3 and 5, and records of one to four
+# entries; a list of one kind each, so that only a mutation breaks the kind
+WRITER_LISTS = (
+    _lines(enumerate_cubic(2000)),
+    _lines(enumerate_cyclic(3, 2 * 10**4)),
+    _lines(enumerate_cyclic(5, 10**9)),
 )
 _NEVER = re.compile(r"(?!)")
 
@@ -188,8 +190,8 @@ TEXT_MUTATIONS = [
 
 
 @st.composite
-def mutated_lines(draw):
-    obj = json.loads(draw(st.sampled_from(WRITER_LINES)))
+def mutated_lines(draw, writer_lines):
+    obj = json.loads(draw(st.sampled_from(writer_lines)))
     for mutate in draw(st.lists(st.sampled_from(OBJECT_MUTATIONS), max_size=2)):
         if mutate is not None:
             mutate(draw, obj)
@@ -202,9 +204,10 @@ def mutated_lines(draw):
 
 @st.composite
 def files(draw):
-    """A file of writer lines with one or two mutated lines, and the mutated lines."""
-    lines = draw(st.lists(st.sampled_from(WRITER_LINES), max_size=4))
-    mutated = draw(st.lists(mutated_lines(), min_size=1, max_size=2))
+    """A file of one list's writer lines with one or two mutated lines of it, and the mutated lines."""
+    writer_lines = draw(st.sampled_from(WRITER_LISTS))
+    lines = draw(st.lists(st.sampled_from(writer_lines), max_size=4))
+    mutated = draw(st.lists(mutated_lines(writer_lines), min_size=1, max_size=2))
     for line in mutated:
         lines.insert(draw(st.integers(0, len(lines))), line)
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), mutated

@@ -118,8 +118,7 @@ def _columns(rec: FieldRecord) -> tuple:
     entries = tuple({id(loc): loc for loc in rec.ramification}.values())
     slot = {id(loc): k for k, loc in enumerate(entries)}
     return (np.array([rec.abs_disc], np.int64), np.array([rec.disc_sign], np.int8),
-            ((rec.degree, rec.group_label),), np.zeros(1, np.int32),
-            np.array([0, len(rec.ramification)], np.int64), entries,
+            (rec.degree, rec.group_label), np.array([0, len(rec.ramification)], np.int64), entries,
             np.array([slot[id(loc)] for loc in rec.ramification], np.int32))
 
 
