@@ -1,7 +1,7 @@
 """Integer arithmetic shared across the package, without floats.
 
 - `iroot(n, k)`: the integer k-th root, by Newton steps;
-- `is_prime(n)`: division by small primes, then Miller-Rabin;
+- `is_prime(n)`: one gcd with the small primes, then Miller-Rabin;
 - `primes_upto(n)`: the primes <= n, from a bytearray sieve;
 - `spf_table(n)`: smallest prime factors of 0..n, for factoring many n;
 - `factor(n)`: {p: v_p(n)}, by trial division;
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 
 __all__ = [
     "iroot",
@@ -42,6 +42,7 @@ SIEVE_LIMIT = 2**31 - 1  # the largest n that primes_upto and spf_table take
 # (Pomerance, Selfridge, Wagstaff): the first two below 1,373,653 = 829 * 1657,
 # the first four below 3,215,031,751.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PRODUCT = prod(_MR_BASES)
 
 
 def iroot(n: int, k: int) -> int:
@@ -64,15 +65,11 @@ def iroot(n: int, k: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: small primes by division, the rest by Miller-Rabin."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
+    """Whether n is prime: small primes by one gcd, the rest by Miller-Rabin."""
+    if n < 2 or gcd(n, _MR_PRODUCT) != 1:
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
     if n < 1_373_653:
         bases = _MR_BASES[:2]
     elif n < 3_215_031_751:

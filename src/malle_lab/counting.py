@@ -270,13 +270,12 @@ def _sharing_pairs(ks: FieldList, nk: int, ls: FieldList, nl: int, deg_k: int, d
     l_discs = ls.abs_discs[:nl].tolist()
     l_offsets = ls.offsets[: nl + 1].tolist()
     l_ids = ls.entry_ids[: l_offsets[-1]].tolist()
-    l_primes = {ls.entries[e].p for e in l_ids}
+    l_p, l_v = ls.entry_p.tolist(), ls.entry_exp.tolist()
+    l_primes = set(map(l_p.__getitem__, l_ids))
     # the K entry slots at the primes of the L window, by group
     groups: dict[tuple[int, int], int] = {}
-    group_of = np.array([
-        groups.setdefault((loc.p, loc.disc_exponent), len(groups)) if loc.p in l_primes else -1
-        for loc in ks.entries
-    ], np.int64)
+    group_of = np.array([groups.setdefault(pv, len(groups)) if pv[0] in l_primes else -1
+                         for pv in zip(ks.entry_p.tolist(), ks.entry_exp.tolist())], np.int64)
     rows = ks.slot_rows(nk)
     group = group_of[ks.entry_ids[: rows.size]]
     rows, group = rows[group >= 0], group[group >= 0]
@@ -290,7 +289,7 @@ def _sharing_pairs(ks: FieldList, nk: int, ls: FieldList, nl: int, deg_k: int, d
     found = []
     for j, l_disc in enumerate(l_discs):
         for e in l_ids[l_offsets[j]: l_offsets[j + 1]]:
-            p, v = ls.entries[e].p, ls.entries[e].disc_exponent
+            p, v = l_p[e], l_v[e]
             rest = l_disc // p**v  # Disc(L) away from p
             for w, lo, hi in by_prime.get(p, ()):
                 at_p = p ** max(0, deg_k * v - deg_l * w)

@@ -83,8 +83,8 @@ module does not load it.  A task returns its canonical forms, their discs,
 their entries' codes and each form's entry count.  The parent sorts and
 dedups them and makes the FieldList's columns straight from the sorted
 arrays: |disc|, sign, row offsets, and the np.unique codes of the rows'
-entries as indices into the list's entries.  It builds no record; the list
-checks its columns once (see `records`).
+entries, as entry ids and decoded into entry columns.  It builds no record
+and no entry; the list checks its columns once (see `records`).
 
 int64.  Every intermediate of the array code is bounded through the search
 bounds, each increasing in X, so it is enough to bound them at
@@ -165,9 +165,9 @@ they decide both maximality and e; a form with a failing row is dropped
 with all its rows.  The entry at p is wild where p | e, else tame with
 exponent v_p(D), which only the entry rules check (against ind of the cycle
 type).  It depends only on (p, v_p(disc), e), so a row carries it as one
-integer code, and the parent builds each distinct entry once from its code,
-as the list's table of entries (at 1e5, 4,367 entries for the 55,341 entry
-slots of 21,794 fields), for any worker count.
+integer code, and the parent decodes the distinct codes straight into the
+list's entry columns (`_code_columns`; at 1e5, 4,367 entries for the 55,341
+entry slots of 21,794 fields), for any worker count.
 
 Mirror pairs.  The mirror (a, b, c, d) -> (a, -b, c, -d), i.e. F(x, -y), is
 in the class of F and keeps disc.  It maps each reduced set to itself: for
@@ -205,14 +205,11 @@ from math import gcd, isqrt
 from ..arith import SIEVE_LIMIT, divisors, factor, iroot, spf_table
 from ..permgroup import CycleType
 from ..util import pmap
-from .records import FieldList, LocalRamification, _offsets
+from .records import FieldList, _offsets
 
 __all__ = ["disc_form", "hessian", "enumerate_cubic", "canonical_form"]
 
 Form = tuple[int, int, int, int]
-
-_TAME_2_1 = CycleType.from_parts((2, 1))
-_TAME_3 = CycleType.from_parts((3,))
 
 
 def disc_form(f: Form) -> int:
@@ -447,24 +444,22 @@ def _factor_rows(n, spf):
     return i[order], p[order], v[order]
 
 
-def _local_entry(p: int, v: int, triple: bool) -> LocalRamification:
-    """The entry at p of a field with v_p(disc) = v and e = 3 when `triple`, else 2:
-    wild where p | e, else tame with exponent v (the entry rules check it)."""
-    e = 3 if triple else 2
-    if p == e:
-        return LocalRamification(p=p, kind="wild", disc_exponent=v, wild_label=f"{p}-e{e}-v{v}")
-    cycle_type = _TAME_3 if triple else _TAME_2_1
-    return LocalRamification(p=p, kind="tame", disc_exponent=v, tame_cycle_type=cycle_type)
-
-
 def _entry_code(p, v, triple):
     """The entry key (p, v_p(disc), triple) as one integer, (p * 64 + v) * 2 + triple."""
     return (p * 64 + v) * 2 + triple
 
 
-def _code_entry(code: int) -> LocalRamification:
-    """The entry of an `_entry_code`."""
-    return _local_entry(code >> 7, (code >> 1) & 63, bool(code & 1))
+def _code_columns(codes):
+    """The entry columns p, exponent, type index and local types of these `_entry_code`s:
+    wild where p = e (3 if triple, else 2), labelled "<p>-e<e>-v<v>", else of type (2, 1) or (3)."""
+    import numpy as np
+
+    p, v, triple = codes >> 7, (codes >> 1) & 63, codes & 1
+    wild = np.flatnonzero(p == 2 + triple)
+    type_ids = triple.astype(np.int32)
+    type_ids[wild] = 2 + np.arange(wild.size)
+    labels = [f"{q}-e{q}-v{w}" for q, w in zip(p[wild].tolist(), v[wild].tolist())]
+    return p, v, type_ids, (CycleType.from_parts((2, 1)), CycleType.from_parts((3,)), *labels)
 
 
 def is_maximal(f: Form) -> bool:
@@ -693,6 +688,5 @@ def enumerate_cubic(x: int, workers: int = 1) -> FieldList:
     discs = discs[order]
     return FieldList.from_columns(
         "enumerated", x, np.abs(discs), np.sign(discs).astype(np.int8), (3, "S3"),
-        _offsets(counts[order]),
-        tuple(map(_code_entry, codes.tolist())), entry_ids.astype(np.int32),
+        _offsets(counts[order]), entry_ids.astype(np.int32), *_code_columns(codes),
     )

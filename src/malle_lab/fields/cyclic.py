@@ -7,9 +7,9 @@ p = 1 (mod l), optionally times l^2 (the wildly ramified case); a conductor
 with t ramified primes carries exactly (l-1)^(t-1) fields, since the l-torsion
 of the dual group is C_l^t and an order-l subgroup with full conductor has
 (l-1)^t generators with all components nontrivial, l-1 of them per subgroup.
-`enumerate_cyclic` builds no record: it writes each conductor's disc and
-entry slots into the list's columns, (l-1)^(t-1) equal rows of them, and
-hands the columns to `FieldList.from_columns`, which checks them.
+`enumerate_cyclic` builds no record and no entry: it writes one entry per
+ramified prime, and each conductor's disc and entry slots, (l-1)^(t-1) equal
+rows of them, into the list's columns for `FieldList.from_columns`.
 
 The oracle route ignores admissibility theory entirely: for every modulus f
 it computes the number of order-l subgroups of the dual of (Z/fZ)* from the
@@ -20,8 +20,9 @@ Möbius inversion over divisors.
 from __future__ import annotations
 
 from ..arith import divisors, factor, iroot, is_prime, primes_upto
+from ..errors import InvariantViolation
 from ..permgroup import CycleType
-from .records import FieldList, LocalRamification, _offsets, disc_column
+from .records import DISC_LIMIT, FieldList, _offsets
 
 __all__ = ["enumerate_cyclic", "cyclic_count_oracle"]
 
@@ -39,10 +40,7 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
     import numpy as np
 
     fmax = iroot(x, l - 1)
-    cycle = CycleType.from_parts([l])
-    primes = [p for p in primes_upto(fmax) if p % l == 1]
-    entries = [LocalRamification(p=p, kind="tame", disc_exponent=l - 1, tame_cycle_type=cycle)
-               for p in primes]  # the slot of the i-th prime is i
+    primes = [p for p in primes_upto(fmax) if p % l == 1]  # the slot of the i-th prime is i
     conductors: list[tuple[int, tuple[int, ...]]] = []  # (f, entry slots)
 
     def dfs(start: int, f: int, tame: tuple[int, ...], wild: tuple[int, ...]):
@@ -55,10 +53,8 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
 
     dfs(0, 1, (), ())
     if l * l <= fmax:
-        entries.append(LocalRamification(
-            p=l, kind="wild", disc_exponent=2 * (l - 1), wild_label=f"{l}-C{l}-cond-{l * l}"
-        ))
-        dfs(0, l * l, (), (len(entries) - 1,))
+        dfs(0, l * l, (), (len(primes),))
+        primes.append(l)  # the wild entry, after the tame ones
     conductors.sort()  # by f, as no two conductors are equal
     discs, counts, entry_ids = [], [], []
     for f, slots in conductors:
@@ -66,9 +62,14 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
         discs += [f ** (l - 1)] * copies
         counts += [len(slots)] * copies
         entry_ids += slots * copies
+    if discs and discs[-1] >= DISC_LIMIT:  # the largest, as the conductors ascend
+        raise InvariantViolation(f"|disc| {discs[-1]} is not below 2^63")
+    wild = np.array(primes) == l  # of type 1, the tame entries of type 0
     return FieldList.from_columns(
-        "enumerated", x, disc_column(discs), np.ones(len(discs), np.int8), (l, f"C{l}"),
-        _offsets(counts), tuple(entries), np.array(entry_ids, np.int32),
+        "enumerated", x, np.array(discs, np.int64), np.ones(len(discs), np.int8), (l, f"C{l}"),
+        _offsets(counts), np.array(entry_ids, np.int32), np.array(primes, np.int64),
+        np.where(wild, 2 * (l - 1), l - 1), wild.astype(np.int32),
+        (CycleType.from_parts([l]), f"{l}-C{l}-cond-{l * l}"),
     )
 
 

@@ -11,16 +11,18 @@ absolute value.  Nothing is coerced: degree, disc, p, exp and every
 cycle-type part must be JSON integers, and group, kind and label JSON
 strings.
 
-Two rule sets check every list, however it is made.  The entry rules run
-in `LocalRamification.__post_init__`, once per entry object: p is prime,
-and a tame entry has exponent ind(cycle_type) with p coprime to the
-ramification index.  The row rules run in one column pass over the list
-when it is made (`FieldList._bad_row`), in this order: degree >= 1, disc
+Two rule sets check every list, however it is made, in one column pass
+when it is made (`FieldList._bad_row`).  First the entry rules, entry by
+entry: p is prime (is_prime once per distinct p); a tame entry has exponent
+ind(cycle_type) with p coprime to the ramification index; a wild entry has a
+non-empty label and exponent >= 1.  Then the row rules: degree >= 1, disc
 sign 1 or -1, |disc| >= 1; then, entry by entry, no prime given twice and a
 tame cycle type of the list's degree; then |disc| = prod p^e over the row's
 entries.  The first failing row is refused with the message of its first
 failing rule, as an InvariantViolation; in a parsed file, with its line
-number.  A FieldRecord is a plain row, checked when it enters a list.
+number.  FieldRecord and LocalRamification are plain views; a
+LocalRamification checks only that it is tame or wild, with a cycle type
+when tame.
 
 Columns.  A FieldList holds one kind of field, its `degree` and
 `group_label`, kept once (None for a list with no rows).  A record of
@@ -32,33 +34,33 @@ for the i-th record in order of |disc|:
 
 - `abs_discs`, int64, and `disc_signs`, int8 (1 or -1);
 - `offsets`, int64 with one more entry than there are rows, and
-  `entry_ids`, int32 indices into `entries`, the list's tuple of distinct
-  LocalRamification objects: row i has the entries
-  entries[entry_ids[k]] for offsets[i] <= k < offsets[i + 1], in the order
-  its record gave them.
+  `entry_ids`, int32: row i has the distinct entries entry_ids[k] for
+  offsets[i] <= k < offsets[i + 1], in the order its record gave them;
+- per distinct entry, `entry_p` and `entry_exp` (v_p(disc)), int64, and
+  `entry_type`, int32, its index into the tuple `local_types`: a CycleType
+  for a tame entry, the label for a wild one.
 
-Every |disc| must be below 2^63 (`DISC_LIMIT`), so that int64 holds it, as
-`cubic.X_LIMIT` bounds what the int64 search can reach: a parsed line past it
-is a MalformedLine with its line number, a hand-built record or an
-enumerated disc an InvariantViolation (`disc_column`).  For S_3 x C_3 such
-a field enters a count window only at X >= 2^189.  numpy is imported inside
-the functions, so importing this module does not load it.
+Every |disc| must be below 2^63 (`DISC_LIMIT`), as `cubic.X_LIMIT` bounds
+what the int64 search can reach, and every p and exp an int64: a row past
+them is refused as it enters, after the rows before it are checked (in a
+file, as a MalformedLine).  For S_3 x C_3 such a field enters a count window
+only at X >= 2^189.  numpy is imported inside the functions, so importing
+this module does not load it.
 
-Views.  A FieldList is the sequence of its records: `fl[i]`, slices (tuples
-of views), iteration and `upto` build FieldRecord objects from the columns
-on demand, one row at a time (`_view`).  A view shares its entry objects
-with every other view of the list; two views of one row are equal, not the
-same object.  `records` is the list itself.
+Views.  `fl[i]`, slices (tuples), iteration and `upto` build FieldRecord
+views from the columns, one row at a time (`_view`), all sharing `entries`,
+the distinct entries as LocalRamification views, made at its first use; two
+views of one row are equal, not the same object.  `records` is the list.
 
 The enumerators hand their columns to `FieldList.from_columns`;
 `parse_field_file` and `FieldList(records, provenance, x_max)` build theirs
-with `_Ingest`, the constructor with one entry slot per distinct entry
-object.  Each list is checked once, by columns.  p^e is computed once per
-distinct entry; each |disc| is divided by its entries' p^e in turn, and
-every remainder must be 0 and the last quotient 1, so no value exceeds
-|disc| and int64 is exact; a stable sort of the entry slots on (row, p)
-finds a prime given twice, at its later slot.  Only the first failing row's
-message is made in Python.
+with `_Ingest`, whose one slot table keys each entry by value (p, kind,
+cycle-type parts or label, exp).  Each list is checked once, by columns.
+p^e is computed once per distinct entry; each |disc| is divided by its
+entries' p^e in turn, and every remainder must be 0 and the last quotient
+1, so no value exceeds |disc| and int64 is exact; a stable sort of the
+entry slots on (row, p) finds a prime given twice, at its later slot.  Only
+the first failing row's message is made in Python.
 
 `FieldList.write_jsonl` writes each record as
 json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
@@ -71,22 +73,20 @@ with INT a JSON integer -?(0|[1-9][0-9]*), which JSON decodes as int() does,
 and STR a string with no quote, backslash or control character, which JSON
 decodes to its own text.
 
-Parsed records share their entries: `parse_field_file` builds and checks
-each distinct entry (p, kind, cycle type or label, exp) once per call and
-appends every line to the columns.  A stripped line that matches the frame
-(`_LINE_FRAME`) is split into entry texts at "}, {", and each distinct text
-is decoded and type-checked once per call, at its first sight; the entry
-rules do not depend on the record, so one text has one entry.  That is
-exact.  When every piece decodes as a JSON object, the bracketed text is
-the JSON array of those objects, as JSON's grammar gives each text one
-parse; so the whole line decodes to what the pieces give, and equal texts
-give equal objects that pass the same checks.  A line outside the frame, or
-with a piece that is not one JSON object, is decoded whole, and that path
-decides its record or its error.  Both paths run the same typed-key checks
-(`_Ingest.entry`) and share the entry of each key.  A line's own errors are
-raised as it is read, but a row check of an earlier line comes first, as
-the columns of the lines before are checked before any error leaves the
-parser.
+`parse_field_file` appends every line to the columns.  A stripped line that
+matches the frame (`_LINE_FRAME`) is split into entry texts at "}, {", and
+each distinct text is decoded and type-checked once per call, at its first
+sight; an entry does not depend on its record, so one text has one entry.
+That is exact.  When every piece decodes as a JSON object, the bracketed
+text is the JSON array of those objects, as JSON's grammar gives each text
+one parse; so the whole line decodes to what the pieces give, and equal
+texts give equal objects that pass the same checks.  A line outside the
+frame, or with a piece that is not one JSON object, is decoded whole, and
+that path decides its record or its error.  Both paths run the same
+typed-key checks (`_Ingest.entry`) and share the slot of each key.  A
+line's own errors are raised as it is read, but a rule broken by an earlier
+line comes first, as the columns of the lines before are checked before
+any error leaves the parser.
 """
 
 from __future__ import annotations
@@ -121,30 +121,35 @@ class LocalRamification:
     def __post_init__(self):
         if self.kind not in ("tame", "wild"):
             raise InvariantViolation(f"kind must be tame or wild, got {self.kind!r}")
-        if not is_prime(self.p):
-            raise InvariantViolation(f"ramified p = {self.p} is not prime")
-        if self.kind == "tame":
-            ct = self.tame_cycle_type
-            if ct is None:
-                raise InvariantViolation("tame entry needs a cycle type")
-            if self.disc_exponent != index_of(ct):
-                raise InvariantViolation(
-                    f"tame exponent {self.disc_exponent} != ind{ct.parts} at p={self.p}"
-                )
-            if gcd(self.p, ct.ramification_index) != 1:
-                raise InvariantViolation(
-                    f"p={self.p} divides the tame ramification index {ct.ramification_index}"
-                )
-        else:
-            if not self.wild_label:
-                raise InvariantViolation("wild entry needs a label")
-            if self.disc_exponent < 1:
-                raise InvariantViolation("wild exponent must be >= 1")
+        if self.kind == "tame" and self.tame_cycle_type is None:
+            raise InvariantViolation("tame entry needs a cycle type")
 
     def to_json(self) -> dict:
-        if self.kind == "tame":
-            return {"p": self.p, "kind": "tame", "cycle_type": list(self.tame_cycle_type.parts)}
-        return {"p": self.p, "kind": "wild", "label": self.wild_label, "exp": self.disc_exponent}
+        return _entry_json(self.p, self.disc_exponent,
+                           self.tame_cycle_type if self.kind == "tame" else self.wild_label)
+
+
+def _entry_json(p: int, exp: int, local_type) -> dict:
+    """The JSON object of the entry (p, exp, a CycleType or a wild label)."""
+    if isinstance(local_type, CycleType):
+        return {"p": p, "kind": "tame", "cycle_type": list(local_type.parts)}
+    return {"p": p, "kind": "wild", "label": local_type, "exp": exp}
+
+
+def _entry_fault(p: int, exp: int, local_type, prime: bool) -> str | None:
+    """The first entry rule that the entry (p, exp, local type) breaks, p prime or not, or None."""
+    if not prime:
+        return f"ramified p = {p} is not prime"
+    if isinstance(local_type, CycleType):
+        if exp != index_of(local_type):
+            return f"tame exponent {exp} != ind{local_type.parts} at p={p}"
+        if gcd(p, local_type.ramification_index) != 1:
+            return f"p={p} divides the tame ramification index {local_type.ramification_index}"
+    elif not local_type:
+        return "wild entry needs a label"
+    elif exp < 1:
+        return "wild exponent must be >= 1"
+    return None
 
 
 _by_p = attrgetter("p")
@@ -197,31 +202,13 @@ class FieldRecord:
 _SIGN_RULE = "disc sign must be 1 or -1, got {}"
 
 
-def disc_column(abs_discs):
-    """The int64 column of these |disc|s; InvariantViolation for one not below 2^63.
-
-    One below -2^63 is held as 0, which the row rules refuse as they would it.
-    """
-    import numpy as np
-
-    top = max(abs_discs, default=0)
-    if top >= DISC_LIMIT:
-        raise InvariantViolation(f"|disc| {top} is not below 2^63")
-    if min(abs_discs, default=0) < -DISC_LIMIT:
-        abs_discs = [max(disc, 0) for disc in abs_discs]
-    return np.array(abs_discs, np.int64)
-
-
 class FieldList(Sequence):
-    """Records sorted by |disc|, complete up to x_max under the provenance contract.
-
-    The records are columns (see the module docstring), read-only once the
-    list is made.  The list is the sequence of its FieldRecord views:
-    `fl[i]`, slices (tuples), iteration and `upto` give views.
-    """
+    """Records sorted by |disc|, complete up to x_max under the provenance contract,
+    as read-only columns and the sequence of their views (see the module docstring)."""
 
     __slots__ = ("provenance", "x_max", "degree", "group_label", "abs_discs", "disc_signs",
-                 "offsets", "entries", "entry_ids")
+                 "offsets", "entry_ids", "entry_p", "entry_exp", "entry_type", "local_types",
+                 "_entries")
 
     def __init__(self, records, provenance: str, x_max: int):
         """The list of these FieldRecords, which must be of one kind and sorted by |disc|."""
@@ -229,41 +216,42 @@ class FieldList(Sequence):
         try:
             for rec in records:
                 ingest.same_kind(rec.degree, rec.group_label)
-                ingest.append(None, rec.abs_disc, rec.disc_sign,
-                              list(map(ingest.slot_of, rec.ramification)))
-        except InvariantViolation:  # a row check of an earlier record comes first
+                slots = [ingest.slot((loc.p, loc.kind, loc.tame_cycle_type.parts
+                                      if loc.kind == "tame" else loc.wild_label, loc.disc_exponent))
+                         for loc in rec.ramification]
+                ingest.append(None, rec.abs_disc, rec.disc_sign, slots)
+        except InvariantViolation:  # a rule broken by an earlier record comes first
             ingest.field_list(x_max)._refuse_bad_row()
             raise
         self._fill(provenance, x_max, *ingest.columns())
         self._check()
 
     @classmethod
-    def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entries,
-                     entry_ids) -> FieldList:
-        """The list of these columns (see the module docstring), checked and sorted by |disc|.
-
-        `kind` is the (degree, group label) of every row.
-        """
-        fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kind, offsets, entries,
-                             entry_ids)
+    def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
+                     entry_p, entry_exp, entry_type, local_types) -> FieldList:
+        """The list of these columns (see the module docstring), checked and sorted by |disc|;
+        `kind` is the (degree, group label) of every row."""
+        fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
+                             entry_p, entry_exp, entry_type, local_types)
         fl._check()
         return fl
 
     @classmethod
-    def _of_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entries,
-                    entry_ids) -> FieldList:
-        """The list of these columns, unchecked."""
+    def _of_columns(cls, *columns) -> FieldList:
+        """The list of the columns that `from_columns` takes, unchecked."""
         fl = object.__new__(cls)
-        fl._fill(provenance, x_max, abs_discs, disc_signs, kind, offsets, entries, entry_ids)
+        fl._fill(*columns)
         return fl
 
-    def _fill(self, provenance, x_max, abs_discs, disc_signs, kind, offsets, entries, entry_ids):
-        for col in (abs_discs, disc_signs, offsets, entry_ids):
+    def _fill(self, provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids, entry_p,
+              entry_exp, entry_type, local_types):
+        for col in (abs_discs, disc_signs, offsets, entry_ids, entry_p, entry_exp, entry_type):
             col.flags.writeable = False
         self.provenance, self.x_max = provenance, x_max
         self.degree, self.group_label = kind if abs_discs.size else (None, None)
-        self.abs_discs, self.disc_signs = abs_discs, disc_signs
-        self.offsets, self.entries, self.entry_ids = offsets, entries, entry_ids
+        self.abs_discs, self.disc_signs, self.offsets = abs_discs, disc_signs, offsets
+        self.entry_ids, self.entry_p, self.entry_exp = entry_ids, entry_p, entry_exp
+        self.entry_type, self.local_types, self._entries = entry_type, tuple(local_types), None
 
     def __repr__(self):
         return (f"FieldList(<{len(self)} records>, provenance={self.provenance!r}, "
@@ -289,6 +277,17 @@ class FieldList(Sequence):
     def records(self) -> FieldList:
         """The list itself, the read-only sequence of its views."""
         return self
+
+    @property
+    def entries(self) -> tuple[LocalRamification, ...]:
+        """The distinct entries as views, made at the first use and shared by every view."""
+        if self._entries is None:
+            types = map(self.local_types.__getitem__, self.entry_type.tolist())
+            self._entries = tuple(
+                LocalRamification(q, "tame", e, tame_cycle_type=t) if isinstance(t, CycleType)
+                else LocalRamification(q, "wild", e, wild_label=t)
+                for q, e, t in zip(self.entry_p.tolist(), self.entry_exp.tolist(), types))
+        return self._entries
 
     def upto(self, x: int) -> list[FieldRecord]:
         return list(map(self._view, range(self.count_upto(x))))
@@ -322,11 +321,12 @@ class FieldList(Sequence):
         slots = np.arange(offsets[-1]) + np.repeat(self.offsets[:-1][rows] - offsets[:-1], counts)
         return FieldList._of_columns(
             self.provenance, self.x_max, self.abs_discs[rows], self.disc_signs[rows],
-            (self.degree, self.group_label), offsets, self.entries, self.entry_ids[slots],
+            (self.degree, self.group_label), offsets, self.entry_ids[slots], self.entry_p,
+            self.entry_exp, self.entry_type, self.local_types,
         )
 
     def _bad_row(self) -> tuple[int, str] | None:
-        """The first row that breaks a row rule, and the message of its first broken rule.
+        """The first row that breaks a rule, and the message of its first broken rule.
 
         The rules are the module docstring's, in its order; None when every
         row keeps them (|disc| < 2^63).
@@ -335,27 +335,29 @@ class FieldList(Sequence):
 
         if not len(self):
             return None
-        degree = self.degree
-        if degree < 1:  # the list's one degree, so its first row breaks it
-            return 0, f"degree must be >= 1, got {degree}"
+        degree, types = self.degree, self.local_types
         ids, offsets, signs = self.entry_ids, self.offsets, self.disc_signs
+        p, exp, type_ids = self.entry_p, self.entry_exp, self.entry_type
         slot_row = self.slot_rows()
-        bad_sign = (signs != 1) & (signs != -1)
+        # per entry, the first entry rule it breaks, with is_prime once per distinct p
+        primes, p_rank = np.unique(p, return_inverse=True)
+        prime = dict(zip(primes.tolist(), map(is_prime, primes.tolist())))
+        faults = [_entry_fault(q, e, types[t], prime[q])
+                  for q, e, t in zip(p.tolist(), exp.tolist(), type_ids.tolist())]
+        kept = np.array([fault is None for fault in faults], bool)
         # per slot: a prime met before in its row, a tame cycle type of another degree
-        p_ids: dict[int, int] = {}
-        p = np.array([p_ids.setdefault(loc.p, len(p_ids)) for loc in self.entries], np.int64)
-        keys = slot_row * max(len(p_ids), 1) + p[ids]
+        keys = slot_row * max(primes.size, 1) + p_rank[ids]
         order = keys.argsort(kind="stable")  # by (row, p), then slot
         repeat = np.zeros(ids.size, bool)
         repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-        wrong_type = np.array([loc.kind == "tame" and loc.tame_cycle_type.degree != degree
-                               for loc in self.entries], bool)[ids]
-        # p^e once per entry; one past int64 divides no |disc| < 2^63
-        powers = [loc.p**loc.disc_exponent if loc.disc_exponent < 64 else DISC_LIMIT
-                  for loc in self.entries]
+        wrong_type = np.array([isinstance(t, CycleType) and t.degree != degree for t in types],
+                              bool)[type_ids][ids]
+        # p^e once per kept entry, 2^63 once past it, which divides no |disc| < 2^63
+        local = [min(q**e, DISC_LIMIT) if e < 64 else DISC_LIMIT
+                 for q, e in zip(p.tolist(), np.where(kept, exp, 0).tolist())]
         off_product = np.zeros(len(self), bool)
-        off_product[slot_row[np.array([q >= DISC_LIMIT for q in powers], bool)[ids]]] = True
-        powers = np.array([q if q < DISC_LIMIT else 1 for q in powers], np.int64)[ids]
+        off_product[slot_row[np.array([q == DISC_LIMIT for q in local], bool)[ids]]] = True
+        powers = np.array([q if q < DISC_LIMIT else 1 for q in local], np.int64)[ids]
         # the k-th entry of every row divides its quotient in round k
         counts = np.diff(offsets)
         quotient = self.abs_discs.copy()
@@ -365,26 +367,35 @@ class FieldList(Sequence):
             off_product[rows] |= quotient[rows] % q != 0
             quotient[rows] //= q
         off_product |= quotient != 1
+        bad_sign = (signs != 1) & (signs != -1)
         bad = bad_sign | (self.abs_discs < 1) | off_product
-        bad[slot_row[repeat | wrong_type]] = True
+        bad[0] |= degree < 1  # the list's one degree, so its first row breaks it
+        bad[slot_row[repeat | wrong_type | ~kept[ids]]] = True
         failing = np.flatnonzero(bad)
         if not failing.size:
             return None
         i = int(failing[0])
-        rec = self._view(i)
-        if bad_sign[i]:
-            return i, _SIGN_RULE.format(rec.disc_sign)
-        if rec.abs_disc < 1:
-            return i, "absolute discriminant must be positive"
         lo, hi = offsets.item(i), offsets.item(i + 1)
-        for loc, dup, wrong in zip(rec.ramification, repeat[lo:hi], wrong_type[lo:hi]):
+        row = ids[lo:hi].tolist()
+        for e in row:
+            if faults[e]:
+                return i, faults[e]
+        if degree < 1:
+            return i, f"degree must be >= 1, got {degree}"
+        if bad_sign[i]:
+            return i, _SIGN_RULE.format(signs.item(i))
+        abs_disc = self.abs_discs.item(i)
+        if abs_disc < 1:
+            return i, "absolute discriminant must be positive"
+        for e, dup, wrong in zip(row, repeat[lo:hi], wrong_type[lo:hi]):
             if dup:
-                return i, f"duplicate prime {loc.p}"
+                return i, f"duplicate prime {p.item(e)}"
             if wrong:
-                parts = list(loc.tame_cycle_type.parts)
+                parts = list(types[type_ids.item(e)].parts)
                 return i, f"cycle type {parts} on a degree-{degree} record"
-        local = prod(loc.p**loc.disc_exponent for loc in rec.ramification)
-        return i, f"|disc| {rec.abs_disc} != product of local parts {local}"
+        product = prod(local[e] for e in row)  # of factors each at most 2^63
+        shown = product if product < DISC_LIMIT else ">= 2^63"
+        return i, f"|disc| {abs_disc} != product of local parts {shown}"
 
     def _refuse_bad_row(self, lines=None):
         """Raise the refusal of the first failing row, with its line if `lines` is given."""
@@ -394,7 +405,7 @@ class FieldList(Sequence):
             raise InvariantViolation(message if lines is None else f"line {lines[i]}: {message}")
 
     def _check(self):
-        """Refuse a row that breaks a row rule, then rows out of order of |disc|."""
+        """Refuse a row that breaks a rule, then rows out of order of |disc|."""
         self._refuse_bad_row()
         if (self.abs_discs[1:] < self.abs_discs[:-1]).any():
             raise InvariantViolation("records must be sorted by |disc|")
@@ -408,11 +419,12 @@ class FieldList(Sequence):
         """
         import numpy as np
 
-        texts = [_encode(loc.to_json()) for loc in self.entries]
+        types = map(self.local_types.__getitem__, self.entry_type.tolist())
+        texts = list(map(_encode, map(_entry_json, self.entry_p.tolist(),
+                                      self.entry_exp.tolist(), types)))
         degree, group = self.degree, _encode(self.group_label)
-        rank = {p: i for i, p in enumerate(sorted({loc.p for loc in self.entries}))}
-        p = np.array([rank[loc.p] for loc in self.entries], np.int64)[self.entry_ids]
-        ids = self.entry_ids[np.lexsort((p, self.slot_rows()))]
+        p_rank = np.unique(self.entry_p, return_inverse=True)[1][self.entry_ids]
+        ids = self.entry_ids[np.lexsort((p_rank, self.slot_rows()))]
         discs = self.abs_discs * self.disc_signs
         for lo in range(0, len(self), _BLOCK):
             hi = min(lo + _BLOCK, len(self))
@@ -434,38 +446,19 @@ def _offsets(counts):
     return offsets
 
 
-def _new_entry(key: tuple, cycle_types: dict) -> LocalRamification:
-    """The entry of a key (p, kind, parts or label, exp or None), checked as it is built.
-
-    `cycle_types` holds one shared CycleType per parts tuple.
-    """
-    p, kind, data, exp = key
-    if kind == "wild":
-        return LocalRamification(p=p, kind="wild", disc_exponent=exp, wild_label=data)
-    ct = cycle_types.get(data)
-    if ct is None:
-        ct = cycle_types[data] = CycleType.from_parts(data)
-    return LocalRamification(
-        p=p, kind="tame", disc_exponent=index_of(ct) if exp is None else exp, tame_cycle_type=ct
-    )
-
-
 class _Ingest:
-    """The columns of the rows met so far, and the entries met so far.
+    """The columns of the rows and of the entries met so far.
 
-    `slots` maps the key (p, kind, parts or label, exp or None) of each
-    parsed entry to its slot in `entries`, and `ids` the id of each entry
-    object given whole to its slot.  `kind` is the (degree, group) of the
-    first row, None before it.  On frame lines, `texts` maps each entry text
-    met to its slot, and `head` is the last (degree text, group) found to be
-    of that kind.
+    `slots` maps each entry's key (p, kind, parts or label, exp) to its
+    slot, and `types` each (kind, parts or label) to its local type, both in
+    the order first met.  `kind` is the (degree, group) of the first row, None
+    before it.  On frame lines, `texts` maps each entry text met to its
+    slot, and `head` is the last (degree text, group) found of that kind.
     """
 
     def __init__(self):
-        self.entries: list[LocalRamification] = []
         self.slots: dict[tuple, int] = {}
-        self.ids: dict[int, int] = {}
-        self.cycle_types: dict[tuple[int, ...], CycleType] = {}
+        self.types: dict[tuple, object] = {}
         self.texts: dict[str, int] = {}
         self.kind: tuple[int, str] | None = None
         self.head: tuple[str, str] | None = None
@@ -479,16 +472,27 @@ class _Ingest:
             raise InvariantViolation(f"a degree-{degree} {group} record in a list of "
                                      f"degree-{self.kind[0]} {self.kind[1]} records")
 
-    def slot_of(self, loc: LocalRamification) -> int:
-        """The slot of this entry object, which every row that gives it shares."""
-        slot = self.ids.get(id(loc))
-        if slot is None:  # `entries` keeps loc, so its id is not reused
-            slot = self.ids[id(loc)] = len(self.entries)
-            self.entries.append(loc)
+    def slot(self, key: tuple) -> int:
+        """The slot of the entry (p, kind, parts or label, exp), made at its first sight;
+        InvariantViolation for a p or exp outside int64, ValueError for parts of no cycle type."""
+        slot = self.slots.get(key)
+        if slot is None:
+            p, kind, data, exp = key
+            if (kind, data) not in self.types:
+                self.types[kind, data] = CycleType.from_parts(data) if kind == "tame" else data
+            for name, value in ("p", p), ("exp", exp):
+                if not -DISC_LIMIT <= value < DISC_LIMIT:
+                    raise InvariantViolation(f"{name} {value} is outside int64")
+            slot = self.slots[key] = len(self.slots)
         return slot
 
     def append(self, lineno: int | None, abs_disc: int, sign: int, slots: list[int]):
-        self.discs.append(abs_disc)
+        """Append a row; InvariantViolation for a |disc| or a sign its column cannot hold."""
+        if abs_disc >= DISC_LIMIT:
+            raise InvariantViolation(f"|disc| {abs_disc} is not below 2^63")
+        if not -128 <= sign < 128:  # past int8; the row rules refuse 0, 2 and the like
+            raise InvariantViolation(_SIGN_RULE.format(sign))
+        self.discs.append(abs_disc if abs_disc > 0 else 0)  # the row rules refuse all below 1
         self.signs.append(sign)
         self.counts.append(len(slots))
         self.entry_ids += slots
@@ -498,18 +502,20 @@ class _Ingest:
         """The columns of the rows so far, in order, as `FieldList.from_columns` takes them."""
         import numpy as np
 
-        for sign in (min(self.signs, default=0), max(self.signs, default=0)):
-            if not -128 <= sign < 128:  # past int8; the row rules refuse 0, 2 and the like
-                raise InvariantViolation(_SIGN_RULE.format(sign))
-        return (disc_column(self.discs), np.array(self.signs, np.int8), self.kind,
-                _offsets(self.counts), tuple(self.entries), np.array(self.entry_ids, np.int32))
+        type_ids = {key: i for i, key in enumerate(self.types)}
+        return (np.array(self.discs, np.int64), np.array(self.signs, np.int8), self.kind,
+                _offsets(self.counts), np.array(self.entry_ids, np.int32),
+                np.array([key[0] for key in self.slots], np.int64),
+                np.array([key[3] for key in self.slots], np.int64),
+                np.array([type_ids[key[1:3]] for key in self.slots], np.int32),
+                tuple(self.types.values()))
 
     def field_list(self, x_max) -> FieldList:
         """The rows parsed so far, in line order."""
         return FieldList._of_columns("ingested", x_max, *self.columns())
 
     def entry(self, r, lineno: int) -> int:
-        """The slot of the shared, validated entry of the decoded ramification entry `r`."""
+        """The slot of the decoded ramification entry `r`, after its typed-key checks."""
         try:
             # the key is formed after the exact type checks, as True == 1 and
             # 3.0 == 3 hash alike: a mistyped entry must not find a valid one
@@ -517,20 +523,15 @@ class _Ingest:
             kind = json_typed(r["kind"], str, "kind")
             if kind == "tame":
                 parts = json_typed_items(r["cycle_type"], int, "cycle type part")
-                exp = json_typed(r["exp"], int, "exp") if "exp" in r else None
-                key = p, kind, parts, exp
+                exp = json_typed(r["exp"], int, "exp") if "exp" in r else sum(parts) - len(parts)
+                key = p, kind, parts, exp  # with no exp given, ind(parts)
             elif kind == "wild":
                 exp = json_typed(r["exp"], int, "exp")
                 key = p, kind, json_typed(r["label"], str, "label"), exp
             else:
                 raise MalformedLine(lineno, f"unknown ramification kind {kind!r}")
-            slot = self.slots.get(key)
-            if slot is None:
-                loc = _new_entry(key, self.cycle_types)
-                slot = self.slots[key] = len(self.entries)
-                self.entries.append(loc)
-            return slot
-        except (KeyError, TypeError, ValueError) as exc:
+            return self.slot(key)
+        except (KeyError, TypeError, ValueError, InvariantViolation) as exc:
             raise MalformedLine(lineno, f"bad ramification entry: {exc}")
 
     def whole_line(self, obj, lineno: int) -> None:
@@ -618,13 +619,14 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     invariant violations raise with the 1-based line number.  An x_max below
     the largest |disc| in the file raises InvariantViolation.
     """
-    ingest = _Ingest()
+    ingest, known = _Ingest(), 0
     frame, frame_line = _LINE_FRAME.fullmatch, ingest.frame_line
     try:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
+            known = len(ingest.slots)  # the entries met before this line
             try:
                 match = frame(line)
                 if not (match and frame_line(match, lineno)):
@@ -632,9 +634,14 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
             except InvariantViolation as exc:
                 raise InvariantViolation(f"line {lineno}: {exc}")
     except Exception:
-        # whatever stopped the parse, a record check that fails on an
-        # earlier line comes first, as when each record was checked as read
+        # whatever stopped the parse, a rule broken on an earlier line comes
+        # first, then one broken by an entry that the stopping line gave
+        # before it stopped, as when each record was checked as read
         ingest.field_list(x_max)._refuse_bad_row(ingest.lines)
+        for p, kind, data, exp in list(ingest.slots)[known:]:
+            fault = _entry_fault(p, exp, ingest.types[kind, data], is_prime(p))
+            if fault is not None:
+                raise InvariantViolation(f"line {lineno}: {fault}") from None
         raise
     fl = ingest.field_list(x_max)
     fl._refuse_bad_row(ingest.lines)

@@ -75,8 +75,8 @@ def abelian_uniformity_check(
             raise NotSquarefree(f"q must be squarefree positive, got {q}")
         # a record lists each prime once, so it is ramified at every prime of
         # q when as many of its entries as q has primes are at one of them
-        primes = set(prime_factors(q))
-        at_q = np.array([loc.p in primes for loc in field_list.entries], bool)
+        primes = prime_factors(q)
+        at_q = np.isin(field_list.entry_p, primes)
         count = int((np.bincount(rows[at_q[ids]], minlength=n) == len(primes)).sum())
         shape = (x / q) ** (1.0 / a) * log(x) ** (b - 1)
         per_q.append(QRatio(q=q, count=count, shape=shape, ratio=count / shape))

@@ -1,6 +1,9 @@
 import argparse
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,29 @@ def test_count_pairs_cli_names_the_line_of_an_oversized_integer(capsys, tmp_path
     assert code == 2 and captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and "line 1: " in line
+
+
+@pytest.mark.parametrize("exp, reason", [
+    (5000, "|disc| 23 != product of local parts >= 2^63"),
+    (2**70, "bad ramification entry: exp 1180591620717411303424 is outside int64"),
+], ids=["exp-5000", "exp-2^70"])
+def test_count_pairs_cli_refuses_an_exponent_past_the_product_bound_in_time(tmp_path, exp, reason):
+    # exp 5000 once exited 2 with int()'s digit-limit error and no line number,
+    # and exp 2^70 never returned; a child process holds the time limit
+    sn, ab = tmp_path / "k.jsonl", tmp_path / "l.jsonl"
+    sn.write_text(json.dumps({"degree": 3, "disc": -23, "group": "S3", "ram": [
+        {"exp": exp, "kind": "wild", "label": "w", "p": 23}]}, sort_keys=True) + "\n")
+    ab.write_text(json.dumps(
+        {"degree": 3, "group": "C3", "disc": 49,
+         "ram": [{"p": 7, "kind": "tame", "cycle_type": [3]}]}) + "\n")
+    code = ("import sys; from malle_lab.cli import main; "
+            f"sys.exit(main(['count-pairs', '--x', '1e12', '--sn-fields', {str(sn)!r}, "
+            f"'--abelians', {str(ab)!r}]))")
+    src = str(Path(malle_lab.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == [f"error: line 1: {reason}"]
 
 
 def test_count_pairs_cli_refuses_a_degree_zero_field(capsys, tmp_path):

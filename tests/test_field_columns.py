@@ -10,6 +10,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -45,6 +46,20 @@ def _same_columns(a: FieldList, b: FieldList):
     for name in ("abs_discs", "disc_signs", "offsets"):
         assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
     assert [a.entries[k] for k in a.entry_ids.tolist()] == [b.entries[k] for k in b.entry_ids.tolist()]
+    # each list holds each distinct entry once
+    assert len(a.entries) == len(set(a.entries)) and len(b.entries) == len(set(b.entries))
+
+
+def _local_type(loc: LocalRamification):
+    return loc.tame_cycle_type if loc.kind == "tame" else loc.wild_label
+
+
+def _entry_columns(entries) -> tuple:
+    """The entry columns `FieldList.from_columns` takes for these distinct entries."""
+    types = list(dict.fromkeys(map(_local_type, entries)))
+    return (np.array([loc.p for loc in entries], np.int64),
+            np.array([loc.disc_exponent for loc in entries], np.int64),
+            np.array([types.index(_local_type(loc)) for loc in entries], np.int32), tuple(types))
 
 
 @pytest.mark.parametrize("x, workers", [(10**4, 1), (10**5, 1), (10**5, 2)])
@@ -65,8 +80,13 @@ def test_constructor_keeps_the_entry_objects_and_their_order():
     _same_columns(fl, again)  # the enumerator's own columns are the constructor's
     for rec, view in zip(recs, again):
         assert view == rec and view is not rec
-        assert all(a is b for a, b in zip(view.ramification, rec.ramification))
-    assert len(again.entries) == len({id(loc) for r in recs for loc in r.ramification})
+    # slots are keyed by value: equal entries given as other objects share them
+    copies = [replace(r, ramification=tuple(map(replace, r.ramification))) for r in recs]
+    assert not any(a is b for r, c in zip(recs, copies) for a, b in zip(r.ramification, c.ramification))
+    both = [r for pair in zip(recs, copies) for r in pair]
+    twice = FieldList(records=both, provenance="enumerated", x_max=fl.x_max)
+    assert len(twice.entries) == len(again.entries) == len(fl.entries)
+    assert list(twice) == [r for r in recs for _ in (0, 1)] and twice.entry_ids.size == 2 * fl.entry_ids.size
 
 
 def test_views_index_slice_iterate_and_window():
@@ -158,7 +178,8 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
         FieldList(records=(k23, FieldRecord(3, "S3", 8, (_wild(2, 3),), 1)), provenance="x", x_max=99)
     fl = FieldList(records=(k23,), provenance="x", x_max=99)
     forged = [np.array([46]), np.array([-1], np.int8), (fl.degree, fl.group_label),
-              fl.offsets.copy(), fl.entries, fl.entry_ids.copy()]
+              fl.offsets.copy(), fl.entry_ids.copy(), fl.entry_p, fl.entry_exp, fl.entry_type,
+              fl.local_types]
     with pytest.raises(InvariantViolation, match="46 != product of local parts 23"):
         FieldList.from_columns("x", 99, *forged)
 
@@ -184,8 +205,8 @@ def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
     message text."""
 
     def columns(entry, disc):
-        return (np.array([disc]), np.array([-1], np.int8), (3, "S3"), np.array([0, 1]), (entry,),
-                np.zeros(1, np.int32))
+        return (np.array([disc]), np.array([-1], np.int8), (3, "S3"), np.array([0, 1]),
+                np.zeros(1, np.int32), *_entry_columns([entry]))
 
     def parser_message(obj) -> str:
         with pytest.raises(InvariantViolation) as exc:
@@ -207,7 +228,8 @@ def test_every_way_of_making_a_list_refuses_what_the_parser_refuses():
         with pytest.raises(InvariantViolation) as exc:
             make()
         assert str(exc.value) == message
-    # 9^ind(2,1) = 9 and 4^1 = 4 match the disc, but neither p is prime
+    # 9^ind(2,1) = 9 and 4^1 = 4 match the disc, but neither p is prime; the
+    # view of either is made, and refused where it enters a list
     for obj, entry in (
         ({"p": 9, "kind": "tame", "cycle_type": [2, 1]},
          lambda: LocalRamification(9, "tame", 1, tame_cycle_type=CycleType.from_parts([2, 1]))),
@@ -244,6 +266,60 @@ def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     # one view per composing K and per composed L; admissibility reads the lists' kinds
     assert len(pairs) > 100
     assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs})
+
+
+def test_the_makers_build_no_entry_and_count_pairs_one_per_distinct_entry(monkeypatch):
+    made = []
+    real = LocalRamification.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(LocalRamification, "__post_init__", counted)
+    cubics, cyclics = enumerate_cubic(10**4), enumerate_cyclic(3, 10**4)
+    parsed = [parse_field_file(io.StringIO(_jsonl(fl)), x_max=10**4) for fl in (cubics, cyclics)]
+    assert made == []
+    count_pairs(*parsed, 10**12, mode="interval", y_ladder=(10, 100))
+    # the views of the composed pairs share their lists' entries, made once each
+    assert 0 < len(made) <= sum(fl.entry_p.size for fl in parsed)
+
+
+def test_a_row_past_its_columns_is_refused_after_the_rows_before_it():
+    """A sign past int8, a |disc| past 2^63, or a p or an exp outside int64 is
+    refused as its row enters the list, after the rules of the rows before
+    it, as the parser refuses its line."""
+    k23 = FieldRecord(3, "S3", 23, (_wild(23, 1),), -1)
+    signed = replace(k23, disc_sign=2)
+    past = FieldRecord(3, "S3", 2**63, (_wild(2, 63),), 1)
+    with pytest.raises(InvariantViolation) as exc:
+        FieldList(records=(signed, past), provenance="x", x_max=2**63)
+    assert str(exc.value) == "disc sign must be 1 or -1, got 2"
+    for loc, message in ((_wild(2**64 + 13, 1), "p 18446744073709551629 is outside int64"),
+                         (_wild(-(2**64), 1), "p -18446744073709551616 is outside int64"),
+                         (_wild(2, 2**70), "exp 1180591620717411303424 is outside int64")):
+        bad = FieldRecord(3, "S3", 8, (loc,), 1)
+        for first, want in ((k23, message), (signed, "disc sign must be 1 or -1, got 2")):
+            with pytest.raises(InvariantViolation) as exc:
+                FieldList(records=(first, bad), provenance="x", x_max=99)
+            assert str(exc.value) == want
+        for render in (json.dumps, partial(json.dumps, sort_keys=True)):
+            with pytest.raises(MalformedLine) as exc:
+                parse_field_file(io.StringIO(render(k23.to_json()) + "\n" + render(bad.to_json())))
+            assert str(exc.value) == "line 2: bad ramification entry: " + message
+
+
+def test_the_product_in_an_off_product_message_stops_at_2_to_the_63():
+    # the message once held 23^5000, past int()'s 4,300 digits for str
+    line = {"degree": 3, "disc": -23, "group": "S3",
+            "ram": [{"exp": 5000, "kind": "wild", "label": "w", "p": 23}]}
+    with pytest.raises(InvariantViolation) as exc:
+        parse_field_file(io.StringIO(json.dumps(line)))
+    assert str(exc.value) == "line 1: |disc| 23 != product of local parts >= 2^63"
+    below = FieldRecord(3, "S3", 2**62, (_wild(2, 61),), 1)
+    with pytest.raises(InvariantViolation) as exc:
+        FieldList(records=(below,), provenance="x", x_max=2**62)
+    assert str(exc.value) == f"|disc| {2**62} != product of local parts {2**61}"
 
 
 def test_every_empty_list_has_no_degree_and_windows_nothing():

@@ -812,9 +812,12 @@ def test_local_data_matches_sympy(monkeypatch):
         bad, triple = cubic._local_rows(tuple(col[i] for col in f), p, v)
         assert not bad.any()
         assert cubic._entry_code(p, v, triple).tolist() == codes.tolist()
+        p_col, v_col, type_ids, types = cubic._code_columns(codes)
+        views = [LocalRamification(q, "tame", v, tame_cycle_type=t) if isinstance(t, CycleType)
+                 else LocalRamification(q, "wild", v, wild_label=t)
+                 for q, v, t in zip(p_col.tolist(), v_col.tolist(), map(types.__getitem__, type_ids))]
         for k, form in enumerate(forms.tolist()):
-            ram = tuple(map(cubic._code_entry, codes[offsets[k]:offsets[k + 1]].tolist()))
-            found[tuple(form)] = int(discs[k]), ram
+            found[tuple(form)] = int(discs[k]), tuple(views[offsets[k]:offsets[k + 1]])
     kinds = {"e3 at p >= 5": [], "wild": [], "tame at 2 or 3": [], "tame e2 only": []}
     for f, (dsc, ram) in sorted(found.items()):
         if any(loc.kind == "tame" and loc.p >= 5 and loc.disc_exponent == 2 for loc in ram):

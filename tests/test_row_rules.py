@@ -1,21 +1,24 @@
-"""Every way of making a list decides the row rules as the record-by-record oracle does.
+"""Every way of making a list decides the entry and row rules as the record-by-record oracle does.
 
 `row_rules_oracle` is a test oracle: the scalar check of one record, rule by
-rule in the order of the `fields.records` docstring, with the product of the
-local parts taken in Python integers.  The package decides the same rules
-only by columns, in one pass per list.  Each example is one row that breaks
-none, one or two rules: a degree of 0 or below, or a degree past int64 (which
-breaks the cycle-type rule of a tame entry only); a sign of 0, 2 or -2;
-|disc| 0; a prime given twice; a cycle type (2, 1, 1) on the cubic row; a
-|disc| off the product by a factor.  `FieldList(records=...)`,
-`FieldList.from_columns` and `parse_field_file` must each refuse it with the
-oracle's message or each accept it.  A JSONL line carries a sign only as the
-sign of a nonzero disc, so the parser is asked only about rows with sign 1 or
--1 and |disc| >= 1.
+rule in the order of the `fields.records` docstring, with primality by trial
+division and the product of the local parts taken in Python integers.  The
+package decides the same rules only by columns, in one pass per list.  Each
+example is one row that breaks none, one or two rules: an entry with a
+composite p, a tame entry with p dividing its ramification index or with an
+exponent other than ind, a wild entry with exponent 0 or an empty label; a
+degree of 0 or below, or a degree past int64 (which breaks the cycle-type
+rule of a tame entry only); a sign of 0, 2 or -2; |disc| 0; a prime given
+twice; a cycle type (2, 1, 1) on the cubic row; a |disc| off the product by
+a factor.  `FieldList(records=...)`, `FieldList.from_columns` and
+`parse_field_file` must each refuse it with the oracle's message or each
+accept it.  A JSONL line carries a sign only as the sign of a nonzero disc,
+so the parser is asked only about rows with sign 1 or -1 and |disc| >= 1.
 """
 
 import io
 import json
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -34,8 +37,29 @@ from malle_lab.fields.records import (  # noqa: E402
 from malle_lab.permgroup import CycleType  # noqa: E402
 
 
+def _entry_rules_oracle(loc: LocalRamification) -> str | None:
+    p, exp = loc.p, loc.disc_exponent
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        return f"ramified p = {p} is not prime"
+    if loc.kind == "tame":
+        ct = loc.tame_cycle_type
+        if exp != ct.degree - len(ct.parts):
+            return f"tame exponent {exp} != ind{ct.parts} at p={p}"
+        if gcd(p, ct.ramification_index) != 1:
+            return f"p={p} divides the tame ramification index {ct.ramification_index}"
+    elif not loc.wild_label:
+        return "wild entry needs a label"
+    elif exp < 1:
+        return "wild exponent must be >= 1"
+    return None
+
+
 def row_rules_oracle(rec: FieldRecord) -> str | None:
-    """The message of the first row rule that `rec` breaks, or None (a test oracle)."""
+    """The message of the first entry or row rule that `rec` breaks, or None (a test oracle)."""
+    for loc in rec.ramification:
+        message = _entry_rules_oracle(loc)
+        if message is not None:
+            return message
     if rec.degree < 1:
         return f"degree must be >= 1, got {rec.degree}"
     if rec.disc_sign not in (1, -1):
@@ -52,6 +76,8 @@ def row_rules_oracle(rec: FieldRecord) -> str | None:
             return f"cycle type {list(ct.parts)} on a degree-{rec.degree} record"
         product *= loc.p**loc.disc_exponent
     if product != rec.abs_disc:
+        if product >= 2**63:
+            return f"|disc| {rec.abs_disc} != product of local parts >= 2^63"
         return f"|disc| {rec.abs_disc} != product of local parts {product}"
     return None
 
@@ -69,7 +95,23 @@ def _entry(p: int):
     return st.one_of(options)
 
 
-BREAKS = ("degree", "sign", "disc", "duplicate", "cycle type", "product")
+def _bad_entry(what: str):
+    """Entries that break the entry rule `what`."""
+    if what == "composite p":
+        return st.sampled_from((1, 4, 9, 15)).map(lambda p: _tame(p, (2, 1)))
+    if what == "p divides e":  # 2 | e(2, 1) = 2 and 3 | e(3) = 3
+        return st.sampled_from((_tame(2, (2, 1)), _tame(3, (3,))))
+    p = st.sampled_from((29, 31))
+    if what == "tame exp":  # ind(2, 1) = 1
+        return p.map(lambda p: LocalRamification(
+            p, "tame", 2, tame_cycle_type=CycleType.from_parts((2, 1))))
+    if what == "wild exp 0":
+        return p.map(lambda p: LocalRamification(p, "wild", 0, wild_label=f"{p}-w0"))
+    return p.map(lambda p: LocalRamification(p, "wild", 1, wild_label=""))
+
+
+ENTRY_BREAKS = ("composite p", "p divides e", "tame exp", "wild exp 0", "empty label")
+BREAKS = ("degree", "sign", "disc", "duplicate", "cycle type", "product") + ENTRY_BREAKS
 
 
 @st.composite
@@ -81,6 +123,9 @@ def rows(draw) -> FieldRecord:
         event(f"breaks {what}")
     degree = draw(st.sampled_from((0, -2, 2**64 + 3))) if "degree" in breaks else 3
     sign = draw(st.sampled_from((0, 2, -2) if "sign" in breaks else (1, -1)))
+    for what in breaks:
+        if what in ENTRY_BREAKS:
+            ram.insert(draw(st.integers(0, len(ram))), draw(_bad_entry(what)))
     if "cycle type" in breaks:
         quartic = _tame(draw(st.sampled_from((17, 19))), (2, 1, 1))
         ram.insert(draw(st.integers(0, len(ram))), quartic)
@@ -114,12 +159,26 @@ def _refusal(make, rec: FieldRecord, prefix: str = "") -> str | None:
     return None
 
 
+def _local_type(loc: LocalRamification):
+    return loc.tame_cycle_type if loc.kind == "tame" else loc.wild_label
+
+
 def _columns(rec: FieldRecord) -> tuple:
-    entries = tuple({id(loc): loc for loc in rec.ramification}.values())
-    slot = {id(loc): k for k, loc in enumerate(entries)}
+    entries = list(dict.fromkeys(rec.ramification))
+    types = list(dict.fromkeys(map(_local_type, entries)))
     return (np.array([rec.abs_disc], np.int64), np.array([rec.disc_sign], np.int8),
-            (rec.degree, rec.group_label), np.array([0, len(rec.ramification)], np.int64), entries,
-            np.array([slot[id(loc)] for loc in rec.ramification], np.int32))
+            (rec.degree, rec.group_label), np.array([0, len(rec.ramification)], np.int64),
+            np.array(list(map(entries.index, rec.ramification)), np.int32),
+            np.array([loc.p for loc in entries], np.int64),
+            np.array([loc.disc_exponent for loc in entries], np.int64),
+            np.array([types.index(_local_type(loc)) for loc in entries], np.int32), tuple(types))
+
+
+def _line(rec: FieldRecord) -> str:
+    """The JSONL line of `rec`, with the exp of every tame entry too, which the parser checks."""
+    ram = [dict(loc.to_json(), exp=loc.disc_exponent) for loc in rec.ramification]
+    return json.dumps({"degree": rec.degree, "group": rec.group_label,
+                       "disc": rec.disc_sign * rec.abs_disc, "ram": ram})
 
 
 @settings(max_examples=400)
@@ -132,9 +191,7 @@ def test_every_maker_refuses_a_row_as_the_oracle_does(rec):
         "from_columns": _refusal(lambda: FieldList.from_columns("x", 0, *_columns(rec)), rec),
     }
     if rec.disc_sign in (1, -1) and rec.abs_disc >= 1:
-        line = json.dumps({"degree": rec.degree, "group": rec.group_label,
-                           "disc": rec.disc_sign * rec.abs_disc,
-                           "ram": [loc.to_json() for loc in rec.ramification]})
+        line = _line(rec)
         got["parser"] = _refusal(lambda: parse_field_file(io.StringIO(line)), rec, "line 1: ")
     assert got == dict.fromkeys(got, want)
 
