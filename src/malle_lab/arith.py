@@ -6,15 +6,16 @@
 - `spf_table(n)`: smallest prime factors of 0..n, for factoring many n;
 - `factor(n)`: {p: v_p(n)}, by trial division;
 - `divisors(n)`: the divisors of n, ascending, by trial division to sqrt(n);
-- `is_squarefree(q)`, `prime_factors(q)`: read off `factor`.
+- `squarefree_primes(q)`: the primes of a squarefree q >= 1 from one
+  `factor`, else NotSquarefree.
 
 Both sieves refuse n > SIEVE_LIMIT = 2^31 - 1 (ValueError) before they
 allocate: an array('i') entry holds no larger value.
 
-`factor`, `divisors`, `is_squarefree` and `prime_factors` take n >= 1;
-callers check that first.  `fields.polysearch` keeps its own divisor and
-valuation helpers: it is the independent oracle for the cubic enumerator,
-which factors through this module, so the two must not share code.
+`factor` and `divisors` take n >= 1; callers check that first.
+`fields.polysearch` keeps its own divisor and valuation helpers: it is the
+independent oracle for the cubic enumerator, which factors through this
+module, so the two must not share code.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from array import array
 from itertools import compress
 from math import gcd, isqrt, prod
 
+from .errors import NotSquarefree
+
 __all__ = [
     "iroot",
     "is_prime",
@@ -30,8 +33,7 @@ __all__ = [
     "spf_table",
     "factor",
     "divisors",
-    "is_squarefree",
-    "prime_factors",
+    "squarefree_primes",
 ]
 
 SIEVE_LIMIT = 2**31 - 1  # the largest n that primes_upto and spf_table take
@@ -137,11 +139,10 @@ def divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def is_squarefree(q: int) -> bool:
-    """No prime square divides q."""
-    return all(v == 1 for v in factor(q).values())
-
-
-def prime_factors(q: int) -> list[int]:
-    """The distinct primes dividing q, ascending."""
-    return list(factor(q))
+def squarefree_primes(q: int) -> list[int]:
+    """The primes dividing q, ascending; NotSquarefree unless q >= 1 is squarefree."""
+    if q >= 1:
+        fac = factor(q)
+        if all(v == 1 for v in fac.values()):
+            return list(fac)
+    raise NotSquarefree(f"q must be squarefree positive, got {q}")

@@ -252,7 +252,8 @@ class CountReport:
 
 def default_grid(x_max: int, points: int = 16) -> list[int]:
     """Powers of 2 descending from x_max: x_max, x_max/2, ..."""
-    grid = [x_max >> k for k in range(points)]
+    # x_max >> k >= 1 only for k < x_max.bit_length()
+    grid = [x_max >> k for k in range(min(points, x_max.bit_length()))]
     return sorted(g for g in grid if g >= 1)
 
 

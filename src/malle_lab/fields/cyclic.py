@@ -56,14 +56,14 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
         dfs(0, l * l, (), (len(primes),))
         primes.append(l)  # the wild entry, after the tame ones
     conductors.sort()  # by f, as no two conductors are equal
+    if conductors and conductors[-1][0] ** (l - 1) >= DISC_LIMIT:  # the largest disc
+        raise InvariantViolation(f"|disc| {conductors[-1][0] ** (l - 1)} is not below 2^63")
     discs, counts, entry_ids = [], [], []
     for f, slots in conductors:
         copies = (l - 1) ** (len(slots) - 1)
         discs += [f ** (l - 1)] * copies
         counts += [len(slots)] * copies
         entry_ids += slots * copies
-    if discs and discs[-1] >= DISC_LIMIT:  # the largest, as the conductors ascend
-        raise InvariantViolation(f"|disc| {discs[-1]} is not below 2^63")
     wild = np.array(primes) == l  # of type 1, the tame entries of type 0
     return FieldList.from_columns(
         "enumerated", x, np.array(discs, np.int64), np.ones(len(discs), np.int8), (l, f"C{l}"),

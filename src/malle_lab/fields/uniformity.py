@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log
 
-from ..arith import is_squarefree, prime_factors
-from ..errors import IncompleteList, NotSquarefree
+from ..arith import squarefree_primes
+from ..errors import IncompleteList
 from ..invariants import a_invariant, b_invariant_Q, close_group
 from ..permgroup import Permutation
 from .cyclic import enumerate_cyclic
@@ -71,11 +71,9 @@ def abelian_uniformity_check(
     ids = field_list.entry_ids[: field_list.offsets[n]]
     per_q = []
     for q in qs:
-        if q < 1 or not is_squarefree(q):
-            raise NotSquarefree(f"q must be squarefree positive, got {q}")
+        primes = squarefree_primes(q)
         # a record lists each prime once, so it is ramified at every prime of
         # q when as many of its entries as q has primes are at one of them
-        primes = prime_factors(q)
         at_q = np.isin(field_list.entry_p, primes)
         count = int((np.bincount(rows[at_q[ids]], minlength=n) == len(primes)).sum())
         shape = (x / q) ** (1.0 / a) * log(x) ** (b - 1)

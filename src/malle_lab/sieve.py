@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_squarefree, prime_factors
-from .errors import CapExceeded, InsufficientGrid, NotSquarefree
+from .arith import squarefree_primes
+from .errors import CapExceeded, InsufficientGrid
 from .util import json_typed, json_typed_items
 
 __all__ = [
@@ -197,11 +197,9 @@ def solutions_mod_q(scheme: AffineScheme, q: int) -> np.ndarray:
     p^n of some prime p of q exceeds SOLUTION_CAP, and later when the
     solutions do.
     """
-    if q < 1 or not is_squarefree(q):
-        raise NotSquarefree(f"q = {q}")
-    if q == 1:
+    primes = squarefree_primes(q)
+    if not primes:  # q = 1
         return np.zeros((1, scheme.n_vars), dtype=np.int64)
-    primes = prime_factors(q)
     if primes[-1] ** scheme.n_vars > SOLUTION_CAP:
         raise CapExceeded(f"residue grid {primes[-1]}^{scheme.n_vars} exceeds cap {SOLUTION_CAP}")
     sols = None

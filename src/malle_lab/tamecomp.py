@@ -10,10 +10,18 @@ below check the ratio inequalities
     ind(k, c)/m > threshold(k)          (delta lemmas, n = 3, 4, 5)
     ind(k, c)/m - ind(k) + r_k >= 1     (uniformity lemma)
 
-exhaustively over c, in exact rational arithmetic.  c = identity gives ratio
-exactly ind(k), which would falsify the inequalities as written; it
-corresponds to pairs ramified only on the S_n side and is reported as a
-separate sub-case, never folded into the main verdict.
+over every c != e, in exact rational arithmetic.  The pair index sums
+gcd(a, b) over pairs of cycles, and the m/d cycles of c, d = ord(c), are
+alike, so ind(k, c) = (m/d) ind(k, (d)) and the ratio is ind(k, (d))/d: it
+depends on c only through d.  The orders that occur are exactly the divisors
+of exp(A), the lcm of the cyclic factors C_f: every order divides exp(A), and
+for d | exp(A) the element whose C_f component has order gcd(d, f) has order
+lcm_f gcd(d, f) = gcd(d, exp(A)) = d.  So the verifiers walk the divisors
+d > 1 of exp(A) and never build A or its regular representation.
+
+c = identity gives ratio exactly ind(k), which would falsify the inequalities
+as written; it corresponds to pairs ramified only on the S_n side and is
+reported as a separate sub-case, never folded into the main verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .arith import divisors, factor, is_prime
 from .errors import HypothesisViolated, IncompleteRkTable, TrivialGroup
@@ -78,7 +86,10 @@ class AbelianGroupSpec:
         return o
 
     def elements(self):
-        """All elements as residue tuples (use order_counts for big groups)."""
+        """All elements as residue tuples, |A| of them: for tests and small groups.
+
+        The verifiers need only the element orders, the divisors of exp(A).
+        """
         def rec(i):
             if i == len(self.cyclic_factors):
                 yield ()
@@ -87,35 +98,6 @@ class AbelianGroupSpec:
                 for r in range(self.cyclic_factors[i]):
                     yield (r,) + rest
         return rec(0)
-
-    def order_counts(self) -> dict[int, int]:
-        """Multiset of element orders: {order: count}.
-
-        Batched by divisors so exhaustive sweeps over elements stay cheap:
-        every element is accounted for exactly once.
-        """
-        counts = {1: 1}
-        for f in self.cyclic_factors:
-            fac_counts = {}
-            for d in divisors(f):
-                # number of elements of order d in Z/f: phi(d)
-                phi = d
-                for p in factor(d):
-                    phi = phi // p * (p - 1)
-                fac_counts[d] = phi
-            merged = {}
-            for o1, n1 in counts.items():
-                for o2, n2 in fac_counts.items():
-                    o = o1 * o2 // gcd(o1, o2)
-                    merged[o] = merged.get(o, 0) + n1 * n2
-            counts = merged
-        assert sum(counts.values()) == self.order
-        return counts
-
-    def regular_cycle_type(self, order: int) -> CycleType:
-        """Cycle type of an order-d element in the regular representation."""
-        m = self.order
-        return CycleType.from_parts([order] * (m // order))
 
 
 def ind_abelian(a: AbelianGroupSpec, c: tuple[int, ...]) -> int:
@@ -153,24 +135,24 @@ def disc_table(l: int, k: int) -> list[ExponentTableRow]:
 
     Rows for each S_3 class in {(12), (123)} and each r in 0..k-1, where the
     A-side element has order l^(k-r) (a product of l^r cycles of length
-    l^(k-r)), hence index l^k - l^r.
+    l^(k-r)), hence index l^k - l^r; its compositum exponent is l^r times
+    that of the one cycle of length l^(k-r).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if l == 2 or not is_prime(l):
         raise ValueError("l must be an odd prime")
-    a = AbelianGroupSpec((l**k,))
     rows = []
     for label, ct in _S3_CLASSES.items():
         for r in range(k):
-            a_ct = a.regular_cycle_type(l ** (k - r))
             rows.append(
                 ExponentTableRow(
                     sn_class=ct,
                     sn_label=label,
                     r=r,
                     a_element_index=l**k - l**r,
-                    compositum_exponent=product_index_general(ct, a_ct),
+                    compositum_exponent=l**r * product_index_general(
+                        ct, CycleType.from_parts([l ** (k - r)])),
                 )
             )
     return rows
@@ -296,17 +278,11 @@ def _check_hypothesis(n: int, a: AbelianGroupSpec):
 
 
 def _min_ratio(ct: CycleType, a: AbelianGroupSpec) -> tuple[Fraction, int]:
-    """Exhaustive min over c != e of ind(ct, c)/m; returns (ratio, argmin order)."""
-    m = a.order
-    best = None
-    best_order = None
-    for order in sorted(a.order_counts()):
-        if order == 1:
-            continue
-        val = Fraction(product_index_general(ct, a.regular_cycle_type(order)), m)
-        if best is None or val < best:
-            best, best_order = val, order
-    return best, best_order
+    """Min over c != e of ind(ct, c)/m = ind(ct, (d))/d, d = ord(c) over the
+    divisors d > 1 of exp(A); returns (ratio, argmin order), the smaller
+    order on a tie."""
+    return min((Fraction(product_index_general(ct, CycleType.from_parts([d])), d), d)
+               for d in divisors(lcm(*a.cyclic_factors))[1:])
 
 
 # per-class strict lower bounds asserted by the delta lemmas for n = 3, 4

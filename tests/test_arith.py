@@ -6,11 +6,11 @@ from malle_lab.arith import (
     factor,
     iroot,
     is_prime,
-    is_squarefree,
-    prime_factors,
     primes_upto,
     spf_table,
+    squarefree_primes,
 )
+from malle_lab.errors import NotSquarefree
 
 
 def _valuation(q, p):
@@ -29,8 +29,11 @@ def test_squarefree_and_prime_factors_match_definitions():
     assert len(spf) == 3001
     for q in range(1, 3001):
         prime_divisors = [p for p in primes if q % p == 0]
-        assert prime_factors(q) == prime_divisors
-        assert is_squarefree(q) == all(q % (p * p) for p in prime_divisors)
+        if all(q % (p * p) for p in prime_divisors):
+            assert squarefree_primes(q) == prime_divisors
+        else:
+            with pytest.raises(NotSquarefree, match=f"^q must be squarefree positive, got {q}$"):
+                squarefree_primes(q)
         if q >= 2:
             assert spf[q] == prime_divisors[0]
         got = factor(q)
@@ -38,6 +41,9 @@ def test_squarefree_and_prime_factors_match_definitions():
         assert list(got) == prime_divisors
         assert divisors(q) == [d for d in range(1, q + 1) if q % d == 0]
     assert factor(1) == {} and divisors(1) == [1]
+    for q in (0, -5):
+        with pytest.raises(NotSquarefree, match=f"^q must be squarefree positive, got {q}$"):
+            squarefree_primes(q)
     assert spf_table(1).tolist() == [0, 1] and primes_upto(1) == []
 
 

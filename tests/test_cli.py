@@ -70,6 +70,30 @@ def test_invariants_product(capsys):
     assert rep["order"] == 18 and rep["a"] == 3 and rep["b"] == 1
 
 
+C3_WR_C2 = {
+    # S_3 x C_3 on 9 points, the product representation
+    "S9": (["--generators", "(12);(123)", "--product", "(123)"], {
+        "a": 3, "b": 1, "degree": 9, "order": 18,
+        "minimal_classes": [{"cycle_type": [2, 2, 2, 1, 1, 1], "size": 3}],
+    }),
+    # C_3 x C_3 with the swap on 6 points: the two classes of 3-cycles are
+    # fused by the cyclotomic action, so b = 1 and Malle predicts (a, b) =
+    # (2, 1), the prediction Kluners' counterexample breaks
+    "S6": (["--generators", "(123);(14)(25)(36)"], {
+        "a": 2, "b": 1, "degree": 6, "order": 18,
+        "minimal_classes": [{"cycle_type": [3, 1, 1, 1], "size": 2}] * 2,
+    }),
+}
+
+
+@pytest.mark.parametrize("rep", sorted(C3_WR_C2))
+def test_invariants_of_c3_wr_c2_in_both_representations(rep, capsys):
+    argv, report = C3_WR_C2[rep]
+    code, out = run(["invariants"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["report"] == report
+
+
 def test_invariants_bad_input_exit_2(capsys):
     code, _ = run(["invariants", "--generators", "garbage"], capsys)
     assert code == 2
@@ -329,6 +353,18 @@ def test_count_pairs_cli_refuses_grid_points_below_1(input_files, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: --grid-points must be at least 1, got {points}\n"
+
+
+def test_count_pairs_cli_takes_a_billion_grid_points(input_files, capsys):
+    # default_grid once built all the points before it kept the <= 20 that
+    # are >= 1 at X = 1e6: a billion-entry list
+    argv = ["count-pairs", "--sn-fields", str(input_files / "k.jsonl"),
+            "--abelians", str(input_files / "l.jsonl"), "--x", "1e6", "--grid-points"]
+    code, out = run(argv + ["1000000000"], capsys)
+    assert code == 0
+    code, out_20 = run(argv + [str((10**6).bit_length())], capsys)
+    assert code == 0
+    assert json.loads(out)["report"] == json.loads(out_20)["report"]
 
 
 def test_convolve_cli_parses_a_exactly(capsys):
@@ -670,14 +706,27 @@ def test_a_malformed_group_spec_exits_2_with_one_error_line(argv, error, capsys)
 def test_a_non_squarefree_q_is_refused_as_the_sieve_refuses_it(q, capsys):
     from malle_lab.errors import NotSquarefree
     from malle_lab.fields.uniformity import abelian_uniformity_check
+    from malle_lab.sieve import binary_cubic_disc_scheme, solutions_mod_q
 
     message = f"q must be squarefree positive, got {q}"
-    with pytest.raises(NotSquarefree) as exc:
-        abelian_uniformity_check(3, [7, q], 10**4)
-    assert str(exc.value) == message
+    for refuse in (lambda: abelian_uniformity_check(3, [7, q], 10**4),
+                   lambda: solutions_mod_q(binary_cubic_disc_scheme(), q)):
+        with pytest.raises(NotSquarefree) as exc:
+            refuse()
+        assert str(exc.value) == message
     assert main(["abelian-uniformity", "--l", "3", "--q", f"7,{q}", "--x", "1e4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_sieve_exp_refuses_a_non_squarefree_q_in_the_words_of_abelian_uniformity(capsys, tmp_path):
+    # once "error: q = 4"
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"n_vars": 1, "codim": 1, "polys": [[[1, [1]]]]}))
+    code = main(["sieve-exp", "--scheme", str(path), "--r", "5,10,50", "--q", "3,4,5,30"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: q must be squarefree positive, got 4\n"
 
 
 @pytest.mark.parametrize("entry, message", [

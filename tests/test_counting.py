@@ -418,6 +418,8 @@ def test_count_pairs_fit_follows_the_product_slope_rule(l, x):
 def test_default_grid():
     g = default_grid(1024, 5)
     assert g == [64, 128, 256, 512, 1024]
+    # x_max >> k is 0 from k = x_max.bit_length() on: no more points to make
+    assert default_grid(10**15, 10**12) == default_grid(10**15, 50)
 
 
 def test_euler_c3():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from malle_lab import counting
-from malle_lab.arith import prime_factors
+from malle_lab.arith import factor
 from malle_lab.counting import WildTable, compose_disc, count_pairs
 from malle_lab.errors import InvariantViolation, MalformedLine, MissingWildEntry
 from malle_lab.fields import records
@@ -383,7 +383,7 @@ def test_abelian_uniformity_counts_match_the_record_loop():
     rep = abelian_uniformity_check(3, qs, x, field_list=fl)
     for q, row in zip(qs, rep.per_q):
         want = sum(1 for r in fl.upto(x)
-                   if all(p in set(r.ramified_primes) for p in prime_factors(q)))
+                   if all(p in set(r.ramified_primes) for p in factor(q)))
         assert row.count == want, q
     assert rep.per_q[0].count == len(fl) == 1592
     assert rep.per_q[5].count > 0

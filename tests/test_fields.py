@@ -430,6 +430,15 @@ def test_enumerate_cyclic_spec_examples():
     assert [r.abs_disc for r in enumerate_cyclic(5, 11**4)] == [11**4]
 
 
+def test_enumerate_cyclic_refuses_a_disc_past_int64_from_its_conductors():
+    # once refused only after every row of the list was built
+    with pytest.raises(InvariantViolation, match=r"^\|disc\| 99964004859708406561 is not below 2\^63$"):
+        enumerate_cyclic(5, 10**20)
+    # no conductor f <= 2^(63/6) has f^6 >= 2^63
+    fl = enumerate_cyclic(7, 2**63)
+    assert len(fl) and int(fl.abs_discs.max()) < 2**63
+
+
 def test_enumerate_cyclic_disc_is_conductor_power():
     for rec in enumerate_cyclic(3, 10**5):
         # disc = f^2 for cyclic cubics

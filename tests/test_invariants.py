@@ -89,6 +89,25 @@ def test_b_invariant_product_s3_c5():
     assert b_invariant_Q(g) == 1
 
 
+def test_c3_wr_c2_in_both_representations():
+    """C_3 wr C_2 = S_3 x C_3: (a, b) = (3, 1) on 9 points, where the
+    transpositions of S_3 are the minimal elements, and (2, 1) on 6 points,
+    where the two classes of 3-cycles are fused by the cyclotomic action;
+    the latter is the (a, b) that Kluners' counterexample to Malle's
+    conjecture breaks."""
+    on_9 = product_group(
+        [Permutation.parse("(12)", degree=3), Permutation.parse("(123)")],
+        [Permutation.parse("(123)")],
+        3,
+        3,
+    )
+    on_6 = close_group([Permutation.parse("(123)", degree=6), Permutation.parse("(14)(25)(36)")])
+    assert (on_9.degree, on_9.order, a_invariant(on_9), b_invariant_Q(on_9)) == (9, 18, 3, 1)
+    assert (on_6.degree, on_6.order, a_invariant(on_6), b_invariant_Q(on_6)) == (6, 18, 2, 1)
+    minimal = minimal_index_classes(on_6)
+    assert [(cycle_type(c.representative).parts, c.size) for c in minimal] == [((3, 1, 1, 1), 2)] * 2
+
+
 def class_power_map(group, a):
     """The class map c -> c^a, built as b_invariant_Q builds it inline."""
     classes, class_of = _classes_with_map(group)

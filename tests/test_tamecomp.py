@@ -1,19 +1,58 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from malle_lab.arith import divisors
 from malle_lab.errors import HypothesisViolated, IncompleteRkTable, TrivialGroup
 from malle_lab.permgroup import CycleType, index_of, product_index_general
 from malle_lab.tamecomp import (
     DEFAULT_RK,
     AbelianGroupSpec,
     RkTable,
+    _min_ratio,
     disc_table,
     ind_abelian,
     min_index_abelian,
+    nonidentity_classes,
     verify_delta,
     verify_unin,
 )
+
+
+def regular_cycle_type(m, d):
+    """Cycle type of an order-d element of a group of order m in its regular
+    representation: m/d cycles of length d."""
+    return CycleType.from_parts([d] * (m // d))
+
+
+def partitions(n):
+    def rec(n, maxp):
+        if n == 0:
+            yield ()
+            return
+        for p in range(min(n, maxp), 0, -1):
+            for rest in rec(n - p, p):
+                yield (p,) + rest
+    return rec(n, n)
+
+
+def abelian_groups(m):
+    """Every abelian group of order m, as sorted cyclic factors: a partition
+    of the exponent of each prime of m."""
+    fac = {}
+    n, d = m, 2
+    while d * d <= n:
+        while n % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
+    groups = [()]
+    for p, e in fac.items():
+        groups = [g + tuple(p**part for part in parts) for g in groups for parts in partitions(e)]
+    return [AbelianGroupSpec(tuple(sorted(g))) for g in groups]
 
 
 def test_parse():
@@ -44,8 +83,32 @@ def test_ind_abelian():
 def test_ind_abelian_matches_regular_cycle_type():
     a = AbelianGroupSpec((3, 9))
     for c in a.elements():
-        ct = a.regular_cycle_type(a.element_order(c))
+        ct = regular_cycle_type(a.order, a.element_order(c))
         assert ind_abelian(a, c) == index_of(ct)
+
+
+def test_element_orders_are_the_divisors_of_the_exponent():
+    for m in range(1, 201):
+        for a in abelian_groups(m):
+            orders = {a.element_order(c) for c in a.elements()}
+            assert orders == set(divisors(lcm(*a.cyclic_factors))), a
+
+
+def test_min_ratio_equals_the_minimum_over_elements():
+    """ind(k, (d))/d over the divisors d > 1 of exp(A) is the minimum of
+    ind(k, c)/|A| over the elements c != e in the regular representation, and
+    its order is the least order that attains it."""
+    groups = [a for m in (2, 3, 4, 5, 7, 8, 9, 11, 12, 16, 25, 27, 35, 45, 49, 60, 63, 77)
+              for a in abelian_groups(m)]
+    for n in (3, 4, 5):
+        for ct in nonidentity_classes(n):
+            for a in groups:
+                m = a.order
+                by_element = [
+                    (Fraction(product_index_general(ct, regular_cycle_type(m, d)), m), d)
+                    for d in map(a.element_order, a.elements()) if d > 1
+                ]
+                assert _min_ratio(ct, a) == min(by_element), (ct, a)
 
 
 def test_min_index_abelian():
@@ -59,46 +122,13 @@ def test_min_index_abelian():
 
 
 def test_min_index_closed_form_vs_exhaustive_all_abelian_up_to_2000():
-    """Closed form equals the exhaustive minimum for every abelian |A| <= 2000."""
-
-    def partitions(n):
-        def rec(n, maxp):
-            if n == 0:
-                yield ()
-                return
-            for p in range(min(n, maxp), 0, -1):
-                for rest in rec(n - p, p):
-                    yield (p,) + rest
-        return rec(n, n)
-
-    def factorize(n):
-        out = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
-
+    """Closed form equals the exhaustive minimum for every abelian |A| <= 2000,
+    over the element orders d > 1, the divisors of exp(A)."""
     for m in range(2, 2001):
-        fac = factorize(m)
-        # all abelian groups of order m: a partition of each exponent
-        groups = [()]
-        for p, e in fac.items():
-            groups = [
-                g + tuple(p**part for part in parts)
-                for g in groups
-                for parts in partitions(e)
-            ]
-        for factors in groups:
-            a = AbelianGroupSpec(tuple(sorted(factors)))
-            exhaustive = min(
-                m - m // order for order in a.order_counts() if order > 1
-            )
-            assert exhaustive == min_index_abelian(a), factors
+        for a in abelian_groups(m):
+            exhaustive = min(index_of(regular_cycle_type(m, d))
+                             for d in divisors(lcm(*a.cyclic_factors))[1:])
+            assert exhaustive == min_index_abelian(a), a
 
 
 def test_disc_table_l5_k1():
@@ -128,9 +158,8 @@ def test_disc_table_matches_formulas_and_general_index():
                 else:
                     assert row.compositum_exponent == 3 * lk - lr
                 # table row equals the general formula applied to the types
-                a = AbelianGroupSpec((lk,))
                 assert row.compositum_exponent == product_index_general(
-                    row.sn_class, a.regular_cycle_type(l ** (k - row.r))
+                    row.sn_class, regular_cycle_type(lk, l ** (k - row.r))
                 )
 
 
