@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter
 
 from . import convolve
 from .arith import iroot, primes_upto
@@ -179,13 +178,12 @@ def _compose(
         raise ValueError("mode must be exact or interval")
     _check_labels(k_rec.group_label, k_rec.degree, l_rec.group_label, l_rec.degree)
     m, n = k_rec.degree, l_rec.degree
-    l_at = {loc.p: loc for loc in l_rec.ramification}
     lo = hi = disc_product_bound(k_rec, l_rec)
-    for k_loc in sorted((loc for loc in k_rec.ramification if loc.p in l_at), key=attrgetter("p")):
+    for k_loc in k_rec.ramification:
         p = k_loc.p
-        if y is not None and p > y:
-            break
-        l_loc = l_at[p]
+        l_loc = l_rec.local_at(p)
+        if l_loc is None or y is not None and p > y:
+            continue
         elo, ehi = _local_exponent(k_loc, l_loc, m, n, wild, mode)
         full = n * k_loc.disc_exponent + m * l_loc.disc_exponent
         lo //= p ** (full - elo)

@@ -80,13 +80,17 @@ sight; an entry does not depend on its record, so one text has one entry.
 That is exact.  When every piece decodes as a JSON object, the bracketed
 text is the JSON array of those objects, as JSON's grammar gives each text
 one parse; so the whole line decodes to what the pieces give, and equal
-texts give equal objects that pass the same checks.  A line outside the
-frame, or with a piece that is not one JSON object, is decoded whole, and
-that path decides its record or its error.  Both paths run the same
-typed-key checks (`_Ingest.entry`) and share the slot of each key.  A
-line's own errors are raised as it is read, but a rule broken by an earlier
-line comes first, as the columns of the lines before are checked before
-any error leaves the parser.
+texts give equal objects that pass the same checks.  The frame path only
+accepts: a line outside the frame, with a degree or disc past int()'s digit
+limit, not of the list's kind (the first line, before there is one), with
+|disc| outside [1, 2^63), or with a piece that is not one JSON object, is
+decoded whole, and that path decides its record or its error.  The one
+check the frame path runs that can raise is an entry's typed-key check
+(`_Ingest.entry`), which the whole-line path runs on the same object after
+the same kind and disc checks; both paths share the slot of each key, so a
+line has one outcome on either path.  A line's own errors are raised as it
+is read, but a rule broken by an earlier line comes first, as the columns
+of the lines before are checked before any error leaves the parser.
 """
 
 from __future__ import annotations
@@ -452,8 +456,7 @@ class _Ingest:
     `slots` maps each entry's key (p, kind, parts or label, exp) to its
     slot, and `types` each (kind, parts or label) to its local type, both in
     the order first met.  `kind` is the (degree, group) of the first row, None
-    before it.  On frame lines, `texts` maps each entry text met to its
-    slot, and `head` is the last (degree text, group) found of that kind.
+    before it.  On frame lines, `texts` maps each entry text met to its slot.
     """
 
     def __init__(self):
@@ -461,7 +464,6 @@ class _Ingest:
         self.types: dict[tuple, object] = {}
         self.texts: dict[str, int] = {}
         self.kind: tuple[int, str] | None = None
-        self.head: tuple[str, str] | None = None
         self.discs, self.signs, self.counts, self.entry_ids, self.lines = [], [], [], [], []
 
     def same_kind(self, degree: int, group: str):
@@ -544,7 +546,10 @@ class _Ingest:
         except (KeyError, TypeError) as exc:
             raise MalformedLine(lineno, f"bad record fields: {exc}")
         self.same_kind(degree, group)
-        _check_disc(disc, lineno)
+        if disc == 0:
+            raise MalformedLine(lineno, "disc must be nonzero")
+        if abs(disc) >= DISC_LIMIT:
+            raise MalformedLine(lineno, f"|disc| {abs(disc)} is not below 2^63")
         try:
             slots = [self.entry(r, lineno) for r in ram_objs]
         except TypeError as exc:  # "ram" is not iterable
@@ -552,24 +557,26 @@ class _Ingest:
         self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
 
     def frame_line(self, match: re.Match, lineno: int) -> bool:
-        """Append the record of a line in `_LINE_FRAME`; False to decode it whole.
+        """Append the record of a line in `_LINE_FRAME`, or return False to have
+        `whole_line` decide the line; no error but an entry's is raised here.
 
-        False means a piece between "}, {" is not one JSON object.
+        False when the degree or the disc is past int()'s digit limit, the line
+        is not of `kind` (the first line is not), |disc| is outside [1, 2^63),
+        or a piece between "}, {" first met here is not one JSON object.
         """
         degree, disc, group, ram_text = match.groups()
-        head = degree, group
         try:
-            if head != self.head:  # a head text first met here
-                degree = int(degree)
-            disc = int(disc)
-        except ValueError as exc:  # past int()'s digit limit
-            raise MalformedLine(lineno, f"bad record fields: {exc}")
+            degree, disc = int(degree), int(disc)
+        except ValueError:  # past int()'s digit limit
+            return False
+        if (degree, group) != self.kind or not 0 < abs(disc) < DISC_LIMIT:
+            return False
         known = self.texts
         pieces = ram_text[1:-1].split("}, {") if ram_text else ()
         try:
             slots = [known[piece] for piece in pieces]
         except KeyError:  # a text first met here
-            slots, fresh = None, {}
+            fresh = {}
             for piece in pieces:
                 if piece not in known and piece not in fresh:
                     text = "{" + piece + "}"
@@ -580,25 +587,11 @@ class _Ingest:
                     if end < len(text):
                         return False
                     fresh[piece] = obj
-        if head != self.head:
-            self.same_kind(degree, group)
-            self.head = head
-        if not 0 < abs(disc) < DISC_LIMIT:
-            _check_disc(disc, lineno)
-        if slots is None:
             for piece, obj in fresh.items():
                 known[piece] = self.entry(obj, lineno)
             slots = [known[piece] for piece in pieces]
         self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
         return True
-
-
-def _check_disc(disc: int, lineno: int):
-    """MalformedLine unless 0 < |disc| < 2^63."""
-    if disc == 0:
-        raise MalformedLine(lineno, "disc must be nonzero")
-    if abs(disc) >= DISC_LIMIT:
-        raise MalformedLine(lineno, f"|disc| {abs(disc)} is not below 2^63")
 
 
 def _decoded(line: str, lineno: int):

@@ -166,6 +166,8 @@ def b_invariant_Q(group: PermutationGroup) -> int:
 
 
 def minimal_index_classes(group: PermutationGroup) -> list[ConjugacyClass]:
+    if group.order < 2:
+        raise TrivialGroup("minimal-index classes need a non-identity element")
     classes = conjugacy_classes(group)
     a_val = min(c.index for c in classes if c.index > 0)
     return [c for c in classes if c.index == a_val]

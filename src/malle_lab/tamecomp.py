@@ -277,12 +277,17 @@ def _check_hypothesis(n: int, a: AbelianGroupSpec):
         raise HypothesisViolated(n, m)
 
 
-def _min_ratio(ct: CycleType, a: AbelianGroupSpec) -> tuple[Fraction, int]:
-    """Min over c != e of ind(ct, c)/m = ind(ct, (d))/d, d = ord(c) over the
-    divisors d > 1 of exp(A); returns (ratio, argmin order), the smaller
+def _orders(a: AbelianGroupSpec) -> list[int]:
+    """The orders d > 1 of the elements of A: the divisors d > 1 of exp(A)."""
+    return divisors(lcm(*a.cyclic_factors))[1:]
+
+
+def _min_ratio(ct: CycleType, orders: list[int]) -> tuple[Fraction, int]:
+    """Min over c != e of ind(ct, c)/m = ind(ct, (d))/d, d = ord(c) over
+    `orders` (`_orders(A)`); returns (ratio, argmin order), the smaller
     order on a tie."""
     return min((Fraction(product_index_general(ct, CycleType.from_parts([d])), d), d)
-               for d in divisors(lcm(*a.cyclic_factors))[1:])
+               for d in orders)
 
 
 # per-class strict lower bounds asserted by the delta lemmas for n = 3, 4
@@ -318,9 +323,10 @@ def verify_delta(n: int, a: AbelianGroupSpec) -> DeltaReport:
     with p >= 7).  c = identity is reported separately via identity_ratio.
     """
     _check_hypothesis(n, a)
+    orders = _orders(a)
     reports = []
     for ct in nonidentity_classes(n):
-        ratio, _ = _min_ratio(ct, a)
+        ratio, _ = _min_ratio(ct, orders)
         ind_k = index_of(ct)
         if n in _DELTA_THRESHOLDS:
             thr = Fraction(_DELTA_THRESHOLDS[n][ct.parts])
@@ -371,11 +377,12 @@ def verify_unin(n: int, a: AbelianGroupSpec, rk: RkTable) -> UninReport:
     if rk.n != n:
         raise ValueError(f"r_k table is for S_{rk.n}, not S_{n}")
     rk.validate_cover()
+    orders = _orders(a)
     reports = []
     witness = None
     for ct in nonidentity_classes(n):
         r_val = rk.value(ct)
-        ratio, argmin = _min_ratio(ct, a)
+        ratio, argmin = _min_ratio(ct, orders)
         margin = ratio - index_of(ct) + r_val
         passed = margin >= 1
         if not passed and witness is None:

@@ -72,6 +72,11 @@ def test_a_invariant_trivial():
         a_invariant(close_group([Permutation.identity(3)]))
 
 
+def test_minimal_index_classes_trivial():
+    with pytest.raises(TrivialGroup):
+        minimal_index_classes(close_group([Permutation.identity(3)]))
+
+
 def test_b_invariant():
     assert b_invariant_Q(S3()) == 1
     assert b_invariant_Q(C3()) == 1  # the two 3-cycles fuse under a=2

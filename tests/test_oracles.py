@@ -22,6 +22,10 @@ ORACLES = {
     "cyclic_count_oracle",
     "cubic_fields_by_polynomials",
     "_neg_reduced",
+    "ind_abelian",
+    "min_index_abelian",
+    "product_index_coprime",
+    "orbit_count",
 }
 PACKAGE = Path(malle_lab.__file__).parent
 
@@ -47,7 +51,9 @@ def _imports_polysearch(node) -> bool:
 def test_oracles_are_listed_in_the_package_docstring():
     doc = malle_lab.__doc__
     for name in ("count_pairs_brute", "product_count_brute", "count_points_brute",
-                 "cyclic_count_oracle", "fields.polysearch", "_neg_reduced"):
+                 "cyclic_count_oracle", "fields.polysearch", "_neg_reduced",
+                 "tamecomp.ind_abelian", "tamecomp.min_index_abelian",
+                 "permgroup.product_index_coprime", "permgroup.orbit_count"):
         assert name in doc.split("Oracles", 1)[1]
 
 

@@ -1,7 +1,10 @@
 """parse_field_file decides a line the same on its frame path and on its general path.
 
 A stripped line in the writer's frame is split into entry texts, each decoded
-once per call and degree; any other line is decoded whole.  Each example is
+once per call; any other line, and any frame line that the frame path does
+not accept, is decoded whole, and only that path refuses a line.  A writer
+file sends only its first line, which sets the list's kind, down the general
+path.  Each example is
 a short file of the writer lines of one list, which holds one kind of field,
 with one or two mutated lines of that list in it.  The file
 is parsed as is, and again with the frame pattern swapped for one that
@@ -13,6 +16,7 @@ same error: its type, line number and message.
 import io
 import json
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -22,6 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from malle_lab.errors import MalformedLine  # noqa: E402
 from malle_lab.fields import records  # noqa: E402
 from malle_lab.fields.cubic import enumerate_cubic  # noqa: E402
 from malle_lab.fields.cyclic import enumerate_cyclic  # noqa: E402
@@ -153,6 +158,8 @@ def _number_text(draw, text):
 def _repeat_key_text(draw, text):
     # a repeated key: JSON keeps the last value, which both paths must see
     starts = [m.start() for m in re.finditer(r"\{", text)]
+    if not starts:  # a spacing mutation took out the one brace
+        return text
     at = starts[draw(st.integers(0, len(starts) - 1))] + 1
     key = draw(st.sampled_from(['"p": 5, ', '"degree": 3, ', '"kind": "wild", ', '"exp": 1, ']))
     return text[:at] + key + text[at:]
@@ -184,8 +191,16 @@ def _raw_char_text(draw, text):
     return text[:at] + draw(st.sampled_from(["\t", "\x01", "\x1f", "\x7f", "\u2028"])) + text[at:]
 
 
+def _long_number_text(draw, text):
+    # an integer past int()'s 4300-digit limit, which json.dumps cannot write
+    key = draw(st.sampled_from(["degree", "disc"]))
+    digits = draw(st.sampled_from(["", "-"])) + "1" * draw(st.sampled_from([4301, 5000]))
+    return re.sub(r'(?<="%s": )-?[0-9]+' % key, digits, text, count=1)
+
+
 TEXT_MUTATIONS = [
     None, _number_text, _repeat_key_text, _spacing_text, _separator_text, _raw_char_text,
+    _long_number_text,
 ]
 
 
@@ -235,3 +250,28 @@ def test_numbers_outside_the_json_integer_grammar(degree, disc):
             '"ram": [{"cycle_type": [2, 1], "kind": "tame", "p": 23}]}' % (degree, disc))
     assert _outcome(line)[0] == "error"
     assert _outcome(line) == _general_outcome(line)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int() digit limit")
+@pytest.mark.parametrize("degree, disc", [("3", "-" + "1" * 5000), ("1" * 5000, "-23")])
+def test_an_integer_past_the_digit_limit_is_invalid_json_on_both_paths(degree, disc):
+    line = '{"degree": %s, "disc": %s, "group": "S3", "ram": []}' % (degree, disc)
+    outcome = _outcome(line)
+    assert outcome[:3] == ("error", MalformedLine, 1)
+    assert outcome[3].startswith("line 1: invalid JSON: Exceeds the limit")
+    assert outcome == _general_outcome(line)
+
+
+def test_a_writer_file_sends_only_its_first_line_down_the_general_path():
+    # the first line sets the list's kind; every later writer line is taken by the frame
+    whole_line, seen = records._Ingest.whole_line, []
+
+    def counted(ingest, obj, lineno):
+        seen.append(lineno)
+        return whole_line(ingest, obj, lineno)
+
+    with mock.patch.object(records._Ingest, "whole_line", counted):
+        for lines in WRITER_LISTS:
+            seen.clear()
+            assert len(records.parse_field_file(io.StringIO("\n".join(lines)))) == len(lines)
+            assert seen == [1]

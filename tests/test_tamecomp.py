@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+from malle_lab import tamecomp
 from malle_lab.arith import divisors
 from malle_lab.errors import HypothesisViolated, IncompleteRkTable, TrivialGroup
 from malle_lab.permgroup import CycleType, index_of, product_index_general
@@ -11,6 +12,7 @@ from malle_lab.tamecomp import (
     AbelianGroupSpec,
     RkTable,
     _min_ratio,
+    _orders,
     disc_table,
     ind_abelian,
     min_index_abelian,
@@ -92,6 +94,7 @@ def test_element_orders_are_the_divisors_of_the_exponent():
         for a in abelian_groups(m):
             orders = {a.element_order(c) for c in a.elements()}
             assert orders == set(divisors(lcm(*a.cyclic_factors))), a
+            assert _orders(a) == sorted(orders - {1}), a
 
 
 def test_min_ratio_equals_the_minimum_over_elements():
@@ -108,7 +111,21 @@ def test_min_ratio_equals_the_minimum_over_elements():
                     (Fraction(product_index_general(ct, regular_cycle_type(m, d)), m), d)
                     for d in map(a.element_order, a.elements()) if d > 1
                 ]
-                assert _min_ratio(ct, a) == min(by_element), (ct, a)
+                assert _min_ratio(ct, _orders(a)) == min(by_element), (ct, a)
+
+
+def test_verifiers_list_the_element_orders_once(monkeypatch):
+    walks = []
+
+    def counted(n):
+        walks.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(tamecomp, "divisors", counted)
+    a = AbelianGroupSpec((7, 7))
+    verify_delta(5, a)
+    verify_unin(5, a, DEFAULT_RK[5])
+    assert walks == [7, 7]
 
 
 def test_min_index_abelian():
