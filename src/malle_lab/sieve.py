@@ -4,10 +4,13 @@ Counts #{a in [-r, r]^n cap Z^n : a mod q in Y(Z/qZ)} by residue classes:
 solve the system mod each prime p of the squarefree q, combine by CRT, and
 count the lattice points of each residue class.  Each polynomial is read as
 a polynomial in x_1 whose coefficients are vectors over the grid
-(Z/p)^(n-1), built once from per-monomial power tables; the loop over x_1
-only scales and adds them.  A class counts the product of its coordinates'
-progression lengths in [-r, r].  The oracle `count_points_brute` tests every
-lattice point of the cube instead.
+(Z/p)^(n-1), each monomial's vector an outer product of power tables r^e mod
+p; the loop over x_1 only scales and adds them in the smallest unsigned type
+that holds the sum, and tests it for divisibility by p with a multiply by
+the inverse of p's odd part and a mask of its power of two, so no division
+runs there.  A class counts the product of its coordinates' progression
+lengths in [-r, r].  The oracle `count_points_brute` tests every lattice
+point of the cube instead.
 
 The counts feed `scaling_experiment`, which fits the log-log slope in q at
 the largest r and in r at the smallest q; the codimension-k envelope
@@ -135,55 +138,76 @@ def count_points_brute(scheme: AffineScheme, r: int, q: int) -> int:
 def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     """(k, n) int64 array of the solutions over (Z/p)^n.
 
-    Each polynomial is written as sum_e c_e x_1^e, with c_e an int64 vector
-    over the p^(n-1) residues of coordinates 2..n.  Every monomial is
-    evaluated once per call, by indexing the digit arrays into power tables
-    r^e mod p, and the monomials with the same x_1-exponent are summed into
-    c_e.  The loop over x_1 then only scales and adds these vectors, so no
-    working array has more than p^(n-1) entries.  Rows come ordered by x_1,
-    then by x_2 + p x_3 + ... + p^(n-2) x_n.
+    Each polynomial is written as sum_e c_e x_1^e, with c_e a vector over the
+    p^(n-1) residues of coordinates 2..n at index x_2 + p x_3 + ... +
+    p^(n-2) x_n.  A monomial's vector is its coefficient mod p combined by
+    outer products with the power tables r^e mod p of x_n, ..., x_2, reduced
+    mod p before each product; the monomials with the same x_1-exponent are
+    summed and reduced once into c_e.  The loop over x_1 then only scales and
+    adds these vectors, so no working array has more than p^(n-1) entries,
+    and it divides nothing:
+
+    - every c_e and x_1^e mod p is below p, so the sum acc = sum_e c_e x_1^e
+      is below B = terms (p-1)^2 + 1, terms being the most x_1-exponents of
+      one polynomial, and it is held in the smallest of uint16, uint32 and
+      uint64 whose 2^w is at least B;
+    - with p = 2^s o and o odd, p | acc exactly when acc mod 2^s = 0 and
+      acc o^-1 mod 2^w <= (2^w - 1) // o, since multiplying by o^-1 mod 2^w
+      maps the multiples of o below 2^w onto 0..(2^w - 1) // o and every
+      other residue above (Granlund and Montgomery, 1994).
+
+    Rows come ordered by x_1, then by the index of x_2..x_n, whose base-p
+    digits are the other coordinates.
 
     Pure evaluation, so it works for any modulus; the CRT path feeds it
     primes, the multiplicativity oracle composites.
     """
     n = scheme.n_vars
-    rest = p ** (n - 1)
-    # digit arrays for coordinates 2..n
-    digits = []
-    t = np.arange(rest, dtype=np.int64)
-    for _ in range(n - 1):
-        digits.append(t % p)
-        t //= p
     powers = {}  # e -> r^e mod p for r in 0..p-1
-    polys = []  # per polynomial, [(e, c_e)]
+    polys = []  # per polynomial, {e: c_e}
     for poly in scheme.polynomials:
         by_e1 = {}
         for coef, exps in poly:
-            term = np.full(rest, coef % p, dtype=np.int64)
-            for d, e in zip(digits, exps[1:]):
-                if e:
-                    if e not in powers:
-                        powers[e] = np.array([pow(r, e, p) for r in range(p)], dtype=np.int64)
-                    term = term * powers[e][d] % p
-            by_e1[exps[0]] = (by_e1.get(exps[0], 0) + term) % p
-        polys.append(list(by_e1.items()))
+            # x_n outermost, x_2 innermost; every entry stays below p^2
+            term = np.array([coef % p], dtype=np.int64)
+            for e in reversed(exps[1:]):
+                if not e:
+                    term = np.repeat(term, p)
+                    continue
+                if e not in powers:
+                    powers[e] = np.array([pow(r, e, p) for r in range(p)], dtype=np.int64)
+                term = np.multiply.outer(term % p, powers[e]).ravel()
+            by_e1[exps[0]] = by_e1.get(exps[0], 0) + term
+        polys.append(by_e1)
+    bound = max(map(len, polys)) * (p - 1) ** 2 + 1
+    assert bound < 2**64
+    w = next(w for w in (16, 32, 64) if bound <= 2**w)
+    dt = np.dtype(f"uint{w}").type
+    polys = [[(e, (c % p).astype(dt)) for e, c in by_e1.items()] for by_e1 in polys]
+    s = (p & -p).bit_length() - 1
+    o = p >> s
+    # typed scalars, so that no Python int takes part in the dtype of the loop
+    inv, top, low = dt(pow(o, -1, 2**w)), dt((2**w - 1) // o), dt((1 << s) - 1)
+    rest = p ** (n - 1)
     sols = []
     for x0 in range(p):
         ok = np.ones(rest, dtype=bool)
-        # every c_e and x0^e mod p is below p, so acc < (terms) p^2 fits int64
         for (e, c), *others in polys:
-            acc = c * pow(x0, e, p)
+            acc = c * dt(pow(x0, e, p))
             for e, c in others:
-                acc += c * pow(x0, e, p)
-            ok &= acc % p == 0
+                acc += c * dt(pow(x0, e, p))
+            if s:
+                ok &= (acc & low) == 0
+            acc *= inv
+            ok &= acc <= top
             if not ok.any():
                 break
         hits = np.flatnonzero(ok)
         if hits.size:
             pts = np.empty((hits.size, n), dtype=np.int64)
             pts[:, 0] = x0
-            for j, d in enumerate(digits):
-                pts[:, j + 1] = d[hits]
+            for j in range(1, n):
+                hits, pts[:, j] = np.divmod(hits, p)
             sols.append(pts)
     if not sols:
         return np.empty((0, n), dtype=np.int64)
@@ -317,7 +341,7 @@ def _crt_residuals(scheme, q_grid) -> tuple:
     qs = sorted(set(q_grid))
     for i, q1 in enumerate(qs):
         for q2 in qs[i + 1 :]:
-            if math.gcd(q1, q2) != 1 or (q1 * q2) ** scheme.n_vars > 10**7:
+            if math.gcd(q1, q2) != 1 or (q1 * q2) ** scheme.n_vars > SOLUTION_CAP:
                 continue
             s12 = _brute_solution_count(scheme, q1 * q2)
             s1 = _brute_solution_count(scheme, q1)

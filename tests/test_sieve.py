@@ -115,25 +115,64 @@ def _random_scheme(rng, n, m):
     return AffineScheme(n_vars=n, polynomials=tuple(polys), declared_codim=1)
 
 
-def test_solutions_mod_p_matches_pointwise_oracle():
+def _assert_matches_pointwise_oracle(scheme, m):
     from malle_lab.sieve import _solutions_mod_p
 
+    n = scheme.n_vars
+    sols = _solutions_mod_p(scheme, m)
+    assert sols.dtype == np.int64 and sols.shape[1] == n
+    rows = [tuple(int(v) for v in row) for row in sols]
+    want = {
+        pt for pt in itertools.product(range(m), repeat=n)
+        if scheme.eval_point_mod(pt, m)
+    }
+    assert set(rows) == want, (scheme, m)
+    # rows ordered by x_1, then by x_2 + m x_3 + ... + m^(n-2) x_n
+    keys = [(r[0], r[:0:-1]) for r in rows]
+    assert keys == sorted(set(keys))
+
+
+def test_solutions_mod_p_matches_pointwise_oracle():
     rng = random.Random(20260418)
     for n in range(1, 5):
         for m in range(1, 13):
             for _ in range(2 if n < 4 else 1):
-                scheme = _random_scheme(rng, n, m)
-                sols = _solutions_mod_p(scheme, m)
-                assert sols.dtype == np.int64 and sols.shape[1] == n
-                rows = [tuple(int(v) for v in row) for row in sols]
-                want = {
-                    pt for pt in itertools.product(range(m), repeat=n)
-                    if scheme.eval_point_mod(pt, m)
-                }
-                assert set(rows) == want, (scheme, m)
-                # rows ordered by x_1, then by x_2 + m x_3 + ... + m^(n-2) x_n
-                keys = [(r[0], r[:0:-1]) for r in rows]
-                assert keys == sorted(set(keys))
+                _assert_matches_pointwise_oracle(_random_scheme(rng, n, m), m)
+
+
+# -x^3 - x and -x^5 - x^3 - x have t = 2 and 3 x-exponents, all with
+# coefficient m - 1 mod m, so at x = m - 1 the accumulator reaches its bound
+# B - 1 = t (m-1)^2: 16-bit up to m = 182 and 148, 32-bit up to m = 46341 and
+# 37838, 64-bit beyond.  At m = 182 and 46346 = 2 * 23173, -x^5 - x^3 - x has
+# roots whose sum passes 2^16 and 2^32, so one width too few loses them.
+ODD_POWERS = {
+    2: ((-1, (3,)), (-1, (1,))),
+    3: ((-1, (5,)), (-1, (3,)), (-1, (1,))),
+}
+
+
+@pytest.mark.parametrize(
+    "terms, m",
+    [(2, 182), (2, 183), (2, 46341), (3, 148), (3, 149), (3, 182), (3, 256), (3, 257), (3, 46346)],
+)
+def test_solutions_mod_p_at_each_accumulator_width(terms, m):
+    scheme = AffineScheme(n_vars=1, polynomials=(ODD_POWERS[terms],), declared_codim=1)
+    _assert_matches_pointwise_oracle(scheme, m)
+
+
+def test_solutions_mod_p_at_even_moduli():
+    # a power of two times an odd part: both halves of the zero test decide
+    rng = random.Random(20261020)
+    for m in (16, 24, 48, 96):
+        for n in (1, 2, 3):
+            scheme = _random_scheme(rng, n, m)
+            # a constant term per polynomial puts a random integer point on it
+            pt = [rng.randrange(m) for _ in range(n)]
+            polys = []
+            for poly in scheme.polynomials:
+                value = sum(c * math.prod(x**e for x, e in zip(pt, exps)) for c, exps in poly)
+                polys.append(poly + ((-value, (0,) * n),))
+            _assert_matches_pointwise_oracle(AffineScheme(n, tuple(polys), 1), m)
 
 
 @pytest.mark.parametrize(
@@ -157,6 +196,25 @@ def test_disc_solutions_composite_modulus_bytes_pinned():
     assert sols.shape == (77649, 4)
     assert hashlib.sha256(sols.tobytes()).hexdigest() == (
         "4bedccfc3405d02edfa591d27edffae0d3fead6a08a0d11b22710507819c63d3"
+    )
+
+
+def test_analytic_grid_counts_pinned():
+    # the benchmark's analytic grid; the fits come from a least-squares solve,
+    # so they are pinned to 12 digits rather than to the last bit
+    rep = scaling_experiment(
+        binary_cubic_disc_scheme(), [50, 100, 200, 400, 800], [3, 5, 7, 11, 13, 17, 23, 31, 37]
+    )
+    assert len(rep.entries) == 45
+    assert sum(c for _, _, c in rep.entries) == 8_052_637_360_437
+    assert rep.entries[-1] == (800, 37, 182_120_650_717)
+    assert hashlib.sha256(repr(rep.entries).encode()).hexdigest() == (
+        "d2544d5982c3bef2d2a48ce610a37edfffc1d641519751ceb8d5afa930496877"
+    )
+    assert rep.fitted_q_exponent == pytest.approx(-1.0690126756002694, rel=1e-12)
+    assert rep.fitted_r_exponent == pytest.approx(3.990971521602373, rel=1e-12)
+    assert rep.crt_residuals == (
+        (3, 5, 4785, 4785), (3, 7, 12705, 12705), (3, 11, 47553, 47553), (3, 13, 77649, 77649)
     )
 
 
