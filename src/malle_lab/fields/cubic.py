@@ -113,12 +113,12 @@ the a of the search, each bound taken at the largest b and |c| for that a.
 - A local entry is coded as (p * 64 + v_p) * 2 + triple, below 2^38.
 
 Irreducibility.  A form with no root in P^1(F_p) has no rational root.  For
-p = 5, 7, 11, 13 and 17 a p^4-entry bytearray marks the forms mod p with no
-root in P^1(F_p), [1:0] (that is, p | a) counted as a root; the tables are
-built once per process, on first use, by clearing the
-d = -(a r^3 + b r^2 + c r) entry for every a != 0 and root r.  Only
-_irreducible reads them: it views them as np.frombuffer arrays and indexes
-them with a task's rows mod p.  A form with d = 0 has the root [0:1]; any
+p = 5, 7, 11, 13 and 17 a p^4-entry uint8 array marks the forms mod p with
+no root in P^1(F_p), [1:0] (that is, p | a) counted as a root; the tables are
+built once per process, on first use, in numpy: ones, less the a = 0 block,
+less one scatter that clears the d = -(a r^3 + b r^2 + c r) entry for every
+a != 0, b, c and root r.  Only _irreducible reads them: it indexes them with
+a task's rows mod p.  A form with d = 0 has the root [0:1]; any
 other form no table marks goes to is_irreducible, the exact rational-root
 test alone (roots x/y with y | a and x | d), which every reducible form with
 d != 0 reaches (at X = 1e5, 6,434 forms of the 40,567 candidates with
@@ -325,8 +325,9 @@ _SCREEN_PRIMES = (5, 7, 11, 13, 17)
 
 
 @cache
-def _no_root_tables() -> tuple[tuple[int, bytearray], ...]:
-    """(p, table) for the screen primes, built on first use (not at import).
+def _no_root_tables() -> tuple:
+    """(p, table) for the screen primes, each table a uint8 array, built on first
+    use (not at import).
 
     table[((a p + b) p + c) p + d] is 1 when F = (a, b, c, d) mod p has no
     root in P^1(F_p), [1:0] included.  Forked workers inherit the tables
@@ -335,18 +336,15 @@ def _no_root_tables() -> tuple[tuple[int, bytearray], ...]:
     return tuple((p, _no_root_table(p)) for p in _SCREEN_PRIMES)
 
 
-def _no_root_table(p: int) -> bytearray:
-    q = p**3
-    table = bytearray(q) + b"\x01" * (q * (p - 1))  # a = 0: root [1:0]
-    for a in range(1, p):
-        for r in range(p):
-            for b in range(p):
-                row = (a * p + b) * p * p
-                k = (a * r + b) * r * r
-                for c in range(p):
-                    # F(r, 1) = 0 exactly at d = -(a r^3 + b r^2 + c r)
-                    table[row + c * p + (-(k + c * r)) % p] = 0
-    return table
+def _no_root_table(p: int):
+    import numpy as np
+
+    a, b, c, r = np.ogrid[1:p, :p, :p, :p]
+    table = np.ones((p, p, p, p), np.uint8)
+    table[0] = 0  # a = 0: root [1:0]
+    # F(r, 1) = 0 exactly at d = -(a r^3 + b r^2 + c r)
+    table[a, b, c, -(((a * r + b) * r + c) * r) % p] = 0
+    return table.ravel()
 
 
 def _eval_form(f: Form, x: int, y: int) -> int:
@@ -594,7 +592,7 @@ def _irreducible(f):
     a, b, c, d = f
     marked = np.zeros(b.size, bool)
     for p, table in _no_root_tables():
-        marked |= np.frombuffer(table, np.uint8)[((a % p * p + b % p) * p + c % p) * p + d % p] != 0
+        marked |= table[((a % p * p + b % p) * p + c % p) * p + d % p] != 0
     # the rest, but those with the root [0:1], by the exact test
     rest = np.flatnonzero(~marked & (d != 0))
     marked[rest] = [is_irreducible(g) for g in zip(*(x[rest].tolist() for x in f))]

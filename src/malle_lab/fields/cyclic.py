@@ -9,7 +9,9 @@ of the dual group is C_l^t and an order-l subgroup with full conductor has
 (l-1)^t generators with all components nontrivial, l-1 of them per subgroup.
 `enumerate_cyclic` builds no record and no entry: it writes one entry per
 ramified prime, and each conductor's disc and entry slots, (l-1)^(t-1) equal
-rows of them, into the list's columns for `FieldList.from_columns`.
+rows of them, into the list's columns for `FieldList.from_columns`.  A row
+lists its wild entry l first, then its tame primes ascending, so its entries
+are in ascending p, as l is below every p = 1 (mod l).
 
 The oracle route ignores admissibility theory entirely: for every modulus f
 it computes the number of order-l subgroups of the dual of (Z/fZ)* from the
@@ -45,7 +47,7 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
 
     def dfs(start: int, f: int, tame: tuple[int, ...], wild: tuple[int, ...]):
         if tame or wild:
-            conductors.append((f, tame + wild))
+            conductors.append((f, wild + tame))
         for i in range(start, len(primes)):
             if f * primes[i] > fmax:
                 break
@@ -54,7 +56,7 @@ def enumerate_cyclic(l: int, x: int) -> FieldList:
     dfs(0, 1, (), ())
     if l * l <= fmax:
         dfs(0, l * l, (), (len(primes),))
-        primes.append(l)  # the wild entry, after the tame ones
+        primes.append(l)  # the wild entry's slot, after the tame ones'
     conductors.sort()  # by f, as no two conductors are equal
     if conductors and conductors[-1][0] ** (l - 1) >= DISC_LIMIT:  # the largest disc
         raise InvariantViolation(f"|disc| {conductors[-1][0] ** (l - 1)} is not below 2^63")

@@ -64,14 +64,16 @@ the first failing row's message is made in Python.
 
 `FieldList.write_jsonl` writes each record as
 json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
-distinct entry and the group label once per call.  Every such line has the
-frame `_FRAME`,
+distinct entry and the group label once per call, and each row as held, its
+entries in `entry_ids` order, unsorted: an enumerated row is in ascending p
+(a C_l row lists its wild l first, below every tame p = 1 mod l), a parsed
+row in its line's order.  Every such line has the frame `_FRAME`,
 
     {"degree": INT, "disc": INT, "group": "STR", "ram": [ENTRY, ..., ENTRY]}
 
-with INT a JSON integer -?(0|[1-9][0-9]*), which JSON decodes as int() does,
-and STR a string with no quote, backslash or control character, which JSON
-decodes to its own text.
+with INT a JSON integer of at most 19 digits, as every |disc| < 2^63 is,
+which JSON decodes as int() does, and STR a string with no quote, backslash
+or control character, which JSON decodes to its own text.
 
 `parse_field_file` appends every line to the columns.  A stripped line that
 matches the frame (`_LINE_FRAME`) is split into entry texts at "}, {", and
@@ -81,16 +83,19 @@ That is exact.  When every piece decodes as a JSON object, the bracketed
 text is the JSON array of those objects, as JSON's grammar gives each text
 one parse; so the whole line decodes to what the pieces give, and equal
 texts give equal objects that pass the same checks.  The frame path only
-accepts: a line outside the frame, with a degree or disc past int()'s digit
-limit, not of the list's kind (the first line, before there is one), with
-|disc| outside [1, 2^63), or with a piece that is not one JSON object, is
-decoded whole, and that path decides its record or its error.  The one
-check the frame path runs that can raise is an entry's typed-key check
-(`_Ingest.entry`), which the whole-line path runs on the same object after
-the same kind and disc checks; both paths share the slot of each key, so a
-line has one outcome on either path.  A line's own errors are raised as it
-is read, but a rule broken by an earlier line comes first, as the columns
-of the lines before are checked before any error leaves the parser.
+accepts: a line outside the frame (a degree or disc of more than 19 digits
+among them), not of the list's kind (the first line, before there is one),
+with |disc| outside [1, 2^63), or with a piece that is not one JSON object,
+is decoded whole by json.loads, and that path decides its record or its
+error.  The one check the frame path runs that can raise is an entry's
+typed-key check (`_Ingest.entry`), which the whole-line path runs on the
+same object after the same kind and disc checks; both paths share the slot
+of each key, so a line has one outcome on either path.
+
+The parser and `FieldList(records)` refuse in one order: a rule broken by
+an earlier row first, as the rows before are checked before any error
+leaves, then the stopping row's own error, the first its reading meets (an
+unreadable entry, even after one that breaks an entry rule).
 """
 
 from __future__ import annotations
@@ -101,7 +106,6 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import attrgetter
 
 from ..arith import is_prime
 from ..errors import InvariantViolation, MalformedLine
@@ -156,20 +160,16 @@ def _entry_fault(p: int, exp: int, local_type, prime: bool) -> str | None:
     return None
 
 
-_by_p = attrgetter("p")
-
 # json.dumps(record.to_json(), sort_keys=True): the keys in sorted order, with
 # ", " and ": " as separators, around the degree, disc, group and entry texts
 _FRAME = '{"degree": %s, "disc": %s, "group": %s, "ram": [%s]}'
 _LINE = _FRAME % ("%d", "%d", "%s", "%s") + "\n"
-_INT = r"(-?(?:0|[1-9][0-9]*))"
+_INT = r"(-?(?:0|[1-9][0-9]{0,18}))"  # 19 digits hold every |disc| < 2^63
 _LINE_FRAME = re.compile(
     re.escape(_FRAME) % (_INT, _INT, r'"([^"\\\x00-\x1f]*)"', r"((?:\{.*\})?)")
 )
 # json.dumps(obj, sort_keys=True) less its encoder construction per call
 _encode = json.JSONEncoder(sort_keys=True).encode
-# json.loads less its whitespace scans, which a stripped line does not need
-_decode = json.JSONDecoder().raw_decode
 # rows per block when lines are made from the columns
 _BLOCK = 1 << 14
 
@@ -199,7 +199,7 @@ class FieldRecord:
             "degree": self.degree,
             "group": self.group_label,
             "disc": self.disc_sign * self.abs_disc,
-            "ram": [loc.to_json() for loc in sorted(self.ramification, key=_by_p)],
+            "ram": [loc.to_json() for loc in self.ramification],
         }
 
 
@@ -233,8 +233,8 @@ class FieldList(Sequence):
     @classmethod
     def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
                      entry_p, entry_exp, entry_type, local_types) -> FieldList:
-        """The list of these columns (see the module docstring), checked and sorted by |disc|;
-        `kind` is the (degree, group label) of every row."""
+        """The checked list of these columns (see the module docstring), which refuses
+        rows out of order of |disc|; `kind` is the (degree, group label) of every row."""
         fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
                              entry_p, entry_exp, entry_type, local_types)
         fl._check()
@@ -418,17 +418,13 @@ class FieldList(Sequence):
         """One line per record, json.dumps(record.to_json(), sort_keys=True) + "\n".
 
         Each distinct entry and the group label are serialised once per call, and
-        the lines are made from the columns, with each row's entries in
-        ascending p.
+        the lines are made from the columns, each row's entries in the order it
+        holds them (`entry_ids`).
         """
-        import numpy as np
-
         types = map(self.local_types.__getitem__, self.entry_type.tolist())
         texts = list(map(_encode, map(_entry_json, self.entry_p.tolist(),
                                       self.entry_exp.tolist(), types)))
-        degree, group = self.degree, _encode(self.group_label)
-        p_rank = np.unique(self.entry_p, return_inverse=True)[1][self.entry_ids]
-        ids = self.entry_ids[np.lexsort((p_rank, self.slot_rows()))]
+        degree, group, ids = self.degree, _encode(self.group_label), self.entry_ids
         discs = self.abs_discs * self.disc_signs
         for lo in range(0, len(self), _BLOCK):
             hi = min(lo + _BLOCK, len(self))
@@ -560,15 +556,12 @@ class _Ingest:
         """Append the record of a line in `_LINE_FRAME`, or return False to have
         `whole_line` decide the line; no error but an entry's is raised here.
 
-        False when the degree or the disc is past int()'s digit limit, the line
-        is not of `kind` (the first line is not), |disc| is outside [1, 2^63),
-        or a piece between "}, {" first met here is not one JSON object.
+        False when the line is not of `kind` (the first line is not), |disc| is
+        outside [1, 2^63), or json.loads fails on a piece between "}, {" first
+        met here, as on a piece of more than one JSON object ("Extra data").
         """
         degree, disc, group, ram_text = match.groups()
-        try:
-            degree, disc = int(degree), int(disc)
-        except ValueError:  # past int()'s digit limit
-            return False
+        degree, disc = int(degree), int(disc)
         if (degree, group) != self.kind or not 0 < abs(disc) < DISC_LIMIT:
             return False
         known = self.texts
@@ -579,14 +572,10 @@ class _Ingest:
             fresh = {}
             for piece in pieces:
                 if piece not in known and piece not in fresh:
-                    text = "{" + piece + "}"
                     try:
-                        obj, end = _decode(text)
+                        fresh[piece] = json.loads("{" + piece + "}")
                     except ValueError:  # JSONDecodeError, or past int()'s digit limit
                         return False
-                    if end < len(text):
-                        return False
-                    fresh[piece] = obj
             for piece, obj in fresh.items():
                 known[piece] = self.entry(obj, lineno)
             slots = [known[piece] for piece in pieces]
@@ -595,14 +584,11 @@ class _Ingest:
 
 
 def _decoded(line: str, lineno: int):
-    """json.loads(line), with its error, or an integer past int()'s digit limit, as MalformedLine."""
+    """json.loads(line), its error (past int()'s digit limit too) as MalformedLine."""
     try:
-        obj, end = _decode(line)
-        if end < len(line):
-            raise json.JSONDecodeError("Extra data", line, end)
+        return json.loads(line)
     except ValueError as exc:  # JSONDecodeError is one
         raise MalformedLine(lineno, f"invalid JSON: {exc}")
-    return obj
 
 
 def parse_field_file(stream, x_max: int | None = None) -> FieldList:
@@ -612,29 +598,21 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     invariant violations raise with the 1-based line number.  An x_max below
     the largest |disc| in the file raises InvariantViolation.
     """
-    ingest, known = _Ingest(), 0
+    ingest = _Ingest()
     frame, frame_line = _LINE_FRAME.fullmatch, ingest.frame_line
     try:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
-            known = len(ingest.slots)  # the entries met before this line
             try:
                 match = frame(line)
                 if not (match and frame_line(match, lineno)):
                     ingest.whole_line(_decoded(line, lineno), lineno)
             except InvariantViolation as exc:
                 raise InvariantViolation(f"line {lineno}: {exc}")
-    except Exception:
-        # whatever stopped the parse, a rule broken on an earlier line comes
-        # first, then one broken by an entry that the stopping line gave
-        # before it stopped, as when each record was checked as read
+    except Exception:  # a rule broken on an earlier line comes first, then the stop
         ingest.field_list(x_max)._refuse_bad_row(ingest.lines)
-        for p, kind, data, exp in list(ingest.slots)[known:]:
-            fault = _entry_fault(p, exp, ingest.types[kind, data], is_prime(p))
-            if fault is not None:
-                raise InvariantViolation(f"line {lineno}: {fault}") from None
         raise
     fl = ingest.field_list(x_max)
     fl._refuse_bad_row(ingest.lines)

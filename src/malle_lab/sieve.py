@@ -160,7 +160,7 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     digits are the other coordinates.
 
     Pure evaluation, so it works for any modulus; the CRT path feeds it
-    primes, the multiplicativity oracle composites.
+    primes, the multiplicativity self-check composites.
     """
     n = scheme.n_vars
     powers = {}  # e -> r^e mod p for r in 0..p-1
@@ -353,5 +353,7 @@ def _crt_residuals(scheme, q_grid) -> tuple:
 
 
 def _brute_solution_count(scheme: AffineScheme, q: int) -> int:
-    """Direct count of solutions over (Z/q)^n without CRT (residual oracle)."""
+    """Direct count of solutions over (Z/q)^n without CRT, for the multiplicativity
+    self-check that `scaling_experiment` runs on every experiment; ROADMAP.md item 1
+    plans to move that check into the benchmark's own."""
     return int(_solutions_mod_p(scheme, q).shape[0])

@@ -85,20 +85,6 @@ class AbelianGroupSpec:
             o = o * oi // gcd(o, oi)
         return o
 
-    def elements(self):
-        """All elements as residue tuples, |A| of them: for tests and small groups.
-
-        The verifiers need only the element orders, the divisors of exp(A).
-        """
-        def rec(i):
-            if i == len(self.cyclic_factors):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for r in range(self.cyclic_factors[i]):
-                    yield (r,) + rest
-        return rec(0)
-
 
 def ind_abelian(a: AbelianGroupSpec, c: tuple[int, ...]) -> int:
     """ind of c in the regular representation: m - m/ord(c)."""

@@ -183,3 +183,25 @@ def test_empirical_fit_refuses_points_past_the_float_range():
     with pytest.raises(InsufficientData, match="float range"):
         empirical_fit(pts, 1, 0)
     assert empirical_fit(pts[:9], 1, 0).coefficient == pytest.approx(1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CountingSequence(), ValueError, "give exactly one of entries or rule"),
+    (lambda: CountingSequence([(1, 1)], rule="integers"), ValueError,
+     "give exactly one of entries or rule"),
+    (lambda: CountingSequence(rule="cubes"), ValueError, "unknown rule 'cubes'"),
+    (lambda: CountingSequence([(1, 1), (4, 1)], complete_to=5).count_upto(6), InsufficientRange,
+     "sequence complete to 5, asked for 6"),
+    (lambda: product_count_exact(INTS, INTS, 0, 1, 10), ValueError, "weights must be positive"),
+    (lambda: AsymptoticForm(1.0, Fraction(3, 2), 0), ValueError, "exponent must lie in (0, 1]"),
+    (lambda: AsymptoticForm(-1.0, Fraction(1, 2), 0), ValueError,
+     "coefficient and logpower must be nonnegative"),
+    (lambda: AsymptoticForm(1.0, Fraction(1, 2), -1), ValueError,
+     "coefficient and logpower must be nonnegative"),
+    (lambda: csum(INTS, 1, Fraction(2), 0, 0.5), ValueError, "x must be >= 1"),
+], ids=["no-source", "two-sources", "unknown-rule", "past-complete-to", "weight-zero",
+        "exponent-past-one", "negative-coefficient", "negative-logpower", "csum-x-below-one"])
+def test_convolve_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -32,7 +32,13 @@ from malle_lab.fields.cyclic import enumerate_cyclic
 from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification
 from malle_lab.invariants import product_a, product_b
 from malle_lab.permgroup import CycleType
-from malle_lab.tamecomp import DEFAULT_RK, AbelianGroupSpec, RkTable, min_index_abelian
+from malle_lab.tamecomp import (
+    DEFAULT_RK,
+    AbelianGroupSpec,
+    RkTable,
+    min_index_abelian,
+    verify_unin,
+)
 
 
 def tame(p, parts):
@@ -443,3 +449,32 @@ def test_tail_bound_report():
     assert rep2.tail_sum < rep.tail_sum / 2  # doubling Y at least halves the tail
     with pytest.raises(LemmaFails):
         tail_bound_report(RkTable.zeros(3), 3, AbelianGroupSpec((5,)), 10)
+
+
+def _rk_with_least_margin_one(n, a):
+    """The r_k table whose every class margin is exactly 1."""
+    zero = verify_unin(n, a, RkTable.zeros(n))
+    return RkTable(n, {c.ct.parts: 1 - c.min_margin for c in zero.classes})
+
+
+_C5 = AbelianGroupSpec((5,))
+_K7 = rec(3, "S3", -1, [tame(7, (2, 1))])
+_L9 = rec(3, "C3", 1, [wild(3, "3-C3-cond-9", 4)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: compose_disc(_K7, _L9, mode="both"), ValueError, "mode must be exact or interval"),
+    (lambda: count_pairs(enumerate_cubic(100), enumerate_cyclic(3, 100), 10**4,
+                         mode="interval").n_exact,
+     ValueError, "exact counts only in exact mode"),
+    (lambda: count_pairs(enumerate_cubic(100), enumerate_cyclic(3, 100), 10**4, mode="both"),
+     ValueError, "mode must be exact or interval"),
+    (lambda: euler_constant(4), ValueError, "p_max must be >= 5"),
+    (lambda: tail_bound_report(_rk_with_least_margin_one(3, _C5), 3, _C5, 10),
+     LemmaFails, "delta = -1 is not < -1"),
+], ids=["compose-mode", "n-exact-in-interval-mode", "count-mode", "euler-p-max",
+        "delta-minus-one"])
+def test_counting_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

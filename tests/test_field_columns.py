@@ -172,6 +172,48 @@ def test_parse_raises_the_first_bad_line_whatever_its_kind():
             assert str(exc.value).startswith(message)
 
 
+def _tame(p: int) -> LocalRamification:
+    return LocalRamification(p, "tame", 1, tame_cycle_type=CycleType.from_parts((2, 1)))
+
+
+def test_a_line_is_refused_for_an_unreadable_entry_after_one_that_breaks_a_rule():
+    """One refusal order on every route: a rule broken by an earlier row, then
+    the stopping row's own error, even when an entry before the one that
+    stops it breaks an entry rule."""
+    good = ('{"degree": 3, "disc": -23, "group": "S3", '
+            '"ram": [{"cycle_type": [2, 1], "kind": "tame", "p": 23}]}')
+    composite = {"cycle_type": [2, 1], "kind": "tame", "p": 9}  # p = 9 is not prime
+    for unreadable, message in (({"kind": "tame", "p": 7}, "'cycle_type'"),
+                                (dict(composite, p=2**70),
+                                 "p 1180591620717411303424 is outside int64")):
+        message = "bad ramification entry: " + message
+        obj = {"degree": 3, "group": "S3", "disc": -63, "ram": [composite, unreadable]}
+        for line, framed in ((json.dumps(obj, sort_keys=True), True), (json.dumps(obj), False)):
+            assert bool(records._LINE_FRAME.fullmatch(line)) == framed
+            with pytest.raises(MalformedLine) as exc:
+                parse_field_file(io.StringIO(good + "\n" + line + "\n" + good))
+            assert str(exc.value) == "line 2: " + message
+            # a rule broken on an earlier line still comes first
+            with pytest.raises(InvariantViolation) as exc:
+                parse_field_file(io.StringIO(good + "\n" + good.replace("-23,", "-46,") + "\n"
+                                             + line))
+            assert str(exc.value) == "line 2: |disc| 46 != product of local parts 23"
+    # the constructor refuses the same way
+    k23 = FieldRecord(3, "S3", 23, (_tame(23),), -1)
+    bad = FieldRecord(3, "S3", 63, (_tame(9), _tame(2**70)), -1)
+    with pytest.raises(InvariantViolation) as exc:
+        FieldList(records=(k23, bad), provenance="x", x_max=99)
+    assert str(exc.value) == "p 1180591620717411303424 is outside int64"
+    with pytest.raises(InvariantViolation) as exc:
+        FieldList(records=(replace(k23, disc_sign=2), bad), provenance="x", x_max=99)
+    assert str(exc.value) == "disc sign must be 1 or -1, got 2"
+    # with nothing unreadable after it, the entry rule is the line's refusal
+    with pytest.raises(InvariantViolation) as exc:
+        FieldList(records=(k23, replace(bad, ramification=bad.ramification[:1])),
+                  provenance="x", x_max=99)
+    assert str(exc.value) == "ramified p = 9 is not prime"
+
+
 def test_constructor_and_from_columns_refuse_what_the_record_refuses():
     k23 = FieldRecord(3, "S3", 23, (LocalRamification(23, "wild", 1, wild_label="w"),), -1)
     with pytest.raises(InvariantViolation, match="sorted"):

@@ -82,7 +82,8 @@ def test_parse_refuses_an_integer_past_the_digit_limit(frame, key):
     else:
         line = ('{"degree":3,"group":"S3","disc":%s,'
                 '"ram":[{"p":%s,"kind":"tame","cycle_type":[2,1]}]}' % (disc, p))
-    assert bool(_LINE_FRAME.fullmatch(line)) == frame
+    # the frame reads a disc of at most 19 digits, so a longer one is decoded whole
+    assert bool(_LINE_FRAME.fullmatch(line)) == (frame and key == "p")
     with pytest.raises(MalformedLine) as exc:
         parse_field_file(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
     assert exc.value.lineno == 2
@@ -254,9 +255,16 @@ def _hand_built_record():
     )
 
 
+def test_field_list_repr_names_its_size_provenance_and_x_max():
+    assert repr(FieldList((), "ingested", 5)) == \
+        "FieldList(<0 records>, provenance='ingested', x_max=5)"
+    fl = FieldList((_hand_built_record(),), "enumerated", 40)
+    assert repr(fl) == "FieldList(<1 records>, provenance='enumerated', x_max=40)"
+
+
 @pytest.mark.parametrize("make, out_of_order", [
     (lambda: enumerate_cubic(10**4), False),
-    (lambda: enumerate_cyclic(3, 10**8), True),  # the wild 3 follows the tame primes
+    (lambda: enumerate_cyclic(3, 10**8), False),  # the wild 3 comes first
     (lambda: FieldList((_hand_built_record(),), "enumerated", 40), True),
 ], ids=["cubic-1e4", "c3-1e8", "hand-built"])
 def test_write_jsonl_lines_equal_json_dumps_of_to_json(make, out_of_order):
@@ -266,6 +274,28 @@ def test_write_jsonl_lines_equal_json_dumps_of_to_json(make, out_of_order):
     assert out_of_order == any(
         [loc.p for loc in r.ramification] != list(r.ramified_primes) for r in fl
     )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_cubic(10**4, workers=1),
+    lambda: enumerate_cubic(10**4, workers=2),
+    lambda: enumerate_cyclic(3, 10**8),
+    lambda: enumerate_cyclic(5, 10**12),
+    lambda: enumerate_cyclic(7, 10**14),
+], ids=["cubic-1e4-w1", "cubic-1e4-w2", "c3-1e8", "c5-1e12", "c7-1e14"])
+def test_enumerated_rows_list_their_primes_in_ascending_p(make):
+    # the writer writes each row as held, so a written row is in ascending p
+    fl = make()
+    slot_p = fl.entry_p[fl.entry_ids]
+    same_row = fl.slot_rows()[1:] == fl.slot_rows()[:-1]
+    assert (slot_p[1:][same_row] > slot_p[:-1][same_row]).all()
+
+
+def test_a_parsed_file_is_written_back_in_its_entry_order():
+    rec = _hand_built_record()  # p = 5, then p = 2
+    lines = [json.dumps(rec.to_json(), sort_keys=True) + "\n"] * 2
+    assert [loc["p"] for loc in json.loads(lines[0])["ram"]] == [5, 2]
+    assert _jsonl(parse_field_file(io.StringIO("".join(lines)))) == "".join(lines)
 
 
 SHARED_TAME = {"degree": 3, "group": "S3", "disc": -7,
@@ -423,6 +453,17 @@ def test_record_refuses_a_disc_sign_other_than_one_or_minus_one(sign):
 
 # -- cyclic ------------------------------------------------------------------
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_cyclic(2, 100), "l must be an odd prime"),
+    (lambda: enumerate_cyclic(9, 100), "l must be an odd prime"),
+    (lambda: enumerate_cyclic(3, 0), "x must be >= 1"),
+], ids=["l-two", "l-nine", "x-zero"])
+def test_cyclic_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_enumerate_cyclic_spec_examples():
     assert [r.abs_disc for r in enumerate_cyclic(3, 49)] == [49]
     assert [r.abs_disc for r in enumerate_cyclic(3, 80)] == [49]
@@ -540,6 +581,23 @@ def test_polynomial_oracle_known_field_discs():
     assert field_disc_of_cubic((0, 0, -2)) == -108
     assert field_disc_of_cubic((-1, -2, 1)) == 49  # cyclic
     assert field_disc_of_cubic((0, -4, -1)) == 229
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transform((1, 0, -1, 1), (1, 1, 1, 1)), "matrix must be unimodular"),
+    (lambda: transform((1, 0, -1, 1), (2, 0, 0, 1)), "matrix must be unimodular"),
+    (lambda: enumerate_cubic(0), "x must be >= 1"),
+], ids=["det-zero", "det-two", "x-zero"])
+def test_cubic_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_is_maximal_is_false_for_a_form_with_content():
+    # the ring of a form with content g > 1 is not maximal at the primes of g
+    assert is_maximal((1, 0, -1, 1)) and not is_maximal((2, 0, -2, 2))
+    assert not is_maximal((3, 6, -3, 9))
 
 
 def test_maximality_rejects_index_forms():

@@ -232,3 +232,17 @@ def test_minimal_index_classes_s3xc3():
     assert len(minimal) == 1
     assert minimal[0].index == 3 and minimal[0].size == 3
     assert cycle_type(minimal[0].representative).parts == (2, 2, 2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: close_group([]), ValueError, "need at least one generator"),
+    (lambda: close_group([Permutation.identity(2), Permutation.identity(3)]), ValueError,
+     "generators must share a degree"),
+    (lambda: b_invariant_Q(close_group([Permutation.identity(3)])), TrivialGroup,
+     "b(Q, G) needs a non-identity element"),
+    (lambda: product_a(0, 3, 1, 3), ValueError, "all inputs must be positive"),
+], ids=["no-generator", "mixed-degrees", "b-of-trivial-group", "product-a-zero"])
+def test_invariants_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

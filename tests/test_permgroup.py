@@ -149,3 +149,25 @@ def test_embed_degree_multiplicative():
 
 def test_cycle_type_json():
     assert CycleType.from_parts([1, 3, 2]).to_json() == [3, 2, 1]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Permutation(()), "degree must be >= 1"),
+    (lambda: Permutation((1, 1)), "not a bijection on 1..2: (1, 1)"),
+    (lambda: Permutation.identity(2) * Permutation.identity(3), "degree mismatch"),
+    (lambda: Permutation.from_cycles([(1, 2), (2, 3)]), "cycles are not disjoint"),
+    (lambda: Permutation.from_cycles([(1, 5)], degree=3), "cycle point exceeds degree"),
+    (lambda: CycleType(3, (1, 2)), "parts must be sorted descending"),
+    (lambda: CycleType(4, (2, 1)), "parts (2, 1) do not sum to degree 4"),
+], ids=["degree-zero", "not-a-bijection", "degree-mismatch", "cycles-not-disjoint",
+        "point-past-degree", "parts-ascending", "parts-off-degree"])
+def test_permgroup_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_permutation_repr_lists_its_nontrivial_cycles():
+    assert repr(Permutation.from_cycles([(1, 2), (3, 4, 5)], degree=6)) == \
+        "Permutation((1,2)(3,4,5), deg=6)"
+    assert repr(Permutation.identity(4)) == "Permutation(e, deg=4)"

@@ -292,3 +292,20 @@ def test_radius_must_be_a_positive_integer():
     for r in (0, -3, 2.5, "5"):
         with pytest.raises(ValueError, match="box radius"):
             count_points_mod_q(line_scheme(), r, 5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AffineScheme(2, (((1, (1, 0)),),), 3), ValueError,
+     "codimension must lie in 1..n_vars"),
+    (lambda: AffineScheme(2, (), 1), ValueError, "need at least one polynomial"),
+    (lambda: AffineScheme(2, ((),), 1), ValueError, "zero polynomial in scheme"),
+    (lambda: AffineScheme(2, (((1, (1,)),),), 1), ValueError, "exponent vector length mismatch"),
+    # {x1 = 0} in A^3 has 53^2 and 61^2 solutions, 10,452,289 > SOLUTION_CAP pairs of them
+    (lambda: solutions_mod_q(AffineScheme.coordinate_subspace(3, 1), 53 * 61), CapExceeded,
+     "too many residue solutions"),
+], ids=["codim-past-n-vars", "no-polynomial", "zero-polynomial", "exponent-length",
+        "solutions-past-cap"])
+def test_sieve_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -20,6 +21,11 @@ from malle_lab.tamecomp import (
     verify_delta,
     verify_unin,
 )
+
+
+def elements(a):
+    """Every element of A as a residue tuple, |A| of them."""
+    return itertools.product(*map(range, a.cyclic_factors))
 
 
 def regular_cycle_type(m, d):
@@ -84,7 +90,7 @@ def test_ind_abelian():
 
 def test_ind_abelian_matches_regular_cycle_type():
     a = AbelianGroupSpec((3, 9))
-    for c in a.elements():
+    for c in elements(a):
         ct = regular_cycle_type(a.order, a.element_order(c))
         assert ind_abelian(a, c) == index_of(ct)
 
@@ -92,7 +98,7 @@ def test_ind_abelian_matches_regular_cycle_type():
 def test_element_orders_are_the_divisors_of_the_exponent():
     for m in range(1, 201):
         for a in abelian_groups(m):
-            orders = {a.element_order(c) for c in a.elements()}
+            orders = {a.element_order(c) for c in elements(a)}
             assert orders == set(divisors(lcm(*a.cyclic_factors))), a
             assert _orders(a) == sorted(orders - {1}), a
 
@@ -109,7 +115,7 @@ def test_min_ratio_equals_the_minimum_over_elements():
                 m = a.order
                 by_element = [
                     (Fraction(product_index_general(ct, regular_cycle_type(m, d)), m), d)
-                    for d in map(a.element_order, a.elements()) if d > 1
+                    for d in map(a.element_order, elements(a)) if d > 1
                 ]
                 assert _min_ratio(ct, _orders(a)) == min(by_element), (ct, a)
 
@@ -306,3 +312,19 @@ def test_rk_json_roundtrip():
     rk = DEFAULT_RK[5]
     again = RkTable.from_json(rk.to_json())
     assert again.rk == rk.rk
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: disc_table(3, 0), ValueError, "k must be >= 1"),
+    (lambda: RkTable(3, {}).value(CycleType.from_parts((3,))), IncompleteRkTable,
+     "no r_k entry for class (3,) in S_3"),
+    (lambda: RkTable.from_json({"n": 3, "rk": [{"cycle_type": [2, 1, 1], "r": "1"}]}),
+     ValueError, "cycle type (2, 1, 1) has degree != 3"),
+    (lambda: verify_delta(6, AbelianGroupSpec((7,))), ValueError, "n must be 3, 4 or 5"),
+    (lambda: verify_unin(3, AbelianGroupSpec((5,)), DEFAULT_RK[4]), ValueError,
+     "r_k table is for S_4, not S_3"),
+], ids=["k-zero", "no-rk-entry", "rk-entry-of-another-degree", "n-six", "rk-table-of-s4"])
+def test_tamecomp_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
