@@ -1,4 +1,4 @@
-"""Exact and asymptotic product distributions P_{a,b}(X).
+"""Exact product distributions P_{a,b}(X).
 
 P_{a,b}(X) = #{(s1, s2) : s_i in S_i, s1^a * s2^b <= X} for multisets of
 positive integers S_i with counting functions F_i(X) ~ A_i X^{n_i} ln^{r_i} X.
@@ -14,12 +14,6 @@ s <= iroot(num // (den s1^alpha), beta); so
 
 with t1 = iroot(num // den, 2 alpha) and t2 = iroot(num // den, 2 beta):
 each loop runs to roughly the square root of the window.
-
-Asymptotically, `predict_unequal` keeps the steeper of two forms with
-unequal slopes n1/a > n2/b and scales its coefficient by the convergent
-weighted sum C' computed by `csum`.  Equal slopes are refused
-(SlopeNotGreater): they never arise for S_n x A, where the S_n side's slope
-is always the larger (`invariants.product_a`/`product_b` hold that rule).
 """
 
 from __future__ import annotations
@@ -33,19 +27,11 @@ from itertools import accumulate
 from math import isqrt
 
 from .arith import iroot
-from .errors import (
-    DivergenceSuspected,
-    InsufficientData,
-    InsufficientRange,
-    SlopeNotGreater,
-)
+from .errors import InsufficientData, InsufficientRange
 
 __all__ = [
     "CountingSequence",
-    "AsymptoticForm",
     "product_count_exact",
-    "predict_unequal",
-    "csum",
     "empirical_fit",
     "FitResult",
 ]
@@ -143,13 +129,6 @@ def _exact_fraction(x) -> Fraction:
     raise TypeError(f"an exact count needs an int or Fraction, got {x!r}")
 
 
-def _as_fraction(x) -> Fraction:
-    """As `_exact_fraction`, but a float is taken to 9 digits: for estimates only."""
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**9)
-    return _exact_fraction(x)
-
-
 def product_count_exact(s1: CountingSequence, s2: CountingSequence, a, b, x) -> int:
     """Exact #{(s1, s2) : s1^a s2^b <= x} via the hyperbola split; a, b and x
     must be ints or Fractions (TypeError for a float)."""
@@ -191,79 +170,6 @@ def product_count_brute(s1: CountingSequence, s2: CountingSequence, a, b, x) -> 
 
 
 @dataclass(frozen=True)
-class AsymptoticForm:
-    """A X^n ln^r X with coefficient A >= 0, exponent n in (0, 1], integer r >= 0."""
-
-    coefficient: float
-    exponent: Fraction
-    logpower: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _as_fraction(self.exponent))
-        if not (0 < self.exponent <= 1):
-            raise ValueError("exponent must lie in (0, 1]")
-        if self.logpower < 0 or self.coefficient < 0:
-            raise ValueError("coefficient and logpower must be nonnegative")
-
-
-def predict_unequal(f1: AsymptoticForm, f2: AsymptoticForm, a, b, c_prime: float) -> AsymptoticForm:
-    """Steeper-slope product with caller-supplied convergent sum C' (see csum)."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    slope1, slope2 = f1.exponent / a, f2.exponent / b
-    if not slope1 > slope2:
-        raise SlopeNotGreater(f"need n1/a > n2/b, got {slope1} <= {slope2}")
-    coeff = f1.coefficient * c_prime / float(a) ** f1.logpower
-    return AsymptoticForm(coeff, slope1, f1.logpower)
-
-
-DIVERGENCE_TOL = 0.05  # csum's largest relative move over the last doubling of X
-
-
-def csum(
-    s2: CountingSequence,
-    b,
-    n1_over_a,
-    r1: int,
-    x,
-) -> float:
-    """C(X) = sum_{m^b <= X} (b_m / m^{b*n1/a}) (1 - ln m^b / ln X)^{r1}.
-
-    Monotone in X; DivergenceSuspected if the last doubling of X moved the
-    sum by more than DIVERGENCE_TOL relative.
-    """
-    b = _as_fraction(b)
-    n1_over_a = _as_fraction(n1_over_a)
-    x = float(x)
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    beta = float(b * n1_over_a)
-
-    def partial(upper: float) -> float:
-        u = Fraction(upper).limit_denominator(10**15) ** b.denominator
-        vmax = iroot(u.numerator // u.denominator, b.numerator)
-        ln_upper = math.log(upper) if upper > 1 else 0.0
-        total = 0.0
-        for v, m in s2.iter_upto(vmax):
-            w = 1.0
-            if r1 and ln_upper > 0:
-                t = 1.0 - float(b) * math.log(v) / ln_upper
-                if t <= 0:
-                    continue
-                w = t**r1
-            total += m * w / v**beta
-        return total
-
-    c_half = partial(x / 2)
-    c_full = partial(x)
-    inc = c_full - c_half
-    if c_full > 0 and inc > DIVERGENCE_TOL * c_full:
-        raise DivergenceSuspected(
-            f"last doubling moved C(X) by {inc:.3g} (value {c_full:.3g})"
-        )
-    return c_full
-
-
-@dataclass(frozen=True)
 class FitResult:
     coefficient: float
     residual: float  # max relative deviation over the fit window
@@ -271,8 +177,9 @@ class FitResult:
 
 
 def empirical_fit(counts, exponent, logpower: int) -> FitResult:
-    """Fit N(X) / (X^e ln^r X) to a constant over the top decade of X; InsufficientData
-    for fewer than 8 points, a span under 3 decades or a point past the float range."""
+    """Fit N(X) / (X^e ln^r X), e an int or Fraction, to a constant over the top decade
+    of X; InsufficientData for fewer than 8 points, a span under 3 decades or a point
+    past the float range."""
     try:
         pts = sorted((float(x), float(n)) for x, n in counts)
     except OverflowError:
@@ -281,7 +188,7 @@ def empirical_fit(counts, exponent, logpower: int) -> FitResult:
         raise InsufficientData(f"need >= 8 points, got {len(pts)}")
     if pts[0][0] <= 0 or pts[-1][0] / pts[0][0] < 10**3:
         raise InsufficientData("points must span at least 3 decades")
-    e = float(_as_fraction(exponent))
+    e = float(_exact_fraction(exponent))
     xmax = pts[-1][0]
     window = [(x, n) for x, n in pts if x >= xmax / 10]
     ratios = [n / (x**e * math.log(x) ** logpower) for x, n in window]

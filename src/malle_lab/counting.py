@@ -1,4 +1,4 @@
-"""Pair counting for S_n x A: compositum discriminants, truncations, tails.
+"""Pair counting for S_n x A: compositum discriminants and truncations.
 
 For a pair (K, L) with linearly disjoint Galois closures, Disc(KL) is the
 product bound Disc(K)^degL * Disc(L)^degK divided by the deficit
@@ -69,12 +69,11 @@ from .errors import (
     IncompleteList,
     InsufficientData,
     InvariantViolation,
-    LemmaFails,
     MissingWildEntry,
 )
 from .fields.records import DISC_LIMIT, FieldList, FieldRecord, LocalRamification
 from .permgroup import product_index_general
-from .tamecomp import COPRIMALITY, AbelianGroupSpec, RkTable, verify_unin
+from .tamecomp import COPRIMALITY
 from .util import json_typed
 
 __all__ = [
@@ -82,10 +81,8 @@ __all__ = [
     "CountReport",
     "compose_disc",
     "disc_truncated",
-    "dsigma",
     "count_pairs",
     "euler_constant",
-    "tail_bound_report",
 ]
 
 def _tame_key(loc: LocalRamification) -> str:
@@ -219,16 +216,6 @@ def disc_truncated(
 ):
     """Hybrid disc: exact local factors for p <= y, product bound above."""
     return _compose(k_rec, l_rec, wild, mode, y)
-
-
-def dsigma(k_rec: FieldRecord, l_rec: FieldRecord, wild: WildTable, y: int) -> Fraction:
-    """Product-bound / truncated ratio over p <= y; always >= 1 (exact mode)."""
-    num = disc_product_bound(k_rec, l_rec)
-    den = disc_truncated(k_rec, l_rec, wild, y, mode="exact")
-    out = Fraction(num, den)
-    if out < 1:
-        raise InvariantViolation("d_Sigma < 1: local factor exceeded the product bound")
-    return out
 
 
 @dataclass(frozen=True)
@@ -472,6 +459,10 @@ def euler_constant(p_max: int) -> EulerReport:
 
     c_p = (1 + 1/p + 5/p^2 + 2/p^(7/3))(1 - 1/p) for p = 1 mod 3 and
     (1 + 1/p + 1/p^2)(1 - 1/p) for p = 2 mod 3.
+
+    The value is the paper's Euler product as it stands, not normalised to
+    count_pairs' n_lo: it has no factor 1/(3 zeta(3)) and no (Pi - 1)/2 over
+    the nontrivial L.
     """
     if p_max < 5:
         raise ValueError("p_max must be >= 5")
@@ -495,36 +486,3 @@ def euler_constant(p_max: int) -> EulerReport:
         c3=c3,
         log_tail_last_decade=log_tail,
     )
-
-
-# ---------------------------------------------------------------------------
-# Tail bound diagnostic
-
-@dataclass(frozen=True)
-class TailReport:
-    delta: Fraction
-    tail_sum: float  # numeric proxy sum_{q > y} q^delta over integers
-
-
-def tail_bound_report(rk: RkTable, n: int, a: AbelianGroupSpec, y: int) -> TailReport:
-    """delta = max over classes k, c != e of (-r_k + ind(k) - ind(k,c)/m).
-
-    That is minus the least class margin `verify_unin` reports.
-
-    Requires the uniformity inequality to hold (delta <= -1 then, with
-    strict inequality on the verified grids); the numeric tail is a partial
-    sum plus an integral bound.
-    """
-    rep = verify_unin(n, a, rk)
-    if not rep.passed:
-        raise LemmaFails(f"uniformity inequality fails at witness {rep.witness}")
-    delta = -min(c.min_margin for c in rep.classes)
-    if delta >= -1:
-        raise LemmaFails(f"delta = {delta} is not < -1")
-    d = float(delta)
-    q0 = max(y + 1, 1)
-    q_cut = max(10 * y, q0 + 1000)
-    tail = sum(q**d for q in range(q0, q_cut + 1))
-    # integral bound for the rest: int_{q_cut}^inf t^d dt
-    tail += q_cut ** (d + 1) / (-d - 1)
-    return TailReport(delta=delta, tail_sum=tail)

@@ -30,17 +30,9 @@ class IncompleteRkTable(MalleLabError):
     """r_k table does not cover every non-identity class of S_n."""
 
 
-class LemmaFails(MalleLabError):
-    """The uniformity inequality fails, so no tail exponent is available."""
-
-
 class SlopeNotGreater(MalleLabError):
-    """Equal slopes where one factor's slope must win strictly: predict_unequal
-    needs n1/a > n2/b, product_b a smaller a/deg on one side."""
-
-
-class DivergenceSuspected(MalleLabError):
-    """Partial sums keep moving under doubling; the series looks divergent."""
+    """Equal slopes where one factor's slope must win strictly: product_b needs
+    a smaller a/deg on one side."""
 
 
 class InsufficientRange(MalleLabError):

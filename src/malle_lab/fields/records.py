@@ -40,6 +40,14 @@ for the i-th record in order of |disc|:
   `entry_type`, int32, its index into the tuple `local_types`: a CycleType
   for a tame entry, the label for a wild one.
 
+`from_columns` checks that structure before any rule (`FieldList._check`),
+as numpy would wrap a negative index and broadcast or cast a column of
+another length or dtype: every column 1-D of its dtype, one sign per row,
+offsets from 0 to entry_ids.size and never decreasing, the three entry
+columns of one length, every id and type index in range, and `local_types`
+of CycleTypes and labels.  A column that breaks it is refused, by name, as
+an InvariantViolation.
+
 Every |disc| must be below 2^63 (`DISC_LIMIT`), as `cubic.X_LIMIT` bounds
 what the int64 search can reach, and every p and exp an int64: a row past
 them is refused as it enters, after the rows before it are checked (in a
@@ -204,6 +212,10 @@ class FieldRecord:
 
 
 _SIGN_RULE = "disc sign must be 1 or -1, got {}"
+# the dtype of each column (see the module docstring), which `FieldList._check` enforces
+_COLUMN_DTYPES = (("abs_discs", "int64"), ("disc_signs", "int8"), ("offsets", "int64"),
+                  ("entry_ids", "int32"), ("entry_p", "int64"), ("entry_exp", "int64"),
+                  ("entry_type", "int32"))
 
 
 class FieldList(Sequence):
@@ -234,7 +246,8 @@ class FieldList(Sequence):
     def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
                      entry_p, entry_exp, entry_type, local_types) -> FieldList:
         """The checked list of these columns (see the module docstring), which refuses
-        rows out of order of |disc|; `kind` is the (degree, group label) of every row."""
+        columns of the wrong structure and rows out of order of |disc|; `kind` is the
+        (degree, group label) of every row."""
         fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
                              entry_p, entry_exp, entry_type, local_types)
         fl._check()
@@ -409,7 +422,40 @@ class FieldList(Sequence):
             raise InvariantViolation(message if lines is None else f"line {lines[i]}: {message}")
 
     def _check(self):
-        """Refuse a row that breaks a rule, then rows out of order of |disc|."""
+        """Refuse columns of the wrong structure, naming the column, then a row that
+        breaks a rule, then rows out of order of |disc|."""
+        for name, dtype in _COLUMN_DTYPES:
+            col = getattr(self, name)
+            if col.dtype != dtype or col.ndim != 1:
+                raise InvariantViolation(
+                    f"column {name} must be 1-D {dtype}, got {col.ndim}-D {col.dtype}")
+        rows, signs, offsets, ids = len(self), self.disc_signs, self.offsets, self.entry_ids
+        if signs.size != rows:
+            raise InvariantViolation(
+                f"column disc_signs must have {rows} entries, one per row, got {signs.size}")
+        if offsets.size != rows + 1:
+            raise InvariantViolation(f"column offsets must have {rows + 1} entries, one more "
+                                     f"than the rows, got {offsets.size}")
+        if offsets.item(0) != 0:
+            raise InvariantViolation(f"column offsets must start at 0, got {offsets.item(0)}")
+        if (offsets[1:] < offsets[:-1]).any():
+            raise InvariantViolation("column offsets must not decrease")
+        if offsets.item(-1) != ids.size:
+            raise InvariantViolation(f"column offsets must end at the size of entry_ids, "
+                                     f"{ids.size}, got {offsets.item(-1)}")
+        sizes = (self.entry_p.size, self.entry_exp.size, self.entry_type.size)
+        if len(set(sizes)) > 1:
+            raise InvariantViolation("columns entry_p, entry_exp and entry_type must have one "
+                                     "length, got %d, %d and %d" % sizes)
+        for name, col, count in (("entry_ids", ids, sizes[0]),
+                                 ("entry_type", self.entry_type, len(self.local_types))):
+            out = (col < 0) | (col >= count)
+            if out.any():
+                raise InvariantViolation(
+                    f"column {name} holds {col[out].item(0)}, outside [0, {count})")
+        for t in self.local_types:
+            if not isinstance(t, (CycleType, str)):
+                raise InvariantViolation(f"local_types must hold cycle types and labels, got {t!r}")
         self._refuse_bad_row()
         if (self.abs_discs[1:] < self.abs_discs[:-1]).any():
             raise InvariantViolation("records must be sorted by |disc|")

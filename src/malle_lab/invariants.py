@@ -9,8 +9,8 @@ preserves cycle type, hence index).
 For a direct product G1 x G2 in its S_{n1*n2} representation,
 a = min(n2*a(G1), n1*a(G2)); when the slopes a(G_i)/n_i are strictly ordered
 the minimal-index elements all live in the smaller-slope factor and b equals
-that factor's b.  The equal-slope case is refused (SlopeNotGreater, as in
-`convolve.predict_unequal`); for S_n x A it never arises, since
+that factor's b.  The equal-slope case is refused (SlopeNotGreater, by
+`product_b`); for S_n x A it never arises, since
 a(S_n)/n = 1/n < 1/2 <= a(A)/|A|.
 """
 

@@ -600,6 +600,27 @@ def test_no_module_has_an_unused_import():
     assert offenders == []
 
 
+def test_every_name_in_all_is_bound_in_its_module():
+    # a name __all__ lists must be defined, assigned or imported at top level
+    offenders = []
+    for path, tree in package_sources():
+        bound, listed = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = {t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                          else [node.target]) if isinstance(t, ast.Name)}
+                bound |= targets
+                if "__all__" in targets:
+                    listed = ast.literal_eval(node.value)
+        offenders += [f"{path.name}: __all__ lists {name}" for name in listed
+                      if name not in bound]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("argv", [
     ["euler-constant", "--pmax", "1e12"],
     ["enumerate-cyclic", "--l", "3", "--x", "1e40"],

@@ -4,20 +4,12 @@ from fractions import Fraction
 import pytest
 
 from malle_lab.convolve import (
-    AsymptoticForm,
     CountingSequence,
-    csum,
     empirical_fit,
-    predict_unequal,
     product_count_brute,
     product_count_exact,
 )
-from malle_lab.errors import (
-    DivergenceSuspected,
-    InsufficientData,
-    InsufficientRange,
-    SlopeNotGreater,
-)
+from malle_lab.errors import InsufficientData, InsufficientRange
 
 INTS = CountingSequence.integers()
 
@@ -116,44 +108,6 @@ def test_squares_rule_equals_integers_reindexed():
             product_count_exact(INTS, INTS, 1, 2, x)
 
 
-def test_predict_unequal_and_bound():
-    f1 = AsymptoticForm(1.0, 1, 0)
-    f2 = AsymptoticForm(1.0, 1, 0)
-    zeta2 = math.pi**2 / 6
-    pred = predict_unequal(f1, f2, 1, 2, zeta2)
-    assert pred.coefficient == pytest.approx(zeta2)
-    assert pred.exponent == 1 and pred.logpower == 0
-    with pytest.raises(SlopeNotGreater):
-        predict_unequal(f1, f2, 2, 1, 1.0)
-    # the boundary: equal slopes are refused too
-    with pytest.raises(SlopeNotGreater):
-        predict_unequal(f1, f2, 1, 1, 1.0)
-
-
-def test_csum_zeta2():
-    res = csum(INTS, 2, 1, 0, 10**8)
-    assert res == pytest.approx(math.pi**2 / 6, abs=2e-4)
-    res_sq = csum(CountingSequence.squares(), 1, 1, 0, 10**8)
-    assert res_sq == pytest.approx(res, abs=1e-12)
-
-
-def test_csum_finite_sequence_exact():
-    seq = CountingSequence(entries=[(1, 1), (2, 3)], complete_to=10**9)
-    res = csum(seq, 1, 1, 0, 10**6)
-    assert res == pytest.approx(1 + 3 / 2)
-
-
-def test_csum_monotone_in_x():
-    vals = [csum(INTS, 2, 1, 1, x) for x in (10**4, 10**6, 10**8)]
-    assert vals == sorted(vals)
-
-
-def test_csum_divergence_detected():
-    # b*n1/a = 1/2 < 1: the sum over integers diverges
-    with pytest.raises(DivergenceSuspected):
-        csum(INTS, 1, Fraction(1, 2), 0, 10**6)
-
-
 def test_empirical_fit_roundtrip():
     pts = [(10.0**k, 3.5 * 10.0**k * math.log(10.0**k) ** 2) for k in range(2, 10)]
     fit = empirical_fit(pts, 1, 2)
@@ -193,14 +147,7 @@ def test_empirical_fit_refuses_points_past_the_float_range():
     (lambda: CountingSequence([(1, 1), (4, 1)], complete_to=5).count_upto(6), InsufficientRange,
      "sequence complete to 5, asked for 6"),
     (lambda: product_count_exact(INTS, INTS, 0, 1, 10), ValueError, "weights must be positive"),
-    (lambda: AsymptoticForm(1.0, Fraction(3, 2), 0), ValueError, "exponent must lie in (0, 1]"),
-    (lambda: AsymptoticForm(-1.0, Fraction(1, 2), 0), ValueError,
-     "coefficient and logpower must be nonnegative"),
-    (lambda: AsymptoticForm(1.0, Fraction(1, 2), -1), ValueError,
-     "coefficient and logpower must be nonnegative"),
-    (lambda: csum(INTS, 1, Fraction(2), 0, 0.5), ValueError, "x must be >= 1"),
-], ids=["no-source", "two-sources", "unknown-rule", "past-complete-to", "weight-zero",
-        "exponent-past-one", "negative-coefficient", "negative-logpower", "csum-x-below-one"])
+], ids=["no-source", "two-sources", "unknown-rule", "past-complete-to", "weight-zero"])
 def test_convolve_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()

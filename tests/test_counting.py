@@ -16,15 +16,12 @@ from malle_lab.counting import (
     default_grid,
     disc_product_bound,
     disc_truncated,
-    dsigma,
     euler_constant,
-    tail_bound_report,
 )
 from malle_lab.errors import (
     InadmissiblePair,
     IncompleteList,
     InvariantViolation,
-    LemmaFails,
     MissingWildEntry,
 )
 from malle_lab.fields.cubic import enumerate_cubic
@@ -32,13 +29,7 @@ from malle_lab.fields.cyclic import enumerate_cyclic
 from malle_lab.fields.records import FieldList, FieldRecord, LocalRamification
 from malle_lab.invariants import product_a, product_b
 from malle_lab.permgroup import CycleType
-from malle_lab.tamecomp import (
-    DEFAULT_RK,
-    AbelianGroupSpec,
-    RkTable,
-    min_index_abelian,
-    verify_unin,
-)
+from malle_lab.tamecomp import AbelianGroupSpec, min_index_abelian
 
 
 def tame(p, parts):
@@ -164,7 +155,7 @@ def test_wild_entry_below_the_tower_bound_is_refused():
     assert disc_truncated(kw, lw, low, 2) == 3**24
 
 
-def test_disc_truncated_and_dsigma():
+def test_disc_truncated_divides_the_product_bound():
     w = WildTable()
     # Y = 1: full product bound
     assert disc_truncated(K7, L7, w, 1) == disc_product_bound(K7, L7)
@@ -172,12 +163,13 @@ def test_disc_truncated_and_dsigma():
     assert disc_truncated(K7, L7, w, 100) == compose_disc(K7, L7)
     # shared prime 7 with Y = 7: exact exponent 7 at p=7, product rule at 23
     assert disc_truncated(K7, L7, w, 7) == 7**7 * 23**3
-    assert dsigma(K7, L7, w, 7) == Fraction(7**2)
-    assert dsigma(K23, L7, w, 50) == 1
-    assert dsigma(K7, L7, w, 5) == 1  # below all shared primes
-    # identity: truncated = product bound / d_sigma
+    # d_Sigma, the deficit at the shared primes <= Y, divides the product bound
+    bound = disc_product_bound(K7, L7)
+    assert bound // disc_truncated(K7, L7, w, 7) == 7**2
+    assert bound // disc_truncated(K7, L7, w, 1) == 1
+    assert bound // disc_truncated(K7, L7, w, 5) == 1  # below all shared primes
     for y in (1, 7, 23, 100):
-        assert disc_truncated(K7, L7, w, y) * dsigma(K7, L7, w, y) == disc_product_bound(K7, L7)
+        assert bound % disc_truncated(K7, L7, w, y) == 0
 
 
 @pytest.fixture(scope="module")
@@ -441,23 +433,6 @@ def test_euler_partial_product():
     assert abs(v2 - v1) > abs(v3 - v2)  # shrinking increments
 
 
-def test_tail_bound_report():
-    rep = tail_bound_report(DEFAULT_RK[3], 3, AbelianGroupSpec((5,)), 10)
-    assert rep.delta < -1
-    assert rep.delta == Fraction(-13, 5)  # (12) class: -(13/5 - 1 + 1)
-    rep2 = tail_bound_report(DEFAULT_RK[3], 3, AbelianGroupSpec((5,)), 20)
-    assert rep2.tail_sum < rep.tail_sum / 2  # doubling Y at least halves the tail
-    with pytest.raises(LemmaFails):
-        tail_bound_report(RkTable.zeros(3), 3, AbelianGroupSpec((5,)), 10)
-
-
-def _rk_with_least_margin_one(n, a):
-    """The r_k table whose every class margin is exactly 1."""
-    zero = verify_unin(n, a, RkTable.zeros(n))
-    return RkTable(n, {c.ct.parts: 1 - c.min_margin for c in zero.classes})
-
-
-_C5 = AbelianGroupSpec((5,))
 _K7 = rec(3, "S3", -1, [tame(7, (2, 1))])
 _L9 = rec(3, "C3", 1, [wild(3, "3-C3-cond-9", 4)])
 
@@ -470,10 +445,7 @@ _L9 = rec(3, "C3", 1, [wild(3, "3-C3-cond-9", 4)])
     (lambda: count_pairs(enumerate_cubic(100), enumerate_cyclic(3, 100), 10**4, mode="both"),
      ValueError, "mode must be exact or interval"),
     (lambda: euler_constant(4), ValueError, "p_max must be >= 5"),
-    (lambda: tail_bound_report(_rk_with_least_margin_one(3, _C5), 3, _C5, 10),
-     LemmaFails, "delta = -1 is not < -1"),
-], ids=["compose-mode", "n-exact-in-interval-mode", "count-mode", "euler-p-max",
-        "delta-minus-one"])
+], ids=["compose-mode", "n-exact-in-interval-mode", "count-mode", "euler-p-max"])
 def test_counting_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()

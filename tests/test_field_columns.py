@@ -226,6 +226,47 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
         FieldList.from_columns("x", 99, *forged)
 
 
+# the 1e3 cubic list has 149 rows, 294 entry ids, 86 distinct entries and 7 local types
+@pytest.mark.parametrize("change, message", [
+    (lambda c: c["entry_ids"].put(0, -1), "column entry_ids holds -1, outside [0, 86)"),
+    (lambda c: c["entry_ids"].put(0, 86), "column entry_ids holds 86, outside [0, 86)"),
+    (lambda c: c["entry_type"].put(0, 7), "column entry_type holds 7, outside [0, 7)"),
+    (lambda c: c.update(offsets=np.append(c["offsets"], c["offsets"][-1])),
+     "column offsets must have 150 entries, one more than the rows, got 151"),
+    (lambda c: c.update(offsets=c["offsets"][:-1]),
+     "column offsets must have 150 entries, one more than the rows, got 149"),
+    (lambda c: c["offsets"].put(0, 1), "column offsets must start at 0, got 1"),
+    (lambda c: c["offsets"].put(1, c["offsets"][2] + 1), "column offsets must not decrease"),
+    (lambda c: c["offsets"].put(-1, 293),
+     "column offsets must end at the size of entry_ids, 294, got 293"),
+    (lambda c: c.update(abs_discs=c["abs_discs"].astype(np.float64)),
+     "column abs_discs must be 1-D int64, got 1-D float64"),
+    (lambda c: c.update(entry_p=c["entry_p"].reshape(1, -1)),
+     "column entry_p must be 1-D int64, got 2-D int64"),
+    (lambda c: c.update(disc_signs=c["disc_signs"][:-1]),
+     "column disc_signs must have 149 entries, one per row, got 148"),
+    (lambda c: c.update(entry_exp=c["entry_exp"][:-1]),
+     "columns entry_p, entry_exp and entry_type must have one length, got 86, 85 and 86"),
+    (lambda c: c.update(local_types=(*c["local_types"][:-1], 5)),
+     "local_types must hold cycle types and labels, got 5"),
+], ids=["id-minus-one", "id-past-the-end", "type-past-local-types", "offsets-one-too-long",
+        "offsets-one-too-short", "offsets-from-one", "offsets-decreasing", "offsets-end-short",
+        "float-abs-discs", "two-d-entry-p", "signs-one-short", "entry-exp-one-short",
+        "local-type-not-a-type"])
+def test_from_columns_refuses_a_column_of_the_wrong_structure_by_name(change, message):
+    fl = enumerate_cubic(10**3)
+    names = ("abs_discs", "disc_signs", "offsets", "entry_ids", "entry_p", "entry_exp",
+             "entry_type")
+    columns = {name: getattr(fl, name).copy() for name in names}
+    columns["local_types"] = fl.local_types
+    change(columns)
+    with pytest.raises(InvariantViolation) as exc:
+        FieldList.from_columns("x", fl.x_max, columns["abs_discs"], columns["disc_signs"],
+                               (fl.degree, fl.group_label),
+                               *(columns[name] for name in names[2:]), columns["local_types"])
+    assert str(exc.value) == message
+
+
 def test_the_constructor_refuses_a_record_of_another_kind_as_the_parser_does():
     k23 = FieldRecord(3, "S3", 23, (_wild(23, 1),), -1)
     l49 = FieldRecord(3, "C3", 49, (_wild(7, 2),), 1)
