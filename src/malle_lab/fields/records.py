@@ -42,11 +42,12 @@ for the i-th record in order of |disc|:
 
 `from_columns` checks that structure before any rule (`FieldList._check`),
 as numpy would wrap a negative index and broadcast or cast a column of
-another length or dtype: every column 1-D of its dtype, one sign per row,
-offsets from 0 to entry_ids.size and never decreasing, the three entry
-columns of one length, every id and type index in range, and `local_types`
-of CycleTypes and labels.  A column that breaks it is refused, by name, as
-an InvariantViolation.
+another length or dtype: every column a 1-D numpy array of its dtype, one
+sign per row, offsets from 0 to entry_ids.size and never decreasing, the
+three entry columns of one length, every id and type index in range, and
+`local_types` of CycleTypes and labels.  A column that breaks it is
+refused, by name, as an InvariantViolation.  The columns are made
+read-only, in place, only once the list passes.
 
 Every |disc| must be below 2^63 (`DISC_LIMIT`), as `cubic.X_LIMIT` bounds
 what the int64 search can reach, and every p and exp an int64: a row past
@@ -241,34 +242,43 @@ class FieldList(Sequence):
             raise
         self._fill(provenance, x_max, *ingest.columns())
         self._check()
+        self._freeze()
 
     @classmethod
     def from_columns(cls, provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
                      entry_p, entry_exp, entry_type, local_types) -> FieldList:
         """The checked list of these columns (see the module docstring), which refuses
         columns of the wrong structure and rows out of order of |disc|; `kind` is the
-        (degree, group label) of every row."""
-        fl = cls._of_columns(provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids,
-                             entry_p, entry_exp, entry_type, local_types)
+        (degree, group label) of every row.  The list holds the given arrays, made
+        read-only only once they pass: a refused call leaves them as they were."""
+        fl = object.__new__(cls)
+        fl._fill(provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids, entry_p,
+                 entry_exp, entry_type, local_types)
         fl._check()
+        fl._freeze()
         return fl
 
     @classmethod
     def _of_columns(cls, *columns) -> FieldList:
-        """The list of the columns that `from_columns` takes, unchecked."""
+        """The list of the columns that `from_columns` takes, unchecked and read-only."""
         fl = object.__new__(cls)
         fl._fill(*columns)
+        fl._freeze()
         return fl
 
     def _fill(self, provenance, x_max, abs_discs, disc_signs, kind, offsets, entry_ids, entry_p,
               entry_exp, entry_type, local_types):
-        for col in (abs_discs, disc_signs, offsets, entry_ids, entry_p, entry_exp, entry_type):
-            col.flags.writeable = False
         self.provenance, self.x_max = provenance, x_max
-        self.degree, self.group_label = kind if abs_discs.size else (None, None)
+        # a column that is not an array has no size, and `_check` refuses it
+        self.degree, self.group_label = kind if getattr(abs_discs, "size", 0) else (None, None)
         self.abs_discs, self.disc_signs, self.offsets = abs_discs, disc_signs, offsets
         self.entry_ids, self.entry_p, self.entry_exp = entry_ids, entry_p, entry_exp
         self.entry_type, self.local_types, self._entries = entry_type, tuple(local_types), None
+
+    def _freeze(self):
+        """Make the columns read-only, in place."""
+        for name, _ in _COLUMN_DTYPES:
+            getattr(self, name).flags.writeable = False
 
     def __repr__(self):
         return (f"FieldList(<{len(self)} records>, provenance={self.provenance!r}, "
@@ -424,8 +434,13 @@ class FieldList(Sequence):
     def _check(self):
         """Refuse columns of the wrong structure, naming the column, then a row that
         breaks a rule, then rows out of order of |disc|."""
+        import numpy as np
+
         for name, dtype in _COLUMN_DTYPES:
             col = getattr(self, name)
+            if not isinstance(col, np.ndarray):
+                raise InvariantViolation(
+                    f"column {name} must be a numpy array, got {type(col).__name__}")
             if col.dtype != dtype or col.ndim != 1:
                 raise InvariantViolation(
                     f"column {name} must be 1-D {dtype}, got {col.ndim}-D {col.dtype}")

@@ -4,7 +4,8 @@ a(G) is the minimal index over non-identity elements.  b(Q, G) counts orbits
 of the minimal-index conjugacy classes under the cyclotomic action, which on
 conjugacy classes is realized by the power maps c -> c^a for a coprime to the
 group exponent (no character table needed: the action permutes classes and
-preserves cycle type, hence index).
+preserves cycle type, hence index).  Every invariant reads one cached
+conjugation walk per group, and b walks each cyclotomic orbit once.
 
 For a direct product G1 x G2 in its S_{n1*n2} representation,
 a = min(n2*a(G1), n1*a(G2)); when the slopes a(G_i)/n_i are strictly ordered
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import OrderCapExceeded, SlopeNotGreater, TrivialGroup
@@ -48,11 +50,29 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def exponent(self) -> int:
-        return lcm(*(cycle_type(g).ramification_index for g in self.elements))
+        return lcm(*(cycle_type(c.representative).ramification_index for c in self._walk[0]))
+
+    @cached_property
+    def _walk(self):
+        """(classes, images -> class id), in discovery order (see `_classes_with_map`)."""
+        gen_invs = [(g, g.inverse()) for g in self.generators]
+        class_of, classes = {}, []
+        for el in self.elements:
+            if el.images in class_of:
+                continue
+            ci, known, stack = len(classes), len(class_of), [el]
+            class_of[el.images] = ci
+            while stack:
+                x = stack.pop()
+                for g, ginv in gen_invs:
+                    y = g * x * ginv
+                    if y.images not in class_of:
+                        class_of[y.images] = ci
+                        stack.append(y)
+            classes.append(ConjugacyClass(el, len(class_of) - known, index_of(cycle_type(el))))
+        assert sum(c.size for c in classes) == self.order
+        return tuple(classes), class_of
 
 
 @dataclass(frozen=True)
@@ -96,44 +116,25 @@ def close_group(generators, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGr
 
 
 def _classes_with_map(group: PermutationGroup):
-    """Conjugacy classes plus the images-tuple -> class-id map."""
-    index_of_elem = {el.images: i for i, el in enumerate(group.elements)}
-    gen_invs = [(g, g.inverse()) for g in group.generators]
-    class_of = {}
-    classes = []
-    for i, el in enumerate(group.elements):
-        if el.images in class_of:
-            continue
-        ci = len(classes)
-        size = 1
-        class_of[el.images] = ci
-        frontier = [el]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, ginv in gen_invs:
-                    y = g * x * ginv
-                    if y.images not in class_of:
-                        class_of[y.images] = ci
-                        size += 1
-                        nxt.append(y)
-            frontier = nxt
-        classes.append(ConjugacyClass(el, size, index_of(cycle_type(el))))
-    assert sum(c.size for c in classes) == group.order
-    assert all(images in index_of_elem for images in class_of)
-    return classes, class_of
+    """Conjugacy classes plus the images-tuple -> class-id map: the group's one walk.
+
+    Every element starts a class or joins one, so a conjugate outside the group
+    would push the class sizes past the order: the one assert, that they sum to
+    the order, also shows that every class lies in the group.
+    """
+    return group._walk
 
 
 def conjugacy_classes(group: PermutationGroup) -> list[ConjugacyClass]:
     """Partition into conjugacy classes (orbit closure under generator conjugation)."""
-    return _classes_with_map(group)[0]
+    return list(group._walk[0])
 
 
 def a_invariant(group: PermutationGroup) -> int:
+    """The least index over the non-identity classes (index is a class function)."""
     if group.order < 2:
         raise TrivialGroup("a(G) needs a non-identity element")
-    ident = group.identity()
-    return min(index_of(cycle_type(g)) for g in group.elements if g != ident)
+    return min(c.index for c in group._walk[0] if c.index > 0)
 
 
 def _power(p: Permutation, k: int) -> Permutation:
@@ -151,26 +152,24 @@ def b_invariant_Q(group: PermutationGroup) -> int:
     """Orbits of minimal-index classes under c -> c^a, gcd(a, exponent) = 1."""
     if group.order < 2:
         raise TrivialGroup("b(Q, G) needs a non-identity element")
-    classes, class_of = _classes_with_map(group)
-    a_val = min(c.index for c in classes if c.index > 0)
-    minimal = [ci for ci, c in enumerate(classes) if c.index == a_val]
+    class_of = group._walk[1]
     exp = group.exponent()
     units = [a for a in range(1, exp) if gcd(a, exp) == 1]
-    # the power maps form a group action, so two orbits are equal or disjoint
-    # and b is the number of distinct orbits {class(rep^a) : a a unit}
-    orbits = {
-        frozenset(class_of[_power(classes[ci].representative, a).images] for a in units)
-        for ci in minimal
-    }
-    return len(orbits)
+    # the power maps form a group action, so the orbits partition the minimal
+    # classes: a class not yet marked starts an orbit, walked once to mark it
+    marked, b = set(), 0
+    for c in minimal_index_classes(group):
+        if class_of[c.representative.images] not in marked:
+            marked.update(class_of[_power(c.representative, a).images] for a in units)
+            b += 1
+    return b
 
 
 def minimal_index_classes(group: PermutationGroup) -> list[ConjugacyClass]:
     if group.order < 2:
         raise TrivialGroup("minimal-index classes need a non-identity element")
-    classes = conjugacy_classes(group)
-    a_val = min(c.index for c in classes if c.index > 0)
-    return [c for c in classes if c.index == a_val]
+    a_val = a_invariant(group)
+    return [c for c in group._walk[0] if c.index == a_val]
 
 
 def product_a(a1: int, deg1: int, a2: int, deg2: int) -> int:

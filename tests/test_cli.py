@@ -94,6 +94,34 @@ def test_invariants_of_c3_wr_c2_in_both_representations(rep, capsys):
     assert json.loads(out)["report"] == report
 
 
+# the full reports of three larger groups
+LARGER_GROUPS = {
+    "S7": (["--generators", "(12);(1234567)"], {
+        "a": 1, "b": 1, "degree": 7, "order": 5040,
+        "minimal_classes": [{"cycle_type": [2, 1, 1, 1, 1, 1], "size": 21}],
+    }),
+    # S_5 x C_7 on 35 points: slope 1/5 < 6/7, so the minimal elements are
+    # (transposition, e), whose seven 2-cycles fix the other 21 points
+    "S5xC7": (["--generators", "(12);(12345)", "--product", "(1234567)"], {
+        "a": 7, "b": 1, "degree": 35, "order": 840,
+        "minimal_classes": [{"cycle_type": [2] * 7 + [1] * 21, "size": 10}],
+    }),
+    # the regular C_61: 60 classes of 61-cycles, one cyclotomic orbit
+    "C61": (["--generators", "(" + ",".join(map(str, range(1, 62))) + ")"], {
+        "a": 60, "b": 1, "degree": 61, "order": 61,
+        "minimal_classes": [{"cycle_type": [61], "size": 1}] * 60,
+    }),
+}
+
+
+@pytest.mark.parametrize("group", sorted(LARGER_GROUPS))
+def test_invariants_reports_of_larger_groups(group, capsys):
+    argv, report = LARGER_GROUPS[group]
+    code, out = run(["invariants"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["report"] == report
+
+
 def test_invariants_bad_input_exit_2(capsys):
     code, _ = run(["invariants", "--generators", "garbage"], capsys)
     assert code == 2

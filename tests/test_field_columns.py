@@ -226,6 +226,23 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
         FieldList.from_columns("x", 99, *forged)
 
 
+_COLUMNS = ("abs_discs", "disc_signs", "offsets", "entry_ids", "entry_p", "entry_exp",
+            "entry_type")
+
+
+def _columns_of(fl) -> dict:
+    """Writeable copies of the list's columns, by name, and its local types."""
+    return {**{name: getattr(fl, name).copy() for name in _COLUMNS},
+            "local_types": fl.local_types}
+
+
+def _from_columns(fl, columns) -> FieldList:
+    return FieldList.from_columns("x", fl.x_max, columns["abs_discs"], columns["disc_signs"],
+                                  (fl.degree, fl.group_label),
+                                  *(columns[name] for name in _COLUMNS[2:]),
+                                  columns["local_types"])
+
+
 # the 1e3 cubic list has 149 rows, 294 entry ids, 86 distinct entries and 7 local types
 @pytest.mark.parametrize("change, message", [
     (lambda c: c["entry_ids"].put(0, -1), "column entry_ids holds -1, outside [0, 86)"),
@@ -255,16 +272,31 @@ def test_constructor_and_from_columns_refuse_what_the_record_refuses():
         "local-type-not-a-type"])
 def test_from_columns_refuses_a_column_of_the_wrong_structure_by_name(change, message):
     fl = enumerate_cubic(10**3)
-    names = ("abs_discs", "disc_signs", "offsets", "entry_ids", "entry_p", "entry_exp",
-             "entry_type")
-    columns = {name: getattr(fl, name).copy() for name in names}
-    columns["local_types"] = fl.local_types
+    columns = _columns_of(fl)
     change(columns)
     with pytest.raises(InvariantViolation) as exc:
-        FieldList.from_columns("x", fl.x_max, columns["abs_discs"], columns["disc_signs"],
-                               (fl.degree, fl.group_label),
-                               *(columns[name] for name in names[2:]), columns["local_types"])
+        _from_columns(fl, columns)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: c.update(abs_discs=c["abs_discs"].tolist()),
+     "column abs_discs must be a numpy array, got list"),
+    (lambda c: c["entry_ids"].put(0, -1), "column entry_ids holds -1, outside [0, 86)"),
+], ids=["list-abs-discs", "id-minus-one"])
+def test_from_columns_freezes_its_arguments_only_once_they_pass(change, message):
+    fl = enumerate_cubic(10**3)
+    columns = _columns_of(fl)
+    change(columns)
+    with pytest.raises(InvariantViolation) as exc:
+        _from_columns(fl, columns)
+    assert str(exc.value) == message
+    arrays = [columns[name] for name in _COLUMNS if isinstance(columns[name], np.ndarray)]
+    assert len(arrays) >= 6 and all(col.flags.writeable for col in arrays)
+    columns = _columns_of(fl)
+    made = _from_columns(fl, columns)
+    for name in _COLUMNS:  # the list shares the caller's arrays, made read-only
+        assert getattr(made, name) is columns[name] and not columns[name].flags.writeable
 
 
 def test_the_constructor_refuses_a_record_of_another_kind_as_the_parser_does():

@@ -3,6 +3,7 @@ from math import gcd, prod
 
 import pytest
 
+from malle_lab import invariants
 from malle_lab.errors import OrderCapExceeded, SlopeNotGreater, TrivialGroup
 from malle_lab.invariants import (
     _classes_with_map,
@@ -147,6 +148,28 @@ def test_minimal_classes_closed_under_power_maps():
             continue
         mapping = class_power_map(g, a)
         assert {mapping[i] for i in minimal} == minimal
+
+
+def test_b_walks_each_cyclotomic_orbit_once(monkeypatch):
+    """The regular C_31 has 30 minimal classes in one orbit: phi(31) = 30 powers."""
+    c31 = close_group([Permutation.from_cycles([tuple(range(1, 32))], degree=31)])
+    calls = []
+    power = invariants._power
+    monkeypatch.setattr(invariants, "_power", lambda p, k: calls.append(k) or power(p, k))
+    assert b_invariant_Q(c31) == 1
+    assert len(calls) <= 30
+
+
+def test_every_invariant_reads_one_conjugation_walk(monkeypatch):
+    """The walk inverts each generator once, however many invariants are read."""
+    g = S4()
+    calls = []
+    inverse = Permutation.inverse
+    monkeypatch.setattr(Permutation, "inverse", lambda p: calls.append(p) or inverse(p))
+    assert len(conjugacy_classes(g)) == 5
+    assert (a_invariant(g), b_invariant_Q(g), g.exponent()) == (1, 1, 12)
+    assert [c.size for c in minimal_index_classes(g)] == [6]
+    assert len(calls) == len(g.generators) == 2
 
 
 def test_product_a_formula():
