@@ -2,15 +2,23 @@
 
 - `iroot(n, k)`: the integer k-th root, by Newton steps;
 - `is_prime(n)`: one gcd with the small primes, then Miller-Rabin;
-- `primes_upto(n)`: the primes <= n, from a bytearray sieve;
+- `prime_mask(n)`: the sieve, a numpy bool array True exactly at the
+  primes <= n;
+- `primes_upto(n)`: the primes <= n, read off `prime_mask(n)`;
+- `are_prime(values)`: primality of each entry of an int64 array, the
+  values below PRIME_MASK_BOUND = 2^24 read off one `prime_mask` to the
+  largest of them, the rest by `is_prime`;
 - `spf_table(n)`: smallest prime factors of 0..n, for factoring many n;
 - `factor(n)`: {p: v_p(n)}, by trial division;
 - `divisors(n)`: the divisors of n, ascending, by trial division to sqrt(n);
 - `squarefree_primes(q)`: the primes of a squarefree q >= 1 from one
   `factor`, else NotSquarefree.
 
-Both sieves refuse n > SIEVE_LIMIT = 2^31 - 1 (ValueError) before they
-allocate: an array('i') entry holds no larger value.
+There is one sieve of Eratosthenes, `prime_mask`; `primes_upto`, `are_prime`
+and `spf_table` (through the primes to sqrt(n)) read it.  `prime_mask`,
+`primes_upto` and `spf_table` refuse n > SIEVE_LIMIT = 2^31 - 1 (ValueError)
+before they allocate: an array('i') entry holds no larger value.  numpy is
+imported inside the functions, so importing this module does not load it.
 
 `factor` and `divisors` take n >= 1; callers check that first.
 `fields.polysearch` keeps its own divisor and valuation helpers: it is the
@@ -21,7 +29,6 @@ module, so the two must not share code.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import NotSquarefree
@@ -29,14 +36,18 @@ from .errors import NotSquarefree
 __all__ = [
     "iroot",
     "is_prime",
+    "prime_mask",
     "primes_upto",
+    "are_prime",
     "spf_table",
     "factor",
     "divisors",
     "squarefree_primes",
 ]
 
-SIEVE_LIMIT = 2**31 - 1  # the largest n that primes_upto and spf_table take
+SIEVE_LIMIT = 2**31 - 1  # the largest n that prime_mask, primes_upto and spf_table take
+# are_prime sieves the values below it (a mask of at most 16 MB), is_prime the rest
+PRIME_MASK_BOUND = 2**24
 
 # Miller-Rabin with these bases decides primality of every n < 3.18e23
 # (Sorenson and Webster); larger n only pass as strong probable primes.
@@ -96,17 +107,41 @@ def _check_sieve(n: int) -> None:
         raise ValueError(f"a sieve to {n} is past its limit {SIEVE_LIMIT} (2^31 - 1)")
 
 
+def prime_mask(n: int):
+    """numpy bool array of n + 1 entries (none for n < 0), True exactly at the primes <= n."""
+    _check_sieve(n)
+    import numpy as np
+
+    mask = np.ones(max(n + 1, 0), bool)
+    mask[:2] = False
+    for p in range(2, isqrt(n) + 1 if n > 0 else 0):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return mask
+
+
 def primes_upto(n: int) -> list[int]:
     """The primes <= n, ascending."""
-    _check_sieve(n)
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
+    import numpy as np
+
+    return np.flatnonzero(prime_mask(n)).tolist()
+
+
+def are_prime(values):
+    """Bool array: whether each entry of the int64 array `values` is prime.
+
+    The values in [0, PRIME_MASK_BOUND) are read off one `prime_mask` to the
+    largest of them; `is_prime` decides those at or above the bound.
+    """
+    import numpy as np
+
+    out = np.zeros(values.shape, bool)
+    small = np.flatnonzero((values >= 0) & (values < PRIME_MASK_BOUND))
+    if small.size:
+        out[small] = prime_mask(int(values[small].max()))[values[small]]
+    big = np.flatnonzero(values >= PRIME_MASK_BOUND)
+    out[big] = [is_prime(n) for n in values[big].tolist()]
+    return out
 
 
 def spf_table(n: int) -> array:

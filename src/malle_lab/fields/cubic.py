@@ -77,9 +77,10 @@ with h = X for disc > 0 and h = 0 for disc < 0, are cut out, so that only
 d with disc > h are dropped.  For disc > 0 the window is |Q| <= P and, when
 b > 0, 3bd <= c^2 - P (that is R >= P); for disc < 0 it is the Re phi window
 cut to disc >= -X.  Only two things stay per form: the exact rational-root
-test and canonical_form on the boundary of the positive domain.  numpy is
-imported inside these functions, on the first enumeration, so importing this
-module does not load it.  A task returns its canonical forms, their discs,
+test, for the forms the certificate below cannot decide, and canonical_form
+on the boundary of the positive domain.  numpy is imported inside these
+functions, on the first enumeration, so importing this module does not load
+it.  A task returns its canonical forms, their discs,
 their entries' codes and each form's entry count.  The parent sorts and
 dedups them and makes the FieldList's columns straight from the sorted
 arrays: |disc|, sign, row offsets, and the np.unique codes of the rows'
@@ -118,11 +119,27 @@ no root in P^1(F_p), [1:0] (that is, p | a) counted as a root; the tables are
 built once per process, on first use, in numpy: ones, less the a = 0 block,
 less one scatter that clears the d = -(a r^3 + b r^2 + c r) entry for every
 a != 0, b, c and root r.  Only _irreducible reads them: it indexes them with
-a task's rows mod p.  A form with d = 0 has the root [0:1]; any
-other form no table marks goes to is_irreducible, the exact rational-root
-test alone (roots x/y with y | a and x | d), which every reducible form with
-d != 0 reaches (at X = 1e5, 6,434 forms of the 40,567 candidates with
-non-square disc, 3,411 of them irreducible; 1,932 more have d = 0).
+a task's rows mod p.  A form with d = 0 has the root [0:1].  Every
+other form no table marks, which every reducible form with d != 0 is (at
+X = 1e5, 6,434 forms of the 40,567 candidates with non-square disc, 3,411 of
+them irreducible, and 1,932 more have d = 0; at 1e6, 67,585 forms, 18,027 of
+them reducible), goes to a certificate by columns (`_certificate`), as in
+Belabas' cubic field search: for a != 0, F has a rational root exactly when
+the monic h(u) = u^3 + b u^2 + ac u + a^2 d has an integer root (u = a x/y).
+Floats propose the real roots of h, by Viete's closed form (a cosine for
+each of the 3 roots when disc > 0, a real cube root for the one root when
+disc < 0; disc(h) = a^2 disc(F)), and h is evaluated exactly in int64 at
+n = floor(r) and n + 1 for each proposed root r, where a float sum of the
+magnitudes of the terms bounds every intermediate below 2^62.  A zero proves
+the form reducible.  A strict sign change in 3 distinct cells (n, n + 1) when
+disc > 0, or in the one cell when disc < 0, proves it irreducible, as each
+root then lies strictly inside its cell.  Only the rest go to
+is_irreducible, the exact rational-root test alone (roots x/y with y | a and
+x | d): forms past the bound, with disc = 0, or whose cells do not match.
+No form of the search at 1e5, 1e6 or 1e7 is one of them.  The screens stay as
+they are cheaper than the certificate: at 1e6 screening all 431,144 forms
+with d != 0 and certifying the 67,585 they leave took 65 ms, against 152 ms
+to certify them all.
 
 Maximality.  R(F) is non-maximal at p iff p divides the content of F, or F
 mod p has a multiple root [x0:y0] in P^1(F_p) with p^2 | F(x0, y0) (the value
@@ -593,10 +610,80 @@ def _irreducible(f):
     marked = np.zeros(b.size, bool)
     for p, table in _no_root_tables():
         marked |= table[((a % p * p + b % p) * p + c % p) * p + d % p] != 0
-    # the rest, but those with the root [0:1], by the exact test
+    # the rest, but those with the root [0:1], by the certificate, and the rows
+    # it leaves by the exact test
     rest = np.flatnonzero(~marked & (d != 0))
+    marked[rest], decided = _certificate(tuple(x[rest] for x in f))
+    rest = rest[~decided]
     marked[rest] = [is_irreducible(g) for g in zip(*(x[rest].tolist() for x in f))]
     return marked
+
+
+# a float sum of magnitudes below it bounds every int64 intermediate it covers
+_INT64_SAFE = 2.0**62
+
+
+def _certificate(f):
+    """(irreducible, decided) masks of forms with a, d != 0, from h(u) = u^3 + b u^2 + ac u + a^2 d.
+
+    F has a rational root exactly when h has an integer root (u = a x / y);
+    h has disc a^2 disc(F), so 3 distinct real roots when disc(F) > 0 and
+    one when disc(F) < 0.  Floats propose the real roots r (Viete's closed
+    form), and h is evaluated exactly in int64 at n = floor(r) and n + 1: a
+    zero decides the row reducible, and a strict sign change in 3 distinct
+    cells (n, n + 1) when disc > 0, or in the one cell when disc < 0, decides
+    it irreducible, as every root then lies strictly inside a cell.  A row
+    whose disc terms or h values might leave int64, with disc = 0, or whose
+    cells do not match is left undecided.  With d != 0, a disc term below
+    2^62 bounds every partial product that forms it, and every coefficient.
+    """
+    import numpy as np
+
+    ma, mb, mc, md = (np.abs(x.astype(float)) for x in f)
+    terms = (18 * ma * mb * mc * md + mb * mb * mc * mc + 4 * ma * mc**3 + 4 * mb**3 * md
+             + 27 * ma * ma * md * md)
+    ok = terms < _INT64_SAFE
+    a, b, c, d = (np.where(ok, x, 1) for x in f)
+    sign = np.sign(disc_form((a, b, c, d)))
+    ac, aad = a * c, a * a * d
+    with np.errstate(all="ignore"):
+        n = np.floor(_real_roots(b, ac, aad, sign))
+        fb, fac, faad = (np.abs(x.astype(float))[:, None] for x in (b, ac, aad))
+        big = np.maximum(np.abs(n), np.abs(n + 1))
+        mag = ((big + fb) * big + fac) * big + faad
+    probed = (mag < _INT64_SAFE) & ok[:, None]  # nan compares False
+    n = np.where(probed, n, 0).astype(np.int64)
+    h0, h1 = (np.sign(((u + b[:, None]) * u + ac[:, None]) * u + aad[:, None]) for u in (n, n + 1))
+    zero = (probed & ((h0 == 0) | (h1 == 0))).any(axis=1)
+    change = probed & (h0 * h1 < 0)
+    distinct = (n[:, 0] != n[:, 1]) & (n[:, 0] != n[:, 2]) & (n[:, 1] != n[:, 2])
+    irreducible = ~zero & np.where(sign > 0, change.all(axis=1) & distinct,
+                                   (sign < 0) & change[:, 0])
+    return irreducible, zero | irreducible
+
+
+def _real_roots(b, ac, aad, sign):
+    """Float proposals for the real roots of h = u^3 + b u^2 + ac u + aad, one row per h.
+
+    Three per row where sign (of disc) > 0, by Viete's cosines; one, in the
+    first column, where sign < 0, by Cardano with the cube root taken where no
+    terms cancel; nan elsewhere.  Only proposals: the caller decides exactly.
+    """
+    import numpy as np
+
+    # u = t - b/3 with t^3 + s t + q = 0
+    fb, fac, faad = b.astype(float), ac.astype(float), aad.astype(float)
+    s = fac - fb * fb / 3
+    q = (2 * fb * fb / 27 - fac / 3) * fb + faad
+    t = np.full((b.size, 3), np.nan)
+    three, one = sign > 0, sign < 0
+    s3, q3, s1, q1 = s[three], q[three], s[one], q[one]
+    m = 2 * np.sqrt(-s3 / 3)  # s < 0 here: t = m cos(theta - 2 pi k / 3)
+    theta = np.arccos(np.clip(3 * q3 / (s3 * m), -1, 1)) / 3
+    t[three] = m[:, None] * np.cos(theta[:, None] - 2 * np.pi / 3 * np.arange(3))
+    w = np.cbrt(-q1 / 2 - np.copysign(np.sqrt(q1 * q1 / 4 + s1**3 / 27), q1))
+    t[one, 0] = w - s1 / (3 * w)
+    return t - fb[:, None] / 3
 
 
 # The smallest-prime-factor table of the running enumerate_cubic.  pmap has no

@@ -13,7 +13,7 @@ strings.
 
 Two rule sets check every list, however it is made, in one column pass
 when it is made (`FieldList._bad_row`).  First the entry rules, entry by
-entry: p is prime (is_prime once per distinct p); a tame entry has exponent
+entry: p is prime (once per distinct p); a tame entry has exponent
 ind(cycle_type) with p coprime to the ramification index; a wild entry has a
 non-empty label and exponent >= 1.  Then the row rules: degree >= 1, disc
 sign 1 or -1, |disc| >= 1; then, entry by entry, no prime given twice and a
@@ -65,11 +65,17 @@ The enumerators hand their columns to `FieldList.from_columns`;
 `parse_field_file` and `FieldList(records, provenance, x_max)` build theirs
 with `_Ingest`, whose one slot table keys each entry by value (p, kind,
 cycle-type parts or label, exp).  Each list is checked once, by columns.
-p^e is computed once per distinct entry; each |disc| is divided by its
-entries' p^e in turn, and every remainder must be 0 and the last quotient
-1, so no value exceeds |disc| and int64 is exact; a stable sort of the
-entry slots on (row, p) finds a prime given twice, at its later slot.  Only
-the first failing row's message is made in Python.
+Primality of the distinct p is read off one numpy sieve to the largest p
+below 2^24 (`arith.are_prime`; is_prime decides a p at or above it).  The
+tame and wild rules are decided from per-type columns indexed by
+`entry_type` (tame or wild, ind and the ramification index, int64 or, for a
+cycle type past int64, exact objects; a non-empty label), and p^e once per
+distinct entry, by binary powering in uint64, each product capped at 2^63
+(`_capped_powers`).  Each |disc| is divided by its entries' p^e in turn, and
+every remainder must be 0 and the last quotient 1, so no value exceeds
+|disc| and int64 is exact; a stable sort of the entry slots on (row, p) finds
+a prime given twice, at its later slot.  Only the first failing row's
+message is made in Python, `_entry_fault` on its entries among them.
 
 `FieldList.write_jsonl` writes each record as
 json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
@@ -116,7 +122,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, prod
 
-from ..arith import is_prime
+from ..arith import are_prime
 from ..errors import InvariantViolation, MalformedLine
 from ..permgroup import CycleType, index_of
 from ..util import json_typed, json_typed_items
@@ -366,12 +372,17 @@ class FieldList(Sequence):
         ids, offsets, signs = self.entry_ids, self.offsets, self.disc_signs
         p, exp, type_ids = self.entry_p, self.entry_exp, self.entry_type
         slot_row = self.slot_rows()
-        # per entry, the first entry rule it breaks, with is_prime once per distinct p
+        # per entry, whether it keeps the entry rules: primality once per distinct p,
+        # from one sieve, and the tame and wild rules from per-type columns
         primes, p_rank = np.unique(p, return_inverse=True)
-        prime = dict(zip(primes.tolist(), map(is_prime, primes.tolist())))
-        faults = [_entry_fault(q, e, types[t], prime[q])
-                  for q, e, t in zip(p.tolist(), exp.tolist(), type_ids.tolist())]
-        kept = np.array([fault is None for fault in faults], bool)
+        prime = are_prime(primes)[p_rank]
+        tame = np.array([isinstance(t, CycleType) for t in types], bool)[type_ids]
+        ind = _exact_column(index_of(t) if isinstance(t, CycleType) else 0 for t in types)
+        ram = _exact_column(t.ramification_index if isinstance(t, CycleType) else 1
+                            for t in types)
+        labelled = np.array([bool(t) for t in types], bool)[type_ids]
+        kept = prime & np.where(tame, (exp == ind[type_ids]) & (np.gcd(p, ram[type_ids]) == 1),
+                                labelled & (exp >= 1))
         # per slot: a prime met before in its row, a tame cycle type of another degree
         keys = slot_row * max(primes.size, 1) + p_rank[ids]
         order = keys.argsort(kind="stable")  # by (row, p), then slot
@@ -379,12 +390,13 @@ class FieldList(Sequence):
         repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
         wrong_type = np.array([isinstance(t, CycleType) and t.degree != degree for t in types],
                               bool)[type_ids][ids]
-        # p^e once per kept entry, 2^63 once past it, which divides no |disc| < 2^63
-        local = [min(q**e, DISC_LIMIT) if e < 64 else DISC_LIMIT
-                 for q, e in zip(p.tolist(), np.where(kept, exp, 0).tolist())]
+        # p^e per kept entry (1 for the others), 2^63 once past it, which divides
+        # no |disc| < 2^63
+        local = _capped_powers(np.where(kept, p, 1), np.where(kept, exp, 0))
+        capped = local == DISC_LIMIT
         off_product = np.zeros(len(self), bool)
-        off_product[slot_row[np.array([q == DISC_LIMIT for q in local], bool)[ids]]] = True
-        powers = np.array([q if q < DISC_LIMIT else 1 for q in local], np.int64)[ids]
+        off_product[slot_row[capped[ids]]] = True
+        powers = np.where(capped, 1, local).astype(np.int64)[ids]
         # the k-th entry of every row divides its quotient in round k
         counts = np.diff(offsets)
         quotient = self.abs_discs.copy()
@@ -405,8 +417,10 @@ class FieldList(Sequence):
         lo, hi = offsets.item(i), offsets.item(i + 1)
         row = ids[lo:hi].tolist()
         for e in row:
-            if faults[e]:
-                return i, faults[e]
+            fault = _entry_fault(p.item(e), exp.item(e), types[type_ids.item(e)],
+                                 bool(prime[e]))
+            if fault:
+                return i, fault
         if degree < 1:
             return i, f"degree must be >= 1, got {degree}"
         if bad_sign[i]:
@@ -420,7 +434,7 @@ class FieldList(Sequence):
             if wrong:
                 parts = list(types[type_ids.item(e)].parts)
                 return i, f"cycle type {parts} on a degree-{degree} record"
-        product = prod(local[e] for e in row)  # of factors each at most 2^63
+        product = prod(local[row].tolist())  # of factors each at most 2^63
         shown = product if product < DISC_LIMIT else ">= 2^63"
         return i, f"|disc| {abs_disc} != product of local parts {shown}"
 
@@ -496,6 +510,41 @@ class FieldList(Sequence):
                 _LINE % (degree, d, group, ", ".join(ram[a - base: b - base]))
                 for d, a, b in zip(discs[lo:hi].tolist(), offs, offs[1:])
             ]))
+
+
+def _exact_column(values):
+    """The array of these ints: int64 when every one fits, else object, which stays exact."""
+    import numpy as np
+
+    values = list(values)
+    fits = all(-DISC_LIMIT <= v < DISC_LIMIT for v in values)
+    return np.array(values, np.int64 if fits else object)
+
+
+def _capped_powers(p, e):
+    """min(p^e, 2^63) per entry of the int64 arrays p >= 1 and e >= 0, as uint64.
+
+    By binary powering, each product capped at 2^63 before it can leave uint64;
+    an e past 63 is cut to 64, which keeps every capped power capped.
+    """
+    import numpy as np
+
+    cap = np.uint64(DISC_LIMIT)
+    out, base, e = np.ones(p.size, np.uint64), p.astype(np.uint64), np.minimum(e, 64)
+    while e.any():
+        odd = (e & 1) == 1
+        out[odd] = _capped_product(out[odd], base[odd], cap)
+        e = e >> 1
+        live = e > 0
+        base[live] = _capped_product(base[live], base[live], cap)
+    return out
+
+
+def _capped_product(x, y, cap):
+    """min(x y, cap) per entry of uint64 arrays with 1 <= x, y <= cap."""
+    import numpy as np
+
+    return np.where(x <= cap // y, x * y, cap)
 
 
 def _offsets(counts):

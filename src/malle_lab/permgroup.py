@@ -60,17 +60,24 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation of images that are a bijection by construction, with no check."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(i) = p(q(i))."""
+        """Composition: (p * q)(i) = p(q(i)), a bijection as p and q are."""
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return Permutation._unchecked(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

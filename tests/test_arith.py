@@ -1,11 +1,14 @@
 import pytest
 
 from malle_lab.arith import (
+    PRIME_MASK_BOUND,
     SIEVE_LIMIT,
+    are_prime,
     divisors,
     factor,
     iroot,
     is_prime,
+    prime_mask,
     primes_upto,
     spf_table,
     squarefree_primes,
@@ -76,10 +79,29 @@ def test_is_prime_matches_trial_division():
 
 
 def test_sieves_refuse_past_their_limit_before_they_allocate():
-    # 1e12 would be a terabyte bytearray and 4 TB of array('i'): the refusal
+    # 1e12 would be a terabyte bool mask and 4 TB of array('i'): the refusal
     # must come first, as a ValueError the CLI reports with exit code 2
-    for sieve in (primes_upto, spf_table):
+    for sieve in (prime_mask, primes_upto, spf_table):
         for n in (10**12, SIEVE_LIMIT + 1):
             with pytest.raises(ValueError, match=r"past its limit 2147483647 \(2\^31 - 1\)"):
                 sieve(n)
     assert SIEVE_LIMIT == 2**31 - 1
+
+
+def test_the_sieve_matches_is_prime():
+    """prime_mask and are_prime against is_prime: on 0..2e6, on each side of the
+    sieve bound, and on the least strong pseudoprimes to the first 1, 2 and 4 bases."""
+    import numpy as np
+
+    n = 2 * 10**6
+    expected = [is_prime(k) for k in range(n + 1)]
+    assert prime_mask(n).tolist() == expected
+    assert are_prime(np.arange(n + 1)).tolist() == expected
+    assert prime_mask(1).tolist() == [False, False] and prime_mask(-1).size == 0
+    assert PRIME_MASK_BOUND == 2**24
+    edge = np.arange(PRIME_MASK_BOUND - 300, PRIME_MASK_BOUND + 300)
+    assert are_prime(edge).tolist() == [is_prime(k) for k in edge.tolist()]
+    assert are_prime(edge).sum() > 30
+    pseudo = np.array([2047, 1_373_653, 25_326_001, 3_215_031_751, -7, 0, 1, 2, 2**61 - 1])
+    assert are_prime(pseudo).tolist() == [False] * 7 + [True, True]
+    assert are_prime(np.zeros(0, np.int64)).tolist() == []

@@ -437,6 +437,13 @@ def test_the_product_in_an_off_product_message_stops_at_2_to_the_63():
     assert str(exc.value) == f"|disc| {2**62} != product of local parts {2**61}"
 
 
+def test_capped_powers_match_python_integers():
+    p, e = zip(*[(p, e) for p in (1, 2, 3, 23, 2**31 - 1, 3037000493, 2**62 + 135, 2**63 - 25)
+                 for e in (0, 1, 2, 3, 39, 40, 61, 62, 63, 64, 65, 127, 5000)])
+    got = records._capped_powers(np.array(p, np.int64), np.array(e, np.int64)).tolist()
+    assert got == [min(q**k, 2**63) if k < 64 or q < 2 else 2**63 for q, k in zip(p, e)]
+
+
 def test_every_empty_list_has_no_degree_and_windows_nothing():
     """An empty list, however it is made, fixes no window on the other side.
 

@@ -171,3 +171,29 @@ def test_permutation_repr_lists_its_nontrivial_cycles():
     assert repr(Permutation.from_cycles([(1, 2), (3, 4, 5)], degree=6)) == \
         "Permutation((1,2)(3,4,5), deg=6)"
     assert repr(Permutation.identity(4)) == "Permutation(e, deg=4)"
+
+
+def test_products_and_inverses_skip_the_bijection_check(monkeypatch):
+    """Only the public constructor checks: over the closure and the invariants of
+    S_4 every checked permutation is an identity, none a product or an inverse."""
+    from malle_lab import invariants
+
+    gens = [Permutation.parse("(12)", degree=4), Permutation.parse("(1234)", degree=4)]
+    checked = []
+    check = Permutation.__post_init__
+
+    def spy(self):
+        checked.append(self.images)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", spy)
+    group = invariants.close_group(gens)
+    assert group.order == 24
+    assert (invariants.a_invariant(group), invariants.b_invariant_Q(group)) == (1, 1)
+    assert group.exponent() == 12 and len(invariants.conjugacy_classes(group)) == 5
+    assert checked and set(checked) == {(1, 2, 3, 4)}
+    # the unchecked products are still the permutations the checked constructor makes
+    g, h = gens
+    gh = Permutation(tuple(g(h(i)) for i in range(1, 5)))
+    assert g * h == gh and hash(g * h) == hash(gh) and gh.images == (1, 3, 4, 2)
+    assert (g * h).inverse() == Permutation((1, 4, 2, 3))

@@ -206,3 +206,25 @@ def test_a_duplicate_prime_and_a_wrong_cycle_type_are_named_in_entry_order():
         with pytest.raises(InvariantViolation) as exc:
             FieldList(records=(rec,), provenance="x", x_max=0)
         assert str(exc.value) == want
+
+
+def test_cycle_types_past_int64_keep_their_entry_rules():
+    """ind or the ramification index past int64 is compared exactly, not wrapped."""
+    big = CycleType.from_parts((2**64, 1))  # ind 2^64 - 1
+    wide = CycleType.from_parts((3 * 2**40, 2**40 + 1))  # ind below 2^63, lcm past it
+    ind = wide.degree - 2
+    cases = [
+        (FieldRecord(big.degree, "S3", 5**5, (LocalRamification(5, "tame", 5, big),)),
+         f"tame exponent 5 != ind{big.parts} at p=5"),
+        (FieldRecord(wide.degree, "S3", 7, (LocalRamification(3, "tame", ind, wide),)),
+         f"p=3 divides the tame ramification index {wide.ramification_index}"),
+        (FieldRecord(wide.degree, "S3", 7, (LocalRamification(5, "tame", ind, wide),)),
+         "|disc| 7 != product of local parts >= 2^63"),
+    ]
+    for rec, want in cases[:2]:  # on the last, the oracle would form 5^ind
+        assert row_rules_oracle(rec) == want
+    for rec, want in cases:
+        assert _refusal(lambda: FieldList(records=(rec,), provenance="x", x_max=0), rec) == want
+        assert _refusal(lambda: FieldList.from_columns("x", 0, *_columns(rec)), rec) == want
+        line = _line(rec)
+        assert _refusal(lambda: parse_field_file(io.StringIO(line)), rec, "line 1: ") == want
