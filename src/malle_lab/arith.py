@@ -8,7 +8,7 @@
 - `are_prime(values)`: primality of each entry of an int64 array, the
   values below PRIME_MASK_BOUND = 2^24 read off one `prime_mask` to the
   largest of them, the rest by `is_prime`;
-- `spf_table(n)`: smallest prime factors of 0..n, for factoring many n;
+- `spf_table(n)`: int32 smallest prime factors of 0..n, for factoring many n;
 - `factor(n)`: {p: v_p(n)}, by trial division;
 - `divisors(n)`: the divisors of n, ascending, by trial division to sqrt(n);
 - `squarefree_primes(q)`: the primes of a squarefree q >= 1 from one
@@ -17,7 +17,7 @@
 There is one sieve of Eratosthenes, `prime_mask`; `primes_upto`, `are_prime`
 and `spf_table` (through the primes to sqrt(n)) read it.  `prime_mask`,
 `primes_upto` and `spf_table` refuse n > SIEVE_LIMIT = 2^31 - 1 (ValueError)
-before they allocate: an array('i') entry holds no larger value.  numpy is
+before they allocate: an int32 entry holds no larger value.  numpy is
 imported inside the functions, so importing this module does not load it.
 
 `factor` and `divisors` take n >= 1; callers check that first.
@@ -28,7 +28,6 @@ module, so the two must not share code.
 
 from __future__ import annotations
 
-from array import array
 from math import gcd, isqrt, prod
 
 from .errors import NotSquarefree
@@ -144,13 +143,15 @@ def are_prime(values):
     return out
 
 
-def spf_table(n: int) -> array:
-    """spf[m] = the smallest prime factor of m for 2 <= m <= n (4 bytes an entry)."""
+def spf_table(n: int):
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n, as a numpy int32 array."""
     _check_sieve(n)
-    spf = array("i", range(n + 1))
+    import numpy as np
+
+    spf = np.arange(n + 1, dtype=np.int32)
     # descending, so that the smallest prime of each m is written last
     for p in reversed(primes_upto(isqrt(n))):
-        spf[p * p :: p] = array("i", [p]) * len(range(p * p, n + 1, p))
+        spf[p * p :: p] = p
     return spf
 
 

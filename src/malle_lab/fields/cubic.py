@@ -89,7 +89,7 @@ and no entry; the list checks its columns once (see `records`).
 
 int64.  Every intermediate of the array code is bounded through the search
 bounds, each increasing in X, so it is enough to bound them at
-X = 2^31 - 1, the largest x that `spf_table` (an array('i')) can index;
+X = 2^31 - 1, the largest x that `spf_table` (numpy int32) can index;
 enumerate_cubic refuses larger x before it allocates anything.  There
 s = 327, m = 107,019 and isqrt(X) = 46,340.  The maxima below are over
 the a of the search, each bound taken at the largest b and |c| for that a.
@@ -163,9 +163,9 @@ is_maximal runs the same code on one row of object arrays, so a form of any
 size is decided exactly.
 
 Factoring.  Every |disc| <= x is factored from one smallest-prime-factor
-table over [0, x] (an array('i'), 4 bytes an entry), built once per
+table over [0, x] (numpy int32, 4 bytes an entry), built once per
 enumerate_cubic call; forked workers inherit it, spawned workers build their
-own once.  A task reads it as an int32 view and factors all its discs in
+own once.  A task indexes it directly and factors all its discs in
 rounds: each round takes the smallest prime p left in every disc, divides p
 out as often as it goes, and emits one row (form, p, v_p).  Sorted stably by
 form, the rows of each form come in ascending p.
@@ -215,7 +215,6 @@ first of each run is kept.
 
 from __future__ import annotations
 
-from array import array
 from functools import cache
 from math import gcd, isqrt
 
@@ -434,8 +433,8 @@ def _local_rows(f, p, v):
 def _factor_rows(n, spf):
     """(i, p, v), one row per prime p^v || n[i], the rows of each i in ascending p.
 
-    `n` is an int64 array of values >= 1 that the int32 view `spf` of a
-    smallest-prime-factor table covers.
+    `n` is an int64 array of values >= 1 that the smallest-prime-factor
+    table `spf` covers.
     """
     import numpy as np
 
@@ -686,11 +685,11 @@ def _real_roots(b, ac, aad, sign):
     return t - fb[:, None] / 3
 
 
-# The smallest-prime-factor table of the running enumerate_cubic.  pmap has no
-# per-worker set-up, and a table passed with each task would be pickled once
-# per task: forked workers inherit it, spawned workers build their own once.
-# It only saves work; _collect_chunk checks that the table covers x.
-_spf: array | None = None
+# The smallest-prime-factor table (numpy int32) of the running enumerate_cubic.
+# pmap has no per-worker set-up, and a table passed with each task would be
+# pickled once per task: forked workers inherit it, spawned workers build their
+# own once.  It only saves work; _collect_chunk checks that the table covers x.
+_spf = None
 
 
 def _collect_chunk(args):
@@ -714,7 +713,7 @@ def _collect_chunk(args):
     keep = _irreducible(f)
     keep[keep] = np.gcd(np.gcd(a, b[keep]), np.gcd(c[keep], d[keep])) == 1
     f, dsc = tuple(x[keep] for x in f), dsc[keep]
-    i, p, v = _factor_rows(np.abs(dsc), np.frombuffer(_spf, np.int32))
+    i, p, v = _factor_rows(np.abs(dsc), _spf)
     bad, triple = _local_rows(tuple(x[i] for x in f), p, v)
     # a form with a failing row is not maximal: drop it with all its rows
     keep = np.ones(dsc.size, bool)

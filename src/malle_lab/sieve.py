@@ -5,12 +5,13 @@ solve the system mod each prime p of the squarefree q, combine by CRT, and
 count the lattice points of each residue class.  Each polynomial is read as
 a polynomial in x_1 whose coefficients are vectors over the grid
 (Z/p)^(n-1), each monomial's vector an outer product of power tables r^e mod
-p; the loop over x_1 only scales and adds them in the smallest unsigned type
-that holds the sum, and tests it for divisibility by p with a multiply by
-the inverse of p's odd part and a mask of its power of two, so no division
-runs there.  A class counts the product of its coordinates' progression
-lengths in [-r, r].  The oracle `count_points_brute` tests every lattice
-point of the cube instead.
+p.  Blocks of x_1 residues go into arrays of at most max(p^(n-1), BLOCK)
+entries that only scale and add them in the smallest unsigned type that
+holds the sum, and test it for divisibility by p with a multiply by the
+inverse of p's odd part and a mask of its power of two, so no division runs
+there.  A class counts the product of its coordinates' progression lengths
+in [-r, r].  The oracle `count_points_brute` tests every lattice point of
+the cube instead.
 
 The counts feed `scaling_experiment`, which fits the log-log slope in q at
 the largest r and in r at the smallest q; the codimension-k envelope
@@ -41,6 +42,7 @@ __all__ = [
 
 # the most residues or solutions solutions_mod_q holds
 SOLUTION_CAP = 10**7
+BLOCK = 2**16  # the entries of an x_1 block in _solutions_mod_p, unless p^(n-1) is more
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,16 @@ def count_points_brute(scheme: AffineScheme, r: int, q: int) -> int:
     )
 
 
+def _powers(r, e: int, p: int) -> np.ndarray:
+    """r^e mod p for each entry of the int64 array r of residues mod p, by squaring."""
+    out = r if e else np.ones_like(r) % p
+    for bit in bin(e)[3:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * r % p
+    return out
+
+
 def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     """(k, n) int64 array of the solutions over (Z/p)^n.
 
@@ -143,27 +155,29 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     p^(n-2) x_n.  A monomial's vector is its coefficient mod p combined by
     outer products with the power tables r^e mod p of x_n, ..., x_2, reduced
     mod p before each product; the monomials with the same x_1-exponent are
-    summed and reduced once into c_e.  The loop over x_1 then only scales and
-    adds these vectors, so no working array has more than p^(n-1) entries,
-    and it divides nothing:
+    summed and reduced once into c_e.  The x_1 residues then go in blocks of
+    max(1, BLOCK // p^(n-1)), their powers made by the same rule, into a
+    (block x p^(n-1)) accumulator that only scales and adds the c_e, so no
+    working array has more than max(p^(n-1), BLOCK) entries, and none divides:
 
     - every c_e and x_1^e mod p is below p, so the sum acc = sum_e c_e x_1^e
       is below B = terms (p-1)^2 + 1, terms being the most x_1-exponents of
       one polynomial, and it is held in the smallest of uint16, uint32 and
       uint64 whose 2^w is at least B;
-    - with p = 2^s o and o odd, p | acc exactly when acc mod 2^s = 0 and
-      acc o^-1 mod 2^w <= (2^w - 1) // o, since multiplying by o^-1 mod 2^w
-      maps the multiples of o below 2^w onto 0..(2^w - 1) // o and every
-      other residue above (Granlund and Montgomery, 1994).
+    - with p = 2^s o and o odd, p | acc exactly when t = acc o^-1 mod 2^w
+      has t mod 2^s = 0 (o^-1 is odd) and t <= (2^w - 1) // o, since that
+      multiply maps the multiples of o below 2^w onto 0..(2^w - 1) // o and
+      every other residue above (Granlund and Montgomery, 1994).
 
-    Rows come ordered by x_1, then by the index of x_2..x_n, whose base-p
-    digits are the other coordinates.
+    A solution's flat index x_1 p^(n-1) + (index of x_2..x_n) orders the
+    rows by x_1, then by that index; its base-p digits are the coordinates.
 
     Pure evaluation, so it works for any modulus; the CRT path feeds it
     primes, the multiplicativity self-check composites.
     """
     n = scheme.n_vars
-    powers = {}  # e -> r^e mod p for r in 0..p-1
+    tail = {e for poly in scheme.polynomials for _, exps in poly for e in exps[1:]}
+    table = {e: _powers(np.arange(p), e, p) for e in tail}
     polys = []  # per polynomial, {e: c_e}
     for poly in scheme.polynomials:
         by_e1 = {}
@@ -171,12 +185,7 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
             # x_n outermost, x_2 innermost; every entry stays below p^2
             term = np.array([coef % p], dtype=np.int64)
             for e in reversed(exps[1:]):
-                if not e:
-                    term = np.repeat(term, p)
-                    continue
-                if e not in powers:
-                    powers[e] = np.array([pow(r, e, p) for r in range(p)], dtype=np.int64)
-                term = np.multiply.outer(term % p, powers[e]).ravel()
+                term = np.multiply.outer(term % p, table[e]).ravel()
             by_e1[exps[0]] = by_e1.get(exps[0], 0) + term
         polys.append(by_e1)
     bound = max(map(len, polys)) * (p - 1) ** 2 + 1
@@ -189,29 +198,31 @@ def _solutions_mod_p(scheme: AffineScheme, p: int) -> np.ndarray:
     # typed scalars, so that no Python int takes part in the dtype of the loop
     inv, top, low = dt(pow(o, -1, 2**w)), dt((2**w - 1) // o), dt((1 << s) - 1)
     rest = p ** (n - 1)
-    sols = []
-    for x0 in range(p):
-        ok = np.ones(rest, dtype=bool)
+    block = max(1, BLOCK // rest)
+    e1s = {e for poly in polys for e, _ in poly}
+    flat = []  # per block, x_1 p^(n-1) + index of x_2..x_n of its solutions
+    for x0 in range(0, p, block):
+        xs = np.arange(x0, min(x0 + block, p))
+        xp = {e: _powers(xs, e, p).astype(dt)[:, None] for e in e1s}
+        ok = None
         for (e, c), *others in polys:
-            acc = c * dt(pow(x0, e, p))
+            acc = c * xp[e]
             for e, c in others:
-                acc += c * dt(pow(x0, e, p))
-            if s:
-                ok &= (acc & low) == 0
+                acc += c * xp[e]
             acc *= inv
-            ok &= acc <= top
+            hit = acc <= top
+            if s:
+                hit &= (acc & low) == 0
+            ok = hit if ok is None else ok & hit
             if not ok.any():
                 break
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            pts = np.empty((hits.size, n), dtype=np.int64)
-            pts[:, 0] = x0
-            for j in range(1, n):
-                hits, pts[:, j] = np.divmod(hits, p)
-            sols.append(pts)
-    if not sols:
-        return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(sols)
+        flat.append(np.flatnonzero(ok) + x0 * rest)
+    flat = np.concatenate(flat)
+    pts = np.empty((flat.size, n), dtype=np.int64)
+    for j in range(1, n):
+        flat, pts[:, j] = np.divmod(flat, p)
+    pts[:, 0] = flat
+    return pts
 
 
 def solutions_mod_q(scheme: AffineScheme, q: int) -> np.ndarray:
@@ -280,8 +291,13 @@ class ExperimentReport:
     crt_residuals: tuple  # ((q1, q2, direct, product-of-counts), ...)
 
 
-def _ols_slope(xs, ys) -> float:
-    """Least-squares slope of ys on xs."""
+def _loglog_slope(counts) -> float | None:
+    """Least-squares slope of log count on log x over the items of {x: count}
+    with count > 0, in the dict's order; None when fewer than 3 are left."""
+    pts = [(math.log(x), math.log(c)) for x, c in counts.items() if c > 0]
+    if len(pts) < 3:
+        return None
+    xs, ys = zip(*pts)
     A = np.vstack([xs, np.ones(len(xs))]).T
     sol, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
     return float(sol[0])
@@ -302,35 +318,19 @@ def scaling_experiment(scheme: AffineScheme, r_grid, q_grid) -> ExperimentReport
     Every grid value must be at least 1 (ValueError), and each grid must have
     three or more values spanning a decade (InsufficientGrid).  The
     q-exponent is fitted at the largest r (the (r/q)^k regime, slope close
-    to -codim); the r-exponent at the smallest q (slope close to n).
+    to -codim); the r-exponent at the smallest q (slope close to n).  Each
+    fit takes one point per distinct grid value with a positive count, and
+    is None when fewer than three are left.
     """
     _check_grid_span(r_grid, "r")
     _check_grid_span(q_grid, "q")
-    entries = []
-    counts = {}
-    for r in r_grid:
-        for q in q_grid:
-            c = count_points_mod_q(scheme, r, q)
-            counts[(r, q)] = c
-            entries.append((r, q, c))
-    r_top = max(r_grid)
-    qs = [q for q in q_grid if counts[(r_top, q)] > 0]
-    fitted_q = None
-    if len(qs) >= 3:
-        fitted_q = _ols_slope(
-            [math.log(q) for q in qs], [math.log(counts[(r_top, q)]) for q in qs]
-        )
-    q_bot = min(q_grid)
-    rs = [r for r in r_grid if counts[(r, q_bot)] > 0]
-    fitted_r = None
-    if len(rs) >= 3:
-        fitted_r = _ols_slope(
-            [math.log(r) for r in rs], [math.log(counts[(r, q_bot)]) for r in rs]
-        )
+    entries = tuple((r, q, count_points_mod_q(scheme, r, q)) for r in r_grid for q in q_grid)
+    counts = {(r, q): c for r, q, c in entries}
+    r_top, q_bot = max(r_grid), min(q_grid)
     return ExperimentReport(
-        entries=tuple(entries),
-        fitted_q_exponent=fitted_q,
-        fitted_r_exponent=fitted_r,
+        entries=entries,
+        fitted_q_exponent=_loglog_slope({q: counts[(r_top, q)] for q in q_grid}),
+        fitted_r_exponent=_loglog_slope({r: counts[(r, q_bot)] for r in r_grid}),
         crt_residuals=_crt_residuals(scheme, q_grid),
     )
 

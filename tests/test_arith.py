@@ -25,11 +25,13 @@ def _valuation(q, p):
 
 def test_squarefree_and_prime_factors_match_definitions():
     """The sieve, spf table, factoring and divisor helpers too, for n <= 3000."""
+    import numpy as np
+
     primes = [p for p in range(2, 3001) if all(p % d for d in range(2, int(p**0.5) + 1))]
     for n in range(0, 3001):
         assert primes_upto(n) == [p for p in primes if p <= n]
     spf = spf_table(3000)
-    assert len(spf) == 3001
+    assert isinstance(spf, np.ndarray) and spf.dtype == np.int32 and spf.shape == (3001,)
     for q in range(1, 3001):
         prime_divisors = [p for p in primes if q % p == 0]
         if all(q % (p * p) for p in prime_divisors):
@@ -79,7 +81,7 @@ def test_is_prime_matches_trial_division():
 
 
 def test_sieves_refuse_past_their_limit_before_they_allocate():
-    # 1e12 would be a terabyte bool mask and 4 TB of array('i'): the refusal
+    # 1e12 would be a terabyte bool mask and 4 TB of int32: the refusal
     # must come first, as a ValueError the CLI reports with exit code 2
     for sieve in (prime_mask, primes_upto, spf_table):
         for n in (10**12, SIEVE_LIMIT + 1):

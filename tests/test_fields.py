@@ -867,7 +867,7 @@ def test_local_data_matches_sympy(monkeypatch):
     # drops the table _collect_chunk leaves
     monkeypatch.setattr(cubic, "_spf", None)
     x = 10**5
-    spf = np.frombuffer(arith.spf_table(x), np.int32)
+    spf = arith.spf_table(x)
     found = {}
     for sign, a in ((1, 1), (-1, 1), (-1, 2)):
         forms, discs, codes, counts = cubic._collect_chunk((x, sign, a))

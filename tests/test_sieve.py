@@ -175,6 +175,67 @@ def test_solutions_mod_p_at_even_moduli():
             _assert_matches_pointwise_oracle(AffineScheme(n, tuple(polys), 1), m)
 
 
+SQRT2 = AffineScheme(n_vars=1, polynomials=(((1, (2,)), (-2, (0,))),), declared_codim=1)
+
+
+def _primes_around_block():
+    from malle_lab.arith import is_prime
+    from malle_lab.sieve import BLOCK
+
+    below = next(q for q in range(BLOCK, 1, -1) if is_prime(q))
+    above = [q for q in range(BLOCK + 1, BLOCK + 100) if is_prime(q)][:2]
+    return sorted({below, *above, 65537})
+
+
+@pytest.mark.parametrize("p", _primes_around_block())
+def test_one_variable_blocks_match_pointwise_oracle(p):
+    # BLOCK residues of x_1 a block: below BLOCK one block, above it a second
+    # block of a few rows
+    for poly in (SQRT2.polynomials[0], ((1, (12,)), (-1, (0,))), ODD_POWERS[3]):
+        _assert_matches_pointwise_oracle(AffineScheme(1, (poly,), 1), p)
+
+
+# x_1^2 = 2 and x_2^3 = x_1 x_3 + 1: at most two x_1 rows keep a point after the
+# first polynomial, so the other blocks stop there
+CODIM2 = AffineScheme(
+    n_vars=3,
+    polynomials=(((1, (2, 0, 0)), (-2, (0, 0, 0))), ((1, (0, 3, 0)), (-1, (1, 0, 1)), (-1, (0, 0, 0)))),
+    declared_codim=2,
+)
+
+
+def test_blocks_match_pointwise_oracle_at_each_block_shape(monkeypatch):
+    """With BLOCK = 64: p^(n-1) below, at and above it, blocks of several rows
+    and a short last one, one-row blocks, and the mask path at p = 2 and at
+    even composites."""
+    from malle_lab import sieve
+
+    monkeypatch.setattr(sieve, "BLOCK", 64)
+    rng = random.Random(20261021)
+    for n, ms in ((1, (2, 61, 67, 96)), (2, (2, 29, 31, 61, 64, 67, 96)), (3, (2, 6, 7, 8, 11))):
+        for m in ms:
+            for _ in range(2):
+                _assert_matches_pointwise_oracle(_random_scheme(rng, n, m), m)
+    for m in (7, 17, 23, 14):
+        _assert_matches_pointwise_oracle(CODIM2, m)
+
+
+def test_codim2_pair_leaves_blocks_empty():
+    # 255 rows a block at 257: x_1^2 = 2 has no root among 255 and 256
+    assert [x for x in range(255, 257) if (x * x - 2) % 257 == 0] == []
+    polys = (((1, (2, 0)), (-2, (0, 0))), ((1, (0, 2)), (-1, (1, 0))))
+    _assert_matches_pointwise_oracle(AffineScheme(2, polys, 2), 257)
+
+
+@pytest.mark.parametrize("q", [1_048_573, 1_048_583])
+def test_one_variable_count_above_a_million_matches_direct_count(q):
+    # 2 is a square mod 1048583 (7 mod 8), not mod 1048573 (5 mod 8); the box
+    # [-r, r] covers more than one period
+    r = 600_000
+    x = np.arange(-r, r + 1)
+    assert count_points_mod_q(SQRT2, r, q) == int(((x * x - 2) % q == 0).sum())
+
+
 @pytest.mark.parametrize(
     "q, rows, digest",
     [
@@ -249,6 +310,23 @@ def test_disc_locus_q_exponent_near_codim1():
     assert -1.3 <= rep.fitted_q_exponent <= -0.8
     for q1, q2, direct, prod in rep.crt_residuals:
         assert direct == prod
+
+
+def test_slopes_fit_distinct_grid_values_only():
+    # q = 7 three times, with no point at 3 or 70, leaves one value of q; r = 10
+    # three times leaves two values of r: too few to fit either
+    rep = scaling_experiment(SQRT2, [100, 1000, 10000], [7, 7, 7, 3, 70])
+    assert [c for _, q, c in rep.entries if q != 7] == [0] * 6
+    assert rep.fitted_q_exponent is None
+    rep = scaling_experiment(line_scheme(2), [10, 10, 10, 100], [3, 5, 7, 31])
+    assert rep.fitted_r_exponent is None and rep.fitted_q_exponent is not None
+    # a repeated value counts once: the fits are those of the grids without it
+    q_grid = [3, 5, 7, 11, 13, 17, 31]
+    rep = scaling_experiment(line_scheme(2), [20, 50, 50, 100, 400], q_grid + [5, 31])
+    once = scaling_experiment(line_scheme(2), [20, 50, 100, 400], q_grid)
+    assert (rep.fitted_q_exponent, rep.fitted_r_exponent) == (
+        once.fitted_q_exponent, once.fitted_r_exponent
+    )
 
 
 def test_insufficient_grid():
