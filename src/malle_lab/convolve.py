@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import isqrt
 
 from .arith import iroot
@@ -53,15 +53,21 @@ class CountingSequence:
             raise ValueError("give exactly one of entries or rule")
         self.rule = rule
         if entries is not None:
-            # (value, multiplicity) pairs of ints, sorted once and never rebuilt
-            entries = sorted(entries)
+            # (value, multiplicity) pairs of ints, sorted at most once and never
+            # rebuilt; input in strictly ascending order (np.unique's) is kept
+            entries = list(entries)
             values = [v for v, _ in entries]  # bisected by count_upto
             counts = [m for _, m in entries]
             if not {*map(type, values), *map(type, counts)} <= {int}:
                 raise TypeError("values and multiplicities must be ints")
+            ascending = all(map(operator.lt, values, islice(values, 1, None)))
+            if not ascending:
+                entries.sort()
+                values = [v for v, _ in entries]
+                counts = [m for _, m in entries]
             if entries and (values[0] < 1 or min(counts) < 1):
                 raise ValueError("values and multiplicities must be positive")
-            if not all(map(operator.lt, values, values[1:])):
+            if not ascending and not all(map(operator.lt, values, values[1:])):
                 raise ValueError("duplicate values; merge multiplicities first")
             self.entries = entries
             self._values = values

@@ -59,10 +59,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 from . import convolve
-from .arith import iroot, primes_upto
+from .arith import iroot, prime_mask
 from .convolve import CountingSequence, FitResult, empirical_fit
 from .errors import (
     InadmissiblePair,
@@ -454,11 +455,56 @@ class EulerReport:
     log_tail_last_decade: float  # sum of |ln c_p| over the top decade of p
 
 
+# isqrt(2^53): up to it p^2 is a float64
+_FLOAT_SQUARE = math.isqrt(2**53)
+
+
+def _over_square(num, p):
+    """num / p^2 for the integer columns num and p, p ascending and positive,
+    each rounded once as Python's int division rounds: in float64 while p^2
+    is one, in Python ints past isqrt(2^53)."""
+    import numpy as np
+
+    k = int(np.searchsorted(p, _FLOAT_SQUARE, "right"))
+    out = p.astype(float)
+    square = out[:k]
+    square *= square
+    np.divide(num[:k], square, out=square)
+    out[k:] = np.fromiter((int(c) / int(m) ** 2 for c, m in zip(num[k:], p[k:])), float, p.size - k)
+    return out
+
+
+def _log_factors(p):
+    """ln c_p for each prime p >= 5 of the ascending int64 array p, as float64.
+
+    Bit for bit the scalar formula of `euler_constant` in Python floats:
+    +, * and / round alike in numpy, the quotients by p^2 come from
+    `_over_square`, and p^(7/3) and ln from math.pow and math.log, whose
+    last bit numpy's power and log do not always share.  The steps work in
+    place, so that few columns of p's length are held at once.
+    """
+    import numpy as np
+
+    inv = 1.0 / p
+    one = p % 3 == 1
+    base = inv + 1.0
+    base += _over_square(np.where(one, 5, 1), p)
+    base[one] += 2.0 / np.fromiter(map(math.pow, p[one], repeat(7 / 3)), float, int(one.sum()))
+    base *= np.subtract(1.0, inv, out=inv)
+    return np.fromiter(map(math.log, base), float, p.size)
+
+
 def euler_constant(p_max: int) -> EulerReport:
     """Partial product 2 * c3 * prod_{5 <= p <= p_max} c_p, c3 = c3_exact().
 
     c_p = (1 + 1/p + 5/p^2 + 2/p^(7/3))(1 - 1/p) for p = 1 mod 3 and
-    (1 + 1/p + 1/p^2)(1 - 1/p) for p = 2 mod 3.
+    (1 + 1/p + 1/p^2)(1 - 1/p) for p = 2 mod 3, each sum taken left to right.
+
+    The value is exp of the sum of ln c_p, and log_tail_last_decade the sum
+    of |ln c_p| over p > p_max / 10; both sums run in order of p, one
+    rounding per term (a cumulative sum: numpy's sum pairs terms, and
+    Python's sum compensates on 3.12), so every field is bit-identical to
+    the loop over the primes in Python floats.
 
     The value is the paper's Euler product as it stands, not normalised to
     count_pairs' n_lo: it has no factor 1/(3 zeta(3)) and no (Pi - 1)/2 over
@@ -466,20 +512,14 @@ def euler_constant(p_max: int) -> EulerReport:
     """
     if p_max < 5:
         raise ValueError("p_max must be >= 5")
+    import numpy as np
+
     c3 = c3_exact()
-    log_sum = 0.0
-    log_tail = 0.0
-    for p in primes_upto(p_max):
-        if p < 5:
-            continue
-        if p % 3 == 1:
-            cp = (1 + 1 / p + 5 / p**2 + 2 / p ** (7 / 3)) * (1 - 1 / p)
-        else:
-            cp = (1 + 1 / p + 1 / p**2) * (1 - 1 / p)
-        lg = math.log(cp)
-        log_sum += lg
-        if p > p_max / 10:
-            log_tail += abs(lg)
+    p = np.flatnonzero(prime_mask(p_max))[2:]  # from 5 on
+    lg = _log_factors(p)
+    # Bertrand: a prime lies in (p_max / 2, p_max], so neither sum is empty
+    log_sum = float(np.cumsum(lg)[-1])
+    log_tail = float(np.cumsum(np.abs(lg[p > p_max / 10]))[-1])
     return EulerReport(
         p_max=p_max,
         value=2.0 * c3 * math.exp(log_sum),

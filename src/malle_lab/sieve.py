@@ -14,9 +14,9 @@ in [-r, r].  The oracle `count_points_brute` tests every lattice point of
 the cube instead.
 
 The counts feed `scaling_experiment`, which fits the log-log slope in q at
-the largest r and in r at the smallest q; the codimension-k envelope
-r^(n-k) * max(1, (r/q)^k) puts them near -k and n.  Only the cube is
-counted, not a skewed box or one scaled per coordinate.
+the largest r and in r at the smallest q with three positive counts; the
+codimension-k envelope r^(n-k) * max(1, (r/q)^k) puts them near -k and n.
+Only the cube is counted, not a skewed box or one scaled per coordinate.
 """
 
 from __future__ import annotations
@@ -261,23 +261,32 @@ def count_points_mod_q(scheme: AffineScheme, r: int, q: int) -> int:
 
     Every coordinate of a class s runs through the same progression
     {x in [-r, r] : x = s_i mod q}, so the class counts the product of those
-    lengths over its coordinates.  Raises ValueError unless r is an integer
-    >= 1, NotSquarefree unless q >= 1 is squarefree, and CapExceeded when a
-    prime p of q has p^n above the solution cap 10^7, however small the box
-    (for n = 4, every p >= 59).
+    lengths over its coordinates.  With 2r = a q + b and 0 <= b < q, the
+    2r + 1 integers of [-r, r] meet each residue a times, and b + 1 of them,
+    -r, ..., r mod q, once more.  So a class with k coordinates among the
+    q - 1 - b short residues counts (a + 1)^(n - k) a^k, and the total is
+    sum_k N_k (a + 1)^(n - k) a^k in Python integers, N_k the classes with k
+    short coordinates; it is exact for any r.  Raises ValueError unless r is
+    an integer >= 1, NotSquarefree unless q >= 1 is squarefree, and
+    CapExceeded when a prime p of q has p^n above the solution cap 10^7,
+    however small the box (for n = 4, every p >= 59).
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"box radius r must be an integer >= 1, got {r!r}")
     sols = solutions_mod_q(scheme, q)
-    s = np.arange(q, dtype=object)
-    length = (2 * r - (s + r) % q) // q + 1
-    # int64 would wrap silently past 2^63; Python integers take over there
-    dtype = np.int64 if sols.shape[0] * length.max() ** scheme.n_vars < 2**63 else object
-    length = length.astype(dtype)
-    prod = np.ones(sols.shape[0], dtype=dtype)
-    for col in sols.T:
-        prod *= length[col]
-    return int(prod.sum())
+    n = scheme.n_vars
+    a, b = divmod(2 * r, q)
+    short = np.ones(q, dtype=np.uint8)
+    lo = -r % q  # the long residues run from -r to r mod q, wrapping past q - 1
+    short[lo : lo + b + 1] = 0
+    short[: max(0, lo + b + 1 - q)] = 0
+    # short coordinates per class, added a column at a time; no uint8 wraps,
+    # since every residue is long at q = 1 and p^n <= 10^7 gives n <= 23 above
+    n_short = short[sols[:, 0]]
+    for col in sols.T[1:]:
+        n_short += short[col]
+    classes = np.bincount(n_short, minlength=n + 1).tolist()
+    return sum(c * (a + 1) ** (n - k) * a**k for k, c in enumerate(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +327,21 @@ def scaling_experiment(scheme: AffineScheme, r_grid, q_grid) -> ExperimentReport
     Every grid value must be at least 1 (ValueError), and each grid must have
     three or more values spanning a decade (InsufficientGrid).  The
     q-exponent is fitted at the largest r (the (r/q)^k regime, slope close
-    to -codim); the r-exponent at the smallest q (slope close to n).  Each
-    fit takes one point per distinct grid value with a positive count, and
-    is None when fewer than three are left.
+    to -codim); the r-exponent at the smallest q whose counts are positive
+    at three or more r (slope close to n), so a small q with no points does
+    not hide it.  Each fit takes one point per distinct grid value with a
+    positive count, and is None when fewer than three are left.
     """
     _check_grid_span(r_grid, "r")
     _check_grid_span(q_grid, "q")
     entries = tuple((r, q, count_points_mod_q(scheme, r, q)) for r in r_grid for q in q_grid)
     counts = {(r, q): c for r, q, c in entries}
-    r_top, q_bot = max(r_grid), min(q_grid)
+    r_top = max(r_grid)
+    r_slopes = (_loglog_slope({r: counts[(r, q)] for r in r_grid}) for q in sorted(set(q_grid)))
     return ExperimentReport(
         entries=entries,
         fitted_q_exponent=_loglog_slope({q: counts[(r_top, q)] for q in q_grid}),
-        fitted_r_exponent=_loglog_slope({r: counts[(r, q_bot)] for r in r_grid}),
+        fitted_r_exponent=next((s for s in r_slopes if s is not None), None),
         crt_residuals=_crt_residuals(scheme, q_grid),
     )
 

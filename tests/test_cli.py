@@ -134,6 +134,20 @@ def test_euler_constant_cli(capsys):
     assert rep["value"] == pytest.approx(2 * rep["c3"] * (31 / 25) * (4 / 5))
 
 
+def test_euler_constant_cli_report_bytes(capsys):
+    # the report of the loop over the primes in Python floats, byte for byte
+    code, out = run(["euler-constant", "--pmax", "1e6"], capsys)
+    assert code == 0
+    assert (
+        '  "report": {\n'
+        '    "c3": 29.89135698360659,\n'
+        '    "log_tail_last_decade": 1.4781997724730553e-06,\n'
+        '    "p_max": 1000000,\n'
+        '    "value": 68.00297378791338\n'
+        "  },\n"
+    ) in out
+
+
 def test_convolve_cli(capsys):
     code, out = run(["convolve", "--s1", "integers", "--s2", "integers",
                      "--a", "1", "--b", "1", "--x", "10"], capsys)

@@ -43,6 +43,30 @@ def test_counting_sequence_takes_exact_positive_distinct_ints():
     assert [seq.count_upto(v) for v in (0, 1, 3, 4, 8, 9)] == [0, 1, 1, 4, 4, 6]
 
 
+def test_counting_sequence_sorts_only_unsorted_input():
+    ascending = [(1, 2), (3, 1), (7, 4)]
+    seq = CountingSequence(entries=ascending)
+    assert seq.entries == ascending and seq.entries is not ascending
+    seq = CountingSequence(entries=(pair for pair in [(7, 4), (1, 2), (3, 1)]))
+    assert seq.entries == ascending and seq._values == [1, 3, 7]
+    assert [seq.count_upto(v) for v in (1, 2, 3, 7)] == [2, 2, 3, 7]
+    for entries in ([(1, 1), (1, 2)], [(1, 1), (2, 1), (2, 1)], [(3, 1), (1, 1), (3, 2)]):
+        with pytest.raises(ValueError, match="^duplicate values; merge multiplicities first$"):
+            CountingSequence(entries=entries)
+    # refused in their order: a non-pair, a non-int, then a non-positive entry
+    # before a duplicate, in sorted and unsorted input alike
+    for entries in ([(1, 1, 1)], [(1, 1), (2, 1, 1)], [(2, 1), (1, 1, 1)]):
+        with pytest.raises(ValueError, match="unpack"):
+            CountingSequence(entries=entries)
+    for entries in ([(1, 1), (True, 1)], [(2, 1), (True, 1)], [(1, 1), (2.5, 1)],
+                    [(3, 1), (2.5, 1)], [(1, 1), 5], [(1, 1), (1, 2.5)]):
+        with pytest.raises(TypeError):
+            CountingSequence(entries=entries)
+    for entries in ([(0, 1), (0, 1)], [(2, 1), (0, 1), (2, 1)]):
+        with pytest.raises(ValueError, match="^values and multiplicities must be positive$"):
+            CountingSequence(entries=entries)
+
+
 def test_product_count_empty():
     empty = CountingSequence(entries=[])
     assert product_count_exact(empty, INTS, 1, 1, 100) == 0

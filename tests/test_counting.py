@@ -3,12 +3,16 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from malle_lab.arith import iroot
+from malle_lab.arith import iroot, is_prime, primes_upto
 from malle_lab.convolve import empirical_fit
 from malle_lab.counting import (
+    EulerReport,
     WildTable,
+    _log_factors,
+    _over_square,
     c3_exact,
     compose_disc,
     count_pairs,
@@ -431,6 +435,61 @@ def test_euler_partial_product():
     v2 = euler_constant(2 * 10**4).value
     v3 = euler_constant(4 * 10**4).value
     assert abs(v2 - v1) > abs(v3 - v2)  # shrinking increments
+
+
+def log_factor_scalar(p):
+    """Oracle: ln c_p of one prime p >= 5, in Python floats."""
+    if p % 3 == 1:
+        cp = (1 + 1 / p + 5 / p**2 + 2 / p ** (7 / 3)) * (1 - 1 / p)
+    else:
+        cp = (1 + 1 / p + 1 / p**2) * (1 - 1 / p)
+    return math.log(cp)
+
+
+def euler_constant_loop(p_max):
+    """Oracle: `euler_constant` as a loop over the primes in Python floats,
+    summing in order of p; the columns must give every field bit for bit."""
+    log_sum = log_tail = 0.0
+    for p in primes_upto(p_max):
+        if p < 5:
+            continue
+        lg = log_factor_scalar(p)
+        log_sum += lg
+        if p > p_max / 10:
+            log_tail += abs(lg)
+    c3 = c3_exact()
+    return EulerReport(p_max, 2.0 * c3 * math.exp(log_sum), c3, log_tail)
+
+
+# p_max / 10 is the prime 7, 11 or 13, or lies next to it, at 70, 71, 110, 130 and 131
+_P_MAX = [5, 6, 7, 8, 11, 12, 13, 49, 50, 70, 71, 100, 110, 130, 131, 1000, 10**4, 12_345,
+          10**5, 10**6, 2 * 10**6]
+
+
+@pytest.mark.parametrize("p_max", _P_MAX)
+def test_euler_constant_equals_scalar_loop(p_max):
+    # repr tells the float bits apart, and np.float64 from float
+    assert repr(euler_constant(p_max)) == repr(euler_constant_loop(p_max))
+
+
+def test_log_factors_equal_scalar_formula():
+    # numpy's log and power differ from math.log and math.pow in the last bit
+    # at some of these p, a difference that the two sums can hide
+    p = primes_upto(2 * 10**6)[2:]
+    assert _log_factors(np.array(p)).tolist() == [log_factor_scalar(q) for q in p]
+
+
+def test_over_square_rounds_once_past_float_squares():
+    # past p = isqrt(2^53), p^2 is no float64, and numpy's num / p^2 would
+    # round twice: 5 / p^2 or 1 / p^2 then differs in the last bit at many p
+    p = [n for n in range(94_906_200, 94_906_400) if is_prime(n)]
+    p += [n for n in range(2**31 - 3000, 2**31) if is_prime(n)]
+    assert p[0] ** 2 < 2**53 < p[-1] ** 2
+    num = [5 if q % 3 == 1 else 1 for q in p]
+    got = _over_square(np.array(num), np.array(p))
+    assert got.tolist() == [c / q**2 for c, q in zip(num, p)]
+    got = _log_factors(np.array(p))
+    assert got.tolist() == [log_factor_scalar(q) for q in p]
 
 
 _K7 = rec(3, "S3", -1, [tame(7, (2, 1))])

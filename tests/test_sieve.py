@@ -48,11 +48,30 @@ def test_dual_path_agreement_nonlinear():
 
 
 def test_count_past_int64_is_exact():
-    # (2 * 10^5 + 1)^4 > 2^63: the counter must not wrap
-    scheme = AffineScheme.coordinate_subspace(4, 1)
-    for q in (1, 7):
-        want = (2 * (10**5 // q) + 1) * (2 * 10**5 + 1) ** 3
-        assert count_points_mod_q(scheme, 10**5, q) == want
+    # (2 * 10^5 + 1)^4 > 2^63: the counter must not wrap; at r = 10^20 even
+    # a = 2r // q is past 2^64
+    for r in (10**5, 10**20):
+        for n, q in [(4, 1), (4, 7), (3, 30), (1, 2), (300, 1)]:
+            scheme = AffineScheme.coordinate_subspace(n, 1)
+            want = (2 * (r // q) + 1) * (2 * r + 1) ** (n - 1)
+            assert count_points_mod_q(scheme, r, q) == want
+
+
+# with 2r = a q + b, 0 <= b < q: (r, q) with a = 0 (2r < q), b = q - 1 (the
+# long residues -r..r mod q are all of them, none short), both, b = 0, q = 1
+# and b + 1 long residues that wrap past q - 1 (-r mod q + b >= q)
+_EDGES = [(1, 7), (2, 7), (3, 30), (10, 7), (3, 7), (4, 3), (5, 5), (6, 6), (8, 7), (2, 1), (5, 1)]
+_PLANE_CONIC = AffineScheme(2, (((1, (2, 0)), (1, (0, 2)), (-1, (0, 0))),), 1)
+
+
+@pytest.mark.parametrize("r, q", _EDGES, ids=[f"r{r}-q{q}" for r, q in _EDGES])
+def test_count_matches_brute_at_progression_edges(r, q):
+    a, b = divmod(2 * r, q)
+    assert a == 0 or b in (0, q - 1) or q == 1 or -r % q + b >= q
+    for scheme in (SQRT2, _PLANE_CONIC, line_scheme(3), binary_cubic_disc_scheme()):
+        if scheme.n_vars == 4 and r > 3:
+            continue  # (2r + 1)^4 points to walk
+        assert count_points_mod_q(scheme, r, q) == count_points_brute(scheme, r, q), (r, q)
 
 
 def test_crt_multiplicativity_exact():
@@ -327,6 +346,15 @@ def test_slopes_fit_distinct_grid_values_only():
     assert (rep.fitted_q_exponent, rep.fitted_r_exponent) == (
         once.fitted_q_exponent, once.fitted_r_exponent
     )
+
+
+def test_r_slope_fits_at_smallest_q_with_three_counts():
+    # no x has x^2 = 2 mod 3 or mod 70, so q = 7 is the smallest q with counts
+    rep = scaling_experiment(SQRT2, [100, 1000, 10000], [7, 3, 70])
+    assert [c for _, q, c in rep.entries if q == 7] == [56, 572, 5716]
+    assert rep.fitted_q_exponent is None
+    at_7 = scaling_experiment(SQRT2, [100, 1000, 10000], [7, 17, 70])
+    assert rep.fitted_r_exponent == at_7.fitted_r_exponent == pytest.approx(1, abs=0.01)
 
 
 def test_insufficient_grid():
