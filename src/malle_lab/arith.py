@@ -1,6 +1,7 @@
 """Integer arithmetic shared across the package, without floats.
 
-- `iroot(n, k)`: the integer k-th root, by Newton steps;
+- `iroot(n, k)`: the integer k-th root, by `math.isqrt` for k = 2 and by
+  Newton steps for k >= 3;
 - `is_prime(n)`: one gcd with the small primes, then Miller-Rabin;
 - `prime_mask(n)`: the sieve, a numpy bool array True exactly at the
   primes <= n;
@@ -58,12 +59,15 @@ _MR_PRODUCT = prod(_MR_BASES)
 
 
 def iroot(n: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= n (n >= 0, k >= 1), by integer Newton steps.
+    """Largest r >= 0 with r**k <= n (n >= 0, k >= 1): `math.isqrt` for k = 2,
+    else by integer Newton steps.
 
     The seed 2**ceil(bits(n)/k) lies above the root, and from above the
     iteration r -> ((k-1) r + n // r**(k-1)) // k decreases strictly until
     it reaches the root.
     """
+    if k == 2 and n >= 0:
+        return isqrt(n)
     if n < 0 or k < 1:
         raise ValueError(f"iroot needs n >= 0 and k >= 1, got n={n}, k={k}")
     if n < 2 or k == 1:

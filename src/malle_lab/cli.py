@@ -255,7 +255,7 @@ def _cmd_abelian_uniformity(args) -> int:
         "max_ratio": rep.max_ratio,
     }
     _emit(args, payload, _config(args))
-    if bound is not None and not rep.bounded_by(bound):
+    if bound is not None and rep.max_ratio > bound:
         return EXIT_VERIFICATION
     return EXIT_OK
 

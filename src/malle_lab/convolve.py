@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import isqrt
 
 from .arith import iroot
 from .errors import InsufficientData, InsufficientRange
@@ -38,68 +37,62 @@ __all__ = [
 
 
 class CountingSequence:
-    """A sorted multiset of positive integers, explicit or rule-backed.
+    """A sorted multiset of positive integers: explicit, or the k-th powers
+    for k = 1, 2 (`integers()`, `squares()`).
 
-    Rule-backed sequences ("integers", "squares") have closed-form counting
-    functions and never run out of range; explicit sequences carry a
-    completeness bound and raise InsufficientRange past it.  An explicit
-    sequence takes distinct positive values with positive multiplicities,
-    all of type int (TypeError otherwise, as an exact count must not round
-    its input).
+    The k-th powers have the closed-form count iroot(v, k), never run out of
+    range, and have `entries` and `complete_to` None.  An explicit sequence
+    carries a completeness bound and raises InsufficientRange past it.  It
+    takes distinct positive values with positive multiplicities, all of type
+    int (TypeError otherwise, as an exact count must not round its input).
     """
 
-    def __init__(self, entries=None, rule: str | None = None, complete_to: int | None = None):
-        if (entries is None) == (rule is None):
-            raise ValueError("give exactly one of entries or rule")
-        self.rule = rule
-        if entries is not None:
-            # (value, multiplicity) pairs of ints, sorted at most once and never
-            # rebuilt; input in strictly ascending order (np.unique's) is kept
-            entries = list(entries)
-            values = [v for v, _ in entries]  # bisected by count_upto
+    def __init__(self, entries, complete_to: int | None = None):
+        # (value, multiplicity) pairs of ints, sorted at most once and never
+        # rebuilt; input in strictly ascending order (np.unique's) is kept
+        entries = list(entries)
+        values = [v for v, _ in entries]  # bisected by count_upto
+        counts = [m for _, m in entries]
+        if not {*map(type, values), *map(type, counts)} <= {int}:
+            raise TypeError("values and multiplicities must be ints")
+        ascending = all(map(operator.lt, values, islice(values, 1, None)))
+        if not ascending:
+            entries.sort()
+            values = [v for v, _ in entries]
             counts = [m for _, m in entries]
-            if not {*map(type, values), *map(type, counts)} <= {int}:
-                raise TypeError("values and multiplicities must be ints")
-            ascending = all(map(operator.lt, values, islice(values, 1, None)))
-            if not ascending:
-                entries.sort()
-                values = [v for v, _ in entries]
-                counts = [m for _, m in entries]
-            if entries and (values[0] < 1 or min(counts) < 1):
-                raise ValueError("values and multiplicities must be positive")
-            if not ascending and not all(map(operator.lt, values, values[1:])):
-                raise ValueError("duplicate values; merge multiplicities first")
-            self.entries = entries
-            self._values = values
-            self.complete_to = complete_to if complete_to is not None else (
-                values[-1] if entries else 0
-            )
-            self._prefix = list(accumulate(counts))
-        else:
-            if rule not in ("integers", "squares"):
-                raise ValueError(f"unknown rule {rule!r}")
-            self.entries = None
-            self.complete_to = None
+        if entries and (values[0] < 1 or min(counts) < 1):
+            raise ValueError("values and multiplicities must be positive")
+        if not ascending and not all(map(operator.lt, values, values[1:])):
+            raise ValueError("duplicate values; merge multiplicities first")
+        self.entries = entries
+        self._values = values
+        self.complete_to = complete_to if complete_to is not None else (
+            values[-1] if entries else 0
+        )
+        self._prefix = list(accumulate(counts))
+
+    @classmethod
+    def _powers(cls, k: int) -> "CountingSequence":
+        """The k-th powers of the positive integers, each once."""
+        seq = cls.__new__(cls)
+        seq.entries = seq.complete_to = None
+        seq._k = k
+        return seq
 
     @classmethod
     def integers(cls) -> "CountingSequence":
-        return cls(rule="integers")
+        return cls._powers(1)
 
     @classmethod
     def squares(cls) -> "CountingSequence":
-        return cls(rule="squares")
-
-    def is_empty(self) -> bool:
-        return self.entries is not None and not self.entries
+        return cls._powers(2)
 
     def count_upto(self, v: int) -> int:
         """F(v) = number of elements <= v, with multiplicity."""
         if v < 1:
             return 0
-        if self.rule == "integers":
-            return v
-        if self.rule == "squares":
-            return isqrt(v)
+        if self.entries is None:
+            return iroot(v, self._k)
         if v > self.complete_to:
             raise InsufficientRange(
                 f"sequence complete to {self.complete_to}, asked for {v}"
@@ -109,13 +102,10 @@ class CountingSequence:
 
     def iter_upto(self, v: int):
         """Yield (value, multiplicity) for values <= v."""
-        if self.rule == "integers":
-            for s in range(1, v + 1):
-                yield s, 1
-            return
-        if self.rule == "squares":
-            for s in range(1, isqrt(v) + 1):
-                yield s * s, 1
+        if self.entries is None:
+            k = self._k
+            for s in range(1, iroot(max(v, 0), k) + 1):
+                yield s**k, 1
             return
         if v > self.complete_to:
             raise InsufficientRange(
@@ -143,7 +133,7 @@ def product_count_exact(s1: CountingSequence, s2: CountingSequence, a, b, x) -> 
         raise ValueError("weights must be positive")
     if x < 1:
         return 0
-    if s1.is_empty() or s2.is_empty():
+    if s1.entries == [] or s2.entries == []:
         return 0
     lcm_den = math.lcm(a.denominator, b.denominator)
     alpha, beta = int(a * lcm_den), int(b * lcm_den)

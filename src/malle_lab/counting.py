@@ -118,9 +118,6 @@ class WildTable:
             entries[key] = json_typed(row["exp"], int, "exp")
         return cls(entries)
 
-    def lookup(self, k_label: str, l_label: str) -> int | None:
-        return self.entries.get((k_label, l_label))
-
 
 EMPTY_WILD = WildTable()
 
@@ -156,7 +153,7 @@ def _local_exponent(k_loc: LocalRamification, l_loc: LocalRamification, m: int, 
     lo = max(n * vk, m * vl)
     if mode == "interval":
         return lo, hi
-    e = wild.lookup(_tame_key(k_loc), _tame_key(l_loc))
+    e = wild.entries.get((_tame_key(k_loc), _tame_key(l_loc)))
     if e is None:
         raise MissingWildEntry(
             f"no wild entry for ({_tame_key(k_loc)}, {_tame_key(l_loc)}) at p={k_loc.p}"
@@ -244,8 +241,9 @@ def default_grid(x_max: int, points: int = 16) -> list[int]:
 
 
 def _sharing_pairs(ks: FieldList, nk: int, ls: FieldList, nl: int, deg_k: int, deg_l: int, x: int):
-    """(i, j), K-major, for the rows i < nk of ks and j < nl of ls that share a
-    prime and have lcm(Disc(K)^degL, Disc(L)^degK) <= x.
+    """(i, j, product bound), K-major, for the rows i < nk of ks and j < nl of ls
+    that share a prime and have lcm(Disc(K)^degL, Disc(L)^degK) <= x; the
+    product bound is Disc(K)^degL * Disc(L)^degK.
 
     The K entry slots are grouped by (p, v_p(Disc K)), each group in row
     order, so by disc, and each group is cut by bisection at exact integer
@@ -291,7 +289,8 @@ def _sharing_pairs(ks: FieldList, nk: int, ls: FieldList, nl: int, deg_k: int, d
     k_discs = ks.abs_discs[:nk].tolist()
     l_powers = [d**deg_k for d in l_discs]
     pairs = (divmod(key, nl) for key in np.unique(np.concatenate(found)).tolist())
-    return [(i, j) for i, j in pairs if math.lcm(k_discs[i] ** deg_l, l_powers[j]) <= x]
+    powers = ((i, j, k_discs[i] ** deg_l, l_powers[j]) for i, j in pairs)
+    return [(i, j, a * b) for i, j, a, b in powers if math.lcm(a, b) <= x]
 
 
 def _counting_sequence(field_list: FieldList, n: int, x: int) -> CountingSequence:
@@ -366,7 +365,7 @@ def count_pairs(
     discs_lo, discs_hi, bounds = [], [], []
     trunc = {y: [] for y in y_ladder}
     k_at = None
-    for i, j in _sharing_pairs(sn_list, nk, ab_list, nl, deg_k, deg_l, x):
+    for i, j, bound in _sharing_pairs(sn_list, nk, ab_list, nl, deg_k, deg_l, x):
         if i != k_at:
             k_at, k_rec = i, sn_list[i]
         l_rec = l_recs.get(j)
@@ -377,7 +376,7 @@ def count_pairs(
             continue  # every value of the pair, bound included, is > x >= g
         discs_lo.append(lo)
         discs_hi.append(hi)
-        bounds.append(disc_product_bound(k_rec, l_rec))
+        bounds.append(bound)
         for y in trunc:  # once per distinct rung
             trunc[y].append(_ends(disc_truncated(k_rec, l_rec, wild, y, mode))[1])
     # the windowed lists are the whole population counted, so they are

@@ -100,12 +100,12 @@ one parse; so the whole line decodes to what the pieces give, and equal
 texts give equal objects that pass the same checks.  The frame path only
 accepts: a line outside the frame (a degree or disc of more than 19 digits
 among them), not of the list's kind (the first line, before there is one),
-with |disc| outside [1, 2^63), or with a piece that is not one JSON object,
-is decoded whole by json.loads, and that path decides its record or its
-error.  The one check the frame path runs that can raise is an entry's
-typed-key check (`_Ingest.entry`), which the whole-line path runs on the
-same object after the same kind and disc checks; both paths share the slot
-of each key, so a line has one outcome on either path.
+with |disc| outside [1, 2^63), or with a piece that is not one JSON object
+or that `_Ingest.entry` refuses, is decoded whole by json.loads, and that
+path decides its record or its error: the frame path raises nothing.  Both
+paths share the slot of each key, so a line has one outcome on either path;
+a slot that the frame path made on a line it gave up and that no row reads
+is in no record and breaks no rule.
 
 The parser and `FieldList(records)` refuse in one order: a rule broken by
 an earlier row first, as the rows before are checked before any error
@@ -560,17 +560,20 @@ class _Ingest:
     """The columns of the rows and of the entries met so far.
 
     `slots` maps each entry's key (p, kind, parts or label, exp) to its
-    slot, and `types` each (kind, parts or label) to its local type, both in
-    the order first met.  `kind` is the (degree, group) of the first row, None
-    before it.  On frame lines, `texts` maps each entry text met to its slot.
+    slot, and `types` each (kind, parts or label) to its index in
+    `local_types`, both in the order first met; `entry_p`, `entry_exp` and
+    `entry_type` hold one value per slot.  `kind` is the (degree, group) of
+    the first row, None before it.  On frame lines, `texts` maps each entry
+    text met to its slot.
     """
 
     def __init__(self):
         self.slots: dict[tuple, int] = {}
-        self.types: dict[tuple, object] = {}
+        self.types: dict[tuple, int] = {}
         self.texts: dict[str, int] = {}
         self.kind: tuple[int, str] | None = None
         self.discs, self.signs, self.counts, self.entry_ids, self.lines = [], [], [], [], []
+        self.entry_p, self.entry_exp, self.entry_type, self.local_types = [], [], [], []
 
     def same_kind(self, degree: int, group: str):
         """Take the kind of the first row; InvariantViolation for a row of another kind."""
@@ -587,11 +590,15 @@ class _Ingest:
         if slot is None:
             p, kind, data, exp = key
             if (kind, data) not in self.types:
-                self.types[kind, data] = CycleType.from_parts(data) if kind == "tame" else data
+                self.local_types.append(CycleType.from_parts(data) if kind == "tame" else data)
+                self.types[kind, data] = len(self.types)
             for name, value in ("p", p), ("exp", exp):
                 if not -DISC_LIMIT <= value < DISC_LIMIT:
                     raise InvariantViolation(f"{name} {value} is outside int64")
             slot = self.slots[key] = len(self.slots)
+            self.entry_p.append(p)
+            self.entry_exp.append(exp)
+            self.entry_type.append(self.types[kind, data])
         return slot
 
     def append(self, lineno: int | None, abs_disc: int, sign: int, slots: list[int]):
@@ -610,13 +617,10 @@ class _Ingest:
         """The columns of the rows so far, in order, as `FieldList.from_columns` takes them."""
         import numpy as np
 
-        type_ids = {key: i for i, key in enumerate(self.types)}
         return (np.array(self.discs, np.int64), np.array(self.signs, np.int8), self.kind,
                 _offsets(self.counts), np.array(self.entry_ids, np.int32),
-                np.array([key[0] for key in self.slots], np.int64),
-                np.array([key[3] for key in self.slots], np.int64),
-                np.array([type_ids[key[1:3]] for key in self.slots], np.int32),
-                tuple(self.types.values()))
+                np.array(self.entry_p, np.int64), np.array(self.entry_exp, np.int64),
+                np.array(self.entry_type, np.int32), tuple(self.local_types))
 
     def field_list(self, x_max) -> FieldList:
         """The rows parsed so far, in line order."""
@@ -664,11 +668,12 @@ class _Ingest:
 
     def frame_line(self, match: re.Match, lineno: int) -> bool:
         """Append the record of a line in `_LINE_FRAME`, or return False to have
-        `whole_line` decide the line; no error but an entry's is raised here.
+        `whole_line` decide the line; nothing is raised here.
 
         False when the line is not of `kind` (the first line is not), |disc| is
-        outside [1, 2^63), or json.loads fails on a piece between "}, {" first
-        met here, as on a piece of more than one JSON object ("Extra data").
+        outside [1, 2^63), or a piece between "}, {" first met here is not one
+        JSON object (as a piece of more than one, "Extra data") or is refused
+        by `entry`.
         """
         degree, disc, group, ram_text = match.groups()
         degree, disc = int(degree), int(disc)
@@ -679,15 +684,12 @@ class _Ingest:
         try:
             slots = [known[piece] for piece in pieces]
         except KeyError:  # a text first met here
-            fresh = {}
             for piece in pieces:
-                if piece not in known and piece not in fresh:
-                    try:
-                        fresh[piece] = json.loads("{" + piece + "}")
-                    except ValueError:  # JSONDecodeError, or past int()'s digit limit
+                if piece not in known:
+                    try:  # ValueError: JSONDecodeError, or past int()'s digit limit
+                        known[piece] = self.entry(json.loads("{" + piece + "}"), lineno)
+                    except (ValueError, MalformedLine):
                         return False
-            for piece, obj in fresh.items():
-                known[piece] = self.entry(obj, lineno)
             slots = [known[piece] for piece in pieces]
         self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
         return True

@@ -41,9 +41,6 @@ class UniformityReport:
     def max_ratio(self) -> float:
         return max(r.ratio for r in self.per_q)
 
-    def bounded_by(self, const: float) -> bool:
-        return self.max_ratio <= const
-
 
 def abelian_uniformity_check(
     l: int, qs, x: int, field_list: FieldList | None = None

@@ -55,7 +55,12 @@ class PermutationGroup:
 
     @cached_property
     def _walk(self):
-        """(classes, images -> class id), in discovery order (see `_classes_with_map`)."""
+        """The group's one conjugation walk: (classes, images -> class id), in discovery order.
+
+        Every element starts a class or joins one, so a conjugate outside the group
+        would push the class sizes past the order: the one assert, that they sum to
+        the order, also shows that every class lies in the group.
+        """
         gen_invs = [(g, g.inverse()) for g in self.generators]
         class_of, classes = {}, []
         for el in self.elements:
@@ -113,16 +118,6 @@ def close_group(generators, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGr
                         )
         frontier = nxt
     return PermutationGroup(degree, gens, tuple(order))
-
-
-def _classes_with_map(group: PermutationGroup):
-    """Conjugacy classes plus the images-tuple -> class-id map: the group's one walk.
-
-    Every element starts a class or joins one, so a conjugate outside the group
-    would push the class sizes past the order: the one assert, that they sum to
-    the order, also shows that every class lies in the group.
-    """
-    return group._walk
 
 
 def conjugacy_classes(group: PermutationGroup) -> list[ConjugacyClass]:

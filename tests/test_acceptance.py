@@ -214,7 +214,7 @@ def test_criterion_07_abelian_uniformity():
     qs = [7, 13, 19, 31, 37, 43, 91]
     rep = abelian_uniformity_check(3, qs, 10**8, field_list=fl)
     # pinned boundedness constant: measured max ratio is ~0.095
-    ok = rep.bounded_by(0.2)
+    ok = rep.max_ratio <= 0.2
     # cross-check the counts by a direct filtered scan
     for r in rep.per_q:
         direct = sum(

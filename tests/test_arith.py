@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from malle_lab.arith import (
@@ -64,6 +66,10 @@ def test_iroot_matches_definition():
         r = iroot(10**400, k)
         assert r**k <= 10**400 < (r + 1) ** k
     assert iroot(10**399, 3) == 10**133 and iroot(10**399 - 1, 3) == 10**133 - 1
+    # k = 2 is math.isqrt's, on and next to squares past 2^64
+    for r in (2**32 - 1, 2**32, 2**32 + 1, 3**41, 10**200 + 7):
+        for n in (r * r - 1, r * r, r * r + 1, (r + 1) ** 2 - 1):
+            assert iroot(n, 2) == math.isqrt(n)
     for n, k in [(-1, 2), (5, 0)]:
         with pytest.raises(ValueError):
             iroot(n, k)

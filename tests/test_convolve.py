@@ -130,6 +130,17 @@ def test_squares_rule_equals_integers_reindexed():
     for x in (10, 100, 12345):
         assert product_count_exact(INTS, CountingSequence.squares(), 1, 1, x) == \
             product_count_exact(INTS, INTS, 1, 2, x)
+    # each closed form counts and lists what its explicit k-th powers do at
+    # every v from -2 to 200^k + 3, below 1, on and between the powers and past them
+    for k, closed in (1, INTS), (2, CountingSequence.squares()):
+        top = 200**k + 3
+        powers = [(s**k, 1) for s in range(1, 204) if s**k <= top]
+        explicit = CountingSequence(powers, complete_to=top)
+        for v in range(-2, top + 1):
+            assert closed.count_upto(v) == explicit.count_upto(v), (k, v)
+            assert list(closed.iter_upto(v)) == list(explicit.iter_upto(v)), (k, v)
+    for v in (10**40 - 1, 10**40, 10**40 + 1):
+        assert CountingSequence.squares().count_upto(v) == math.isqrt(v)
 
 
 def test_empirical_fit_roundtrip():
@@ -164,14 +175,10 @@ def test_empirical_fit_refuses_points_past_the_float_range():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: CountingSequence(), ValueError, "give exactly one of entries or rule"),
-    (lambda: CountingSequence([(1, 1)], rule="integers"), ValueError,
-     "give exactly one of entries or rule"),
-    (lambda: CountingSequence(rule="cubes"), ValueError, "unknown rule 'cubes'"),
     (lambda: CountingSequence([(1, 1), (4, 1)], complete_to=5).count_upto(6), InsufficientRange,
      "sequence complete to 5, asked for 6"),
     (lambda: product_count_exact(INTS, INTS, 0, 1, 10), ValueError, "weights must be positive"),
-], ids=["no-source", "two-sources", "unknown-rule", "past-complete-to", "weight-zero"])
+], ids=["past-complete-to", "weight-zero"])
 def test_convolve_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()

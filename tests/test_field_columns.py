@@ -380,7 +380,23 @@ def test_pipeline_builds_no_view_but_for_the_composed_pairs(monkeypatch):
     pairs = counting._sharing_pairs(cubics, len(cubics), cyclics, len(cyclics), 3, 3, x)
     # one view per composing K and per composed L; admissibility reads the lists' kinds
     assert len(pairs) > 100
-    assert len(made) == len({i for i, _ in pairs}) + len({j for _, j in pairs})
+    assert len(made) == len({i for i, _, _ in pairs}) + len({j for _, j, _ in pairs})
+
+
+def test_count_pairs_forms_the_product_bound_only_to_compose(monkeypatch):
+    # a kept sharing pair's bound comes from _sharing_pairs: the only product
+    # bounds formed are the ones each composition starts from
+    calls = {"disc_product_bound": 0, "compose_disc": 0, "disc_truncated": 0}
+    for name in calls:
+        def counted(*args, real=getattr(counting, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    cubics, cyclics = enumerate_cubic(10**4), enumerate_cyclic(3, 10**4)
+    count_pairs(cubics, cyclics, 10**12, mode="interval", y_ladder=(10, 100, 1000))
+    assert calls["compose_disc"] > 100 and calls["disc_truncated"] > 100
+    assert calls["disc_product_bound"] == calls["compose_disc"] + calls["disc_truncated"]
 
 
 def test_the_makers_build_no_entry_and_count_pairs_one_per_distinct_entry(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from malle_lab import invariants
 from malle_lab.errors import OrderCapExceeded, SlopeNotGreater, TrivialGroup
 from malle_lab.invariants import (
-    _classes_with_map,
     _power,
     a_invariant,
     b_invariant_Q,
@@ -116,7 +115,7 @@ def test_c3_wr_c2_in_both_representations():
 
 def class_power_map(group, a):
     """The class map c -> c^a, built as b_invariant_Q builds it inline."""
-    classes, class_of = _classes_with_map(group)
+    classes, class_of = group._walk
     return {ci: class_of[_power(c.representative, a).images] for ci, c in enumerate(classes)}
 
 

@@ -275,3 +275,32 @@ def test_a_writer_file_sends_only_its_first_line_down_the_general_path():
             seen.clear()
             assert len(records.parse_field_file(io.StringIO("\n".join(lines)))) == len(lines)
             assert seen == [1]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("p", True, "line 5: bad ramification entry: p must be a JSON integer, got True"),
+    ("kind", "tamer", "line 5: unknown ramification kind 'tamer'"),
+])
+def test_the_frame_path_leaves_a_refused_entry_to_the_general_path(key, value, message):
+    # line 5 is in the frame, of the list's kind, with an entry first met there
+    # that _Ingest.entry refuses: the general path raises, and only it
+    whole_line, seen = records._Ingest.whole_line, []
+
+    def spied(ingest, obj, lineno):
+        seen.append([lineno, None])
+        try:
+            return whole_line(ingest, obj, lineno)
+        except MalformedLine as exc:
+            seen[-1][1] = exc
+            raise
+
+    lines = _lines(enumerate_cubic(1000))
+    obj = json.loads(lines[4])
+    obj["ram"][0][key] = value
+    lines[4] = json.dumps(obj, sort_keys=True)
+    assert records._LINE_FRAME.fullmatch(lines[4])
+    with mock.patch.object(records._Ingest, "whole_line", spied):
+        with pytest.raises(MalformedLine) as exc:
+            records.parse_field_file(io.StringIO("\n".join(lines)))
+    assert (exc.value.lineno, str(exc.value)) == (5, message)
+    assert seen == [[1, None], [5, exc.value]]
