@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 
 from .arith import iroot
 from .errors import InsufficientData, InsufficientRange
@@ -37,10 +37,10 @@ __all__ = [
 
 
 class CountingSequence:
-    """A sorted multiset of positive integers: explicit, or the k-th powers
-    for k = 1, 2 (`integers()`, `squares()`).
+    """A sorted multiset of positive integers: explicit, or the positive
+    integers or squares (`integers()`, `squares()`).
 
-    The k-th powers have the closed-form count iroot(v, k), never run out of
+    Those two have the closed-form counts v and isqrt(v), never run out of
     range, and have `entries` and `complete_to` None.  An explicit sequence
     carries a completeness bound and raises InsufficientRange past it.  It
     takes distinct positive values with positive multiplicities, all of type
@@ -72,27 +72,27 @@ class CountingSequence:
         self._prefix = list(accumulate(counts))
 
     @classmethod
-    def _powers(cls, k: int) -> "CountingSequence":
-        """The k-th powers of the positive integers, each once."""
+    def _closed_form(cls, squares: bool) -> "CountingSequence":
+        """The positive integers, or their squares, each once."""
         seq = cls.__new__(cls)
         seq.entries = seq.complete_to = None
-        seq._k = k
+        seq._squares = squares
         return seq
 
     @classmethod
     def integers(cls) -> "CountingSequence":
-        return cls._powers(1)
+        return cls._closed_form(False)
 
     @classmethod
     def squares(cls) -> "CountingSequence":
-        return cls._powers(2)
+        return cls._closed_form(True)
 
     def count_upto(self, v: int) -> int:
         """F(v) = number of elements <= v, with multiplicity."""
         if v < 1:
             return 0
         if self.entries is None:
-            return iroot(v, self._k)
+            return math.isqrt(v) if self._squares else v
         if v > self.complete_to:
             raise InsufficientRange(
                 f"sequence complete to {self.complete_to}, asked for {v}"
@@ -103,9 +103,8 @@ class CountingSequence:
     def iter_upto(self, v: int):
         """Yield (value, multiplicity) for values <= v."""
         if self.entries is None:
-            k = self._k
-            for s in range(1, iroot(max(v, 0), k) + 1):
-                yield s**k, 1
+            s = range(1, self.count_upto(v) + 1)
+            yield from zip(map(operator.mul, s, s) if self._squares else s, repeat(1))
             return
         if v > self.complete_to:
             raise InsufficientRange(

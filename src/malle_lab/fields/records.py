@@ -78,34 +78,32 @@ a prime given twice, at its later slot.  Only the first failing row's
 message is made in Python, `_entry_fault` on its entries among them.
 
 `FieldList.write_jsonl` writes each record as
-json.dumps(record.to_json(), sort_keys=True) + "\n", serialising each
-distinct entry and the group label once per call, and each row as held, its
-entries in `entry_ids` order, unsorted: an enumerated row is in ascending p
-(a C_l row lists its wild l first, below every tame p = 1 mod l), a parsed
-row in its line's order.  Every such line has the frame `_FRAME`,
+json.dumps(record.to_json(), sort_keys=True) + "\n", each distinct entry's
+text from one %-template per local type, each row as held, its entries in
+`entry_ids` order, unsorted: an enumerated row in ascending p (a C_l row
+lists its wild l first, below every tame p = 1 mod l), a parsed row in its
+line's order.  So every line of a list has the frame `_line_frame(kind)`,
 
-    {"degree": INT, "disc": INT, "group": "STR", "ram": [ENTRY, ..., ENTRY]}
+    {"degree": D, "disc": INT, "group": G, "ram": [ENTRY, ..., ENTRY]}
 
-with INT a JSON integer of at most 19 digits, as every |disc| < 2^63 is,
-which JSON decodes as int() does, and STR a string with no quote, backslash
-or control character, which JSON decodes to its own text.
+with D and G the kind as written, and INT a JSON integer of at most 19
+digits, as every |disc| < 2^63 is, which JSON decodes as int() does.
 
-`parse_field_file` appends every line to the columns.  A stripped line that
-matches the frame (`_LINE_FRAME`) is split into entry texts at "}, {", and
-each distinct text is decoded and type-checked once per call, at its first
-sight; an entry does not depend on its record, so one text has one entry.
-That is exact.  When every piece decodes as a JSON object, the bracketed
-text is the JSON array of those objects, as JSON's grammar gives each text
-one parse; so the whole line decodes to what the pieces give, and equal
-texts give equal objects that pass the same checks.  The frame path only
-accepts: a line outside the frame (a degree or disc of more than 19 digits
-among them), not of the list's kind (the first line, before there is one),
-with |disc| outside [1, 2^63), or with a piece that is not one JSON object
-or that `_Ingest.entry` refuses, is decoded whole by json.loads, and that
-path decides its record or its error: the frame path raises nothing.  Both
-paths share the slot of each key, so a line has one outcome on either path;
-a slot that the frame path made on a line it gave up and that no row reads
-is in no record and breaks no rule.
+`parse_field_file` decodes lines whole until one sets the kind, then takes
+`_BLOCK` lines at a time (split at "\n" only) by one split on the frame,
+the discs and entry counts by C-level maps, if every line less its trailing
+whitespace is in the frame with |disc| in [1, 2^63) (checked first) and
+every text between "}, {" first met decodes as one JSON object that
+`_Ingest.entry` takes.
+Each distinct text is decoded once per call: an entry does not depend on
+its record.  That is exact: when every piece decodes as a JSON object, the
+bracketed text is the JSON array of those objects, as JSON's grammar gives
+each text one parse, and equal texts give equal objects.  A refused block
+goes through the pass again a stripped line at a time, and each line it
+refuses is decoded whole by json.loads, which decides its record or its
+error: the pass raises nothing.  Both paths share the slot of each key, so
+the columns are those of a line-by-line read; a slot made for a refused
+block that no row reads is in no record and breaks no rule.
 
 The parser and `FieldList(records)` refuse in one order: a rule broken by
 an earlier row first, as the rows before are checked before any error
@@ -120,7 +118,9 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import filterfalse, islice, repeat
 from math import gcd, prod
+from operator import add, mod
 
 from ..arith import are_prime
 from ..errors import InvariantViolation, MalformedLine
@@ -148,15 +148,9 @@ class LocalRamification:
             raise InvariantViolation("tame entry needs a cycle type")
 
     def to_json(self) -> dict:
-        return _entry_json(self.p, self.disc_exponent,
-                           self.tame_cycle_type if self.kind == "tame" else self.wild_label)
-
-
-def _entry_json(p: int, exp: int, local_type) -> dict:
-    """The JSON object of the entry (p, exp, a CycleType or a wild label)."""
-    if isinstance(local_type, CycleType):
-        return {"p": p, "kind": "tame", "cycle_type": list(local_type.parts)}
-    return {"p": p, "kind": "wild", "label": local_type, "exp": exp}
+        if self.kind == "tame":
+            return {"p": self.p, "kind": "tame", "cycle_type": list(self.tame_cycle_type.parts)}
+        return {"p": self.p, "kind": "wild", "label": self.wild_label, "exp": self.disc_exponent}
 
 
 def _entry_fault(p: int, exp: int, local_type, prime: bool) -> str | None:
@@ -178,15 +172,30 @@ def _entry_fault(p: int, exp: int, local_type, prime: bool) -> str | None:
 # json.dumps(record.to_json(), sort_keys=True): the keys in sorted order, with
 # ", " and ": " as separators, around the degree, disc, group and entry texts
 _FRAME = '{"degree": %s, "disc": %s, "group": %s, "ram": [%s]}'
-_LINE = _FRAME % ("%d", "%d", "%s", "%s") + "\n"
 _INT = r"(-?(?:0|[1-9][0-9]{0,18}))"  # 19 digits hold every |disc| < 2^63
-_LINE_FRAME = re.compile(
-    re.escape(_FRAME) % (_INT, _INT, r'"([^"\\\x00-\x1f]*)"', r"((?:\{.*\})?)")
-)
 # json.dumps(obj, sort_keys=True) less its encoder construction per call
 _encode = json.JSONEncoder(sort_keys=True).encode
-# rows per block when lines are made from the columns
-_BLOCK = 1 << 14
+# rows per block when lines are made from the columns, and lines per block read;
+# a block read holds its lines, texts and pieces, about 2.5 MB for cubic lines
+_BLOCK = 1 << 12
+
+
+def _line_frame(kind: tuple[int, str]) -> re.Pattern:
+    """The writer's lines of this (degree, group), each through its "\n" or the
+    text's end, with the disc and the bracketed entry texts as its groups; the
+    whitespace that str.strip takes may close a line."""
+    degree, group = kind
+    return re.compile(re.escape(_FRAME) % (re.escape("%d" % degree), _INT,
+                                           re.escape(_encode(group)), r"(\{.*\}|)")
+                      + r"[^\S\n]*(?:\n|\Z)")
+
+
+def _entry_template(local_type) -> str:
+    """`template % (exp, p)` is the writer's text of the entry (p, exp, local_type)."""
+    if isinstance(local_type, CycleType):  # no exp is written: %.0s takes it
+        return '%%.0s{"cycle_type": %s, "kind": "tame", "p": %%d}' % _encode(list(local_type.parts))
+    label = _encode(local_type).replace("%", "%%")
+    return '{"exp": %%d, "kind": "wild", "label": %s, "p": %%d}' % label
 
 
 @dataclass(frozen=True)
@@ -496,20 +505,19 @@ class FieldList(Sequence):
         the lines are made from the columns, each row's entries in the order it
         holds them (`entry_ids`).
         """
-        types = map(self.local_types.__getitem__, self.entry_type.tolist())
-        texts = list(map(_encode, map(_entry_json, self.entry_p.tolist(),
-                                      self.entry_exp.tolist(), types)))
-        degree, group, ids = self.degree, _encode(self.group_label), self.entry_ids
-        discs = self.abs_discs * self.disc_signs
+        templates = list(map(_entry_template, self.local_types))
+        texts = list(map(mod, map(templates.__getitem__, self.entry_type.tolist()),
+                         zip(self.entry_exp.tolist(), self.entry_p.tolist())))
+        # `line % (disc, entry texts)` is a row's line
+        group = _encode(self.group_label).replace("%", "%%")
+        line = _FRAME % (self.degree, "%d", group, "%s") + "\n"
+        ids, offsets, discs = self.entry_ids, self.offsets, self.abs_discs * self.disc_signs
         for lo in range(0, len(self), _BLOCK):
             hi = min(lo + _BLOCK, len(self))
-            offs = self.offsets[lo: hi + 1].tolist()
-            ram = list(map(texts.__getitem__, ids[offs[0]: offs[-1]].tolist()))
-            base = offs[0]
-            stream.write("".join([
-                _LINE % (degree, d, group, ", ".join(ram[a - base: b - base]))
-                for d, a, b in zip(discs[lo:hi].tolist(), offs, offs[1:])
-            ]))
+            offs = (offsets[lo: hi + 1] - offsets[lo]).tolist()
+            ram = list(map(texts.__getitem__, ids[offsets[lo]: offsets[hi]].tolist()))
+            rows = map(", ".join, map(ram.__getitem__, map(slice, offs, offs[1:])))
+            stream.write("".join(map(mod, repeat(line), zip(discs[lo:hi].tolist(), rows))))
 
 
 def _exact_column(values):
@@ -563,7 +571,7 @@ class _Ingest:
     slot, and `types` each (kind, parts or label) to its index in
     `local_types`, both in the order first met; `entry_p`, `entry_exp` and
     `entry_type` hold one value per slot.  `kind` is the (degree, group) of
-    the first row, None before it.  On frame lines, `texts` maps each entry
+    the first row, None before it.  In block passes, `texts` maps each entry
     text met to its slot.
     """
 
@@ -666,32 +674,35 @@ class _Ingest:
             raise MalformedLine(lineno, f"bad ramification entry: {exc}")
         self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
 
-    def frame_line(self, match: re.Match, lineno: int) -> bool:
-        """Append the record of a line in `_LINE_FRAME`, or return False to have
-        `whole_line` decide the line; nothing is raised here.
+    def frame_block(self, frame: re.Pattern, lines: list[str], first: int) -> bool:
+        """Append the rows of `lines`, lines `first` on, or return False with no row
+        appended (see the module docstring); nothing is raised here.  The pieces
+        first met here are decoded in that order, after the frame and disc checks;
+        one of more than one JSON object fails as "Extra data"."""
+        import numpy as np
 
-        False when the line is not of `kind` (the first line is not), |disc| is
-        outside [1, 2^63), or a piece between "}, {" first met here is not one
-        JSON object (as a piece of more than one, "Extra data") or is refused
-        by `entry`.
-        """
-        degree, disc, group, ram_text = match.groups()
-        degree, disc = int(degree), int(disc)
-        if (degree, group) != self.kind or not 0 < abs(disc) < DISC_LIMIT:
+        parts = frame.split("".join(lines))  # the texts between matches, disc and ram texts
+        if len(parts) != 3 * len(lines) + 1 or any(parts[::3]):
             return False
-        known = self.texts
-        pieces = ram_text[1:-1].split("}, {") if ram_text else ()
         try:
-            slots = [known[piece] for piece in pieces]
-        except KeyError:  # a text first met here
-            for piece in pieces:
-                if piece not in known:
-                    try:  # ValueError: JSONDecodeError, or past int()'s digit limit
-                        known[piece] = self.entry(json.loads("{" + piece + "}"), lineno)
-                    except (ValueError, MalformedLine):
-                        return False
-            slots = [known[piece] for piece in pieces]
-        self.append(lineno, abs(disc), -1 if disc < 0 else 1, slots)
+            discs = np.fromiter(map(int, parts[1::3]), np.int64, len(lines))
+        except OverflowError:  # 19 digits past int64
+            return False
+        if not (np.abs(discs) > 0).all():  # 0, and -2^63, which np.abs leaves negative
+            return False
+        rams = parts[2::3]
+        joined = ", ".join(filter(None, rams))
+        pieces = joined[1:-1].split("}, {") if joined else []
+        try:  # ValueError: JSONDecodeError, or past int()'s digit limit
+            for piece in filterfalse(self.texts.__contains__, dict.fromkeys(pieces)):
+                self.texts[piece] = self.entry(json.loads("{" + piece + "}"), first)
+        except (ValueError, MalformedLine):
+            return False
+        self.discs += np.abs(discs).tolist()
+        self.signs += np.sign(discs).tolist()
+        self.counts += map(add, map(str.count, rams, repeat("}, {")), map(bool, rams))
+        self.entry_ids += map(self.texts.__getitem__, pieces)
+        self.lines += range(first, first + len(lines))
         return True
 
 
@@ -710,19 +721,21 @@ def parse_field_file(stream, x_max: int | None = None) -> FieldList:
     invariant violations raise with the 1-based line number.  An x_max below
     the largest |disc| in the file raises InvariantViolation.
     """
-    ingest = _Ingest()
-    frame, frame_line = _LINE_FRAME.fullmatch, ingest.frame_line
+    ingest, frame, read = _Ingest(), None, 0
     try:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                match = frame(line)
-                if not (match and frame_line(match, lineno)):
-                    ingest.whole_line(_decoded(line, lineno), lineno)
-            except InvariantViolation as exc:
-                raise InvariantViolation(f"line {lineno}: {exc}")
+        # a line at a time until one sets the list's kind, then _BLOCK lines at a time
+        while block := list(islice(stream, _BLOCK if frame else 1)):
+            if not (frame and ingest.frame_block(frame, block, read + 1)):
+                for lineno, line in enumerate(block, read + 1):
+                    line = line.strip()
+                    if line and not (frame and ingest.frame_block(frame, [line], lineno)):
+                        try:
+                            ingest.whole_line(_decoded(line, lineno), lineno)
+                        except InvariantViolation as exc:
+                            raise InvariantViolation(f"line {lineno}: {exc}")
+                if frame is None and ingest.kind is not None:
+                    frame = _line_frame(ingest.kind)
+            read += len(block)
     except Exception:  # a rule broken on an earlier line comes first, then the stop
         ingest.field_list(x_max)._refuse_bad_row(ingest.lines)
         raise

@@ -140,7 +140,7 @@ def test_a_disc_past_int64_is_refused_where_it_enters_a_list():
         # on both parse paths, a MalformedLine with its line number
         obj = past.to_json()
         for line, framed in ((json.dumps(obj, sort_keys=True), True), (json.dumps(obj), False)):
-            assert bool(records._LINE_FRAME.fullmatch(line)) == framed
+            assert bool(records._line_frame((3, "S3")).fullmatch(line)) == framed
             with pytest.raises(MalformedLine, match=r"9223372036854775808 is not below 2\^63") as exc:
                 parse_field_file(io.StringIO(good + "\n" + line))
             assert exc.value.lineno == 3
@@ -189,7 +189,7 @@ def test_a_line_is_refused_for_an_unreadable_entry_after_one_that_breaks_a_rule(
         message = "bad ramification entry: " + message
         obj = {"degree": 3, "group": "S3", "disc": -63, "ram": [composite, unreadable]}
         for line, framed in ((json.dumps(obj, sort_keys=True), True), (json.dumps(obj), False)):
-            assert bool(records._LINE_FRAME.fullmatch(line)) == framed
+            assert bool(records._line_frame((3, "S3")).fullmatch(line)) == framed
             with pytest.raises(MalformedLine) as exc:
                 parse_field_file(io.StringIO(good + "\n" + line + "\n" + good))
             assert str(exc.value) == "line 2: " + message

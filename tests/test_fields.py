@@ -24,7 +24,7 @@ from malle_lab.fields.polysearch import (
     field_disc_of_cubic,
 )
 from malle_lab.fields.records import (
-    _LINE_FRAME,
+    _line_frame,
     _offsets,
     FieldList,
     FieldRecord,
@@ -41,6 +41,8 @@ GOOD_LINE = (
 # json.dumps(obj) keeps a test's key order, which is not the writer's frame,
 # and sorted keys give the frame: the error cases run on both parse paths
 RENDERINGS = (json.dumps, partial(json.dumps, sort_keys=True))
+# the writer's frame of an S3 line, which the block pass reads
+S3_FRAME = _line_frame((3, "S3"))
 
 
 def test_parse_good_record():
@@ -83,7 +85,7 @@ def test_parse_refuses_an_integer_past_the_digit_limit(frame, key):
         line = ('{"degree":3,"group":"S3","disc":%s,'
                 '"ram":[{"p":%s,"kind":"tame","cycle_type":[2,1]}]}' % (disc, p))
     # the frame reads a disc of at most 19 digits, so a longer one is decoded whole
-    assert bool(_LINE_FRAME.fullmatch(line)) == (frame and key == "p")
+    assert bool(S3_FRAME.fullmatch(line)) == (frame and key == "p")
     with pytest.raises(MalformedLine) as exc:
         parse_field_file(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
     assert exc.value.lineno == 2
@@ -164,7 +166,7 @@ def test_frame_path_checks_the_disc_of_a_line_whose_entries_are_known(disc, mess
     # the second line repeats the first one's entry text, so no entry is decoded
     good = json.loads(GOOD_LINE)
     lines = [json.dumps(good, sort_keys=True), json.dumps({**good, "disc": disc}, sort_keys=True)]
-    assert all(map(_LINE_FRAME.fullmatch, lines))
+    assert all(map(S3_FRAME.fullmatch, lines))
     with pytest.raises(MalformedLine) as exc:
         parse_field_file(io.StringIO("\n".join(lines) + "\n"))
     assert exc.value.lineno == 2 and str(exc.value) == "line 2: " + message
@@ -349,16 +351,33 @@ def test_cubic_entries_are_built_once_and_parsed_once():
 ], ids=["cubic-1e4", "c3-1e8"])
 def test_every_written_line_is_in_the_parse_frame(make):
     # a writer line outside the frame would still parse, only slower
-    lines = _jsonl(make()).splitlines()
-    assert lines and all(_LINE_FRAME.fullmatch(line) for line in lines)
+    fl = make()
+    frame = _line_frame((fl.degree, fl.group_label))
+    lines = _jsonl(fl).splitlines()
+    assert lines and all(frame.fullmatch(line) for line in lines)
 
 
-def test_a_written_line_out_of_the_frame_round_trips():
+def test_a_written_line_with_an_escaped_label_round_trips():
+    # the frame holds the group as the writer escapes it, so these lines are in it
     rec = _hand_built_record()
-    text = _jsonl(FieldList((rec,), "enumerated", 40))
-    assert not _LINE_FRAME.fullmatch(text.strip())  # the label is written escaped
-    (again,) = parse_field_file(io.StringIO(text)).records
-    assert again.to_json() == rec.to_json() and again.group_label == 'S3 "\\é'
+    text = _jsonl(FieldList((rec,) * 3, "enumerated", 40))
+    assert all(map(_line_frame((3, 'S3 "\\é')).fullmatch, text.splitlines()))
+    again = parse_field_file(io.StringIO(text)).records
+    assert [r.to_json() for r in again] == [rec.to_json()] * 3
+    assert again[0].group_label == 'S3 "\\é'
+
+
+@pytest.mark.parametrize("label", ["3%d", "50%", '3"e"', "3\\e\\", "3\u2028e", '%s"\\\u2028%%'])
+def test_written_entry_texts_equal_json_dumps_for_labels_json_escapes(label):
+    # each entry text comes from a %-template per local type; a % in a label is escaped
+    wild2 = LocalRamification(p=2, kind="wild", disc_exponent=3, wild_label=label)
+    tame5 = LocalRamification(p=5, kind="tame", disc_exponent=1,
+                              tame_cycle_type=CycleType.from_parts((2, 1)))
+    recs = (FieldRecord(3, label, 8, (wild2,), 1), FieldRecord(3, label, 40, (tame5, wild2), -1))
+    fl = FieldList(recs, "enumerated", 40)
+    want = "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in recs)
+    assert _jsonl(fl) == want
+    assert [r.to_json() for r in parse_field_file(io.StringIO(want))] == [r.to_json() for r in recs]
 
 
 def test_frame_and_hand_formatted_lines_share_their_entries():
@@ -371,7 +390,7 @@ def test_frame_and_hand_formatted_lines_share_their_entries():
     ]
     lines = [text for obj in objs
              for text in (json.dumps(obj, sort_keys=True), json.dumps(obj, separators=(",", ":")))]
-    assert [bool(_LINE_FRAME.fullmatch(line)) for line in lines] == [True, False] * 3
+    assert [bool(S3_FRAME.fullmatch(line)) for line in lines] == [True, False] * 3
     fl = parse_field_file(io.StringIO("\n".join(lines)))
     entries = [loc for r in fl for loc in r.ramification]
     assert len(entries) == 10

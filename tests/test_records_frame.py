@@ -1,19 +1,20 @@
-"""parse_field_file decides a line the same on its frame path and on its general path.
+"""parse_field_file decides a line the same on its block pass and on its general path.
 
-A stripped line in the writer's frame is split into entry texts, each decoded
-once per call; any other line, and any frame line that the frame path does
-not accept, is decoded whole, and only that path refuses a line.  A writer
-file sends only its first line, which sets the list's kind, down the general
-path.  Each example is
-a short file of the writer lines of one list, which holds one kind of field,
-with one or two mutated lines of that list in it.  The file
-is parsed as is, and again with the frame pattern swapped for one that
-matches nothing, which sends every line down the general path.  The two
-parses must give equal records with the same sharing and warnings, or the
-same error: its type, line number and message.
+After the first line, which sets the list's kind and is decoded whole, lines are
+read `_BLOCK` at a time.  A block of writer lines of the list's kind is taken by
+one regex split and its entry texts are decoded once per call; a block that the
+pass does not take goes through the pass again a line at a time, and each line
+it does not take is decoded whole: only that path refuses a line.  Each example
+is a short file of the writer lines of one list, which holds one kind of field,
+with one or two mutated lines of that list in it, read in blocks of 1, 2, 3 or
+`_BLOCK` lines.  The file is parsed as is, and again with the frame swapped for
+one that matches nothing, which sends every line down the general path.  The
+two parses must give equal records with the same sharing, columns and
+warnings, or the same error: its type, line number and message.
 """
 
 import io
+import itertools
 import json
 import re
 import sys
@@ -48,9 +49,15 @@ WRITER_LISTS = (
 _NEVER = re.compile(r"(?!)")
 
 
-def _outcome(text: str):
-    """The records, x_max, entry count, distinct entry objects and warnings, or the error."""
-    with warnings.catch_warnings(record=True) as caught:
+_COLUMNS = ("abs_discs", "disc_signs", "offsets", "entry_ids", "entry_p", "entry_exp",
+            "entry_type")
+
+
+def _outcome(text: str, block: int = records._BLOCK):
+    """The records, x_max, entry count, distinct entry objects, columns, local types and
+    warnings, or the error, of `text` read `block` lines at a time."""
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(records, "_BLOCK", block):
         warnings.simplefilter("always")
         try:
             fl = records.parse_field_file(io.StringIO(text))
@@ -58,12 +65,19 @@ def _outcome(text: str):
             return "error", type(exc), getattr(exc, "lineno", None), str(exc)
     entries = [loc for r in fl for loc in r.ramification]
     shared = len({id(loc) for loc in entries})
-    return "ok", tuple(fl), fl.x_max, len(entries), shared, [str(w.message) for w in caught]
+    columns = tuple(getattr(fl, name).tolist() for name in _COLUMNS)
+    return ("ok", tuple(fl), fl.x_max, len(entries), shared, columns, fl.local_types,
+            [str(w.message) for w in caught])
 
 
 def _general_outcome(text: str):
-    with mock.patch.object(records, "_LINE_FRAME", _NEVER):
+    with mock.patch.object(records, "_line_frame", lambda kind: _NEVER):
         return _outcome(text)
+
+
+def _kind(line: str) -> tuple:
+    obj = json.loads(line)
+    return obj["degree"], obj["group"]
 
 
 # -- mutations of the decoded object ---------------------------------------------
@@ -219,23 +233,25 @@ def mutated_lines(draw, writer_lines):
 
 @st.composite
 def files(draw):
-    """A file of one list's writer lines with one or two mutated lines of it, and the mutated lines."""
+    """A file of one list's writer lines with one or two mutated lines of it, the
+    mutated lines and the list's kind."""
     writer_lines = draw(st.sampled_from(WRITER_LISTS))
     lines = draw(st.lists(st.sampled_from(writer_lines), max_size=4))
     mutated = draw(st.lists(mutated_lines(writer_lines), min_size=1, max_size=2))
     for line in mutated:
         lines.insert(draw(st.integers(0, len(lines))), line)
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), mutated
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return text, mutated, _kind(writer_lines[0])
 
 
 @settings(max_examples=400, deadline=None)
-@given(files())
-def test_frame_path_agrees_with_the_general_path(case):
-    text, mutated = case
+@given(files(), st.sampled_from([1, 2, 3, records._BLOCK]))
+def test_frame_path_agrees_with_the_general_path(case, block):
+    text, mutated, kind = case
     for line in mutated:
-        event("mutated line in the frame" if records._LINE_FRAME.fullmatch(line.strip())
+        event("mutated line in the frame" if records._line_frame(kind).fullmatch(line.strip())
               else "mutated line out of the frame")
-    outcome = _outcome(text)
+    outcome = _outcome(text, block)
     event(outcome[0])
     assert outcome == _general_outcome(text)
 
@@ -262,19 +278,116 @@ def test_an_integer_past_the_digit_limit_is_invalid_json_on_both_paths(degree, d
     assert outcome == _general_outcome(line)
 
 
-def test_a_writer_file_sends_only_its_first_line_down_the_general_path():
-    # the first line sets the list's kind; every later writer line is taken by the frame
-    whole_line, seen = records._Ingest.whole_line, []
+def _spied_parse(text: str, block: int = records._BLOCK):
+    """The lines sent to `whole_line` and the (first line, line count) of each block
+    pass, as `text` is parsed `block` lines at a time."""
+    whole_line, frame_block, wholes, passes = records._Ingest.whole_line, \
+        records._Ingest.frame_block, [], []
 
-    def counted(ingest, obj, lineno):
-        seen.append(lineno)
+    def whole_spy(ingest, obj, lineno):
+        wholes.append(lineno)
         return whole_line(ingest, obj, lineno)
 
-    with mock.patch.object(records._Ingest, "whole_line", counted):
-        for lines in WRITER_LISTS:
-            seen.clear()
-            assert len(records.parse_field_file(io.StringIO("\n".join(lines)))) == len(lines)
-            assert seen == [1]
+    def block_spy(ingest, frame, lines, first):
+        passes.append((first, len(lines)))
+        return frame_block(ingest, frame, lines, first)
+
+    with mock.patch.object(records._Ingest, "whole_line", whole_spy), \
+            mock.patch.object(records._Ingest, "frame_block", block_spy), \
+            mock.patch.object(records, "_BLOCK", block):
+        records.parse_field_file(io.StringIO(text))
+    return wholes, passes
+
+
+def test_a_writer_file_sends_only_its_first_line_down_the_general_path():
+    # the first line sets the list's kind; every later writer line, with or
+    # without whitespace that strip takes at its end, is taken by a block pass
+    # of `block` lines, with no line passed alone again
+    for block, lines, end in itertools.product([1, 3, records._BLOCK], WRITER_LISTS,
+                                               ["\n", "\r\n", " \x85\t\n"]):
+        n = len(lines)
+        wholes, passes = _spied_parse("".join(line + end for line in lines), block)
+        assert wholes == [1]
+        assert passes == [(first, min(block, n + 1 - first)) for first in range(2, n + 1, block)]
+        assert len(passes) == -(-(n - 1) // block)
+
+
+def test_the_switched_off_frame_sends_every_line_down_the_general_path():
+    lines = WRITER_LISTS[2]
+    with mock.patch.object(records, "_line_frame", lambda kind: _NEVER):
+        wholes, passes = _spied_parse("\n".join(lines), 3)
+    assert wholes == list(range(1, len(lines) + 1))
+    # each refused block is passed again a line at a time
+    assert {first for first, length in passes if length == 1} == set(range(2, len(lines) + 1))
+
+
+def _with_label(line: str, label: str) -> str:
+    """The C5 writer line with every wild label set to `label`, non-ASCII written raw."""
+    obj = json.loads(line)
+    for entry in obj["ram"]:
+        if entry["kind"] == "wild":
+            entry["label"] = label
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def _c5_cases():
+    """Files of C5 writer lines, each with a line that the block pass refuses or a
+    line end or label that it must read as the general path does."""
+    lines = WRITER_LISTS[2][:8]
+    bad = lines[5].replace('"disc": ', '"disc": 0')  # a leading zero: out of the frame
+    wrong = lines[4][:-2] + ", {}]}"  # a piece that `entry` refuses: no "p" in it
+    cases = {
+        # with blocks of 3, lines 2-4 and 5-7 are the blocks
+        "refused-first-in-block": lines[:4] + [bad] + lines[5:],
+        "refused-last-in-block": lines[:3] + [bad] + lines[4:],
+        "refused-entry-last-in-block": lines[:6] + [wrong] + lines[7:],
+        "refused-first-and-last": lines[:4] + [bad] + lines[5:6] + [wrong] + lines[7:],
+        "two-records-one-line": lines[:3] + [lines[3] + lines[4]] + lines[5:],
+        "refused-text-before-a-record": lines[:3] + ["x" + lines[3]] + lines[4:],
+        "blank-line": lines[:3] + [""] + lines[3:],
+        "whitespace-lines": lines[:2] + ["  \t "] + lines[2:5] + [f" {lines[5]}  "] + lines[6:],
+        "crlf": [line + "\r" for line in lines],
+        "crlf-unsorted": [line + "\r" for line in lines[1:4] + lines[:1] + lines[4:]],
+    }
+    # a label or a group with a character that str.splitlines breaks at: line
+    # numbers count "\n" only
+    for char in "\u2028", "\x85", "\r", "\x0b":
+        labelled = [_with_label(line, "5" + char + "w") for line in lines]
+        cases[f"label-{ord(char):x}"] = labelled[:5] + [bad] + labelled[5:]
+        grouped = [line.replace('"C5"', json.dumps("C5" + char, ensure_ascii=False))
+                   for line in lines]
+        cases[f"group-{ord(char):x}"] = grouped[:5] + [bad] + grouped[5:]
+    return cases
+
+
+_C5_CASES = _c5_cases()
+
+
+@pytest.mark.parametrize("name, lines", list(_C5_CASES.items()), ids=list(_C5_CASES))
+@pytest.mark.parametrize("end", ["", "\n"], ids=["no-last-newline", "last-newline"])
+def test_block_boundaries_agree_with_the_general_path(name, lines, end):
+    text = "\n".join(lines) + end
+    outcome = _outcome(text, 3)
+    assert outcome == _general_outcome(text) == _outcome(text)
+    if name == "two-records-one-line":
+        assert outcome[:3] == ("error", MalformedLine, 4) and "Extra data" in outcome[3]
+    elif "refused" in name or name.startswith(("label", "group")):
+        assert outcome[0] == "error" and outcome[2] == lines.index(next(
+            line for line in lines if '"disc": 0' in line or "{}" in line or line[0] == "x")) + 1
+    else:
+        assert outcome[0] == "ok" and len(outcome[1]) == 8
+
+
+def test_an_item_of_the_stream_is_one_line():
+    # an item that holds two writer lines is one line of two JSON values, as a
+    # line is on the general path, whatever block it is read in
+    lines = WRITER_LISTS[2][:6]
+    items = [line + "\n" for line in lines]
+    items[2:4] = [items[2] + items[3]]
+    for block in (1, 3, records._BLOCK):
+        with mock.patch.object(records, "_BLOCK", block), pytest.raises(MalformedLine) as exc:
+            records.parse_field_file(iter(items))
+        assert exc.value.lineno == 3 and "Extra data" in str(exc.value)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -298,7 +411,7 @@ def test_the_frame_path_leaves_a_refused_entry_to_the_general_path(key, value, m
     obj = json.loads(lines[4])
     obj["ram"][0][key] = value
     lines[4] = json.dumps(obj, sort_keys=True)
-    assert records._LINE_FRAME.fullmatch(lines[4])
+    assert records._line_frame((3, "S3")).fullmatch(lines[4])
     with mock.patch.object(records._Ingest, "whole_line", spied):
         with pytest.raises(MalformedLine) as exc:
             records.parse_field_file(io.StringIO("\n".join(lines)))
